@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import closedloop, game, longterm, multiplex, orthogonal, scenario as scn
@@ -35,14 +34,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _threads_default() -> int:
-    raw = os.environ.get("SLICEPROFIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sliceprofit",
@@ -55,31 +46,28 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=_threads_default(),
-                       help="solver thread cap; any value gives identical results")
         p.add_argument("--dry-run", action="store_true",
                        help="print the run manifest and exit without solving")
 
+    def ga_flags(p):
+        p.add_argument("--cap", type=int, default=None, help="candidate scheme cap")
+        p.add_argument("--ga-pop", type=int, default=40)
+        p.add_argument("--ga-gens", type=int, default=100)
+        p.add_argument("--ga-crossover", type=float, default=0.9)
+        p.add_argument("--ga-mutation", type=float, default=0.1)
+
     p = sub.add_parser("solve", help="one-shot size/scheme optimisation")
     common(p)
+    ga_flags(p)
     p.add_argument("--solver", default="objective-sum",
                    choices=["objective-sum", "weighted-sum", "exhaustive", "bcd", "ga"])
     p.add_argument("--weights", default=None,
                    help="comma-separated positive weights (weighted-sum)")
-    p.add_argument("--cap", type=int, default=None, help="candidate scheme cap")
     p.add_argument("--max-rounds", type=int, default=20, help="bcd round limit")
-    p.add_argument("--ga-pop", type=int, default=40)
-    p.add_argument("--ga-gens", type=int, default=100)
-    p.add_argument("--ga-crossover", type=float, default=0.9)
-    p.add_argument("--ga-mutation", type=float, default=0.1)
 
     p = sub.add_parser("pareto", help="genetic Pareto front over (scheme, sizes)")
     common(p)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--ga-pop", type=int, default=40)
-    p.add_argument("--ga-gens", type=int, default=100)
-    p.add_argument("--ga-crossover", type=float, default=0.9)
-    p.add_argument("--ga-mutation", type=float, default=0.1)
+    ga_flags(p)
 
     p = sub.add_parser("oracle", help="dense-grid reference optimiser")
     common(p)
@@ -115,36 +103,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args, extra=None) -> dict:
+def _manifest(args) -> dict:
     flags = {}
-    # threads is a pure execution knob (results are thread-count invariant),
-    # so it stays out of the manifest to keep outputs byte-identical
-    skip = {"command", "scenario", "out", "trace_out", "dry_run", "func", "threads"}
+    skip = {"command", "scenario", "out", "trace_out", "dry_run"}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
             continue
         flags[key.replace("_", "-")] = value
     outputs = [p for p in (getattr(args, "out", None), getattr(args, "trace_out", None)) if p]
-    doc = {
+    return {
         "command": args.command,
         "scenario": args.scenario,
         "scenario_sha256": _sha256(args.scenario),
         "flags": flags,
         "outputs": outputs,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
-def _inner_by_name(name, args):
-    if name == "objective-sum":
-        return orthogonal.solve_objective_sum
-    if name == "exhaustive":
-        return multiplex.solve_exhaustive
-    if name == "bcd":
-        return multiplex.solve_bcd
-    raise ConfigurationError(f"unknown inner solver {name!r}")
+_INNER = {
+    "objective-sum": orthogonal.solve_objective_sum,
+    "exhaustive": multiplex.solve_exhaustive,
+    "bcd": multiplex.solve_bcd,
+}
 
 
 def _ga_params(args):
@@ -169,45 +149,34 @@ def _write_infeasible(args, scenario, manifest, exc) -> int:
     return 1
 
 
-def _cmd_solve(args, scenario) -> int:
-    manifest = _manifest(args)
-    if args.dry_run:
-        print(json.dumps(manifest, sort_keys=True))
-        return 0
-    try:
-        if args.solver == "objective-sum":
-            result = orthogonal.solve_objective_sum(scenario)
-        elif args.solver == "weighted-sum":
-            if not args.weights:
-                _log("weighted-sum requires --weights")
-                return 2
-            weights = [float(x) for x in args.weights.split(",")]
-            result = orthogonal.solve_weighted_sum(scenario, weights)
-        elif args.solver == "exhaustive":
-            result = multiplex.solve_exhaustive(scenario, args.cap)
-        elif args.solver == "bcd":
-            result = multiplex.solve_bcd(scenario, max_rounds=args.max_rounds, cap=args.cap)
-        else:
-            front = multiplex.solve_ga(scenario, _ga_params(args), args.cap)
-            candidates = multiplex.enumerate_candidates(scenario, args.cap)
-            best = max(front.points, key=lambda p: (sum(p.profits), tuple(-s for s in p.sizes)))
-            scheme = candidates.schemes[best.scheme_index]
-            result = orthogonal.SolveResult(
-                best.sizes, evaluate(scenario, best.sizes, scheme), scheme,
-                {"solver": "ga", "iterations": args.ga_pop * (args.ga_gens + 1)},
-            )
-    except InfeasibleScenarioError as exc:
-        return _write_infeasible(args, scenario, manifest, exc)
+def _cmd_solve(args, scenario, manifest) -> int:
+    if args.solver == "objective-sum":
+        result = orthogonal.solve_objective_sum(scenario)
+    elif args.solver == "weighted-sum":
+        if not args.weights:
+            _log("weighted-sum requires --weights")
+            return 2
+        weights = [float(x) for x in args.weights.split(",")]
+        result = orthogonal.solve_weighted_sum(scenario, weights)
+    elif args.solver == "exhaustive":
+        result = multiplex.solve_exhaustive(scenario, args.cap)
+    elif args.solver == "bcd":
+        result = multiplex.solve_bcd(scenario, max_rounds=args.max_rounds, cap=args.cap)
+    else:
+        front = multiplex.solve_ga(scenario, _ga_params(args), args.cap)
+        candidates = multiplex.enumerate_candidates(scenario, args.cap)
+        best = max(front.points, key=lambda p: (sum(p.profits), tuple(-s for s in p.sizes)))
+        scheme = candidates.schemes[best.scheme_index]
+        result = orthogonal.SolveResult(
+            best.sizes, evaluate(scenario, best.sizes, scheme), scheme,
+            {"solver": "ga", "iterations": args.ga_pop * (args.ga_gens + 1)},
+        )
     scn.save_outcome(scenario, [result], args.out, args.seed, manifest)
     _log(f"solved {scenario.name}: total profit {result.outcome.total_profit:.6g}")
     return 0
 
 
-def _cmd_pareto(args, scenario) -> int:
-    manifest = _manifest(args)
-    if args.dry_run:
-        print(json.dumps(manifest, sort_keys=True))
-        return 0
+def _cmd_pareto(args, scenario, manifest) -> int:
     front = multiplex.solve_ga(scenario, _ga_params(args), args.cap)
     names = ["scenario", "solver", "seed", "point", "scheme_index"]
     names += [f"size_{s.id}" for s in scenario.specs]
@@ -226,35 +195,17 @@ def _cmd_pareto(args, scenario) -> int:
     return 0
 
 
-def _cmd_oracle(args, scenario) -> int:
-    manifest = _manifest(args)
-    if args.dry_run:
-        print(json.dumps(manifest, sort_keys=True))
-        return 0
-    try:
-        result = orthogonal.brute_force_oracle(scenario, args.grid_step, budget=args.budget)
-    except BudgetExceededError as exc:
-        _log(f"oracle refused: {exc}")
-        return 2
-    except InfeasibleScenarioError as exc:
-        return _write_infeasible(args, scenario, manifest, exc)
+def _cmd_oracle(args, scenario, manifest) -> int:
+    result = orthogonal.brute_force_oracle(scenario, args.grid_step, budget=args.budget)
     scn.save_outcome(scenario, [result], args.out, args.seed, manifest)
     _log(f"oracle {scenario.name}: total profit {result.outcome.total_profit:.6g}")
     return 0
 
 
-def _cmd_closed_loop(args, scenario) -> int:
-    manifest = _manifest(args)
-    if args.dry_run:
-        print(json.dumps(manifest, sort_keys=True))
-        return 0
-    inner = _inner_by_name(args.inner, args)
-    try:
-        result = closedloop.solve_closed_loop(
-            scenario, inner, tol=args.tol, max_iter=args.max_iter, damping=args.damping
-        )
-    except InfeasibleScenarioError as exc:
-        return _write_infeasible(args, scenario, manifest, exc)
+def _cmd_closed_loop(args, scenario, manifest) -> int:
+    result = closedloop.solve_closed_loop(
+        scenario, _INNER[args.inner], tol=args.tol, max_iter=args.max_iter, damping=args.damping
+    )
     converged = result.meta["converged"]
     status = "ok" if converged else "not-converged"
     names = scn.result_fieldnames(scenario) + ["converged", "residual"]
@@ -273,11 +224,7 @@ def _cmd_closed_loop(args, scenario) -> int:
     return 0 if converged else 1
 
 
-def _cmd_longterm(args, scenario) -> int:
-    manifest = _manifest(args)
-    if args.dry_run:
-        print(json.dumps(manifest, sort_keys=True))
-        return 0
+def _cmd_longterm(args, scenario, manifest) -> int:
     if args.trace_in:
         trace = scn.load_trace(args.trace_in, scenario)
     else:
@@ -303,11 +250,7 @@ def _cmd_longterm(args, scenario) -> int:
     return 0
 
 
-def _cmd_game(args, scenario) -> int:
-    manifest = _manifest(args)
-    if args.dry_run:
-        print(json.dumps(manifest, sort_keys=True))
-        return 0
+def _cmd_game(args, scenario, manifest) -> int:
     if scenario.operators is None:
         _log("scenario declares no operators block")
         return 2
@@ -368,14 +311,6 @@ def _cmd_game(args, scenario) -> int:
     return 0 if outcome.converged else 1
 
 
-def _cmd_validate(args, scenario) -> int:
-    _log(
-        f"{scenario.name}: {scenario.n_slices} slices, "
-        f"{scenario.n_resources} resources, {scenario.n_kpis} KPIs; valid"
-    )
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "pareto": _cmd_pareto,
@@ -383,7 +318,6 @@ _COMMANDS = {
     "closed-loop": _cmd_closed_loop,
     "longterm": _cmd_longterm,
     "game": _cmd_game,
-    "validate": _cmd_validate,
 }
 
 
@@ -393,9 +327,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    if getattr(args, "threads", 1) < 1:
-        _log("--threads must be at least 1")
-        return 2
     try:
         scenario = scn.load_scenario(args.scenario)
     except FileNotFoundError:
@@ -404,8 +335,23 @@ def main(argv=None) -> int:
     except scn.ScenarioError as exc:
         _log(str(exc))
         return 2
+    if args.command == "validate":
+        _log(
+            f"{scenario.name}: {scenario.n_slices} slices, "
+            f"{scenario.n_resources} resources, {scenario.n_kpis} KPIs; valid"
+        )
+        return 0
+    manifest = _manifest(args)
+    if args.dry_run:
+        print(json.dumps(manifest, sort_keys=True))
+        return 0
     try:
-        return _COMMANDS[args.command](args, scenario)
+        return _COMMANDS[args.command](args, scenario, manifest)
+    except InfeasibleScenarioError as exc:
+        return _write_infeasible(args, scenario, manifest, exc)
+    except BudgetExceededError as exc:
+        _log(f"{args.command} refused: {exc}")
+        return 2
     except (ConfigurationError, scn.ScenarioError) as exc:
         _log(str(exc))
         return 2

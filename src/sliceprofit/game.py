@@ -334,11 +334,11 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
 
 def pareto_dominates(profits_a: Sequence[float], profits_b: Sequence[float]) -> bool:
     """True when a is at least b everywhere and better somewhere."""
-    a = tuple(float(x) for x in profits_a)
-    b = tuple(float(x) for x in profits_b)
-    if len(a) != len(b):
+    a = np.asarray(profits_a, dtype=float)
+    b = np.asarray(profits_b, dtype=float)
+    if a.shape != b.shape:
         raise ConfigurationError("profit vectors must have equal length")
-    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
+    return bool(multiplex.dominates(a, b))
 
 
 def solve_suboperator(main_pool: ResourcePool, sub_portfolios: Sequence[Operator],

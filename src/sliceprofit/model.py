@@ -246,17 +246,34 @@ def build_allocation(specs: Sequence[SliceSpec], scheme: VnfScheme, sizes) -> Al
     return Allocation(sizes=sizes, resources=rows)
 
 
+def _usage(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Aggregate per-resource usage of per-slice resource rows: sum over
+    slices for dedicated resources, max over slices for the time-shared
+    ones, whose column indices shared holds."""
+    usage = rows.sum(axis=0)
+    if shared.size and rows.shape[0]:
+        usage[shared] = rows[:, shared].max(axis=0)
+    return usage
+
+
+def _limits(pool: ResourcePool, specs: Sequence[SliceSpec]) -> tuple:
+    """(capacity limit, reservation floor matrix, floor limit): the bounds
+    widened by FEASIBILITY_TOL · max(1, bound)."""
+    for spec in specs:
+        if spec.min_resources.shape[0] != pool.n_resources:
+            raise ConfigurationError(f"slice {spec.id} min_resources length mismatch")
+    floors = np.array([spec.min_resources for spec in specs])
+    cap_limit = pool.capacity + FEASIBILITY_TOL * np.maximum(1.0, pool.capacity)
+    floor_limit = floors - FEASIBILITY_TOL * np.maximum(1.0, floors)
+    return cap_limit, floors, floor_limit
+
+
 def pool_usage(alloc: Allocation, scheme: VnfScheme) -> np.ndarray:
     """Aggregate per-resource usage: sum over slices for dedicated
     resources, max over slices for time-shared ones."""
-    rows = alloc.resources
-    if rows.shape[1] != scheme.n_resources:
+    if alloc.resources.shape[1] != scheme.n_resources:
         raise ConfigurationError("allocation and scheme disagree on resource count")
-    usage = rows.sum(axis=0)
-    shared = scheme.shared_mask()
-    if shared.any() and rows.shape[0] > 0:
-        usage[shared] = rows[:, shared].max(axis=0)
-    return usage
+    return _usage(alloc.resources, np.flatnonzero(scheme.shared_mask()))
 
 
 def check_feasible(
@@ -266,24 +283,39 @@ def check_feasible(
     specs: Sequence[SliceSpec],
 ) -> tuple:
     """Return (feasible, violations) for pool capacity and per-slice
-    minimum reservations. Violation amounts are the raw excess/deficit."""
-    violations = []
+    minimum reservations. Violation amounts are the raw excess/deficit,
+    pool violations first by resource, then minimums by slice and resource."""
     usage = pool_usage(alloc, scheme)
-    for j in range(pool.n_resources):
-        slack = FEASIBILITY_TOL * max(1.0, pool.capacity[j])
-        if usage[j] > pool.capacity[j] + slack:
-            violations.append(Violation("pool", j, float(usage[j] - pool.capacity[j])))
-    for i, spec in enumerate(specs):
-        if spec.min_resources.shape[0] != pool.n_resources:
-            raise ConfigurationError(f"slice {spec.id} min_resources length mismatch")
-        for j in range(pool.n_resources):
-            floor = spec.min_resources[j]
-            slack = FEASIBILITY_TOL * max(1.0, floor)
-            if alloc.resources[i, j] < floor - slack:
-                violations.append(
-                    Violation("minimum", j, float(floor - alloc.resources[i, j]), slice=i)
-                )
-    return (not violations, tuple(violations))
+    cap_limit, floors, floor_limit = _limits(pool, specs)
+    rows = alloc.resources
+    over, under = usage > cap_limit, rows < floor_limit
+    if not (over.any() or under.any()):
+        return (True, ())
+    violations = [
+        Violation("pool", int(j), float(usage[j] - pool.capacity[j]))
+        for j in np.flatnonzero(over)
+    ]
+    violations += [
+        Violation("minimum", int(j), float(floors[i, j] - rows[i, j]), slice=int(i))
+        for i, j in zip(*np.nonzero(under))
+    ]
+    return (False, tuple(violations))
+
+
+class SchemeFeasibility:
+    """check_feasible's verdict on size vectors under one fixed scheme and
+    pool, with the demand rows and the widened bounds computed once."""
+
+    def __init__(self, specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool):
+        self.unit = np.stack([unit_demand(spec, scheme) for spec in specs])
+        self.overhead = scheme.overhead
+        self.shared = np.flatnonzero(scheme.shared_mask())
+        self.cap_limit, _, self.floor_limit = _limits(pool, specs)
+
+    def __call__(self, sizes: np.ndarray) -> bool:
+        rows = sizes[:, None] * self.unit + (sizes > 0)[:, None] * self.overhead
+        return not ((_usage(rows, self.shared) > self.cap_limit).any()
+                    or (rows < self.floor_limit).any())
 
 
 def slice_breakdown(specs, scheme: VnfScheme, pool: ResourcePool, sizes):

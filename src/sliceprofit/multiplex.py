@@ -17,16 +17,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    FEASIBILITY_TOL,
     ConfigurationError,
     InfeasibleScenarioError,
     DEDICATED,
     SHARED,
+    SchemeFeasibility,
     VnfScheme,
     build_allocation,
     check_feasible,
     evaluate,
-    unit_demand,
 )
 from .orthogonal import SolveResult, size_bounds, solve_sizes
 
@@ -205,42 +204,28 @@ def _profit_vectors(points) -> np.ndarray:
     return rows
 
 
+def dominates(a, b) -> np.ndarray:
+    """Pareto dominance for maximisation: a >= b everywhere and a > b
+    somewhere. Objectives lie on the last axis; leading axes broadcast."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a >= b).all(axis=-1) & (a > b).any(axis=-1)
+
+
 def pareto_filter(points: Sequence):
     """Nondominated subset of the input, stable order, first duplicate
     kept. Idempotent."""
     rows = _profit_vectors(points)
-    kept = []
-    kept_rows = []
+    archive = _Archive(len(rows[0]) if rows else 0)
     for point, w in zip(points, rows):
-        dominated = False
-        for other in kept_rows:
-            if other == w or (
-                all(o >= x for o, x in zip(other, w))
-                and any(o > x for o, x in zip(other, w))
-            ):
-                dominated = True
-                break
-        if dominated:
-            continue
-        survivors = []
-        survivor_rows = []
-        for q, qw in zip(kept, kept_rows):
-            if all(x >= o for x, o in zip(w, qw)) and any(x > o for x, o in zip(w, qw)):
-                continue
-            survivors.append(q)
-            survivor_rows.append(qw)
-        kept = survivors + [point]
-        kept_rows = survivor_rows + [w]
-    return kept
+        archive.add(point, np.array(w))
+    return archive.items
 
 
 def nondominated_sort(objectives: np.ndarray) -> list:
     """Front index per row for a maximisation problem."""
     objectives = np.asarray(objectives, dtype=float)
     n = objectives.shape[0]
-    ge = np.all(objectives[:, None, :] >= objectives[None, :, :], axis=2)
-    gt = np.any(objectives[:, None, :] > objectives[None, :, :], axis=2)
-    dom = ge & gt  # dom[a, b]: a dominates b
+    dom = dominates(objectives[:, None, :], objectives[None, :, :])  # dom[a, b]: a dominates b
     counts = dom.sum(axis=0)
     ranks = np.zeros(n, dtype=int)
     front = [i for i in range(n) if counts[i] == 0]
@@ -284,26 +269,6 @@ class _Individual:
         self.profits = profits
 
 
-class _FastCheck:
-    """Vectorised mirror of build_allocation + check_feasible for one fixed
-    scheme; exactness against the model route is covered by a property test."""
-
-    def __init__(self, specs, scheme, pool):
-        self.unit = np.stack([unit_demand(spec, scheme) for spec in specs])
-        self.overhead = np.asarray(scheme.overhead, dtype=float)
-        self.shared = scheme.shared_mask()
-        self.cap = pool.capacity + FEASIBILITY_TOL * np.maximum(1.0, pool.capacity)
-        mins = np.stack([spec.min_resources for spec in specs])
-        self.floor = mins - FEASIBILITY_TOL * np.maximum(1.0, mins)
-
-    def __call__(self, sizes) -> bool:
-        rows = sizes[:, None] * self.unit + (sizes > 0)[:, None] * self.overhead
-        usage = rows.sum(axis=0)
-        if self.shared.any():
-            usage[self.shared] = rows[:, self.shared].max(axis=0)
-        return bool(np.all(usage <= self.cap) and np.all(rows >= self.floor))
-
-
 def _repair(feasible, lo, sizes):
     """Pull an infeasible size vector back toward the reservation floor by
     uniform scaling; usage is monotone in size so bisection applies."""
@@ -340,22 +305,31 @@ class _Archive:
         self.rows = np.empty((0, width))
         self.items: list = []
 
-    def add(self, ind) -> None:
-        w = ind.profits
+    def add(self, item, w: np.ndarray) -> None:
+        """Insert item with objective vector w unless an archived vector
+        equals or dominates w; evict the archived items w dominates."""
         if self.items:
-            ge = self.rows >= w
-            eq = ge.all(axis=1) & (self.rows <= w).all(axis=1)
-            dominated = ge.all(axis=1) & (self.rows > w).any(axis=1)
-            if bool((eq | dominated).any()):
+            if bool(((self.rows == w).all(axis=1) | dominates(self.rows, w)).any()):
                 return
-            le = self.rows <= w
-            beaten = le.all(axis=1) & (self.rows < w).any(axis=1)
+            beaten = dominates(w, self.rows)
             if bool(beaten.any()):
                 keep = ~beaten
                 self.rows = self.rows[keep]
                 self.items = [it for it, k in zip(self.items, keep) if k]
         self.rows = np.vstack([self.rows, w[None, :]])
-        self.items.append(ind)
+        self.items.append(item)
+
+
+def _rank_and_crowd(pop) -> tuple:
+    """Nondominated front index and within-front crowding distance of
+    every individual."""
+    objs = np.stack([ind.profits for ind in pop])
+    ranks = np.array(nondominated_sort(objs))
+    crowd = np.zeros(len(pop))
+    for level in np.unique(ranks):
+        members = np.where(ranks == level)[0]
+        crowd[members] = crowding_distance(objs[members])
+    return ranks, crowd
 
 
 def solve_ga(scenario, params: Optional[GaParams] = None,
@@ -382,7 +356,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
     span = hi - lo
     m = len(scenario.specs)
     checkers = [
-        _FastCheck(scenario.specs, scheme, scenario.pool)
+        SchemeFeasibility(scenario.specs, scheme, scenario.pool)
         for scheme in candidates.schemes
     ]
 
@@ -394,15 +368,10 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
         sizes = lo + rng.random(m) * span
         ind = _evaluate_ind(scenario, candidates, checkers, lo, hi, scheme_idx, sizes)
         pop.append(ind)
-        archive.add(ind)
+        archive.add(ind, ind.profits)
 
     for gen in range(1, params.generations + 1):
-        objs = np.stack([ind.profits for ind in pop])
-        ranks = np.array(nondominated_sort(objs))
-        crowd = np.zeros(len(pop))
-        for level in np.unique(ranks):
-            members = np.where(ranks == level)[0]
-            crowd[members] = crowding_distance(objs[members])
+        ranks, crowd = _rank_and_crowd(pop)
 
         def better(a, b):
             if ranks[a] != ranks[b]:
@@ -436,15 +405,10 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
                 scheme_idx = int(rng.integers(n_schemes))
             ind = _evaluate_ind(scenario, candidates, checkers, lo, hi, scheme_idx, sizes)
             offspring.append(ind)
-            archive.add(ind)
+            archive.add(ind, ind.profits)
 
         combined = pop + offspring
-        objs = np.stack([ind.profits for ind in combined])
-        ranks = np.array(nondominated_sort(objs))
-        crowd = np.zeros(len(combined))
-        for level in np.unique(ranks):
-            members = np.where(ranks == level)[0]
-            crowd[members] = crowding_distance(objs[members])
+        ranks, crowd = _rank_and_crowd(combined)
         order = sorted(
             range(len(combined)), key=lambda i: (ranks[i], -crowd[i], i)
         )

@@ -135,6 +135,20 @@ def _lex_polish(obj: np.ndarray, a_ub, b_ub, bounds, best_x, best_val):
     return x, nit
 
 
+def _pull_inside(a_ub, b_ub, floor, x):
+    """HiGHS accepts rows violated by up to its primal tolerance (1e-7),
+    more than the model's feasibility slack. Scale x toward the branch's
+    lower bounds, which meet every row because a_ub >= 0, by the largest
+    factor that meets each violated row."""
+    load = a_ub @ x
+    over = load > b_ub
+    if not over.any():
+        return x
+    base = a_ub[over] @ floor
+    t = np.min((b_ub[over] - base) / (load[over] - base))
+    return floor + max(t, 0.0) * (x - floor)
+
+
 def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool,
                 weights=None) -> tuple:
     """Exact size vector maximising the (weighted) profit sum for a fixed
@@ -188,8 +202,10 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
         nit_total += int(res.nit)
         x, nit = _lex_polish(obj, a_ub, b_ub, bounds, res.x, float(obj @ res.x))
         nit_total += nit
-        x = np.clip(x, [b[0] for b in bounds], [b[1] for b in bounds])
+        floor = np.array([b[0] for b in bounds])
+        x = np.clip(x, floor, [b[1] for b in bounds])
         x[np.abs(x) < 1e-12] = 0.0
+        x = _pull_inside(a_ub, b_ub, floor, x)
         # Rank branches by the true (step-function) weighted profit.
         revs = np.array([spec.price * min(s, spec.customer_size) for spec, s in zip(specs, x)])
         alloc = build_allocation(specs, scheme, x)

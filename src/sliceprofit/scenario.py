@@ -96,9 +96,6 @@ class Scenario:
             replace(spec, kpi=kpis[i]) for i, spec in enumerate(self.specs)
         )
 
-    def with_scheme(self, scheme: VnfScheme) -> "Scenario":
-        return replace(self, scheme=scheme)
-
     def to_dict(self) -> dict:
         doc = {
             "name": self.name,
@@ -583,15 +580,7 @@ def result_row(scenario: Scenario, result, seed: int, status: str = "ok") -> dic
 
 
 def save_outcome(scenario: Scenario, results: Sequence, path,
-                 seed: int = 0, manifest: Optional[dict] = None,
-                 statuses: Optional[Sequence[str]] = None,
-                 fmt: str = "csv") -> None:
+                 seed: int = 0, manifest: Optional[dict] = None) -> None:
     """Write one row per solve result in the fixed result column order."""
-    if fmt != "csv":
-        raise ConfigurationError(f"unsupported output format {fmt!r}")
-    statuses = statuses or ["ok"] * len(results)
-    rows = [
-        result_row(scenario, res, seed, status)
-        for res, status in zip(results, statuses)
-    ]
+    rows = [result_row(scenario, res, seed) for res in results]
     write_csv(path, result_fieldnames(scenario), rows, manifest)

@@ -45,6 +45,14 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return path
 
 
+def overbooked_doc(tmp_path):
+    """Scenario whose combined reservations exceed the bandwidth pool."""
+    doc = make_scenario().to_dict()
+    doc["slices"][0]["min_resources"] = [8, 0]
+    doc["slices"][1]["min_resources"] = [8, 0]
+    return write_doc(tmp_path, doc)
+
+
 class TestSolve:
     def test_objective_sum_round_trip(self, scenario_dir, tmp_path):
         out = tmp_path / "s2.csv"
@@ -108,11 +116,20 @@ class TestSolve:
         # population evaluations: initial cohort plus one per generation
         assert rows[0]["iterations"] == str(16 * 21)
 
-    def test_infeasible_scenario_exits_one_with_status_row(self, tmp_path):
+    def test_branch_budget_refusal_is_usage_error(self, tmp_path, capsys):
+        # 13 slices that may stay off and carry overhead: 2^13 LP branches
         doc = make_scenario().to_dict()
-        doc["slices"][0]["min_resources"] = [8, 0]
-        doc["slices"][1]["min_resources"] = [8, 0]
-        path = write_doc(tmp_path, doc)
+        doc["slices"] = [dict(doc["slices"][0], id=f"s{i}", overhead=[0.1, 0.1])
+                         for i in range(13)]
+        out = tmp_path / "wide.csv"
+        rc = main(["solve", "--scenario", str(write_doc(tmp_path, doc)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "refused" in capsys.readouterr().err
+
+    def test_infeasible_scenario_exits_one_with_status_row(self, tmp_path):
+        path = overbooked_doc(tmp_path)
         out = tmp_path / "inf.csv"
         rc = main(["solve", "--scenario", str(path), "--out", str(out)])
         assert rc == 1
@@ -137,6 +154,17 @@ class TestPareto:
                                  "profit_A", "profit_B"]
         assert [r["point"] for r in rows] == [str(k) for k in range(len(rows))]
         assert all(int(r["scheme_index"]) in range(4) for r in rows)
+
+    def test_infeasible_scenario_exits_one_with_status_row(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        rc = main(["pareto", "--scenario", str(overbooked_doc(tmp_path)),
+                   "--out", str(out), "--ga-pop", "4", "--ga-gens", "1"])
+        assert rc == 1
+        manifest, rows = read_csv(out)
+        assert manifest["command"] == "pareto"
+        (row,) = rows
+        assert row["status"] == "infeasible"
+        assert row["feasible"] == "false"
 
 
 class TestManifest:
@@ -176,28 +204,6 @@ class TestManifest:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
-
-    def test_threads_do_not_leak_into_output(self, scenario_dir, tmp_path):
-        # same out path both runs: the manifest embeds output locations
-        out = tmp_path / "g1.csv"
-        base = ["game", "--scenario", str(scenario_dir / "g1.json"),
-                "--out", str(out)]
-        assert main(base + ["--threads", "1"]) == 0
-        one = out.read_bytes()
-        assert main(base + ["--threads", "4"]) == 0
-        assert out.read_bytes() == one
-        manifest, _ = read_csv(out)
-        assert "threads" not in manifest["flags"]
-
-    def test_threads_env_default_is_inert(self, scenario_dir, tmp_path, monkeypatch):
-        out = tmp_path / "s2.csv"
-        argv = ["solve", "--scenario", str(scenario_dir / "s2.json"),
-                "--out", str(out)]
-        assert main(argv + ["--threads", "1"]) == 0
-        plain = out.read_bytes()
-        monkeypatch.setenv("SLICEPROFIT_THREADS", "7")
-        assert main(argv) == 0
-        assert out.read_bytes() == plain
 
     def test_stdout_reserved_for_dry_run(self, scenario_dir, tmp_path, capsys):
         rc = main(["solve", "--scenario", str(scenario_dir / "s2.json"),
@@ -415,12 +421,6 @@ class TestValidateAndUsage:
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0
         assert "sliceprofit" in capsys.readouterr().out
-
-    def test_threads_must_be_positive(self, scenario_dir, capsys):
-        rc = main(["validate", "--scenario", str(scenario_dir / "s2.json"),
-                   "--threads", "0"])
-        assert rc == 2
-        assert "threads" in capsys.readouterr().err
 
     def test_console_script(self, scenario_dir):
         tomllib = pytest.importorskip("tomllib")

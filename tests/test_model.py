@@ -1,6 +1,7 @@
 """Value-chain arithmetic: demand, expenditure, revenue, profit, usage."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sliceprofit import (
     VnfScheme,
     build_allocation,
     check_feasible,
+    enumerate_candidates,
     evaluate,
     expenditure,
     min_size,
@@ -20,10 +22,13 @@ from sliceprofit import (
     profit,
     resource_demand,
     revenue,
+    size_bounds,
     unit_demand,
 )
+from sliceprofit.model import SchemeFeasibility
 
-from conftest import make_scenario
+from conftest import make_scenario, random_scenario
+from reference_impl import check_feasible_loop
 
 
 class TestResourceDemand:
@@ -179,6 +184,51 @@ class TestCheckFeasible:
         alloc = build_allocation(s2.specs, s2.scheme, [8 / 3, 14 / 3])
         ok, _ = check_feasible(alloc, s2.scheme, s2.pool, s2.specs)
         assert ok
+
+
+class TestFeasibilityMatchesLoopReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(0, 5))
+    def test_agrees_with_loop_reference(self, seed, scale_case):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng)
+        n = scenario.n_resources
+        scenario = scenario.with_specs(
+            replace(spec, min_resources=rng.uniform(0, 3, n) * (rng.random(n) < 0.3))
+            for spec in scenario.specs
+        )
+        cands = enumerate_candidates(scenario)
+        scheme = cands.schemes[int(rng.integers(len(cands.schemes)))]
+        lo, hi = size_bounds(scenario.specs, scheme)
+        lo[np.isinf(lo)] = 0.0
+        scale = (0.0, 0.3, 0.7, 1.0, 1.3, 2.0)[scale_case]
+        sizes = lo + scale * rng.random(len(lo)) * np.maximum(hi - lo, 1e-6)
+        sizes[rng.random(len(lo)) < 0.2] = 0.0
+        alloc = build_allocation(scenario.specs, scheme, sizes)
+        expected = check_feasible_loop(alloc, scheme, scenario.pool, scenario.specs)
+        assert check_feasible(alloc, scheme, scenario.pool, scenario.specs) == expected
+        predicate = SchemeFeasibility(scenario.specs, scheme, scenario.pool)
+        assert predicate(sizes) == expected[0]
+
+    # s2's vertex, where both capacities bind, and slice A's compute floor
+    # of 2, each met exactly, within the feasibility slack and beyond it
+    @pytest.mark.parametrize("sizes, ok", [
+        ([8 / 3, 14 / 3], True),
+        ([8 / 3 * (1 + 4e-10), 14 / 3 * (1 + 4e-10)], True),
+        ([8 / 3 * (1 + 3e-9), 14 / 3 * (1 + 3e-9)], False),
+        ([2.0, 0.0], True),
+        ([2.0 * (1 - 4e-10), 0.0], True),
+        ([2.0 * (1 - 3e-9), 0.0], False),
+    ])
+    def test_boundary_point_agrees(self, s2, sizes, ok):
+        specs = list(s2.specs)
+        specs[0] = replace(specs[0], min_resources=np.array([0.0, 2.0]))
+        sizes = np.array(sizes)
+        alloc = build_allocation(specs, s2.scheme, sizes)
+        expected = check_feasible_loop(alloc, s2.scheme, s2.pool, specs)
+        assert expected[0] is ok
+        assert check_feasible(alloc, s2.scheme, s2.pool, specs) == expected
+        assert SchemeFeasibility(specs, s2.scheme, s2.pool)(sizes) is ok
 
 
 class TestEvaluate:

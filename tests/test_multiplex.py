@@ -9,8 +9,6 @@ from sliceprofit import (
     FrontPoint,
     GaParams,
     InfeasibleScenarioError,
-    build_allocation,
-    check_feasible,
     crowding_distance,
     enumerate_candidates,
     evaluate,
@@ -18,15 +16,14 @@ from sliceprofit import (
     nondominated_sort,
     pareto_filter,
     scenario_from_dict,
-    size_bounds,
     solve_bcd,
     solve_exhaustive,
     solve_ga,
     solve_objective_sum,
 )
-from sliceprofit.multiplex import _FastCheck
 
 from conftest import make_scenario, random_scenario
+from reference_impl import pareto_filter_loop
 
 
 def three_resource_doc():
@@ -219,6 +216,17 @@ class TestParetoFilter:
     def test_empty(self):
         assert pareto_filter([]) == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), max_size=25),
+           st.integers(1, 3))
+    def test_matches_quadratic_reference(self, rows, k):
+        # few distinct values: many ties and exact duplicates
+        points = [tuple(float(x) for x in row[:k]) for row in rows]
+        kept = pareto_filter(points)
+        expected = pareto_filter_loop(points)
+        assert kept == expected
+        assert [id(p) for p in kept] == [id(p) for p in expected]
+
 
 def brute_ranks(objectives):
     """Quadratic reference ranking, peeled front by front."""
@@ -279,29 +287,6 @@ class TestCrowdingDistance:
         dist = crowding_distance(np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         assert np.isfinite(dist[1]) and dist[1] == pytest.approx(1.0)
         assert not np.any(np.isnan(dist))
-
-
-class TestFastCheckMirrorsModel:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 100_000), st.integers(0, 5))
-    def test_agrees_with_model_route(self, seed, scale_case):
-        rng = np.random.default_rng(seed)
-        scenario = random_scenario(rng)
-        cands = enumerate_candidates(scenario)
-        scheme = cands.schemes[int(rng.integers(len(cands.schemes)))]
-        fast = _FastCheck(scenario.specs, scheme, scenario.pool)
-        lo, hi = size_bounds(scenario.specs, scheme)
-        scale = (0.0, 0.3, 0.7, 1.0, 1.3, 2.0)[scale_case]
-        sizes = lo + scale * rng.random(len(lo)) * np.maximum(hi - lo, 1e-6)
-        alloc = build_allocation(scenario.specs, scheme, sizes)
-        expected, _ = check_feasible(alloc, scheme, scenario.pool, scenario.specs)
-        assert fast(sizes) == expected
-
-    def test_boundary_point_agrees(self, s2):
-        fast = _FastCheck(s2.specs, s2.scheme, s2.pool)
-        sizes = np.array([8 / 3, 14 / 3])
-        alloc = build_allocation(s2.specs, s2.scheme, sizes)
-        assert fast(sizes) == check_feasible(alloc, s2.scheme, s2.pool, s2.specs)[0]
 
 
 SMALL_GA = GaParams(population=16, generations=20, seed=0)

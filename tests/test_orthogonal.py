@@ -1,5 +1,7 @@
 """Exact size optimisation for a fixed scheme, plus the grid oracle."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,11 @@ from sliceprofit import (
     VnfScheme,
     brute_force_oracle,
     evaluate,
+    load_scenario,
     oracle_gap_bound,
     size_bounds,
+    solve_bcd,
+    solve_exhaustive,
     solve_objective_sum,
     solve_sizes,
     solve_weighted_sum,
@@ -210,6 +215,26 @@ class TestOracle:
 
     def test_gap_bound_formula(self, s2):
         assert oracle_gap_bound(s2, 0.01) == pytest.approx(0.1)
+
+
+class TestLpToleranceOvershoot:
+    # M 6, N 4, one overhead-carrying free slice, nothing sharing-eligible.
+    # The size LP's optimum exceeds a capacity by about 5e-8, inside the LP
+    # engine's primal tolerance but beyond the model's feasibility slack.
+    FAULT = pathlib.Path(__file__).resolve().parent / "data" / "fault6x4.json"
+
+    def test_optimum_is_feasible_under_the_model(self):
+        res = solve_objective_sum(load_scenario(self.FAULT))
+        assert res.outcome.feasible
+        assert res.outcome.violations == ()
+
+    def test_bcd_returns_and_exhaustive_matches(self):
+        scenario = load_scenario(self.FAULT)
+        plain = solve_objective_sum(scenario)
+        assert solve_bcd(scenario).outcome.feasible
+        swept = solve_exhaustive(scenario)
+        assert swept.sizes == plain.sizes
+        assert swept.total_profit == plain.total_profit
 
 
 class TestCrossValidation:

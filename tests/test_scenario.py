@@ -357,12 +357,6 @@ class TestResultRows:
         assert cells["iterations"] == "7"
         assert cells["status"] == "ok"
 
-    def test_save_outcome_rejects_other_formats(self, s2, tmp_path):
-        sizes = (0.0, 0.0)
-        result = SolveResult(sizes, evaluate(s2, sizes), s2.scheme, {})
-        with pytest.raises(ConfigurationError, match="format"):
-            save_outcome(s2, [result], tmp_path / "res.parquet", fmt="parquet")
-
 
 class TestScenarioHelpers:
     def test_unknown_resource_index(self, s2):
