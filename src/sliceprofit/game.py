@@ -31,6 +31,9 @@ from .model import (
 from .orthogonal import solve_sizes
 from . import multiplex
 
+# A lease grid point within this distance of 0 is the no-trade point.
+LEASE_ZERO_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Operator:
@@ -105,6 +108,8 @@ class TradeOutcome:
     converged: bool
     rounds: int
     trace: tuple          # (prices, excess demand) per round
+    # op id -> the _LeaseTable the market solved on; verify_nash reuses it
+    tables: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,12 +124,9 @@ class SubOperatorResult:
     split: dict           # sub id -> summed profit of its slices
 
 
-def _internal(operator: Operator, extra) -> Optional[tuple]:
-    """Operator's optimal internal allocation with `extra` added to the
-    capacity of the traded resources. Returns (total, sizes) or None."""
-    capacity = operator.pool.capacity + extra
-    if np.any(capacity < 0):
-        return None
+def _internal(operator: Operator, capacity) -> Optional[tuple]:
+    """Operator's optimal internal allocation on its pool resized to the
+    non-negative `capacity`. Returns (total, sizes) or None."""
     # ResourcePool insists on positive capacity; a fully leased-out resource
     # keeps an epsilon so the pool stays constructible.
     capacity = np.maximum(capacity, 1e-12)
@@ -139,59 +141,88 @@ def _internal(operator: Operator, extra) -> Optional[tuple]:
 
 def default_grid(operator: Operator, market: MarketConfig, points: int = 11) -> dict:
     """Fallback lease grid: +-idle capacity at the standalone optimum."""
-    base = _internal(operator, np.zeros(operator.pool.n_resources))
+    base = _internal(operator, operator.pool.capacity)
+    return _idle_grid(operator, market.traded, base, points)
+
+
+def _idle_grid(operator: Operator, traded, base, points: int = 11) -> dict:
+    """default_grid around an already solved standalone optimum `base`."""
     if base is None:
-        return {j: np.array([0.0]) for j in market.traded}
+        return {j: np.array([0.0]) for j in traded}
     _, sizes = base
     alloc = build_allocation(operator.specs, operator.scheme, np.asarray(sizes))
     usage = pool_usage(alloc, operator.scheme)
     grids = {}
-    for j in market.traded:
+    for j in traded:
         idle = max(float(operator.pool.capacity[j] - usage[j]), 0.0)
         # a saturated pool reads as idle up to solver boundary noise; don't
         # turn that into a tradable sliver
         if idle < 1e-6 * max(1.0, float(operator.pool.capacity[j])):
             idle = 0.0
         pts = np.linspace(-idle, idle, points) if idle > 0 else np.array([0.0])
-        pts[np.abs(pts) < 1e-12] = 0.0
+        pts[np.abs(pts) < LEASE_ZERO_TOL] = 0.0
         grids[j] = pts
     return grids
 
 
-def _grid_for(operator: Operator, market: MarketConfig) -> list:
-    grids = market.grids.get(operator.id)
-    if grids is None:
-        grids = default_grid(operator, market)
-    axes = []
-    for j in market.traded:
-        axis = np.asarray(grids[j], dtype=float)
-        if not np.any(np.abs(axis) < 1e-12):
-            raise ConfigurationError(
-                f"lease grid of operator {operator.id} must contain 0"
-            )
-        axes.append(axis)
-    return axes
+class _LeaseTable:
+    """One operator's lease grid and its internal profit at each net lease.
+
+    An operator's internal optimum at a lease vector does not depend on
+    prices, which only subtract p·d, so each lease is solved once, on first
+    use. The table lives for one run_market or verify_nash call (and on the
+    TradeOutcome it produced); nothing is kept across calls.
+    """
+
+    def __init__(self, operator: Operator, market: MarketConfig, solved=None):
+        self.operator = operator
+        self.traded = market.traded
+        # net lease tuple (aligned with traded) -> (total, sizes), or None
+        # when the lease leaves the operator infeasible
+        self.solved = {} if solved is None else solved
+        grids = market.grids.get(operator.id)
+        if grids is None:
+            base = self.internal(np.zeros(len(self.traded)))
+            grids = _idle_grid(operator, self.traded, base)
+        self.axes = []
+        for j in self.traded:
+            axis = np.asarray(grids[j], dtype=float)
+            if not np.any(np.abs(axis) < LEASE_ZERO_TOL):
+                raise ConfigurationError(
+                    f"lease grid of operator {operator.id} must contain 0"
+                )
+            self.axes.append(axis)
+
+    def internal(self, d) -> Optional[tuple]:
+        """(total, sizes) of the internal optimum at net lease `d`, or None."""
+        key = tuple(d)
+        if key not in self.solved:
+            capacity = self.operator.pool.capacity.copy()
+            capacity[list(self.traded)] += d
+            # cannot lease out more than the pool holds
+            infeasible = bool(np.any(capacity < 0))
+            self.solved[key] = None if infeasible else _internal(self.operator, capacity)
+        return self.solved[key]
 
 
-def best_response(operator: Operator, prices, market: MarketConfig) -> BestResponse:
+def best_response(operator: Operator, prices, market: MarketConfig, *,
+                  table: Optional[_LeaseTable] = None) -> BestResponse:
     """Best net lease vector on the operator's grid at posted prices.
 
     Maximises internal profit minus lease cost; ties resolve to the
     smallest-norm, then lexicographically smallest vector. Candidates that
     would lease out below the operator's reservation needs are internally
     infeasible and dropped; if nothing is feasible the operator stays out.
+    `table` is the operator's lease table for `market` when the caller
+    keeps one across rounds; without it a one-off table is built.
     """
     prices = np.asarray(prices, dtype=float)
-    axes = _grid_for(operator, market)
-    extra_template = np.zeros(operator.pool.n_resources)
+    if table is None:
+        table = _LeaseTable(operator, market)
     best = None
-    for combo in itertools.product(*axes):
+    for combo in itertools.product(*table.axes):
         d = np.array(combo)
-        extra = extra_template.copy()
-        extra[list(market.traded)] = d
-        if np.any(operator.pool.capacity + extra < -1e-12):
-            continue  # cannot lease out more than the pool holds
-        solved = _internal(operator, extra)
+        solved = table.internal(d)
         if solved is None:
             continue
         total, sizes = solved
@@ -241,6 +272,7 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
     ops = sorted(operators, key=lambda o: o.id)
     if len({o.id for o in ops}) != len(ops):
         raise ConfigurationError("operator ids must be unique")
+    tables = {o.id: _LeaseTable(o, market) for o in ops}
     prices = market.price0.astype(float).copy()
     trace = []
     converged = False
@@ -248,7 +280,8 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
     responses = {}
     for _ in range(market.max_rounds):
         rounds += 1
-        responses = {o.id: best_response(o, prices, market) for o in ops}
+        responses = {o.id: best_response(o, prices, market, table=tables[o.id])
+                     for o in ops}
         z = np.sum([responses[o.id].net_lease for o in ops], axis=0)
         trace.append((prices.copy(), z.copy()))
         if float(np.max(np.abs(z))) <= market.tol:
@@ -263,13 +296,11 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
     payments_total = np.zeros(len(market.traded))
     for o in ops:
         d = executed[o.id]
-        extra = np.zeros(o.pool.n_resources)
-        extra[list(market.traded)] = d
-        solved = _internal(o, extra)
+        solved = tables[o.id].internal(d)
         internal[o.id] = solved[0] if solved else 0.0
         payment[o.id] = float(np.dot(prices, np.maximum(d, 0.0)))
         payments_total += prices * np.maximum(d, 0.0)
-        base = _internal(o, np.zeros(o.pool.n_resources))
+        base = tables[o.id].internal(np.zeros(len(market.traded)))
         no_trade[o.id] = base[0] if base else 0.0
     incomes_assigned = np.zeros(len(market.traded))
     for o in ops:
@@ -293,6 +324,7 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
         converged=converged,
         rounds=rounds,
         trace=tuple(trace),
+        tables=tables,
     )
 
 
@@ -300,14 +332,18 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
                 market: MarketConfig, tolerance: float = 1e-9,
                 budget: int = 100_000) -> NashVerdict:
     """Search each operator's grid for a profitable unilateral deviation at
-    the outcome's prices. Refuses when the grids exceed the budget."""
+    the outcome's prices. Refuses when the grids exceed the budget.
+
+    Leases the market already solved for the same Operator object and the
+    same traded resources are read from the outcome's tables, not solved
+    again; the outcome's tables are left as they were."""
     ops = sorted(operators, key=lambda o: o.id)
-    required = 0
-    axes_by_op = {}
+    tables = {}
     for o in ops:
-        axes = _grid_for(o, market)
-        axes_by_op[o.id] = axes
-        required += int(np.prod([len(a) for a in axes]))
+        prior = outcome.tables.get(o.id)
+        reuse = prior is not None and prior.operator is o and prior.traded == market.traded
+        tables[o.id] = _LeaseTable(o, market, dict(prior.solved) if reuse else None)
+    required = sum(int(np.prod([len(a) for a in t.axes])) for t in tables.values())
     if required > budget:
         raise BudgetExceededError(
             f"Nash check needs {required} evaluations, budget is {budget}",
@@ -316,13 +352,10 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
     best_dev = None
     for o in ops:
         current = outcome.profits[o.id]
-        for combo in itertools.product(*axes_by_op[o.id]):
+        table = tables[o.id]
+        for combo in itertools.product(*table.axes):
             d = np.array(combo)
-            extra = np.zeros(o.pool.n_resources)
-            extra[list(market.traded)] = d
-            if np.any(o.pool.capacity + extra < -1e-12):
-                continue
-            solved = _internal(o, extra)
+            solved = table.internal(d)
             if solved is None:
                 continue
             payoff = solved[0] - float(np.dot(outcome.prices, d))

@@ -114,11 +114,22 @@ def _realized(scenario_t, sizes) -> tuple:
 
 
 def simulate_horizon(scenario, trace: DemandTrace, period: int,
-                     inner_solver: Optional[Callable] = None) -> HorizonResult:
-    """Re-solve at epochs 0, period, 2*period, ... and hold in between."""
+                     inner_solver: Optional[Callable] = None, *,
+                     solved: Optional[dict] = None) -> HorizonResult:
+    """Re-solve at epochs 0, period, 2*period, ... and hold in between.
+
+    `solved` maps an update epoch to the sizes the inner solver returned
+    there, or None when it raised InfeasibleScenarioError. Epochs missing
+    from it are solved and added, so a caller that simulates several
+    periods of one trace can pass the same dict to each and solve every
+    epoch once. This assumes the inner solver is deterministic: the same
+    epoch scenario always yields the same sizes.
+    """
     if period < 1 or period > trace.horizon:
         raise ConfigurationError("period must lie in [1, horizon]")
     inner = inner_solver if inner_solver is not None else solve_objective_sum
+    if solved is None:
+        solved = {}
     profits = []
     updates = []
     failed = []
@@ -129,12 +140,13 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int,
         scn_t = epoch_scenario(scenario, trace, t)
         if t % period == 0:
             updates.append(t)
-            try:
-                sizes = inner(scn_t).sizes
-                solve_ok = True
-            except InfeasibleScenarioError:
-                sizes = None
-                solve_ok = False
+            if t not in solved:
+                try:
+                    solved[t] = inner(scn_t).sizes
+                except InfeasibleScenarioError:
+                    solved[t] = None
+            sizes = solved[t]
+            solve_ok = sizes is not None
         if not solve_ok:
             failed.append(t)
             profits.append(0.0)
@@ -158,7 +170,11 @@ def evaluate_period(scenario, trace: DemandTrace, period: int,
     """Net horizon profit for one update period: realized sum minus
     ceil(T / period) reconfiguration fees."""
     sim = simulate_horizon(scenario, trace, period, inner_solver)
-    assert sim.update_count == math.ceil(trace.horizon / period)
+    if sim.update_count != math.ceil(trace.horizon / period):
+        raise RuntimeError(
+            f"period {period} over horizon {trace.horizon} made {sim.update_count} "
+            f"updates, expected {math.ceil(trace.horizon / period)}"
+        )
     return float(sum(sim.profits) - sim.update_count * cost.cost_per_update)
 
 
@@ -166,17 +182,19 @@ def optimize_period(scenario, trace: DemandTrace, candidates: Sequence[int],
                     cost: ReconfigCostModel,
                     inner_solver: Optional[Callable] = None):
     """Best update period among the candidates (ties to the smallest) plus
-    the full evaluation table."""
+    the full evaluation table. Each update epoch is solved at most once
+    over all candidates (see simulate_horizon)."""
     periods = sorted(set(int(p) for p in candidates))
     if not periods:
         raise ConfigurationError("candidate period list must not be empty")
     for p in periods:
         if p < 1 or p > trace.horizon:
             raise ConfigurationError("candidate periods must lie in [1, horizon]")
+    solved = {}
     table = []
     best = None
     for p in periods:
-        sim = simulate_horizon(scenario, trace, p, inner_solver)
+        sim = simulate_horizon(scenario, trace, p, inner_solver, solved=solved)
         realized = float(sum(sim.profits))
         net = realized - sim.update_count * cost.cost_per_update
         table.append(

@@ -431,10 +431,11 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
 def multiplexing_gain(scenario, cap: Optional[int] = None) -> float:
     """Total profit gained by the best sharing assignment over keeping every
     eligible resource dedicated. Zero when nothing is eligible."""
-    candidates = enumerate_candidates(scenario, cap)
-    if len(candidates.schemes) == 1:
+    if len(enumerate_candidates(scenario, cap).schemes) == 1:
         return 0.0
-    baseline_sizes, _ = solve_sizes(scenario.specs, candidates.schemes[0], scenario.pool)
-    baseline = evaluate(scenario, baseline_sizes, candidates.schemes[0]).total_profit
-    best = solve_exhaustive(scenario, cap).outcome.total_profit
-    return best - baseline
+    best = solve_exhaustive(scenario, cap)
+    # candidate 0 keeps every eligible resource dedicated
+    baseline = best.meta["per_scheme"][0]
+    if baseline is None:
+        raise InfeasibleScenarioError("the all-dedicated scheme is infeasible")
+    return best.outcome.total_profit - baseline

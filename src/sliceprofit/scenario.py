@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closedloop import EnvironmentModel
-from .game import MarketConfig, OperatorPartition
+from .game import LEASE_ZERO_TOL, MarketConfig, OperatorPartition
 from .longterm import DemandTrace
 from .model import (
     DEDICATED,
@@ -475,7 +475,7 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
             _expect(isinstance(points, int) and not isinstance(points, bool) and points >= 2,
                     f"market: grids[{oid}][{rn}] needs integer points >= 2")
             axis = np.linspace(lo, hi, points)
-            axis[np.abs(axis) < 1e-12] = 0.0
+            axis[np.abs(axis) < LEASE_ZERO_TOL] = 0.0
             _expect(bool(np.any(axis == 0.0)),
                     f"market: grids[{oid}][{rn}] must contain 0 (the no-trade option)")
             parsed[j] = axis

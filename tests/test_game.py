@@ -21,6 +21,9 @@ from sliceprofit import (
     solve_suboperator,
     verify_nash,
 )
+from sliceprofit import game
+
+from reference_impl import best_response_resolve, run_market_resolve, verify_nash_resolve
 
 
 def saturated_operator(op_id: str) -> Operator:
@@ -287,3 +290,121 @@ class TestDefaultGrid:
         market = MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]))
         grids = default_grid(op, market)
         assert grids[0].tolist() == [0.0]
+
+
+def _bits(value):
+    """Exact form of a market result for equality: floats by their hex
+    digits, arrays by dtype, shape and bytes, containers in order."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, dict):
+        return ("dict", tuple((k, _bits(v)) for k, v in value.items()))
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(_bits(v) for v in value))
+    return (type(value).__name__, repr(value))
+
+
+def _result_bits(result):
+    return tuple(
+        (f.name, _bits(getattr(result, f.name)))
+        for f in dataclasses.fields(result) if f.compare
+    )
+
+
+def _market_case(name, g1, nash_gap):
+    if name == "nash_gap":
+        return build_operators(nash_gap), nash_gap.market
+    if name == "saturated":
+        ops = [saturated_operator("left"), saturated_operator("right")]
+        return ops, MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]))
+    if name == "default-grid":
+        # no grids block: both operators lease on default_grid's idle span
+        return build_operators(g1), MarketConfig(traded=(0,), eta=0.05,
+                                                 price0=np.array([0.2]), max_rounds=30)
+    eta, max_rounds = {
+        "g1": (g1.market.eta, g1.market.max_rounds),
+        "g1-eta0.005": (0.005, g1.market.max_rounds),
+        "g1-frozen": (0.0, 30),
+        "g1-eta0.01": (0.01, 30),  # never clears: the price cycles between grid steps
+    }[name]
+    return build_operators(g1), dataclasses.replace(g1.market, eta=eta, max_rounds=max_rounds)
+
+
+class TestLeaseTableMatchesResolvingReference:
+    """The market solves each lease once per call; the reference re-solves
+    every grid point in every round, at settlement and in the Nash check."""
+
+    @pytest.mark.parametrize("case", ["g1", "g1-eta0.005", "g1-frozen", "g1-eta0.01",
+                                      "nash_gap", "saturated", "default-grid"])
+    def test_outcome_and_verdict_are_identical(self, case, g1, nash_gap):
+        ops, market = _market_case(case, g1, nash_gap)
+        fast = run_market(ops, market)
+        slow = run_market_resolve(ops, market)
+        assert _result_bits(fast) == _result_bits(slow)
+        assert _result_bits(verify_nash(ops, fast, market)) == _result_bits(
+            verify_nash_resolve(ops, slow, market)
+        )
+
+    def test_best_response_on_a_shared_table(self, g1, g1_ops):
+        # price 0 makes alpha's idle-capacity leases tie on payoff
+        for op in g1_ops:
+            table = game._LeaseTable(op, g1.market)
+            for price in (0.0, 0.1, 0.253, 0.4, 0.8):
+                fast = best_response(op, [price], g1.market, table=table)
+                assert _result_bits(fast) == _result_bits(
+                    best_response_resolve(op, [price], g1.market)
+                )
+                assert _result_bits(best_response(op, [price], g1.market)) == _result_bits(fast)
+
+    def test_solves_do_not_grow_with_rounds(self, g1, g1_ops, monkeypatch):
+        calls = []
+        solve = game.solve_sizes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(game, "solve_sizes", counting)
+        counts = {}
+        for max_rounds in (20, 200):
+            market = dataclasses.replace(g1.market, eta=0.01, max_rounds=max_rounds)
+            calls.clear()
+            out = run_market(g1_ops, market)
+            assert not out.converged and out.rounds == max_rounds
+            market_solves = len(calls)
+            verify_nash(g1_ops, out, market)
+            # every grid point was solved during the market
+            assert len(calls) == market_solves
+            counts[max_rounds] = len(calls)
+        assert counts[20] == counts[200]
+        grid_points = sum(len(g1.market.grids[o.id][0]) for o in g1_ops)
+        # each operator's executed lease may lie off its grid after rationing
+        assert counts[200] <= grid_points + len(g1_ops)
+
+    def test_nash_check_does_not_reuse_another_operators_table(self, g1, g1_ops):
+        # same ids and portfolios, one more unit of bandwidth each: the
+        # outcome's tables hold internal profits of other pools, on which
+        # the one-round rationed trade is not Nash
+        richer = [
+            Operator(o.id, ResourcePool(o.pool.capacity + np.array([1.0, 0.0]),
+                                        o.pool.unit_cost), o.specs, o.scheme)
+            for o in g1_ops
+        ]
+        stop = dataclasses.replace(g1.market, eta=0.0, max_rounds=1)
+        out = run_market(richer, stop)
+        assert not verify_nash(richer, out, stop).is_nash
+        verdict = verify_nash(g1_ops, out, stop)
+        assert verdict.is_nash
+        assert _result_bits(verdict) == _result_bits(verify_nash_resolve(g1_ops, out, stop))
+
+    def test_nash_check_does_not_reuse_a_table_for_other_traded_resources(self, g1, g1_ops):
+        # the same lease values on compute instead of bandwidth
+        out = run_market(g1_ops, g1.market)
+        compute = MarketConfig(
+            traded=(1,), eta=g1.market.eta, price0=g1.market.price0,
+            grids={o.id: {1: g1.market.grids[o.id][0]} for o in g1_ops},
+        )
+        verdict = verify_nash(g1_ops, out, compute)
+        assert _result_bits(verdict) == _result_bits(verify_nash_resolve(g1_ops, out, compute))

@@ -19,6 +19,8 @@ from sliceprofit import (
     solve_objective_sum,
 )
 
+from sliceprofit import longterm
+
 from conftest import make_scenario
 
 
@@ -171,6 +173,15 @@ class TestEvaluatePeriod:
         assert sim.update_epochs == (0, 3)
         assert net == pytest.approx(sum(sim.profits) - 2.0, abs=1e-9)
 
+    def test_wrong_update_count_raises(self, s2_trace, monkeypatch):
+        # a real exception, not an assert, so it also fires under python -O
+        def short(scenario, trace, period, inner_solver=None):
+            return longterm.HorizonResult((0.0,) * trace.horizon, 1, (0,), (), ())
+
+        monkeypatch.setattr(longterm, "simulate_horizon", short)
+        with pytest.raises(RuntimeError, match="updates"):
+            evaluate_period(s2_trace, s2_trace.trace, 1, ReconfigCostModel(0.0))
+
 
 class TestOptimizePeriod:
     def test_free_updates_favor_freshness(self, s2_trace):
@@ -212,3 +223,40 @@ class TestOptimizePeriod:
             assert row["net_total"] == pytest.approx(
                 row["realized_total"] - 0.25 * row["update_count"], abs=1e-12
             )
+
+
+class TestOptimizePeriodSolvesEachEpochOnce:
+    def _check(self, scenario, trace, periods, fee, expected_calls):
+        calls = []
+
+        def counting(scn):
+            calls.append(scn)
+            return solve_objective_sum(scn)
+
+        _, table = optimize_period(scenario, trace, periods, fee, inner_solver=counting)
+        assert len(calls) == expected_calls
+        for row in table:
+            sim = simulate_horizon(scenario, trace, row["period"])
+            realized = float(sum(sim.profits))
+            assert row == {
+                "period": row["period"],
+                "realized_total": realized,
+                "update_count": sim.update_count,
+                "net_total": realized - sim.update_count * fee.cost_per_update,
+            }
+
+    def test_one_solve_per_epoch_when_period_one_is_a_candidate(self, s2_trace):
+        # one solve per period update would be 4 + 2 + 2 + 1 = 9
+        self._check(s2_trace, s2_trace.trace, [1, 2, 3, 4], ReconfigCostModel(0.5), 4)
+
+    def test_one_solve_per_distinct_update_epoch(self, s2_trace):
+        # periods 2 and 3 update at {0, 2} and {0, 3}
+        self._check(s2_trace, s2_trace.trace, [2, 3], ReconfigCostModel(0.5), 3)
+
+    def test_infeasible_epoch_is_solved_once(self):
+        doc = make_scenario().to_dict()
+        doc["slices"][0]["min_resources"] = [2, 0]
+        scenario = make_scenario(doc)
+        # A's reservation is unreachable at t=1, where period 1 updates
+        trace = DemandTrace(2, {}, {}, {"A": (1.0, 0.0)})
+        self._check(scenario, trace, [1, 2], ReconfigCostModel(0.0), 2)

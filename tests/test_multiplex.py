@@ -22,6 +22,8 @@ from sliceprofit import (
     solve_objective_sum,
 )
 
+from sliceprofit import multiplex
+
 from conftest import make_scenario, random_scenario
 from reference_impl import pareto_filter_loop
 
@@ -361,6 +363,29 @@ class TestMultiplexingGain:
 
     def test_s2m_gain(self, s2m):
         assert multiplexing_gain(s2m) == pytest.approx(1 / 3, abs=0.02)
+
+    def test_solves_each_candidate_once(self, s2m, monkeypatch):
+        schemes = enumerate_candidates(s2m).schemes
+        # the gain as computed with a separate all-dedicated solve
+        sizes, _ = multiplex.solve_sizes(s2m.specs, schemes[0], s2m.pool)
+        expected = (solve_exhaustive(s2m).outcome.total_profit
+                    - evaluate(s2m, sizes, schemes[0]).total_profit)
+        calls = []
+        solve = multiplex.solve_sizes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(multiplex, "solve_sizes", counting)
+        gain = multiplexing_gain(s2m)
+        assert len(calls) == len(schemes)
+        assert gain == expected
+
+    def test_infeasible_all_dedicated_scheme_raises(self):
+        # sharing rescues the reservations, but the gain has no baseline
+        with pytest.raises(InfeasibleScenarioError):
+            multiplexing_gain(rescue_scenario())
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
