@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 from . import closedloop, game, longterm, multiplex, orthogonal, scenario as scn
 from .model import (
@@ -275,16 +276,9 @@ def _cmd_game(args, scenario, manifest) -> int:
     if scenario.market is None:
         _log("scenario declares no market block")
         return 2
-    market = scenario.market
-    if args.eta is not None or args.rounds is not None or args.tol is not None:
-        market = game.MarketConfig(
-            traded=market.traded,
-            eta=market.eta if args.eta is None else args.eta,
-            price0=market.price0,
-            tol=market.tol if args.tol is None else args.tol,
-            max_rounds=market.max_rounds if args.rounds is None else args.rounds,
-            grids=market.grids,
-        )
+    overrides = {"eta": args.eta, "max_rounds": args.rounds, "tol": args.tol}
+    market = replace(scenario.market,
+                     **{key: value for key, value in overrides.items() if value is not None})
     outcome = game.run_market(operators, market)
     status = "ok" if outcome.converged else "not-converged"
     names = ["scenario", "mode", "operator", "status"]

@@ -33,6 +33,10 @@ from . import multiplex
 
 # A lease grid point within this distance of 0 is the no-trade point.
 LEASE_ZERO_TOL = 1e-12
+# Idle capacity below this share of the pool is solver noise, not a sliver to trade.
+_IDLE_SLIVER_TOL = 1e-6
+# A fully leased-out resource keeps this much: ResourcePool needs capacity > 0.
+_CAPACITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +131,7 @@ class SubOperatorResult:
 def _internal(operator: Operator, capacity) -> Optional[tuple]:
     """Operator's optimal internal allocation on its pool resized to the
     non-negative `capacity`. Returns (total, sizes) or None."""
-    # ResourcePool insists on positive capacity; a fully leased-out resource
-    # keeps an epsilon so the pool stays constructible.
-    capacity = np.maximum(capacity, 1e-12)
+    capacity = np.maximum(capacity, _CAPACITY_FLOOR)
     pool = ResourcePool(capacity, operator.pool.unit_cost)
     try:
         sizes, _ = solve_sizes(operator.specs, operator.scheme, pool)
@@ -155,9 +157,7 @@ def _idle_grid(operator: Operator, traded, base, points: int = 11) -> dict:
     grids = {}
     for j in traded:
         idle = max(float(operator.pool.capacity[j] - usage[j]), 0.0)
-        # a saturated pool reads as idle up to solver boundary noise; don't
-        # turn that into a tradable sliver
-        if idle < 1e-6 * max(1.0, float(operator.pool.capacity[j])):
+        if idle < _IDLE_SLIVER_TOL * max(1.0, float(operator.pool.capacity[j])):
             idle = 0.0
         pts = np.linspace(-idle, idle, points) if idle > 0 else np.array([0.0])
         pts[np.abs(pts) < LEASE_ZERO_TOL] = 0.0
@@ -204,6 +204,15 @@ class _LeaseTable:
             self.solved[key] = None if infeasible else _internal(self.operator, capacity)
         return self.solved[key]
 
+    def feasible(self):
+        """(d, total, sizes) for each grid point the operator can serve, in
+        itertools.product order over the axes."""
+        for combo in itertools.product(*self.axes):
+            d = np.array(combo)
+            solved = self.internal(d)
+            if solved is not None:
+                yield (d, *solved)
+
 
 def best_response(operator: Operator, prices, market: MarketConfig, *,
                   table: Optional[_LeaseTable] = None) -> BestResponse:
@@ -220,12 +229,7 @@ def best_response(operator: Operator, prices, market: MarketConfig, *,
     if table is None:
         table = _LeaseTable(operator, market)
     best = None
-    for combo in itertools.product(*table.axes):
-        d = np.array(combo)
-        solved = table.internal(d)
-        if solved is None:
-            continue
-        total, sizes = solved
+    for d, total, sizes in table.feasible():
         objective = total - float(np.dot(prices, d))
         key = (-objective, float(np.dot(d, d)), tuple(d))
         if best is None or key < best[0]:
@@ -352,13 +356,8 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
     best_dev = None
     for o in ops:
         current = outcome.profits[o.id]
-        table = tables[o.id]
-        for combo in itertools.product(*table.axes):
-            d = np.array(combo)
-            solved = table.internal(d)
-            if solved is None:
-                continue
-            payoff = solved[0] - float(np.dot(outcome.prices, d))
+        for d, total, _ in tables[o.id].feasible():
+            payoff = total - float(np.dot(outcome.prices, d))
             gain = payoff - current
             if gain > tolerance and (best_dev is None or gain > best_dev[2]):
                 best_dev = (o.id, tuple(float(x) for x in d), float(gain))
@@ -384,8 +383,9 @@ def solve_suboperator(main_pool: ResourcePool, sub_portfolios: Sequence[Operator
     all_ids = [spec.id for op in sub_portfolios for spec in op.specs]
     if len(set(all_ids)) != len(all_ids):
         raise ConfigurationError("sub-operator slice ids must be globally unique")
-    demand = np.concatenate([op.scheme.demand for op in sub_portfolios])
-    overhead = np.concatenate([op.scheme.overhead for op in sub_portfolios])
+    schemes = [op.scheme.subset([spec.id for spec in op.specs]) for op in sub_portfolios]
+    demand = np.concatenate([scheme.demand for scheme in schemes])
+    overhead = np.concatenate([scheme.overhead for scheme in schemes])
     if sharing is None:
         sharing = (DEDICATED,) * main_pool.n_resources
     merged_scheme = VnfScheme(tuple(all_ids), demand, overhead, tuple(sharing))

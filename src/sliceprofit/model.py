@@ -207,19 +207,26 @@ def unit_demand(spec: SliceSpec, scheme: VnfScheme) -> np.ndarray:
     return mat @ spec.kpi
 
 
-def resource_demand(spec: SliceSpec, size: float, scheme: VnfScheme) -> np.ndarray:
-    """Resources consumed by one slice at the given size.
+def scheme_rows(specs: Sequence[SliceSpec], scheme: VnfScheme) -> tuple:
+    """(unit demand, overhead) matrices, one row per spec in spec order.
+    Each slice finds its rows in the scheme by id."""
+    unit = np.stack([unit_demand(spec, scheme) for spec in specs])
+    return unit, scheme.overhead[[scheme.index_of(spec.id) for spec in specs]]
 
-    Demand scales linearly with size; activation overhead applies only when
-    the slice is active (size > 0).
-    """
+
+def _resource_rows(unit: np.ndarray, overhead: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-slice resources at the given sizes: demand scales linearly with
+    size, and activation overhead applies only when the slice is active
+    (size > 0)."""
+    base = sizes[:, None] * unit
+    return np.where((sizes > 0)[:, None], base + overhead, base)
+
+
+def resource_demand(spec: SliceSpec, size: float, scheme: VnfScheme) -> np.ndarray:
+    """Resources consumed by one slice at the given size."""
     if not math.isfinite(size) or size < 0:
         raise ValueError(f"size must be a non-negative number, got {size}")
-    i = scheme.index_of(spec.id)
-    base = size * unit_demand(spec, scheme)
-    if size > 0:
-        base = base + scheme.overhead[i]
-    return base
+    return _resource_rows(*scheme_rows([spec], scheme), np.array([size], dtype=float))[0]
 
 
 def expenditure(demand: np.ndarray, pool: ResourcePool) -> float:
@@ -242,8 +249,7 @@ def profit(spec: SliceSpec, size: float, scheme: VnfScheme, pool: ResourcePool) 
 
 def build_allocation(specs: Sequence[SliceSpec], scheme: VnfScheme, sizes) -> Allocation:
     sizes = _as_vector(sizes, "sizes", length=len(specs))
-    rows = np.stack([resource_demand(spec, s, scheme) for spec, s in zip(specs, sizes)])
-    return Allocation(sizes=sizes, resources=rows)
+    return Allocation(sizes=sizes, resources=_resource_rows(*scheme_rows(specs, scheme), sizes))
 
 
 def _usage(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -268,6 +274,23 @@ def _limits(pool: ResourcePool, specs: Sequence[SliceSpec]) -> tuple:
     return cap_limit, floors, floor_limit
 
 
+def _verdict(usage: np.ndarray, rows: np.ndarray, pool: ResourcePool, limits: tuple) -> tuple:
+    """check_feasible on per-slice resource rows and their usage."""
+    cap_limit, floors, floor_limit = limits
+    over, under = usage > cap_limit, rows < floor_limit
+    if not (over.any() or under.any()):
+        return (True, ())
+    violations = [
+        Violation("pool", int(j), float(usage[j] - pool.capacity[j]))
+        for j in np.flatnonzero(over)
+    ]
+    violations += [
+        Violation("minimum", int(j), float(floors[i, j] - rows[i, j]), slice=int(i))
+        for i, j in zip(*np.nonzero(under))
+    ]
+    return (False, tuple(violations))
+
+
 def pool_usage(alloc: Allocation, scheme: VnfScheme) -> np.ndarray:
     """Aggregate per-resource usage: sum over slices for dedicated
     resources, max over slices for time-shared ones."""
@@ -285,61 +308,57 @@ def check_feasible(
     """Return (feasible, violations) for pool capacity and per-slice
     minimum reservations. Violation amounts are the raw excess/deficit,
     pool violations first by resource, then minimums by slice and resource."""
-    usage = pool_usage(alloc, scheme)
-    cap_limit, floors, floor_limit = _limits(pool, specs)
-    rows = alloc.resources
-    over, under = usage > cap_limit, rows < floor_limit
-    if not (over.any() or under.any()):
-        return (True, ())
-    violations = [
-        Violation("pool", int(j), float(usage[j] - pool.capacity[j]))
-        for j in np.flatnonzero(over)
-    ]
-    violations += [
-        Violation("minimum", int(j), float(floors[i, j] - rows[i, j]), slice=int(i))
-        for i, j in zip(*np.nonzero(under))
-    ]
-    return (False, tuple(violations))
+    return _verdict(pool_usage(alloc, scheme), alloc.resources, pool, _limits(pool, specs))
 
 
-class SchemeFeasibility:
-    """check_feasible's verdict on size vectors under one fixed scheme and
-    pool, with the demand rows and the widened bounds computed once."""
+class SchemeModel:
+    """Revenue, expenditure and feasibility of size vectors under one fixed
+    scheme and pool, with the per-slice rows, prices and widened bounds
+    computed once. Each slice finds its demand and overhead row in the
+    scheme by id, so the specs may come in any order; every result follows
+    spec order. Calling the model gives check_feasible's verdict alone."""
 
     def __init__(self, specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool):
-        self.unit = np.stack([unit_demand(spec, scheme) for spec in specs])
-        self.overhead = scheme.overhead
+        self.specs, self.pool = tuple(specs), pool
+        self.unit, self.overhead = scheme_rows(self.specs, scheme)
         self.shared = np.flatnonzero(scheme.shared_mask())
-        self.cap_limit, _, self.floor_limit = _limits(pool, specs)
+        self.price = np.array([spec.price for spec in self.specs])
+        self.customers = np.array([spec.customer_size for spec in self.specs])
+        self.limits = _limits(pool, self.specs)
 
     def __call__(self, sizes: np.ndarray) -> bool:
-        rows = sizes[:, None] * self.unit + (sizes > 0)[:, None] * self.overhead
-        return not ((_usage(rows, self.shared) > self.cap_limit).any()
-                    or (rows < self.floor_limit).any())
+        rows = _resource_rows(self.unit, self.overhead, sizes)
+        cap_limit, _, floor_limit = self.limits
+        return not ((_usage(rows, self.shared) > cap_limit).any() or (rows < floor_limit).any())
+
+    def breakdown(self, sizes) -> tuple:
+        """Per-slice (revenue, expenditure) arrays and the allocation of a
+        size vector, which is validated first."""
+        sizes = _as_vector(sizes, "sizes", length=len(self.specs))
+        rows = _resource_rows(self.unit, self.overhead, sizes)
+        # revenue()'s min(size, customer_size), signed zeros included
+        served = np.where(self.customers < sizes, self.customers, sizes)
+        return self.price * served, rows @ self.pool.unit_cost, Allocation(sizes, rows)
+
+    def outcome(self, sizes) -> Outcome:
+        """Per-slice profits, their total and the feasibility verdict."""
+        revs, exps, alloc = self.breakdown(sizes)
+        profits = tuple((revs - exps).tolist())
+        rows = alloc.resources
+        feasible, violations = _verdict(_usage(rows, self.shared), rows, self.pool, self.limits)
+        return Outcome(profits, float(sum(profits)), feasible, violations)
 
 
 def slice_breakdown(specs, scheme: VnfScheme, pool: ResourcePool, sizes):
     """Per-slice (revenue, expenditure) arrays for the given sizes."""
-    alloc = build_allocation(specs, scheme, sizes)
-    revs = np.array([revenue(spec, s) for spec, s in zip(specs, alloc.sizes)])
-    exps = alloc.resources @ pool.unit_cost
-    return revs, exps, alloc
+    return SchemeModel(specs, scheme, pool).breakdown(sizes)
 
 
 def evaluate(scenario, sizes, scheme: Optional[VnfScheme] = None) -> Outcome:
     """Full outcome (per-slice profits, total, feasibility) for a size
     vector under the scenario's pool, defaulting to its base scheme."""
     scheme = scheme if scheme is not None else scenario.scheme
-    specs = scenario.specs
-    revs, exps, alloc = slice_breakdown(specs, scheme, scenario.pool, sizes)
-    profits = tuple(float(r - e) for r, e in zip(revs, exps))
-    feasible, violations = check_feasible(alloc, scheme, scenario.pool, specs)
-    return Outcome(
-        profits=profits,
-        total_profit=float(sum(profits)),
-        feasible=feasible,
-        violations=violations,
-    )
+    return SchemeModel(scenario.specs, scheme, scenario.pool).outcome(sizes)
 
 
 def min_size(spec: SliceSpec, scheme: VnfScheme) -> float:
@@ -351,9 +370,7 @@ def min_size(spec: SliceSpec, scheme: VnfScheme) -> float:
     floors = spec.min_resources
     if np.all(floors <= 0):
         return 0.0
-    i = scheme.index_of(spec.id)
-    u = unit_demand(spec, scheme)
-    b = scheme.overhead[i]
+    (u,), (b,) = scheme_rows([spec], scheme)
     lo = 0.0
     for j in range(floors.shape[0]):
         need = floors[j] - b[j]

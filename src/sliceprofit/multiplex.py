@@ -21,10 +21,8 @@ from .model import (
     InfeasibleScenarioError,
     DEDICATED,
     SHARED,
-    SchemeFeasibility,
+    SchemeModel,
     VnfScheme,
-    build_allocation,
-    check_feasible,
     evaluate,
 )
 from .orthogonal import SolveResult, size_bounds, solve_sizes
@@ -128,19 +126,18 @@ def solve_exhaustive(scenario, cap: Optional[int] = None) -> SolveResult:
     )
 
 
-def _scheme_step(scenario, candidates, sizes):
+def _scheme_step(candidates, models, sizes):
     """Best candidate at fixed sizes: maximal profit, ties resolved toward
     more shared resources (never shrinks the next size step's feasible
-    region), then enumeration order."""
+    region), then enumeration order. models holds each candidate's
+    SchemeModel."""
     best = None
-    for idx, scheme in enumerate(candidates.schemes):
-        alloc = build_allocation(scenario.specs, scheme, sizes)
-        feasible, _ = check_feasible(alloc, scheme, scenario.pool, scenario.specs)
-        if not feasible:
+    for idx, (scheme, model) in enumerate(zip(candidates.schemes, models)):
+        outcome = model.outcome(sizes)
+        if not outcome.feasible:
             continue
-        total = evaluate(scenario, sizes, scheme).total_profit
         shared = sum(1 for m in scheme.sharing if m == SHARED)
-        key = (total, shared, -idx)
+        key = (outcome.total_profit, shared, -idx)
         if best is None or key > best[0]:
             best = (key, idx, scheme)
     return best
@@ -166,6 +163,7 @@ def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
             raise ConfigurationError("init_scheme is not in the candidate set")
         scheme_idx = matches[0]
     scheme = candidates.schemes[scheme_idx]
+    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates.schemes]
 
     lo, _ = size_bounds(scenario.specs, scheme)
     sizes = lo
@@ -177,8 +175,8 @@ def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
         rounds += 1
         sizes, it = solve_sizes(scenario.specs, scheme, scenario.pool)
         nit += it
-        trace.append(evaluate(scenario, sizes, scheme).total_profit)
-        step = _scheme_step(scenario, candidates, sizes)
+        trace.append(models[scheme_idx].outcome(sizes).total_profit)
+        step = _scheme_step(candidates, models, sizes)
         if step is None:  # current point is feasible under its own scheme
             raise RuntimeError("scheme step lost feasibility")
         _, new_idx, new_scheme = step
@@ -186,7 +184,7 @@ def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
             converged = True
             break
         scheme_idx, scheme = new_idx, new_scheme
-    outcome = evaluate(scenario, sizes, scheme)
+    outcome = models[scheme_idx].outcome(sizes)
     return SolveResult(
         tuple(float(s) for s in sizes), outcome, scheme,
         {"solver": "bcd", "iterations": nit, "rounds": rounds,
@@ -290,12 +288,10 @@ def _rng(seed: int, generation: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, generation, index]))
 
 
-def _evaluate_ind(scenario, candidates, checkers, lo, hi, scheme_idx, sizes):
-    scheme = candidates.schemes[scheme_idx]
-    sizes = np.clip(sizes, lo, hi)
-    sizes = _repair(checkers[scheme_idx], lo, sizes)
-    outcome = evaluate(scenario, sizes, scheme)
-    return _Individual(scheme_idx, sizes, np.array(outcome.profits))
+def _evaluate_ind(models, lo, hi, scheme_idx, sizes):
+    model = models[scheme_idx]
+    sizes = _repair(model, lo, np.clip(sizes, lo, hi))
+    return _Individual(scheme_idx, sizes, np.array(model.outcome(sizes).profits))
 
 
 class _Archive:
@@ -344,21 +340,15 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
     params = params or GaParams()
     candidates = enumerate_candidates(scenario, cap)
     n_schemes = len(candidates.schemes)
+    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates.schemes]
     lo, hi = size_bounds(scenario.specs, candidates.schemes[0])
-    base_alloc = build_allocation(scenario.specs, candidates.schemes[0], lo)
-    feas, violations = check_feasible(
-        base_alloc, candidates.schemes[0], scenario.pool, scenario.specs
-    )
-    if not feas:
+    base = models[0].outcome(lo)
+    if not base.feasible:
         raise InfeasibleScenarioError(
-            "minimum reservations exceed the pool capacity", violations
+            "minimum reservations exceed the pool capacity", base.violations
         )
     span = hi - lo
     m = len(scenario.specs)
-    checkers = [
-        SchemeFeasibility(scenario.specs, scheme, scenario.pool)
-        for scheme in candidates.schemes
-    ]
 
     archive = _Archive(m)
     pop = []
@@ -366,7 +356,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
         rng = _rng(params.seed, 0, i)
         scheme_idx = int(rng.integers(n_schemes))
         sizes = lo + rng.random(m) * span
-        ind = _evaluate_ind(scenario, candidates, checkers, lo, hi, scheme_idx, sizes)
+        ind = _evaluate_ind(models, lo, hi, scheme_idx, sizes)
         pop.append(ind)
         archive.add(ind, ind.profits)
 
@@ -403,7 +393,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
                 sizes = np.where(mutate, sizes + noise, sizes)
             if rng.random() < params.mutation and n_schemes > 1:
                 scheme_idx = int(rng.integers(n_schemes))
-            ind = _evaluate_ind(scenario, candidates, checkers, lo, hi, scheme_idx, sizes)
+            ind = _evaluate_ind(models, lo, hi, scheme_idx, sizes)
             offspring.append(ind)
             archive.add(ind, ind.profits)
 

@@ -24,20 +24,28 @@ from .model import (
     ConfigurationError,
     InfeasibleScenarioError,
     ResourcePool,
+    SchemeModel,
     SliceSpec,
     VnfScheme,
     FEASIBILITY_TOL,
     SHARED,
-    build_allocation,
-    check_feasible,
     evaluate,
     min_size,
-    unit_demand,
+    scheme_rows,
 )
 
 # Activation overhead makes profit discontinuous at size 0; solvers branch
 # over the active set for slices that could stay off. Guard the blow-up.
 _MAX_ACTIVATION_BRANCHES = 4096
+
+# The lex polish keeps points within this share of |optimum| of the optimum.
+_POLISH_SLACK = 1e-9
+# LP coordinates below this magnitude are solver noise around 0 and read as 0.
+_ZERO_CLIP = 1e-12
+# A later activation branch replaces the best only when it is better by more.
+_BRANCH_TIE = 1e-12
+# The oracle's grid count absorbs float error in upper bound / step.
+_GRID_COUNT_TOL = 1e-9
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -117,7 +125,7 @@ def _lex_polish(obj: np.ndarray, a_ub, b_ub, bounds, best_x, best_val):
     """Among optima of obj, pick the lexicographically smallest point by
     minimising one coordinate at a time subject to near-optimality."""
     m = len(best_x)
-    slack = 1e-9 * max(1.0, abs(best_val))
+    slack = _POLISH_SLACK * max(1.0, abs(best_val))
     a_opt = np.vstack([a_ub, -obj]) if a_ub.size else (-obj).reshape(1, -1)
     b_opt = np.append(b_ub, -(best_val - slack))
     x = np.array(best_x, dtype=float)
@@ -152,8 +160,10 @@ def _pull_inside(a_ub, b_ub, floor, x):
 def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool,
                 weights=None) -> tuple:
     """Exact size vector maximising the (weighted) profit sum for a fixed
-    scheme. Returns (sizes, iterations). Raises InfeasibleScenarioError when
-    reservations cannot be met inside the pool."""
+    scheme. Slices are matched to scheme rows by id, so the specs may come
+    in any order; sizes follow spec order. Returns (sizes, iterations).
+    Raises InfeasibleScenarioError when reservations cannot be met inside
+    the pool."""
     m = len(specs)
     if m == 0:
         raise ConfigurationError("scenario must contain at least one slice")
@@ -165,8 +175,8 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
     # so the argmax is exactly invariant under positive scaling.
     w = w / w.max()
 
-    unit = np.stack([unit_demand(spec, scheme) for spec in specs])
-    overhead = scheme.overhead
+    model = SchemeModel(specs, scheme, pool)
+    unit, overhead = model.unit, model.overhead
     lo, hi = size_bounds(specs, scheme)
     margins = np.array(
         [spec.price - float(np.dot(unit[i], pool.unit_cost)) for i, spec in enumerate(specs)]
@@ -204,19 +214,16 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
         nit_total += nit
         floor = np.array([b[0] for b in bounds])
         x = np.clip(x, floor, [b[1] for b in bounds])
-        x[np.abs(x) < 1e-12] = 0.0
+        x[np.abs(x) < _ZERO_CLIP] = 0.0
         x = _pull_inside(a_ub, b_ub, floor, x)
         # Rank branches by the true (step-function) weighted profit.
-        revs = np.array([spec.price * min(s, spec.customer_size) for spec, s in zip(specs, x)])
-        alloc = build_allocation(specs, scheme, x)
-        true_val = float(np.dot(w, revs - alloc.resources @ pool.unit_cost))
-        if best is None or true_val > best[0] + 1e-12:
+        revs, exps, _ = model.breakdown(x)
+        true_val = float(np.dot(w, revs - exps))
+        if best is None or true_val > best[0] + _BRANCH_TIE:
             best = (true_val, x)
     if best is None:
-        alloc = build_allocation(specs, scheme, lo)
-        _, violations = check_feasible(alloc, scheme, pool, specs)
         raise InfeasibleScenarioError(
-            "minimum reservations exceed the pool capacity", violations
+            "minimum reservations exceed the pool capacity", model.outcome(lo).violations
         )
     return best[1], nit_total
 
@@ -250,11 +257,9 @@ def solve_weighted_sum(scenario, weights) -> SolveResult:
 def oracle_gap_bound(scenario, grid_step: float) -> float:
     """Worst-case optimum underestimate of the grid oracle: one step of the
     summed profit slopes."""
-    total = 0.0
-    for spec in scenario.specs:
-        u = unit_demand(spec, scenario.scheme)
-        total += abs(spec.price) + float(np.dot(u, scenario.pool.unit_cost))
-    return grid_step * total
+    unit, _ = scheme_rows(scenario.specs, scenario.scheme)
+    return grid_step * sum(abs(spec.price) + float(np.dot(u, scenario.pool.unit_cost))
+                           for spec, u in zip(scenario.specs, unit))
 
 
 def brute_force_oracle(scenario, grid_step: float, weights=None,
@@ -276,7 +281,7 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
         w = validate_weights(weights, m)
     w = w / w.max()
 
-    unit = np.stack([unit_demand(spec, scheme) for spec in specs])
+    unit, overhead = scheme_rows(specs, scheme)
     lo, hi = size_bounds(specs, scheme)
     axes = []
     n_points = 1
@@ -284,9 +289,9 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
         implied = math.inf
         for j in range(pool.n_resources):
             if unit[i, j] > 0:
-                implied = min(implied, (pool.capacity[j] - scheme.overhead[i, j]) / unit[i, j])
+                implied = min(implied, (pool.capacity[j] - overhead[i, j]) / unit[i, j])
         ub = max(spec.customer_size, lo[i], 0.0 if math.isinf(implied) else implied)
-        count = int(math.floor(ub / grid_step + 1e-9)) + 1
+        count = int(math.floor(ub / grid_step + _GRID_COUNT_TOL)) + 1
         axes.append(np.arange(count) * grid_step)
         n_points *= count
     if n_points > budget:
@@ -303,7 +308,7 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
     rows = np.empty((m, pool.n_resources, sizes.shape[1]))
     for i in range(m):
         for j in range(pool.n_resources):
-            rows[i, j] = sizes[i] * unit[i, j] + active[i] * scheme.overhead[i, j]
+            rows[i, j] = sizes[i] * unit[i, j] + active[i] * overhead[i, j]
     for j in range(pool.n_resources):
         usage = rows[:, j, :].max(axis=0) if scheme.sharing[j] == SHARED else rows[:, j, :].sum(axis=0)
         feasible &= usage <= pool.capacity[j] + FEASIBILITY_TOL * max(1.0, pool.capacity[j])

@@ -29,7 +29,7 @@ from .model import (
     ResourcePool,
     SliceSpec,
     VnfScheme,
-    unit_demand,
+    scheme_rows,
 )
 
 
@@ -86,6 +86,9 @@ class Scenario:
         raise ScenarioValidationError(f"unknown slice {slice_id!r}")
 
     def with_specs(self, specs) -> "Scenario":
+        """The scenario with other slice specs. Slices are matched to scheme
+        rows by id, so the specs may come in any order; the environment
+        coupling stays in spec order."""
         return replace(self, specs=tuple(specs))
 
     def with_kpis(self, kpis) -> "Scenario":
@@ -97,6 +100,7 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
+        aligned = self.scheme.subset([spec.id for spec in self.specs])  # rows in spec order
         doc = {
             "name": self.name,
             "resources": [
@@ -115,8 +119,8 @@ class Scenario:
                     "customer_size": float(spec.customer_size),
                     "price": float(spec.price),
                     "min_resources": [float(x) for x in spec.min_resources],
-                    "demand_matrix": [[float(x) for x in row] for row in self.scheme.demand[i]],
-                    "overhead": [float(x) for x in self.scheme.overhead[i]],
+                    "demand_matrix": [[float(x) for x in row] for row in aligned.demand[i]],
+                    "overhead": [float(x) for x in aligned.overhead[i]],
                 }
                 for i, spec in enumerate(self.specs)
             ],
@@ -336,6 +340,8 @@ def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
     _expect(isinstance(block, dict), "environment: must be an object")
     m, l = scenario.n_slices, scenario.n_kpis
     gamma = np.zeros((m, l, m))
+    unit, _ = scheme_rows(scenario.specs, scenario.scheme)
+    shared = scenario.scheme.shared_mask()
     coupling = block.get("coupling", [])
     _expect(isinstance(coupling, list), "environment: 'coupling' must be an array")
     for entry in coupling:
@@ -355,25 +361,15 @@ def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
                 "environment: coupling field 'kpi' must be a KPI name or index")
         rate = _number(entry, "rate", "environment coupling", minimum=0.0)
         if rate > 0:
-            shared_overlap = False
-            for j in range(scenario.n_resources):
-                if scenario.scheme.sharing[j] != SHARED:
-                    continue
-                u_i = unit_demand(scenario.specs[i], scenario.scheme)[j]
-                u_k = unit_demand(scenario.specs[k], scenario.scheme)[j]
-                if u_i > 0 and u_k > 0:
-                    shared_overlap = True
-                    break
-            _expect(shared_overlap,
+            _expect(bool((shared & (unit[i] > 0) & (unit[k] > 0)).any()),
                     f"environment: slices {entry['slice']!r} and {entry['source']!r} "
                     "must share a shared-mode resource to couple")
         gamma[i, kpi, k] = rate
     baseline = np.stack([spec.kpi for spec in scenario.specs])
-    damping = float(block.get("damping", 1.0))
-    tol = float(block.get("tol", 1e-6))
-    max_iter = int(block.get("max_iter", 50))
+    casts = {"damping": float, "tol": float, "max_iter": int}
+    options = {key: cast(block[key]) for key, cast in casts.items() if key in block}
     try:
-        return EnvironmentModel(baseline, gamma, damping, tol, max_iter)
+        return EnvironmentModel(baseline, gamma, **options)
     except ConfigurationError as exc:
         raise ScenarioValidationError(f"environment: {exc}") from None
 
@@ -452,10 +448,11 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
     for key in price0_doc:
         _expect(key in traded_names, f"market: price0 names unknown resource {key!r}")
     price0 = np.array([float(price0_doc.get(rn, 0.0)) for rn in traded_names])
-    tol = float(block.get("tol", 1e-3))
-    max_rounds = block.get("max_rounds", 100)
-    _expect(isinstance(max_rounds, int) and not isinstance(max_rounds, bool)
-            and max_rounds >= 1, "market: field 'max_rounds' must be an integer >= 1")
+    options = {"tol": float(block["tol"])} if "tol" in block else {}
+    if "max_rounds" in block:
+        max_rounds = options["max_rounds"] = block["max_rounds"]
+        _expect(isinstance(max_rounds, int) and not isinstance(max_rounds, bool)
+                and max_rounds >= 1, "market: field 'max_rounds' must be an integer >= 1")
     grids_doc = block.get("grids", {})
     _expect(isinstance(grids_doc, dict), "market: field 'grids' must be an object")
     op_ids = {p.id for p in (scenario.operators or ())}
@@ -481,14 +478,14 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
             parsed[j] = axis
         grids[oid] = parsed
     try:
-        return MarketConfig(traded=traded, eta=eta, price0=price0, tol=tol,
-                            max_rounds=max_rounds, grids=grids)
+        return MarketConfig(traded=traded, eta=eta, price0=price0, grids=grids, **options)
     except ConfigurationError as exc:
         raise ScenarioValidationError(f"market: {exc}") from None
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file."""
+def _read_json(path, parse):
+    """parse(document) of a JSON file, with the path prefixed to parse and
+    validation errors."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -498,25 +495,19 @@ def load_scenario(path) -> Scenario:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     try:
-        return scenario_from_dict(doc)
+        return parse(doc)
     except ScenarioValidationError as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from None
+
+
+def load_scenario(path) -> Scenario:
+    """Parse and validate a scenario file."""
+    return _read_json(path, scenario_from_dict)
 
 
 def load_trace(path, scenario: Scenario) -> DemandTrace:
     """Parse a standalone trace file (same schema as the 'trace' block)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    try:
-        return _trace_block(doc, scenario)
-    except ScenarioValidationError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from None
+    return _read_json(path, lambda doc: _trace_block(doc, scenario))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -1,9 +1,15 @@
 """Slow reference forms of rules the library computes faster.
 
 The library computes the feasibility and dominance rules vectorised
-(``model.check_feasible``, ``model.SchemeFeasibility``,
-``multiplex.dominates`` and its callers). The loops here are the
-element-by-element forms they replaced.
+(``model.check_feasible``, ``model.SchemeModel``, ``multiplex.dominates``
+and its callers). The loops here are the element-by-element forms they
+replaced.
+
+``model.SchemeModel`` also turns a whole size vector into resource rows,
+revenue and expenditure at once; ``build_allocation``, ``slice_breakdown``
+and ``evaluate`` compute through it. ``build_allocation_loop``,
+``slice_breakdown_loop`` and ``evaluate_loop`` are the slice-by-slice forms
+it replaced.
 
 The lease market solves each operator's internal optimum once per lease
 vector and call (``game._LeaseTable``). ``best_response_resolve``,
@@ -23,14 +29,18 @@ from sliceprofit import game
 from sliceprofit.model import (
     FEASIBILITY_TOL,
     SHARED,
+    Allocation,
     BudgetExceededError,
     ConfigurationError,
     InfeasibleScenarioError,
+    Outcome,
     ResourcePool,
     Violation,
     build_allocation,
     pool_usage,
+    revenue,
     slice_breakdown,
+    unit_demand,
 )
 from sliceprofit.orthogonal import solve_sizes
 
@@ -58,6 +68,44 @@ def check_feasible_loop(alloc, scheme, pool, specs):
                     Violation("minimum", j, float(floor - alloc.resources[i, j]), slice=i)
                 )
     return (not violations, tuple(violations))
+
+
+def _resource_demand_loop(spec, size, scheme):
+    """One slice's resources: linear in size, plus the overhead of its own
+    scheme row when active (size > 0)."""
+    base = size * unit_demand(spec, scheme)
+    if size > 0:
+        base = base + scheme.overhead[scheme.index_of(spec.id)]
+    return base
+
+
+def build_allocation_loop(specs, scheme, sizes):
+    """model.build_allocation, one slice at a time."""
+    sizes = np.asarray(sizes, dtype=float)
+    rows = np.stack([_resource_demand_loop(spec, s, scheme) for spec, s in zip(specs, sizes)])
+    return Allocation(sizes=sizes, resources=rows)
+
+
+def slice_breakdown_loop(specs, scheme, pool, sizes):
+    """model.slice_breakdown, one slice at a time."""
+    alloc = build_allocation_loop(specs, scheme, sizes)
+    revs = np.array([revenue(spec, s) for spec, s in zip(specs, alloc.sizes)])
+    exps = alloc.resources @ pool.unit_cost
+    return revs, exps, alloc
+
+
+def evaluate_loop(scenario, sizes, scheme=None):
+    """model.evaluate, one slice at a time, with check_feasible_loop."""
+    scheme = scheme if scheme is not None else scenario.scheme
+    revs, exps, alloc = slice_breakdown_loop(scenario.specs, scheme, scenario.pool, sizes)
+    profits = tuple(float(r - e) for r, e in zip(revs, exps))
+    feasible, violations = check_feasible_loop(alloc, scheme, scenario.pool, scenario.specs)
+    return Outcome(
+        profits=profits,
+        total_profit=float(sum(profits)),
+        feasible=feasible,
+        violations=violations,
+    )
 
 
 def pareto_filter_loop(vectors):

@@ -362,6 +362,25 @@ class TestGame:
         assert rows[0]["status"] == "not-converged"
         assert rows[0]["rounds"] == "4"
 
+    def test_tol_override(self, scenario_dir, tmp_path, capsys):
+        # g1 clears in 2 rounds at its own tol of 1e-3; round 1's excess
+        # demand is within a tol of 10
+        out = tmp_path / "g1.csv"
+        rc = main(["game", "--scenario", str(scenario_dir / "g1.json"),
+                   "--out", str(out), "--tol", "10"])
+        assert rc == 0
+        manifest, rows = read_csv(out)
+        assert manifest["flags"]["tol"] == 10.0
+        assert [r["rounds"] for r in rows] == ["1", "1"]
+        assert all(r["converged"] == "true" for r in rows)
+        # the override is validated like the scenario's own value
+        bad = tmp_path / "bad.csv"
+        rc = main(["game", "--scenario", str(scenario_dir / "g1.json"),
+                   "--out", str(bad), "--tol", "0"])
+        assert rc == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not bad.exists()
+
     def test_suboperator_split(self, scenario_dir, tmp_path):
         out = tmp_path / "sub.csv"
         rc = main(["game", "--scenario", str(scenario_dir / "g1.json"),

@@ -269,6 +269,19 @@ class TestSolveSuboperator:
         assert pareto_dominates(coop_vec, market_vec)
         assert coop.result.scheme.sharing[0] == "shared"
 
+    def test_portfolio_specs_match_scheme_rows_by_id(self, g1, g1_ops):
+        alpha, beta = g1_ops
+        # ppdr needs twice sensor's resources, so a row mix-up shows
+        demand = beta.scheme.demand * np.array([2.0, 1.0])[:, None, None]
+        scheme = VnfScheme(beta.scheme.slice_ids, demand, beta.scheme.overhead,
+                           beta.scheme.sharing)
+        aligned = solve_suboperator(g1.pool, [alpha, dataclasses.replace(beta, scheme=scheme)])
+        flipped = solve_suboperator(g1.pool, [alpha, dataclasses.replace(
+            beta, scheme=scheme, specs=tuple(reversed(beta.specs)))])
+        assert flipped.split == pytest.approx(aligned.split, abs=1e-9)
+        assert flipped.result.sizes == pytest.approx(
+            [aligned.result.sizes[i] for i in (0, 2, 1)], abs=1e-7)
+
     def test_duplicate_slice_ids_rejected(self):
         a = saturated_operator("a")
         b = Operator("b", a.pool, a.specs, a.scheme)

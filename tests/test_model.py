@@ -1,6 +1,7 @@
 """Value-chain arithmetic: demand, expenditure, revenue, profit, usage."""
 
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -21,14 +22,16 @@ from sliceprofit import (
     pool_usage,
     profit,
     resource_demand,
+    load_scenario,
     revenue,
     size_bounds,
+    slice_breakdown,
     unit_demand,
 )
-from sliceprofit.model import SchemeFeasibility
+from sliceprofit.model import SchemeModel
 
 from conftest import make_scenario, random_scenario
-from reference_impl import check_feasible_loop
+from reference_impl import check_feasible_loop, evaluate_loop, slice_breakdown_loop
 
 
 class TestResourceDemand:
@@ -207,7 +210,7 @@ class TestFeasibilityMatchesLoopReference:
         alloc = build_allocation(scenario.specs, scheme, sizes)
         expected = check_feasible_loop(alloc, scheme, scenario.pool, scenario.specs)
         assert check_feasible(alloc, scheme, scenario.pool, scenario.specs) == expected
-        predicate = SchemeFeasibility(scenario.specs, scheme, scenario.pool)
+        predicate = SchemeModel(scenario.specs, scheme, scenario.pool)
         assert predicate(sizes) == expected[0]
 
     # s2's vertex, where both capacities bind, and slice A's compute floor
@@ -228,7 +231,78 @@ class TestFeasibilityMatchesLoopReference:
         expected = check_feasible_loop(alloc, s2.scheme, s2.pool, specs)
         assert expected[0] is ok
         assert check_feasible(alloc, s2.scheme, s2.pool, specs) == expected
-        assert SchemeFeasibility(specs, s2.scheme, s2.pool)(sizes) is ok
+        assert SchemeModel(specs, s2.scheme, s2.pool)(sizes) is ok
+
+
+def _outcome_bits(out):
+    return (
+        [w.hex() for w in out.profits], out.total_profit.hex(), out.feasible,
+        [(v.kind, v.resource, v.slice, v.amount.hex()) for v in out.violations],
+    )
+
+
+def _random_sizes(rng, scenario, scheme, scale):
+    """Sizes around the search box: some zero (either sign), some exactly at
+    the customer base, the rest scaled past it when scale > 1."""
+    lo, hi = size_bounds(scenario.specs, scheme)
+    lo[np.isinf(lo)] = 0.0
+    m = len(lo)
+    sizes = lo + scale * rng.random(m) * np.maximum(hi - lo, 1e-6)
+    at_base = rng.random(m) < 0.2
+    sizes[at_base] = [spec.customer_size for spec, b in zip(scenario.specs, at_base) if b]
+    sizes[rng.random(m) < 0.2] = rng.choice([0.0, -0.0])
+    return sizes
+
+
+class TestEvaluationMatchesLoopReference:
+    """build_allocation, slice_breakdown, SchemeModel.outcome and evaluate
+    against the slice-by-slice reference, bit for bit."""
+
+    FAULT = pathlib.Path(__file__).resolve().parent / "data" / "fault6x4.json"
+
+    @staticmethod
+    def assert_matches(scenario, scheme, sizes):
+        specs, pool = scenario.specs, scenario.pool
+        ref_revs, ref_exps, ref = slice_breakdown_loop(specs, scheme, pool, sizes)
+        assert build_allocation(specs, scheme, sizes).resources.tobytes() == ref.resources.tobytes()
+        revs, exps, alloc = slice_breakdown(specs, scheme, pool, sizes)
+        assert revs.tobytes() == ref_revs.tobytes()
+        assert exps.tobytes() == ref_exps.tobytes()
+        assert alloc.resources.tobytes() == ref.resources.tobytes()
+        expected = _outcome_bits(evaluate_loop(scenario, sizes, scheme))
+        assert _outcome_bits(SchemeModel(specs, scheme, pool).outcome(sizes)) == expected
+        assert _outcome_bits(evaluate(scenario, sizes, scheme)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.3, 2.0]),
+           st.booleans())
+    def test_random_scenarios(self, seed, scale, permute):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng)
+        m, n = scenario.n_slices, scenario.n_resources
+        specs = [
+            replace(spec, min_resources=rng.uniform(0, 3, n) * (rng.random(n) < 0.3),
+                    customer_size=spec.customer_size * (rng.random() > 0.2))
+            for spec in scenario.specs
+        ]
+        if permute:
+            specs = [specs[i] for i in rng.permutation(m)]
+        scenario = scenario.with_specs(specs)
+        cands = enumerate_candidates(scenario)
+        scheme = cands.schemes[int(rng.integers(len(cands.schemes)))]
+        overhead = rng.uniform(0, 0.5, (m, n)) * (rng.random(m) < 0.5)[:, None]
+        scheme = VnfScheme(scheme.slice_ids, scheme.demand, overhead, scheme.sharing)
+        self.assert_matches(scenario, scheme, _random_sizes(rng, scenario, scheme, scale))
+
+    @pytest.mark.parametrize("name", ["s2m", "fault6x4"])
+    def test_shipped_documents(self, scenario_dir, name):
+        path = self.FAULT if name == "fault6x4" else scenario_dir / f"{name}.json"
+        scenario = load_scenario(path)
+        rng = np.random.default_rng(7)
+        for scheme in enumerate_candidates(scenario).schemes:
+            for k in range(60):
+                scale = (0.0, 0.5, 1.0, 1.5)[k % 4]
+                self.assert_matches(scenario, scheme, _random_sizes(rng, scenario, scheme, scale))
 
 
 class TestEvaluate:

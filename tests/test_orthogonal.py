@@ -1,6 +1,7 @@
 """Exact size optimisation for a fixed scheme, plus the grid oracle."""
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from sliceprofit import (
     SliceSpec,
     VnfScheme,
     brute_force_oracle,
+    build_allocation,
+    check_feasible,
     evaluate,
     load_scenario,
     oracle_gap_bound,
@@ -25,6 +28,7 @@ from sliceprofit import (
     solve_weighted_sum,
     validate_weights,
 )
+from sliceprofit.model import SchemeModel
 
 from conftest import make_scenario, random_scenario
 
@@ -257,3 +261,57 @@ class TestCrossValidation:
         again = evaluate(scenario, res.sizes, res.scheme)
         assert again.total_profit == res.total_profit
         assert again.profits == res.outcome.profits
+
+
+class TestSpecOrder:
+    """Slices find their demand and overhead rows in the scheme by id, so
+    reordering the specs reorders an optimum and changes nothing else."""
+
+    @staticmethod
+    def overhead_pair():
+        # a has no overhead; b pays 6 of both resources once active, so only
+        # one of them fits and a is worth more
+        slices = [
+            {"id": sid, "kpi": [1], "customer_size": 5, "price": 3.0,
+             "min_resources": [0, 0], "demand_matrix": [[1], [1]], "overhead": [b, b]}
+            for sid, b in (("a", 0), ("b", 6))
+        ]
+        return make_scenario(
+            resources=[{"name": f"r{j}", "capacity": 10, "unit_cost": 0.1} for j in range(2)],
+            kpis=["k"], slices=slices,
+        )
+
+    def test_reversed_pair_keeps_the_optimum(self):
+        scenario = self.overhead_pair()
+        flipped = scenario.with_specs(tuple(reversed(scenario.specs)))
+        for res in (solve_objective_sum(flipped), brute_force_oracle(flipped, 0.5)):
+            assert res.outcome.feasible
+            assert res.sizes == pytest.approx((0.0, 5.0), abs=1e-7)
+            assert res.total_profit == pytest.approx(14.0, abs=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_permutations(self, seed):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng)
+        m, n = scenario.n_slices, scenario.n_resources
+        overhead = rng.uniform(0.5, 2.0, (m, n)) * (rng.random(m) < 0.5)[:, None]
+        scenario = replace(scenario, scheme=VnfScheme(
+            scenario.scheme.slice_ids, scenario.scheme.demand, overhead, scenario.scheme.sharing))
+        order = rng.permutation(m)
+        permuted = scenario.with_specs(scenario.specs[i] for i in order)
+        bound = oracle_gap_bound(scenario, 0.25)
+        for solve in (solve_objective_sum, lambda s: brute_force_oracle(s, 0.25)):
+            aligned, moved = solve(scenario), solve(permuted)
+            assert moved.outcome.feasible
+            assert abs(moved.total_profit - aligned.total_profit) <= bound
+        sizes = np.array(solve_objective_sum(scenario).sizes)
+        profits = evaluate(scenario, sizes).profits
+        assert [w.hex() for w in evaluate(permuted, sizes[order]).profits] == [
+            profits[i].hex() for i in order
+        ]
+        model = SchemeModel(permuted.specs, permuted.scheme, permuted.pool)
+        for probe in (sizes[order], 1.5 * sizes[order]):
+            alloc = build_allocation(permuted.specs, permuted.scheme, probe)
+            verdict = check_feasible(alloc, permuted.scheme, permuted.pool, permuted.specs)
+            assert model(probe) == verdict[0]

@@ -8,6 +8,8 @@ import pytest
 
 from sliceprofit import (
     ConfigurationError,
+    EnvironmentModel,
+    MarketConfig,
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -41,6 +43,15 @@ class TestParsing:
             out = tmp_path / f"{scenario.name}.json"
             save_scenario(scenario, out)
             assert load_scenario(out).to_dict() == scenario.to_dict()
+
+    def test_round_trip_of_reordered_specs(self):
+        # each slice takes its own scheme rows into the document
+        doc = base_doc()
+        doc["slices"][1]["overhead"] = [1.0, 2.0]
+        scenario = scenario_from_dict(doc)
+        flipped = scenario.with_specs(tuple(reversed(scenario.specs)))
+        again = scenario_from_dict(flipped.to_dict())
+        assert evaluate(again, (1.0, 2.0)) == evaluate(flipped, (1.0, 2.0))
 
     def test_invalid_json_reports_location(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -214,6 +225,16 @@ class TestEnvironmentBlock:
         scenario = scenario_from_dict(doc)
         assert np.all(scenario.environment.gamma == 0)
 
+    def test_omitted_options_take_the_model_defaults(self, s2_closedloop):
+        doc = s2_closedloop.to_dict()
+        for key in ("damping", "tol", "max_iter"):
+            del doc["environment"][key]
+        env = scenario_from_dict(doc).environment
+        defaults = EnvironmentModel(env.baseline, env.gamma)
+        assert (env.damping, env.tol, env.max_iter) == (
+            defaults.damping, defaults.tol, defaults.max_iter
+        )
+
 
 class TestOperatorsBlock:
     def test_partition_parsed(self, g1):
@@ -290,6 +311,13 @@ class TestMarketBlock:
         doc["market"]["grids"]["gamma"] = {"bandwidth": {"lo": 0, "hi": 1, "points": 2}}
         with pytest.raises(ScenarioValidationError, match="unknown operator"):
             scenario_from_dict(doc)
+
+    def test_omitted_options_take_the_config_defaults(self, g1):
+        doc = g1.to_dict()
+        del doc["market"]["tol"], doc["market"]["max_rounds"]
+        market = scenario_from_dict(doc).market
+        defaults = MarketConfig(market.traded, market.eta, market.price0)
+        assert (market.tol, market.max_rounds) == (defaults.tol, defaults.max_rounds)
 
 
 class TestCsvOutput:
