@@ -9,6 +9,7 @@ from .model import (
     InfeasibleScenarioError,
     Outcome,
     ResourcePool,
+    Scenario,
     SliceSpec,
     Violation,
     VnfScheme,
@@ -75,7 +76,6 @@ from .game import (
     verify_nash,
 )
 from .scenario import (
-    Scenario,
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -86,6 +86,7 @@ from .scenario import (
     save_outcome,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
     write_csv,
 )
 

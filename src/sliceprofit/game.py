@@ -23,6 +23,7 @@ from .model import (
     ConfigurationError,
     InfeasibleScenarioError,
     ResourcePool,
+    Scenario,
     VnfScheme,
     build_allocation,
     pool_usage,
@@ -390,9 +391,6 @@ def solve_suboperator(main_pool: ResourcePool, sub_portfolios: Sequence[Operator
         sharing = (DEDICATED,) * main_pool.n_resources
     merged_scheme = VnfScheme(tuple(all_ids), demand, overhead, tuple(sharing))
     specs = tuple(spec for op in sub_portfolios for spec in op.specs)
-
-    from .scenario import Scenario  # local import: scenario depends on game types
-
     merged = Scenario(
         name="suboperator",
         resource_names=tuple(f"r{j}" for j in range(main_pool.n_resources)),

@@ -5,14 +5,16 @@ A slice serves a customer group with a KPI requirement vector. Its size
 to resource demand; resource demand priced at the pool's unit costs gives
 expenditure, price times served customers gives revenue, and profit is the
 difference. Everything here is a pure function over value objects; solvers
-live in separate modules.
+live in separate modules. A Scenario bundles one problem instance: the pool,
+the slices and their base scheme, plus the optional blocks the adaptation
+and market solvers read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,9 +57,9 @@ def _as_vector(values, name: str, length: Optional[int] = None, nonneg: bool = T
         raise ConfigurationError(f"{name} must be a flat vector, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
         raise ConfigurationError(f"{name} must have length {length}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} must be finite")
-    if nonneg and np.any(arr < 0):
+    if nonneg and (arr < 0).any():
         raise ConfigurationError(f"{name} must be non-negative")
     return arr
 
@@ -166,6 +168,59 @@ class VnfScheme:
     def subset(self, slice_ids: Sequence[str]) -> "VnfScheme":
         idx = [self.index_of(s) for s in slice_ids]
         return VnfScheme(tuple(slice_ids), self.demand[idx], self.overhead[idx], self.sharing)
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A fully validated problem instance. The optional blocks are the
+    closedloop, longterm and game types; they are named in annotations
+    only, so this module imports none of those solvers."""
+
+    name: str
+    resource_names: tuple
+    kpi_names: tuple
+    pool: ResourcePool
+    specs: tuple
+    scheme: VnfScheme
+    sharing_eligible: tuple = ()
+    environment: Optional[EnvironmentModel] = None
+    trace: Optional[DemandTrace] = None
+    operators: Optional[tuple] = None
+    market: Optional[MarketConfig] = None
+
+    @property
+    def n_slices(self) -> int:
+        return len(self.specs)
+
+    @property
+    def n_resources(self) -> int:
+        return self.pool.n_resources
+
+    @property
+    def n_kpis(self) -> int:
+        return len(self.kpi_names)
+
+    def with_specs(self, specs) -> "Scenario":
+        """The scenario with other specs for the same slice ids, in any
+        order. Slices find their scheme rows by id, and the environment's
+        baseline rows and coupling axes follow the new order."""
+        specs = tuple(specs)
+        old, new = [spec.id for spec in self.specs], [spec.id for spec in specs]
+        if sorted(new) != sorted(old):
+            raise ConfigurationError("new specs must carry the same slice ids")
+        env = self.environment
+        if env is not None and new != old:
+            order = [old.index(sid) for sid in new]
+            env = replace(env, baseline=env.baseline[order], gamma=env.gamma[order][:, :, order])
+        return replace(self, specs=specs, environment=env)
+
+    def with_kpis(self, kpis) -> "Scenario":
+        kpis = np.asarray(kpis, dtype=float)
+        if kpis.shape != (self.n_slices, self.n_kpis):
+            raise ConfigurationError("KPI matrix must have shape (M, L)")
+        return self.with_specs(
+            replace(spec, kpi=kpis[i]) for i, spec in enumerate(self.specs)
+        )
 
 
 @dataclass(frozen=True, eq=False)

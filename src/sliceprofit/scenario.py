@@ -1,10 +1,12 @@
 """Scenario files and result serialization.
 
-Scenarios are JSON documents; loading validates every field and rejects
-rather than repairs, naming the offending field. Results are written as
-RFC-4180 style CSV with LF line endings, full-precision floats and a fixed
-column order, so identical runs produce identical bytes. The run manifest is
-embedded as a leading '#' comment row.
+This is the one module that knows the scenario file format; the Scenario
+value itself lives in model. Scenarios are JSON documents; loading
+validates every field and rejects rather than repairs, naming the
+offending field. Results are written as RFC-4180 style CSV with LF line
+endings, full-precision floats and a fixed column order, so identical runs
+produce identical bytes. The run manifest is embedded as a leading '#'
+comment row.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import os
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .model import (
     SHARED,
     ConfigurationError,
     ResourcePool,
+    Scenario,
     SliceSpec,
     VnfScheme,
     scheme_rows,
@@ -45,165 +47,20 @@ class ScenarioValidationError(ScenarioError):
     """The document violates the scenario schema."""
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A fully validated problem instance."""
-
-    name: str
-    resource_names: tuple
-    kpi_names: tuple
-    pool: ResourcePool
-    specs: tuple
-    scheme: VnfScheme
-    sharing_eligible: tuple = ()
-    environment: Optional[EnvironmentModel] = None
-    trace: Optional[DemandTrace] = None
-    operators: Optional[tuple] = None
-    market: Optional[MarketConfig] = None
-
-    @property
-    def n_slices(self) -> int:
-        return len(self.specs)
-
-    @property
-    def n_resources(self) -> int:
-        return self.pool.n_resources
-
-    @property
-    def n_kpis(self) -> int:
-        return len(self.kpi_names)
-
-    def resource_index(self, name: str) -> int:
-        try:
-            return self.resource_names.index(name)
-        except ValueError:
-            raise ScenarioValidationError(f"unknown resource {name!r}") from None
-
-    def slice_index(self, slice_id: str) -> int:
-        for i, spec in enumerate(self.specs):
-            if spec.id == slice_id:
-                return i
-        raise ScenarioValidationError(f"unknown slice {slice_id!r}")
-
-    def with_specs(self, specs) -> "Scenario":
-        """The scenario with other slice specs. Slices are matched to scheme
-        rows by id, so the specs may come in any order; the environment
-        coupling stays in spec order."""
-        return replace(self, specs=tuple(specs))
-
-    def with_kpis(self, kpis) -> "Scenario":
-        kpis = np.asarray(kpis, dtype=float)
-        if kpis.shape != (self.n_slices, self.n_kpis):
-            raise ConfigurationError("KPI matrix must have shape (M, L)")
-        return self.with_specs(
-            replace(spec, kpi=kpis[i]) for i, spec in enumerate(self.specs)
-        )
-
-    def to_dict(self) -> dict:
-        aligned = self.scheme.subset([spec.id for spec in self.specs])  # rows in spec order
-        doc = {
-            "name": self.name,
-            "resources": [
-                {
-                    "name": n,
-                    "capacity": float(self.pool.capacity[j]),
-                    "unit_cost": float(self.pool.unit_cost[j]),
-                }
-                for j, n in enumerate(self.resource_names)
-            ],
-            "kpis": list(self.kpi_names),
-            "slices": [
-                {
-                    "id": spec.id,
-                    "kpi": [float(x) for x in spec.kpi],
-                    "customer_size": float(spec.customer_size),
-                    "price": float(spec.price),
-                    "min_resources": [float(x) for x in spec.min_resources],
-                    "demand_matrix": [[float(x) for x in row] for row in aligned.demand[i]],
-                    "overhead": [float(x) for x in aligned.overhead[i]],
-                }
-                for i, spec in enumerate(self.specs)
-            ],
-            "sharing": {
-                n: self.scheme.sharing[j] for j, n in enumerate(self.resource_names)
-            },
-            "sharing_eligible": [self.resource_names[j] for j in self.sharing_eligible],
-        }
-        if self.environment is not None:
-            entries = []
-            gamma = self.environment.gamma
-            for i in range(gamma.shape[0]):
-                for l in range(gamma.shape[1]):
-                    for k in range(gamma.shape[2]):
-                        if gamma[i, l, k] != 0:
-                            entries.append(
-                                {
-                                    "slice": self.specs[i].id,
-                                    "kpi": l,
-                                    "source": self.specs[k].id,
-                                    "rate": float(gamma[i, l, k]),
-                                }
-                            )
-            doc["environment"] = {
-                "coupling": entries,
-                "damping": self.environment.damping,
-                "tol": self.environment.tol,
-                "max_iter": self.environment.max_iter,
-            }
-        if self.trace is not None:
-            block = {"horizon": self.trace.horizon}
-            for key in ("customer_size", "price", "kpi_scale"):
-                series = getattr(self.trace, key)
-                if series:
-                    block[key] = {k: list(v) for k, v in sorted(series.items())}
-            doc["trace"] = block
-        if self.operators is not None:
-            doc["operators"] = [
-                {
-                    "id": part.id,
-                    "slices": list(part.slice_ids),
-                    "capacity": [float(x) for x in part.capacity],
-                    "unit_cost": [float(x) for x in part.unit_cost],
-                }
-                for part in self.operators
-            ]
-        if self.market is not None:
-            grids = {}
-            for op_id, by_res in sorted(self.market.grids.items()):
-                grids[op_id] = {
-                    self.resource_names[j]: {
-                        "lo": float(axis[0]),
-                        "hi": float(axis[-1]),
-                        "points": int(len(axis)),
-                    }
-                    for j, axis in sorted(by_res.items())
-                }
-            doc["market"] = {
-                "traded": [self.resource_names[j] for j in self.market.traded],
-                "eta": self.market.eta,
-                "price0": {
-                    self.resource_names[j]: float(p)
-                    for j, p in zip(self.market.traded, self.market.price0)
-                },
-                "tol": self.market.tol,
-                "max_rounds": self.market.max_rounds,
-                "grids": grids,
-            }
-        return doc
-
-
 def _expect(condition: bool, message: str):
     if not condition:
         raise ScenarioValidationError(message)
 
 
+def _is_number(x) -> bool:
+    """A JSON number, not a bool, whose float value is finite."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _number(doc: dict, key: str, where: str, minimum=None, positive=False) -> float:
     _expect(key in doc, f"{where}: missing field {key!r}")
-    value = doc[key]
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{where}: field {key!r} must be a number")
-    value = float(value)
-    _expect(math.isfinite(value), f"{where}: field {key!r} must be finite")
+    _expect(_is_number(doc[key]), f"{where}: field {key!r} must be a finite number")
+    value = float(doc[key])
     if positive:
         _expect(value > 0, f"{where}: field {key!r} must be positive")
     if minimum is not None:
@@ -211,18 +68,34 @@ def _number(doc: dict, key: str, where: str, minimum=None, positive=False) -> fl
     return value
 
 
-def _vector(doc: dict, key: str, where: str, length: Optional[int] = None) -> list:
+def _integer(doc: dict, key: str, where: str, minimum: int) -> int:
     _expect(key in doc, f"{where}: missing field {key!r}")
     value = doc[key]
-    _expect(isinstance(value, list), f"{where}: field {key!r} must be an array")
-    for x in value:
-        _expect(isinstance(x, (int, float)) and not isinstance(x, bool),
-                f"{where}: field {key!r} must contain numbers")
-        _expect(math.isfinite(float(x)), f"{where}: field {key!r} must be finite")
-        _expect(float(x) >= 0, f"{where}: field {key!r} must be non-negative")
-    if length is not None:
-        _expect(len(value) == length, f"{where}: field {key!r} must have length {length}")
-    return [float(x) for x in value]
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+            f"{where}: field {key!r} must be an integer >= {minimum}")
+    return value
+
+
+def _numbers(values, what: str, length: int) -> list:
+    """values as floats: an array of length non-negative finite numbers."""
+    _expect(isinstance(values, list) and len(values) == length,
+            f"{what} must list {length} values")
+    _expect(all(_is_number(x) and x >= 0 for x in values),
+            f"{what} must contain non-negative numbers")
+    return [float(x) for x in values]
+
+
+def _vector(doc: dict, key: str, where: str, length: int) -> list:
+    _expect(key in doc, f"{where}: missing field {key!r}")
+    return _numbers(doc[key], f"{where}: field {key!r}", length)
+
+
+def _index(names: Sequence, name, kind: str) -> int:
+    """Position of a resource or slice name; unknown names are rejected."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise ScenarioValidationError(f"unknown {kind} {name!r}") from None
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -278,16 +151,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         matrix = s.get("demand_matrix")
         _expect(isinstance(matrix, list) and len(matrix) == n,
                 f"{where}: field 'demand_matrix' must be an {n}x{l} array")
-        rows = []
-        for row in matrix:
-            _expect(isinstance(row, list) and len(row) == l,
-                    f"{where}: field 'demand_matrix' must be an {n}x{l} array")
-            for x in row:
-                _expect(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        and math.isfinite(float(x)) and float(x) >= 0,
-                        f"{where}: demand_matrix entries must be non-negative numbers")
-            rows.append([float(x) for x in row])
-        demand_rows.append(rows)
+        demand_rows.append([_numbers(row, f"{where}: field 'demand_matrix' row", l)
+                            for row in matrix])
         overhead_rows.append(_vector(s, "overhead", where, length=n))
         specs.append(SliceSpec(sid, np.array(kpi), c, p, np.array(mins)))
     _expect(len(set(ids)) == len(ids), "slices: ids must be unique")
@@ -339,6 +204,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
     _expect(isinstance(block, dict), "environment: must be an object")
     m, l = scenario.n_slices, scenario.n_kpis
+    ids = [spec.id for spec in scenario.specs]
     gamma = np.zeros((m, l, m))
     unit, _ = scheme_rows(scenario.specs, scenario.scheme)
     shared = scenario.scheme.shared_mask()
@@ -349,8 +215,8 @@ def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
         for key in ("slice", "source"):
             _expect(isinstance(entry.get(key), str),
                     f"environment: coupling field {key!r} must be a slice id")
-        i = scenario.slice_index(entry["slice"])
-        k = scenario.slice_index(entry["source"])
+        i = _index(ids, entry["slice"], "slice")
+        k = _index(ids, entry["source"], "slice")
         _expect(i != k, "environment: self-coupling is not allowed")
         kpi = entry.get("kpi")
         if isinstance(kpi, str):
@@ -366,8 +232,10 @@ def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
                     "must share a shared-mode resource to couple")
         gamma[i, kpi, k] = rate
     baseline = np.stack([spec.kpi for spec in scenario.specs])
-    casts = {"damping": float, "tol": float, "max_iter": int}
-    options = {key: cast(block[key]) for key, cast in casts.items() if key in block}
+    options = {key: _number(block, key, "environment") for key in ("damping", "tol")
+               if key in block}
+    if "max_iter" in block:
+        options["max_iter"] = _integer(block, "max_iter", "environment", 1)
     try:
         return EnvironmentModel(baseline, gamma, **options)
     except ConfigurationError as exc:
@@ -376,25 +244,16 @@ def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
 
 def _trace_block(block, scenario: Scenario) -> DemandTrace:
     _expect(isinstance(block, dict), "trace: must be an object")
-    _expect("horizon" in block and isinstance(block["horizon"], int)
-            and not isinstance(block["horizon"], bool) and block["horizon"] >= 1,
-            "trace: field 'horizon' must be an integer >= 1")
-    horizon = block["horizon"]
+    horizon = _integer(block, "horizon", "trace", 1)
+    ids = [spec.id for spec in scenario.specs]
     series = {}
     for key in ("customer_size", "price", "kpi_scale"):
         sub = block.get(key, {})
         _expect(isinstance(sub, dict), f"trace: field {key!r} must be an object")
-        parsed = {}
-        for sid, values in sub.items():
-            scenario.slice_index(sid)  # raises on unknown ids
-            _expect(isinstance(values, list) and len(values) == horizon,
-                    f"trace: {key}[{sid}] must list {horizon} values")
-            for v in values:
-                _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(float(v)) and float(v) >= 0,
-                        f"trace: {key}[{sid}] must contain non-negative numbers")
-            parsed[sid] = tuple(float(v) for v in values)
-        series[key] = parsed
+        for sid in sub:
+            _index(ids, sid, "slice")
+        series[key] = {sid: tuple(_numbers(values, f"trace: {key}[{sid}]", horizon))
+                       for sid, values in sub.items()}
     try:
         return DemandTrace(horizon, series["customer_size"], series["price"],
                            series["kpi_scale"])
@@ -404,6 +263,7 @@ def _trace_block(block, scenario: Scenario) -> DemandTrace:
 
 def _operators_block(block, scenario: Scenario) -> tuple:
     _expect(isinstance(block, list) and block, "operators: must be a non-empty array")
+    ids = [spec.id for spec in scenario.specs]
     seen_ids = set()
     claimed = set()
     parts = []
@@ -420,7 +280,7 @@ def _operators_block(block, scenario: Scenario) -> tuple:
         _expect(isinstance(slice_ids, list) and slice_ids,
                 f"{where}: field 'slices' must be a non-empty array")
         for sid in slice_ids:
-            scenario.slice_index(sid)
+            _index(ids, sid, "slice")
             _expect(sid not in claimed, f"operators: slice {sid!r} assigned twice")
             claimed.add(sid)
         cap = _vector(entry, "capacity", where, length=scenario.n_resources)
@@ -429,8 +289,7 @@ def _operators_block(block, scenario: Scenario) -> tuple:
                 if "unit_cost" in entry else list(scenario.pool.unit_cost))
         total_cap += np.array(cap)
         parts.append(OperatorPartition(oid, tuple(slice_ids), np.array(cap), np.array(cost)))
-    _expect(claimed == {s.id for s in scenario.specs},
-            "operators: every slice must belong to exactly one operator")
+    _expect(claimed == set(ids), "operators: every slice must belong to exactly one operator")
     _expect(np.allclose(total_cap, scenario.pool.capacity),
             "operators: capacities must partition the main pool exactly")
     return tuple(parts)
@@ -441,18 +300,17 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
     traded_names = block.get("traded")
     _expect(isinstance(traded_names, list) and traded_names,
             "market: field 'traded' must be a non-empty array")
-    traded = tuple(scenario.resource_index(rn) for rn in traded_names)
+    traded = tuple(_index(scenario.resource_names, rn, "resource") for rn in traded_names)
     eta = _number(block, "eta", "market", minimum=0.0)
     price0_doc = block.get("price0", {})
     _expect(isinstance(price0_doc, dict), "market: field 'price0' must be an object")
     for key in price0_doc:
         _expect(key in traded_names, f"market: price0 names unknown resource {key!r}")
-    price0 = np.array([float(price0_doc.get(rn, 0.0)) for rn in traded_names])
-    options = {"tol": float(block["tol"])} if "tol" in block else {}
+    price0 = np.array([_number(price0_doc, rn, "market price0") if rn in price0_doc else 0.0
+                       for rn in traded_names])
+    options = {"tol": _number(block, "tol", "market")} if "tol" in block else {}
     if "max_rounds" in block:
-        max_rounds = options["max_rounds"] = block["max_rounds"]
-        _expect(isinstance(max_rounds, int) and not isinstance(max_rounds, bool)
-                and max_rounds >= 1, "market: field 'max_rounds' must be an integer >= 1")
+        options["max_rounds"] = _integer(block, "max_rounds", "market", 1)
     grids_doc = block.get("grids", {})
     _expect(isinstance(grids_doc, dict), "market: field 'grids' must be an object")
     op_ids = {p.id for p in (scenario.operators or ())}
@@ -462,15 +320,13 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
         _expect(isinstance(by_res, dict), f"market: grids[{oid}] must be an object")
         parsed = {}
         for rn, spec in by_res.items():
-            j = scenario.resource_index(rn)
+            j = _index(scenario.resource_names, rn, "resource")
             _expect(j in traded, f"market: grids[{oid}][{rn}] is not a traded resource")
             _expect(isinstance(spec, dict), f"market: grids[{oid}][{rn}] must be an object")
-            lo = _number(spec, "lo", f"market grid {oid}/{rn}", minimum=None)
-            hi = _number(spec, "hi", f"market grid {oid}/{rn}", minimum=None)
+            where = f"market grid {oid}/{rn}"
+            lo, hi = _number(spec, "lo", where), _number(spec, "hi", where)
             _expect(lo <= hi, f"market: grids[{oid}][{rn}] needs lo <= hi")
-            points = spec.get("points", 11)
-            _expect(isinstance(points, int) and not isinstance(points, bool) and points >= 2,
-                    f"market: grids[{oid}][{rn}] needs integer points >= 2")
+            points = _integer(spec, "points", where, 2) if "points" in spec else 11
             axis = np.linspace(lo, hi, points)
             axis[np.abs(axis) < LEASE_ZERO_TOL] = 0.0
             _expect(bool(np.any(axis == 0.0)),
@@ -481,6 +337,89 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
         return MarketConfig(traded=traded, eta=eta, price0=price0, grids=grids, **options)
     except ConfigurationError as exc:
         raise ScenarioValidationError(f"market: {exc}") from None
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    """The scenario as a document; scenario_from_dict reads it back."""
+    aligned = s.scheme.subset([spec.id for spec in s.specs])  # rows in spec order
+    doc = {
+        "name": s.name,
+        "resources": [
+            {
+                "name": n,
+                "capacity": float(s.pool.capacity[j]),
+                "unit_cost": float(s.pool.unit_cost[j]),
+            }
+            for j, n in enumerate(s.resource_names)
+        ],
+        "kpis": list(s.kpi_names),
+        "slices": [
+            {
+                "id": spec.id,
+                "kpi": [float(x) for x in spec.kpi],
+                "customer_size": float(spec.customer_size),
+                "price": float(spec.price),
+                "min_resources": [float(x) for x in spec.min_resources],
+                "demand_matrix": [[float(x) for x in row] for row in aligned.demand[i]],
+                "overhead": [float(x) for x in aligned.overhead[i]],
+            }
+            for i, spec in enumerate(s.specs)
+        ],
+        "sharing": {n: s.scheme.sharing[j] for j, n in enumerate(s.resource_names)},
+        "sharing_eligible": [s.resource_names[j] for j in s.sharing_eligible],
+    }
+    if s.environment is not None:
+        gamma = s.environment.gamma
+        doc["environment"] = {
+            "coupling": [
+                {"slice": s.specs[i].id, "kpi": int(l), "source": s.specs[k].id,
+                 "rate": float(gamma[i, l, k])}
+                for i, l, k in zip(*np.nonzero(gamma))
+            ],
+            "damping": s.environment.damping,
+            "tol": s.environment.tol,
+            "max_iter": s.environment.max_iter,
+        }
+    if s.trace is not None:
+        block = {"horizon": s.trace.horizon}
+        for key in ("customer_size", "price", "kpi_scale"):
+            series = getattr(s.trace, key)
+            if series:
+                block[key] = {k: list(v) for k, v in sorted(series.items())}
+        doc["trace"] = block
+    if s.operators is not None:
+        doc["operators"] = [
+            {
+                "id": part.id,
+                "slices": list(part.slice_ids),
+                "capacity": [float(x) for x in part.capacity],
+                "unit_cost": [float(x) for x in part.unit_cost],
+            }
+            for part in s.operators
+        ]
+    if s.market is not None:
+        grids = {}
+        for op_id, by_res in sorted(s.market.grids.items()):
+            grids[op_id] = {
+                s.resource_names[j]: {
+                    "lo": float(axis[0]),
+                    "hi": float(axis[-1]),
+                    "points": int(len(axis)),
+                }
+                for j, axis in sorted(by_res.items())
+            }
+        doc["market"] = {
+            "traded": [s.resource_names[j] for j in s.market.traded],
+            "eta": s.market.eta,
+            "price0": {
+                s.resource_names[j]: float(p)
+                for j, p in zip(s.market.traded, s.market.price0)
+            },
+            "tol": s.market.tol,
+            "max_rounds": s.market.max_rounds,
+            "grids": grids,
+        }
+    return doc
 
 
 def _read_json(path, parse):
@@ -513,7 +452,7 @@ def load_trace(path, scenario: Scenario) -> DemandTrace:
 def save_scenario(scenario: Scenario, path) -> None:
     """Canonical JSON dump; loading it back reproduces the scenario."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

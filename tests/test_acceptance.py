@@ -26,6 +26,7 @@ from sliceprofit import (
     pareto_dominates,
     run_market,
     scenario_from_dict,
+    scenario_to_dict,
     solve_bcd,
     solve_closed_loop,
     solve_exhaustive,
@@ -195,7 +196,7 @@ def test_08_update_period_tradeoff(s2, s2_trace):
 
     # replayed hold-and-evaluate loop must agree to the last bit
     declared = s2_trace.trace
-    base_doc = s2_trace.to_dict()
+    base_doc = scenario_to_dict(s2_trace)
     base_doc.pop("trace")
 
     def epoch(t):

@@ -23,6 +23,7 @@ import pytest
 
 import sliceprofit
 from sliceprofit.cli import main
+from sliceprofit import scenario_to_dict
 
 from conftest import make_scenario
 
@@ -47,7 +48,7 @@ def write_doc(tmp_path, doc, name="scenario.json"):
 
 def overbooked_doc(tmp_path):
     """Scenario whose combined reservations exceed the bandwidth pool."""
-    doc = make_scenario().to_dict()
+    doc = scenario_to_dict(make_scenario())
     doc["slices"][0]["min_resources"] = [8, 0]
     doc["slices"][1]["min_resources"] = [8, 0]
     return write_doc(tmp_path, doc)
@@ -118,7 +119,7 @@ class TestSolve:
 
     def test_branch_budget_refusal_is_usage_error(self, tmp_path, capsys):
         # 13 slices that may stay off and carry overhead: 2^13 LP branches
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"] = [dict(doc["slices"][0], id=f"s{i}", overhead=[0.1, 0.1])
                          for i in range(13)]
         out = tmp_path / "wide.csv"
@@ -408,7 +409,7 @@ class TestValidateAndUsage:
         assert "valid" in capsys.readouterr().err
 
     def test_validate_rejects_bad_schema(self, tmp_path):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["resources"][0]["capacity"] = 0
         rc = main(["validate", "--scenario", str(write_doc(tmp_path, doc))])
         assert rc == 2

@@ -136,6 +136,17 @@ class TestSolveClosedLoop:
         assert res.meta["converged"]
         assert res.meta["kpis"][0, 0] == pytest.approx(2.08, abs=1e-6)
 
+    def test_reordered_specs_couple_the_same_slices(self, s2_closedloop):
+        # the coupling follows slice ids, not positions: reversing the specs
+        # only reorders the LP's columns, so the fixed point agrees per slice
+        # id up to LP precision
+        flipped = s2_closedloop.with_specs(tuple(reversed(s2_closedloop.specs)))
+        base, moved = solve_closed_loop(s2_closedloop), solve_closed_loop(flipped)
+        assert moved.meta["converged"]
+        sizes = dict(zip([s.id for s in flipped.specs], moved.sizes))
+        assert [sizes[s.id] for s in s2_closedloop.specs] == pytest.approx(base.sizes, abs=1e-6)
+        assert moved.total_profit == pytest.approx(base.total_profit, abs=1e-6)
+
     def test_requires_an_environment(self, s2):
         with pytest.raises(ConfigurationError):
             solve_closed_loop(s2)

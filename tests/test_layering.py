@@ -1,0 +1,69 @@
+"""Package layering: every import between sliceprofit modules runs at
+module level, those imports form no cycle, and only the CLI and the package
+root import the scenario file format."""
+
+import ast
+import graphlib
+import pathlib
+
+import sliceprofit
+
+PACKAGE = pathlib.Path(sliceprofit.__file__).resolve().parent
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def sibling_imports(node) -> set:
+    """Package modules an import statement names; empty for other nodes."""
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".") for alias in node.names]
+        found = {parts[1] if len(parts) > 1 else "__init__"
+                 for parts in names if parts[0] == "sliceprofit"}
+    elif isinstance(node, ast.ImportFrom):
+        if node.level:
+            module = node.module
+        elif (node.module or "").split(".")[0] == "sliceprofit":
+            module = node.module.partition(".")[2]
+        else:
+            return set()
+        found = {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    else:
+        return set()
+    return found & TREES.keys()
+
+
+def module_level_graph() -> dict:
+    """Module -> package modules it imports outside any function body."""
+    graph = {}
+    for name, tree in TREES.items():
+        deps, stack = set(), list(tree.body)
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deps |= sibling_imports(node)
+                stack.extend(ast.iter_child_nodes(node))
+        graph[name] = deps - {name}
+    return graph
+
+
+def test_no_function_level_package_imports():
+    local = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if sibling_imports(node)
+    ]
+    assert local == []
+
+
+def test_module_imports_form_no_cycle():
+    graph = module_level_graph()
+    assert {"model", "scenario", "game", "cli"} <= graph.keys()
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+    assert order.index("model") < order.index("game") < order.index("scenario")
+
+
+def test_only_cli_and_package_root_read_the_file_format():
+    graph = module_level_graph()
+    assert {name for name, deps in graph.items() if "scenario" in deps} == {"cli", "__init__"}

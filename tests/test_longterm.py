@@ -15,6 +15,7 @@ from sliceprofit import (
     optimize_period,
     resource_demand,
     revenue,
+    scenario_to_dict,
     simulate_horizon,
     solve_objective_sum,
 )
@@ -112,7 +113,7 @@ class TestSimulateHorizon:
         assert sim.profits[1] == pytest.approx(-68 / 3, abs=1e-6)
 
     def test_reservation_violators_lose_only_their_own_revenue(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [2, 0]
         scenario = make_scenario(doc)
         trace = DemandTrace(2, {}, {}, {"A": (1.0, 0.3)})
@@ -130,7 +131,7 @@ class TestSimulateHorizon:
         assert sim.profits[1] == pytest.approx(expected, abs=1e-9)
 
     def test_failed_resolve_flags_covered_epochs(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [2, 0]
         scenario = make_scenario(doc)
         # scaling A's KPIs to zero makes its reservation unreachable at t=1
@@ -254,7 +255,7 @@ class TestOptimizePeriodSolvesEachEpochOnce:
         self._check(s2_trace, s2_trace.trace, [2, 3], ReconfigCostModel(0.5), 3)
 
     def test_infeasible_epoch_is_solved_once(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [2, 0]
         scenario = make_scenario(doc)
         # A's reservation is unreachable at t=1, where period 1 updates

@@ -16,6 +16,7 @@ from sliceprofit import (
     nondominated_sort,
     pareto_filter,
     scenario_from_dict,
+    scenario_to_dict,
     solve_bcd,
     solve_exhaustive,
     solve_ga,
@@ -29,7 +30,7 @@ from reference_impl import pareto_filter_loop
 
 
 def three_resource_doc():
-    doc = make_scenario().to_dict()
+    doc = scenario_to_dict(make_scenario())
     doc["resources"].append({"name": "storage", "capacity": 9, "unit_cost": 0.2})
     for s in doc["slices"]:
         s["demand_matrix"].append([0.5, 0.5])
@@ -106,7 +107,7 @@ class TestSolveExhaustive:
         assert res.total_profit == pytest.approx(4.0, abs=1e-6)
 
     def test_tie_goes_to_all_dedicated(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["resources"][0]["capacity"] = 20
         doc["resources"][1]["capacity"] = 24
         doc["sharing_eligible"] = ["bandwidth"]
@@ -124,7 +125,7 @@ class TestSolveExhaustive:
         assert res.total_profit == pytest.approx(9.0, abs=1e-6)
 
     def test_all_candidates_infeasible(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [0, 7]
         doc["slices"][1]["min_resources"] = [0, 7]
         doc["sharing_eligible"] = ["bandwidth"]
@@ -296,7 +297,7 @@ SMALL_GA = GaParams(population=16, generations=20, seed=0)
 
 class TestSolveGa:
     def test_single_slice_front_is_the_optimum(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"] = doc["slices"][:1]
         scenario = scenario_from_dict(doc)
         front = solve_ga(scenario, SMALL_GA)
@@ -350,7 +351,7 @@ class TestSolveGa:
             GaParams(generations=-1)
 
     def test_infeasible_scenario_raises(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [0, 7]
         doc["slices"][1]["min_resources"] = [0, 7]
         with pytest.raises(InfeasibleScenarioError):

@@ -20,6 +20,7 @@ from sliceprofit import (
     evaluate,
     load_scenario,
     oracle_gap_bound,
+    scenario_to_dict,
     size_bounds,
     solve_bcd,
     solve_exhaustive,
@@ -55,7 +56,7 @@ class TestObjectiveSum:
         assert res.total_profit == pytest.approx(5.0, abs=1e-6)
 
     def test_unprofitable_prices_switch_off(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         for s in doc["slices"]:
             s["price"] = 0.4
         res = solve_objective_sum(make_scenario(doc))
@@ -68,7 +69,7 @@ class TestObjectiveSum:
         assert res.total_profit == pytest.approx(4.0, abs=1e-6)
 
     def test_reservations_beyond_pool_raise(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [8, 0]
         doc["slices"][1]["min_resources"] = [8, 0]
         with pytest.raises(InfeasibleScenarioError):
@@ -131,7 +132,7 @@ class TestSizeBounds:
 
 class TestActivationOverhead:
     def _with_overhead(self, price_b):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][1]["price"] = price_b
         doc["slices"][1]["overhead"] = [1.0, 1.0]
         return make_scenario(doc)
@@ -189,7 +190,7 @@ class TestOracle:
 
     def test_tie_breaks_to_lex_smallest(self):
         # price equals marginal cost, so every feasible point is worth zero
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["price"] = 2.5
         doc["slices"][1]["price"] = 2.0
         res = brute_force_oracle(make_scenario(doc), grid_step=1.0)
@@ -202,7 +203,7 @@ class TestOracle:
         assert err.value.budget == 2_000_000
 
     def test_respects_reservation_masks(self):
-        doc = make_scenario().to_dict()
+        doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [10, 0]
         doc["slices"][1]["min_resources"] = [10, 0]
         with pytest.raises(InfeasibleScenarioError):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,14 +22,16 @@ from sliceprofit import (
     save_outcome,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
     write_csv,
 )
+from sliceprofit.cli import main as cli_main
 
 from conftest import make_scenario
 
 
 def base_doc():
-    return make_scenario().to_dict()
+    return scenario_to_dict(make_scenario())
 
 
 class TestParsing:
@@ -36,13 +39,13 @@ class TestParsing:
         out = tmp_path / "copy.json"
         save_scenario(s2, out)
         again = load_scenario(out)
-        assert again.to_dict() == s2.to_dict()
+        assert scenario_to_dict(again) == scenario_to_dict(s2)
 
     def test_round_trip_with_blocks(self, g1, s2_trace, s2_closedloop, tmp_path):
         for scenario in (g1, s2_trace, s2_closedloop):
             out = tmp_path / f"{scenario.name}.json"
             save_scenario(scenario, out)
-            assert load_scenario(out).to_dict() == scenario.to_dict()
+            assert scenario_to_dict(load_scenario(out)) == scenario_to_dict(scenario)
 
     def test_round_trip_of_reordered_specs(self):
         # each slice takes its own scheme rows into the document
@@ -50,7 +53,7 @@ class TestParsing:
         doc["slices"][1]["overhead"] = [1.0, 2.0]
         scenario = scenario_from_dict(doc)
         flipped = scenario.with_specs(tuple(reversed(scenario.specs)))
-        again = scenario_from_dict(flipped.to_dict())
+        again = scenario_from_dict(scenario_to_dict(flipped))
         assert evaluate(again, (1.0, 2.0)) == evaluate(flipped, (1.0, 2.0))
 
     def test_invalid_json_reports_location(self, tmp_path):
@@ -188,9 +191,48 @@ class TestTraceBlock:
             load_trace(path, s2)
 
 
+# (fixture, path to the value in the document, bad value, field the error names)
+BAD_VALUES = [
+    ("g1", ("market", "tol"), "abc", "tol"),
+    ("g1", ("market", "tol"), None, "tol"),
+    ("g1", ("market", "tol"), True, "tol"),
+    ("g1", ("market", "tol"), math.nan, "tol"),
+    ("g1", ("market", "max_rounds"), 2.7, "max_rounds"),
+    ("g1", ("market", "price0", "bandwidth"), "abc", "price0"),
+    ("g1", ("market", "grids", "alpha", "bandwidth", "points"), 2.5, "points"),
+    ("s2_closedloop", ("environment", "damping"), "abc", "damping"),
+    ("s2_closedloop", ("environment", "tol"), math.nan, "tol"),
+    ("s2_closedloop", ("environment", "max_iter"), 2.7, "max_iter"),
+    ("s2_closedloop", ("environment", "max_iter"), True, "max_iter"),
+    ("s2_trace", ("trace", "horizon"), "4", "horizon"),
+    ("s2_trace", ("trace", "customer_size", "B", 0), None, "customer_size"),
+    ("s2", ("slices", 0, "demand_matrix", 0, 0), True, "demand_matrix"),
+    ("s2", ("slices", 0, "kpi", 0), math.inf, "kpi"),
+    ("s2", ("slices", 0, "overhead", 1), 10 ** 400, "overhead"),
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("fixture, path, value, field", BAD_VALUES, ids=[
+        f"{fixture}-{'.'.join(map(str, path))}={value!r:.12}"
+        for fixture, path, value, _ in BAD_VALUES
+    ])
+    def test_rejected_naming_the_field(self, request, tmp_path, fixture, path, value, field):
+        doc = scenario_to_dict(request.getfixturevalue(fixture))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioValidationError, match=field):
+            scenario_from_dict(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--scenario", str(bad)]) == 2
+
+
 class TestEnvironmentBlock:
     def test_kpi_by_name_or_index(self, s2_closedloop):
-        doc = s2_closedloop.to_dict()
+        doc = scenario_to_dict(s2_closedloop)
         env_named = copy.deepcopy(doc)
         env_named["environment"]["coupling"][0]["kpi"] = "rate"
         a = scenario_from_dict(env_named)
@@ -198,13 +240,13 @@ class TestEnvironmentBlock:
         assert np.array_equal(a.environment.gamma, b.environment.gamma)
 
     def test_unknown_kpi_name(self, s2_closedloop):
-        doc = s2_closedloop.to_dict()
+        doc = scenario_to_dict(s2_closedloop)
         doc["environment"]["coupling"][0]["kpi"] = "latency"
         with pytest.raises(ScenarioValidationError, match="unknown KPI"):
             scenario_from_dict(doc)
 
     def test_self_coupling_rejected(self, s2_closedloop):
-        doc = s2_closedloop.to_dict()
+        doc = scenario_to_dict(s2_closedloop)
         doc["environment"]["coupling"][0]["source"] = "A"
         with pytest.raises(ScenarioValidationError, match="self-coupling"):
             scenario_from_dict(doc)
@@ -213,20 +255,20 @@ class TestEnvironmentBlock:
         # same coupling on the all-dedicated base scenario must be rejected:
         # slices that never contend for a shared resource cannot disturb
         # each other's service quality
-        doc = s2_closedloop.to_dict()
+        doc = scenario_to_dict(s2_closedloop)
         doc["sharing"] = {"bandwidth": "dedicated", "compute": "dedicated"}
         with pytest.raises(ScenarioValidationError, match="shared"):
             scenario_from_dict(doc)
 
     def test_zero_rate_coupling_allowed_anywhere(self, s2_closedloop):
-        doc = s2_closedloop.to_dict()
+        doc = scenario_to_dict(s2_closedloop)
         doc["sharing"] = {"bandwidth": "dedicated", "compute": "dedicated"}
         doc["environment"]["coupling"][0]["rate"] = 0.0
         scenario = scenario_from_dict(doc)
         assert np.all(scenario.environment.gamma == 0)
 
     def test_omitted_options_take_the_model_defaults(self, s2_closedloop):
-        doc = s2_closedloop.to_dict()
+        doc = scenario_to_dict(s2_closedloop)
         for key in ("damping", "tol", "max_iter"):
             del doc["environment"][key]
         env = scenario_from_dict(doc).environment
@@ -244,25 +286,25 @@ class TestOperatorsBlock:
         assert np.allclose(alpha.capacity, [10, 12])
 
     def test_unassigned_slice_rejected(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["operators"][1]["slices"] = ["ppdr"]
         with pytest.raises(ScenarioValidationError, match="exactly one operator"):
             scenario_from_dict(doc)
 
     def test_double_assignment_rejected(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["operators"][1]["slices"] = ["ppdr", "sensor", "embb"]
         with pytest.raises(ScenarioValidationError, match="twice"):
             scenario_from_dict(doc)
 
     def test_capacities_must_partition_pool(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["operators"][0]["capacity"] = [9, 12]
         with pytest.raises(ScenarioValidationError, match="partition"):
             scenario_from_dict(doc)
 
     def test_unit_cost_defaults_to_pool(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         for entry in doc["operators"]:
             entry.pop("unit_cost", None)
         scenario = scenario_from_dict(doc)
@@ -272,7 +314,7 @@ class TestOperatorsBlock:
 
 class TestMarketBlock:
     def test_requires_operators(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         market = doc.pop("market")
         del doc["operators"]
         doc["market"] = market
@@ -280,7 +322,7 @@ class TestMarketBlock:
             scenario_from_dict(doc)
 
     def test_grid_must_contain_zero(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["market"]["grids"]["alpha"]["bandwidth"] = {"lo": -4, "hi": -1, "points": 4}
         with pytest.raises(ScenarioValidationError, match="no-trade"):
             scenario_from_dict(doc)
@@ -288,32 +330,32 @@ class TestMarketBlock:
     def test_grid_zero_snapping(self, g1):
         # endpoints like (-4, 4) with an even span put 0 on the axis only
         # after snapping tiny float residue
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["market"]["grids"]["alpha"]["bandwidth"] = {"lo": -0.3, "hi": 0.3, "points": 3}
         scenario = scenario_from_dict(doc)
-        j = scenario.resource_index("bandwidth")
+        j = scenario.resource_names.index("bandwidth")
         assert 0.0 in scenario.market.grids["alpha"][j].tolist()
 
     def test_price0_unknown_resource(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["market"]["price0"]["storage"] = 1.0
         with pytest.raises(ScenarioValidationError, match="unknown resource"):
             scenario_from_dict(doc)
 
     def test_grid_for_untraded_resource(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["market"]["grids"]["alpha"]["compute"] = {"lo": 0, "hi": 1, "points": 2}
         with pytest.raises(ScenarioValidationError, match="not a traded resource"):
             scenario_from_dict(doc)
 
     def test_grid_for_unknown_operator(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         doc["market"]["grids"]["gamma"] = {"bandwidth": {"lo": 0, "hi": 1, "points": 2}}
         with pytest.raises(ScenarioValidationError, match="unknown operator"):
             scenario_from_dict(doc)
 
     def test_omitted_options_take_the_config_defaults(self, g1):
-        doc = g1.to_dict()
+        doc = scenario_to_dict(g1)
         del doc["market"]["tol"], doc["market"]["max_rounds"]
         market = scenario_from_dict(doc).market
         defaults = MarketConfig(market.traded, market.eta, market.price0)
@@ -387,13 +429,32 @@ class TestResultRows:
 
 
 class TestScenarioHelpers:
-    def test_unknown_resource_index(self, s2):
+    def test_unknown_resource_index(self, g1):
+        doc = scenario_to_dict(g1)
+        doc["market"]["traded"] = ["storage"]
         with pytest.raises(ScenarioError):
-            s2.resource_index("storage")
+            scenario_from_dict(doc)
 
-    def test_unknown_slice_index(self, s2):
+    def test_unknown_slice_index(self, s2_closedloop):
+        doc = scenario_to_dict(s2_closedloop)
+        doc["environment"]["coupling"][0]["source"] = "Z"
         with pytest.raises(ScenarioError):
-            s2.slice_index("Z")
+            scenario_from_dict(doc)
+
+    def test_with_specs_needs_the_same_slice_ids(self, s2):
+        with pytest.raises(ConfigurationError):
+            s2.with_specs(s2.specs[:1])
+        with pytest.raises(ConfigurationError):
+            s2.with_specs((s2.specs[0], s2.specs[0]))
+
+    def test_with_specs_reorders_the_environment(self, s2_closedloop):
+        env = s2_closedloop.environment
+        flipped = s2_closedloop.with_specs(tuple(reversed(s2_closedloop.specs))).environment
+        assert flipped.baseline.tobytes() == env.baseline[::-1].tobytes()
+        assert flipped.gamma.tobytes() == env.gamma[::-1, :, ::-1].tobytes()
+        assert (flipped.damping, flipped.tol, flipped.max_iter) == (
+            env.damping, env.tol, env.max_iter
+        )
 
     def test_with_kpis_shape_check(self, s2):
         with pytest.raises(ConfigurationError):
