@@ -203,10 +203,17 @@ def _cmd_oracle(args, scenario, manifest) -> int:
     return 0
 
 
+def _override(config, **values):
+    """config with the given fields replaced, skipping flags left unset."""
+    return replace(config, **{key: value for key, value in values.items() if value is not None})
+
+
 def _cmd_closed_loop(args, scenario, manifest) -> int:
-    result = closedloop.solve_closed_loop(
-        scenario, _INNER[args.inner], tol=args.tol, max_iter=args.max_iter, damping=args.damping
-    )
+    if scenario.environment is not None:  # solve_closed_loop rejects a missing one
+        env = _override(scenario.environment,
+                        tol=args.tol, max_iter=args.max_iter, damping=args.damping)
+        scenario = replace(scenario, environment=env)
+    result = closedloop.solve_closed_loop(scenario, _INNER[args.inner])
     converged = result.meta["converged"]
     status = "ok" if converged else "not-converged"
     names = scn.result_fieldnames(scenario) + ["converged", "residual"]
@@ -276,9 +283,7 @@ def _cmd_game(args, scenario, manifest) -> int:
     if scenario.market is None:
         _log("scenario declares no market block")
         return 2
-    overrides = {"eta": args.eta, "max_rounds": args.rounds, "tol": args.tol}
-    market = replace(scenario.market,
-                     **{key: value for key, value in overrides.items() if value is not None})
+    market = _override(scenario.market, eta=args.eta, max_rounds=args.rounds, tol=args.tol)
     outcome = game.run_market(operators, market)
     status = "ok" if outcome.converged else "not-converged"
     names = ["scenario", "mode", "operator", "status"]

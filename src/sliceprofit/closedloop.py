@@ -73,47 +73,34 @@ def residual(k_a: np.ndarray, k_b: np.ndarray) -> float:
     return float(np.max(np.abs(k_a - k_b) / np.maximum(1.0, np.abs(k_b))))
 
 
-def solve_closed_loop(
-    scenario,
-    inner_solver: Optional[Callable] = None,
-    env: Optional[EnvironmentModel] = None,
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
-    damping: Optional[float] = None,
-) -> SolveResult:
+def solve_closed_loop(scenario, inner_solver: Optional[Callable] = None) -> SolveResult:
     """Damped fixed-point iteration over the KPI matrix.
 
     Each step re-solves the scenario at the current KPIs, measures the
-    environment response to the resulting sizes and blends it in. Stops when
-    the max relative KPI change falls below tol; otherwise runs max_iter
-    steps and flags converged=False in the metadata.
+    environment response to the resulting sizes and blends it in by the
+    environment's damping. Stops when the max relative KPI change falls
+    below its tol; otherwise runs max_iter steps and flags converged=False
+    in the metadata.
     """
-    env = env if env is not None else scenario.environment
+    env = scenario.environment
     if env is None:
         raise ConfigurationError("scenario declares no environment model")
     inner = inner_solver if inner_solver is not None else solve_objective_sum
-    tol = env.tol if tol is None else tol
-    max_iter = env.max_iter if max_iter is None else max_iter
-    lam = env.damping if damping is None else damping
-    if not (0.0 < lam <= 1.0):
-        raise ConfigurationError("damping must lie in (0, 1]")
-    if tol <= 0 or max_iter < 1:
-        raise ConfigurationError("tol must be positive and max_iter at least 1")
 
     kpis = env.baseline
     trace = []
     converged = False
     result = None
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(env.max_iter):
         iterations += 1
         result = inner(scenario.with_kpis(kpis))
         raw = environment_response(env, np.asarray(result.sizes))
-        nxt = (1.0 - lam) * kpis + lam * raw
+        nxt = (1.0 - env.damping) * kpis + env.damping * raw
         step = residual(nxt, kpis)
         trace.append(step)
         kpis = nxt
-        if step < tol:
+        if step < env.tol:
             converged = True
             break
     meta = dict(result.meta)

@@ -27,7 +27,6 @@ from .model import (
     VnfScheme,
     build_allocation,
     pool_usage,
-    slice_breakdown,
 )
 from .orthogonal import solve_sizes
 from . import multiplex
@@ -38,6 +37,12 @@ LEASE_ZERO_TOL = 1e-12
 _IDLE_SLIVER_TOL = 1e-6
 # A fully leased-out resource keeps this much: ResourcePool needs capacity > 0.
 _CAPACITY_FLOOR = 1e-12
+# Points per traded resource of a lease grid that does not give its own count.
+GRID_POINTS = 11
+# Most grid points verify_nash solves over all operators before refusing.
+NASH_BUDGET = 100_000
+# A unilateral deviation must gain more than this to break a Nash equilibrium.
+NASH_GAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,20 +140,19 @@ def _internal(operator: Operator, capacity) -> Optional[tuple]:
     capacity = np.maximum(capacity, _CAPACITY_FLOOR)
     pool = ResourcePool(capacity, operator.pool.unit_cost)
     try:
-        sizes, _ = solve_sizes(operator.specs, operator.scheme, pool)
+        res = solve_sizes(operator.specs, operator.scheme, pool)
     except InfeasibleScenarioError:
         return None
-    r, e, _ = slice_breakdown(operator.specs, operator.scheme, pool, sizes)
-    return float(np.sum(r - e)), tuple(float(s) for s in sizes)
+    return float(np.sum(res.outcome.profits)), res.sizes
 
 
-def default_grid(operator: Operator, market: MarketConfig, points: int = 11) -> dict:
+def default_grid(operator: Operator, market: MarketConfig) -> dict:
     """Fallback lease grid: +-idle capacity at the standalone optimum."""
     base = _internal(operator, operator.pool.capacity)
-    return _idle_grid(operator, market.traded, base, points)
+    return _idle_grid(operator, market.traded, base)
 
 
-def _idle_grid(operator: Operator, traded, base, points: int = 11) -> dict:
+def _idle_grid(operator: Operator, traded, base) -> dict:
     """default_grid around an already solved standalone optimum `base`."""
     if base is None:
         return {j: np.array([0.0]) for j in traded}
@@ -160,7 +164,7 @@ def _idle_grid(operator: Operator, traded, base, points: int = 11) -> dict:
         idle = max(float(operator.pool.capacity[j] - usage[j]), 0.0)
         if idle < _IDLE_SLIVER_TOL * max(1.0, float(operator.pool.capacity[j])):
             idle = 0.0
-        pts = np.linspace(-idle, idle, points) if idle > 0 else np.array([0.0])
+        pts = np.linspace(-idle, idle, GRID_POINTS) if idle > 0 else np.array([0.0])
         pts[np.abs(pts) < LEASE_ZERO_TOL] = 0.0
         grids[j] = pts
     return grids
@@ -334,8 +338,7 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
 
 
 def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
-                market: MarketConfig, tolerance: float = 1e-9,
-                budget: int = 100_000) -> NashVerdict:
+                market: MarketConfig, budget: int = NASH_BUDGET) -> NashVerdict:
     """Search each operator's grid for a profitable unilateral deviation at
     the outcome's prices. Refuses when the grids exceed the budget.
 
@@ -360,7 +363,7 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
         for d, total, _ in tables[o.id].feasible():
             payoff = total - float(np.dot(outcome.prices, d))
             gain = payoff - current
-            if gain > tolerance and (best_dev is None or gain > best_dev[2]):
+            if gain > NASH_GAIN_TOL and (best_dev is None or gain > best_dev[2]):
                 best_dev = (o.id, tuple(float(x) for x in d), float(gain))
     return NashVerdict(is_nash=best_dev is None, best_deviation=best_dev)
 

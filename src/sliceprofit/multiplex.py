@@ -11,7 +11,7 @@ profit vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .model import (
     SHARED,
     SchemeModel,
     VnfScheme,
-    evaluate,
 )
 from .orthogonal import SolveResult, size_bounds, solve_sizes
 
@@ -34,7 +33,6 @@ class SchemeCandidateSet:
     resource dedicated."""
 
     schemes: tuple
-    cap: int
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def enumerate_candidates(scenario, cap: Optional[int] = None) -> SchemeCandidate
             if code >> (len(eligible) - 1 - pos) & 1:
                 sharing[j] = SHARED
         schemes.append(scenario.scheme.with_sharing(sharing))
-    return SchemeCandidateSet(schemes=tuple(schemes), cap=cap)
+    return SchemeCandidateSet(schemes=tuple(schemes))
 
 
 def solve_exhaustive(scenario, cap: Optional[int] = None) -> SolveResult:
@@ -107,23 +105,19 @@ def solve_exhaustive(scenario, cap: Optional[int] = None) -> SolveResult:
     nit = 0
     for idx, scheme in enumerate(candidates.schemes):
         try:
-            sizes, it = solve_sizes(scenario.specs, scheme, scenario.pool)
+            res = solve_sizes(scenario.specs, scheme, scenario.pool)
         except InfeasibleScenarioError:
             per_scheme.append(None)
             continue
-        nit += it
-        outcome = evaluate(scenario, sizes, scheme)
-        per_scheme.append(outcome.total_profit)
-        if best is None or outcome.total_profit > best[0]:
-            best = (outcome.total_profit, idx, sizes, scheme, outcome)
+        nit += res.meta["iterations"]
+        per_scheme.append(res.total_profit)
+        if best is None or res.total_profit > best[1].total_profit:
+            best = (idx, res)
     if best is None:
         raise InfeasibleScenarioError("every candidate scheme is infeasible")
-    _, idx, sizes, scheme, outcome = best
-    return SolveResult(
-        tuple(float(s) for s in sizes), outcome, scheme,
-        {"solver": "exhaustive", "iterations": nit,
-         "scheme_index": idx, "per_scheme": per_scheme},
-    )
+    idx, res = best
+    return replace(res, meta={"solver": "exhaustive", "iterations": nit,
+                              "scheme_index": idx, "per_scheme": per_scheme})
 
 
 def _scheme_step(candidates, models, sizes):
@@ -173,9 +167,10 @@ def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
     nit = 0
     for _ in range(max_rounds):
         rounds += 1
-        sizes, it = solve_sizes(scenario.specs, scheme, scenario.pool)
-        nit += it
-        trace.append(models[scheme_idx].outcome(sizes).total_profit)
+        res = solve_sizes(scenario.specs, scheme, scenario.pool)
+        sizes = res.sizes
+        nit += res.meta["iterations"]
+        trace.append(res.total_profit)
         step = _scheme_step(candidates, models, sizes)
         if step is None:  # current point is feasible under its own scheme
             raise RuntimeError("scheme step lost feasibility")

@@ -87,35 +87,36 @@ def size_bounds(specs: Sequence[SliceSpec], scheme: VnfScheme):
     return lo, hi
 
 
-def _lp_rows(unit: np.ndarray, overhead: np.ndarray, active: np.ndarray,
-             pool: ResourcePool, sharing) -> tuple:
+def _lp_rows(model: SchemeModel, active: np.ndarray, sharing) -> tuple:
     """Build A_ub, b_ub for pool constraints over active slices only.
 
-    Returns None when constant overhead alone already breaks a capacity.
+    Returns None when constant overhead alone already breaks a capacity
+    beyond the model's slack.
     """
+    unit, overhead, capacity = model.unit, model.overhead, model.pool.capacity
+    cap_limit = model.limits[0]
     m, n = unit.shape
     rows, rhs = [], []
     act = np.where(active)[0]
     for j in range(n):
         if sharing[j] == SHARED:
             for i in act:
-                cap = pool.capacity[j] - overhead[i, j]
-                if cap < -FEASIBILITY_TOL:
+                if overhead[i, j] > cap_limit[j]:
                     return None
                 if unit[i, j] > 0:
                     coef = np.zeros(m)
                     coef[i] = unit[i, j]
                     rows.append(coef)
-                    rhs.append(cap)
+                    rhs.append(capacity[j] - overhead[i, j])
         else:
-            cap = pool.capacity[j] - overhead[act, j].sum()
-            if cap < -FEASIBILITY_TOL:
+            used = overhead[act, j].sum()
+            if used > cap_limit[j]:
                 return None
             coef = np.zeros(m)
             coef[act] = unit[act, j]
             if np.any(coef > 0):
                 rows.append(coef)
-                rhs.append(cap)
+                rhs.append(capacity[j] - used)
     if not rows:
         return np.zeros((0, m)), np.zeros(0)
     return np.vstack(rows), np.array(rhs)
@@ -158,12 +159,14 @@ def _pull_inside(a_ub, b_ub, floor, x):
 
 
 def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool,
-                weights=None) -> tuple:
+                weights=None) -> SolveResult:
     """Exact size vector maximising the (weighted) profit sum for a fixed
     scheme. Slices are matched to scheme rows by id, so the specs may come
-    in any order; sizes follow spec order. Returns (sizes, iterations).
-    Raises InfeasibleScenarioError when reservations cannot be met inside
-    the pool."""
+    in any order; sizes follow spec order. Returns the sizes with their
+    outcome on the scheme's model; meta names the solver (objective-sum,
+    or weighted-sum when weights are given) and the LP iterations. Raises
+    InfeasibleScenarioError when reservations cannot be met inside the
+    pool."""
     m = len(specs)
     if m == 0:
         raise ConfigurationError("scenario must contain at least one slice")
@@ -197,7 +200,7 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
         active = np.ones(m, dtype=bool)
         for flag, i in zip(pattern, free):
             active[i] = flag
-        built = _lp_rows(unit, overhead, active, pool, scheme.sharing)
+        built = _lp_rows(model, active, scheme.sharing)
         if built is None:
             continue
         a_ub, b_ub = built
@@ -225,28 +228,24 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
         raise InfeasibleScenarioError(
             "minimum reservations exceed the pool capacity", model.outcome(lo).violations
         )
-    return best[1], nit_total
-
-
-def _result(scenario, sizes, scheme, solver_id, iterations, **extra) -> SolveResult:
-    outcome = evaluate(scenario, sizes, scheme)
-    meta = {"solver": solver_id, "iterations": int(iterations)}
-    meta.update(extra)
-    return SolveResult(tuple(float(s) for s in sizes), outcome, scheme, meta)
+    sizes = best[1]
+    return SolveResult(
+        tuple(float(s) for s in sizes), model.outcome(sizes), scheme,
+        {"solver": "objective-sum" if weights is None else "weighted-sum",
+         "iterations": nit_total},
+    )
 
 
 def solve_objective_sum(scenario) -> SolveResult:
     """Maximise the plain profit sum over sizes for the base scheme."""
-    sizes, nit = solve_sizes(scenario.specs, scenario.scheme, scenario.pool)
-    return _result(scenario, sizes, scenario.scheme, "objective-sum", nit)
+    return solve_sizes(scenario.specs, scenario.scheme, scenario.pool)
 
 
 def solve_weighted_sum(scenario, weights) -> SolveResult:
     """Maximise a positively weighted profit sum; scaling all weights by a
     common factor leaves the argmax unchanged."""
     w = validate_weights(weights, len(scenario.specs))
-    sizes, nit = solve_sizes(scenario.specs, scenario.scheme, scenario.pool, weights=w)
-    res = _result(scenario, sizes, scenario.scheme, "weighted-sum", nit)
+    res = solve_sizes(scenario.specs, scenario.scheme, scenario.pool, weights=w)
     res.meta["weights"] = tuple(float(x) for x in w)
     res.meta["weighted_objective"] = float(
         np.dot(w, res.outcome.profits)
@@ -329,7 +328,8 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
     value[~feasible] = -np.inf
     pick = int(np.argmax(value))  # first max = lex smallest in C order
     best = sizes[:, pick]
-    return _result(
-        scenario, best, scheme, "oracle", n_points,
-        grid_step=float(grid_step), points=int(n_points),
+    return SolveResult(
+        tuple(float(s) for s in best), evaluate(scenario, best, scheme), scheme,
+        {"solver": "oracle", "iterations": int(n_points),
+         "grid_step": float(grid_step), "points": int(n_points)},
     )

@@ -139,7 +139,7 @@ def _internal_resolve(operator, extra):
     capacity = np.maximum(capacity, 1e-12)
     pool = ResourcePool(capacity, operator.pool.unit_cost)
     try:
-        sizes, _ = solve_sizes(operator.specs, operator.scheme, pool)
+        sizes = solve_sizes(operator.specs, operator.scheme, pool).sizes
     except InfeasibleScenarioError:
         return None
     r, e, _ = slice_breakdown(operator.specs, operator.scheme, pool, sizes)

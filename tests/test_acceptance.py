@@ -10,6 +10,7 @@ pytest summary.
 
 import copy
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_06_ga_quality_and_determinism(s2m):
 def test_07_feedback_fixed_point(s2_closedloop):
     env = s2_closedloop.environment
     inert = EnvironmentModel(baseline=env.baseline, gamma=np.zeros_like(env.gamma))
-    res0 = solve_closed_loop(s2_closedloop, env=inert)
+    res0 = solve_closed_loop(replace(s2_closedloop, environment=inert))
     open_loop = solve_objective_sum(s2_closedloop.with_kpis(env.baseline))
     assert res0.meta["iterations"] == 1
     assert res0.sizes == open_loop.sizes
@@ -164,8 +165,8 @@ def test_07_feedback_fixed_point(s2_closedloop):
     replay = solve_objective_sum(s2_closedloop.with_kpis(kpis))
     assert res.sizes == pytest.approx(replay.sizes, abs=1e-4)
 
-    full = solve_closed_loop(s2_closedloop, damping=1.0)
-    half = solve_closed_loop(s2_closedloop, damping=0.5)
+    full = solve_closed_loop(replace(s2_closedloop, environment=replace(env, damping=1.0)))
+    half = solve_closed_loop(replace(s2_closedloop, environment=replace(env, damping=0.5)))
     assert full.sizes == pytest.approx(half.sizes, abs=1e-4)
 
 

@@ -1,5 +1,7 @@
 """KPI feedback loop: response model, residual metric, fixed-point solve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ from sliceprofit import (
     solve_closed_loop,
     solve_objective_sum,
 )
+
+
+def with_env(scenario, **changes):
+    """The scenario with its environment's loop options replaced."""
+    return replace(scenario, environment=replace(scenario.environment, **changes))
 
 
 def two_slice_env(rate=0.05, **kwargs):
@@ -92,7 +99,7 @@ class TestSolveClosedLoop:
         gamma = np.zeros((2, 2, 2))
         baseline = np.stack([spec.kpi for spec in s2.specs])
         env = EnvironmentModel(baseline, gamma)
-        res = solve_closed_loop(s2, env=env)
+        res = solve_closed_loop(replace(s2, environment=env))
         assert res.meta["iterations"] == 1
         assert res.meta["converged"]
         assert res.meta["residuals"] == [0.0]
@@ -115,8 +122,8 @@ class TestSolveClosedLoop:
         assert residual(again, res.meta["kpis"]) < 1e-6
 
     def test_damping_levels_agree(self, s2_closedloop):
-        full = solve_closed_loop(s2_closedloop, damping=1.0)
-        half = solve_closed_loop(s2_closedloop, damping=0.5)
+        full = solve_closed_loop(with_env(s2_closedloop, damping=1.0))
+        half = solve_closed_loop(with_env(s2_closedloop, damping=0.5))
         assert half.meta["converged"]
         assert half.meta["kpis"][0, 0] == pytest.approx(full.meta["kpis"][0, 0], abs=1e-4)
         assert np.allclose(half.sizes, full.sizes, atol=1e-4)
@@ -124,7 +131,7 @@ class TestSolveClosedLoop:
         assert half.meta["iterations"] >= full.meta["iterations"]
 
     def test_iteration_cap_flags_non_convergence(self, s2_closedloop):
-        res = solve_closed_loop(s2_closedloop, max_iter=1)
+        res = solve_closed_loop(with_env(s2_closedloop, max_iter=1))
         assert not res.meta["converged"]
         assert res.meta["iterations"] == 1
 
@@ -153,8 +160,8 @@ class TestSolveClosedLoop:
 
     def test_parameter_validation(self, s2_closedloop):
         with pytest.raises(ConfigurationError):
-            solve_closed_loop(s2_closedloop, damping=0.0)
+            solve_closed_loop(with_env(s2_closedloop, damping=0.0))
         with pytest.raises(ConfigurationError):
-            solve_closed_loop(s2_closedloop, tol=-1.0)
+            solve_closed_loop(with_env(s2_closedloop, tol=-1.0))
         with pytest.raises(ConfigurationError):
-            solve_closed_loop(s2_closedloop, max_iter=0)
+            solve_closed_loop(with_env(s2_closedloop, max_iter=0))

@@ -1,6 +1,6 @@
 """Package layering: every import between sliceprofit modules runs at
 module level, those imports form no cycle, and only the CLI and the package
-root import the scenario file format."""
+root import the scenario file format. Small tolerances are named."""
 
 import ast
 import graphlib
@@ -67,3 +67,22 @@ def test_module_imports_form_no_cycle():
 def test_only_cli_and_package_root_read_the_file_format():
     graph = module_level_graph()
     assert {name for name, deps in graph.items() if "scenario" in deps} == {"cli", "__init__"}
+
+
+def test_small_float_literals_are_named_constants():
+    # a float below 1e-3 in magnitude is a tolerance: it is named once, as a
+    # module-level constant or a class-body field default, never inline
+    named = set()
+    for tree in TREES.values():
+        for node in tree.body:
+            for stmt in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    named |= {id(c) for c in ast.walk(stmt)}
+    inline = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0 < abs(node.value) < 1e-3 and id(node) not in named
+    ]
+    assert inline == []

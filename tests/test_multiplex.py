@@ -368,7 +368,7 @@ class TestMultiplexingGain:
     def test_solves_each_candidate_once(self, s2m, monkeypatch):
         schemes = enumerate_candidates(s2m).schemes
         # the gain as computed with a separate all-dedicated solve
-        sizes, _ = multiplex.solve_sizes(s2m.specs, schemes[0], s2m.pool)
+        sizes = multiplex.solve_sizes(s2m.specs, schemes[0], s2m.pool).sizes
         expected = (solve_exhaustive(s2m).outcome.total_profit
                     - evaluate(s2m, sizes, schemes[0]).total_profit)
         calls = []

@@ -16,10 +16,13 @@ from sliceprofit import (
     VnfScheme,
     brute_force_oracle,
     build_allocation,
+    build_operators,
     check_feasible,
+    enumerate_candidates,
     evaluate,
     load_scenario,
     oracle_gap_bound,
+    run_market,
     scenario_to_dict,
     size_bounds,
     solve_bcd,
@@ -29,6 +32,7 @@ from sliceprofit import (
     solve_weighted_sum,
     validate_weights,
 )
+from sliceprofit import game
 from sliceprofit.model import SchemeModel
 
 from conftest import make_scenario, random_scenario
@@ -242,6 +246,37 @@ class TestLpToleranceOvershoot:
         assert swept.total_profit == plain.total_profit
 
 
+class TestOverheadWithinTheSlack:
+    # The slice's overhead alone fills r0 to within the model's relative
+    # capacity slack (1e-9 of 1000) but beyond an absolute 1e-9; it uses no
+    # r0 per unit, and its r1 reservation keeps it active.
+    @staticmethod
+    def _scenario(overhead):
+        return make_scenario({
+            "name": "band",
+            "resources": [{"name": "r0", "capacity": 1000, "unit_cost": 0.0},
+                          {"name": "r1", "capacity": 10, "unit_cost": 0.1}],
+            "kpis": ["k"],
+            "slices": [{"id": "A", "kpi": [1], "customer_size": 2, "price": 1.0,
+                        "min_resources": [0, 1], "demand_matrix": [[0], [1]],
+                        "overhead": [overhead, 0]}],
+        })
+
+    def test_solves_like_the_oracle(self):
+        scenario = self._scenario(1000.0000005)
+        res = solve_objective_sum(scenario)
+        grid = brute_force_oracle(scenario, grid_step=0.5)
+        assert grid.sizes == (2.0,)
+        assert grid.total_profit == pytest.approx(1.8, abs=1e-12)
+        assert res.outcome.feasible
+        assert abs(res.total_profit - grid.total_profit) <= oracle_gap_bound(scenario, 0.5)
+
+    def test_beyond_the_slack_raises_with_the_pool_violation(self):
+        with pytest.raises(InfeasibleScenarioError) as err:
+            solve_objective_sum(self._scenario(1000.002))
+        assert [(v.kind, v.resource) for v in err.value.violations] == [("pool", 0)]
+
+
 class TestCrossValidation:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -316,3 +351,40 @@ class TestSpecOrder:
             alloc = build_allocation(permuted.specs, permuted.scheme, probe)
             verdict = check_feasible(alloc, permuted.scheme, permuted.pool, permuted.specs)
             assert model(probe) == verdict[0]
+
+
+class TestOneModelPerSolve:
+    """Each size solve builds one SchemeModel and returns its outcome; no
+    caller evaluates the same sizes on a second model."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        models = []
+        init = SchemeModel.__init__
+
+        def counting(self, *args, **kwargs):
+            models.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchemeModel, "__init__", counting)
+        return models
+
+    def test_objective_sum(self, s2, built):
+        solve_objective_sum(s2)
+        assert len(built) == 1
+
+    def test_exhaustive_builds_one_per_candidate(self, s2m, built):
+        solve_exhaustive(s2m)
+        assert len(built) == len(enumerate_candidates(s2m).schemes)
+
+    def test_market_builds_one_per_lease_solve(self, g1, built, monkeypatch):
+        solves = []
+        solve = game.solve_sizes
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(game, "solve_sizes", counting)
+        run_market(build_operators(g1), g1.market)
+        assert solves and len(built) == len(solves)

@@ -200,6 +200,8 @@ BAD_VALUES = [
     ("g1", ("market", "max_rounds"), 2.7, "max_rounds"),
     ("g1", ("market", "price0", "bandwidth"), "abc", "price0"),
     ("g1", ("market", "grids", "alpha", "bandwidth", "points"), 2.5, "points"),
+    ("g1", ("market", "grids", "alpha", "bandwidth", "points"), 10 ** 400, "points"),
+    ("g1", ("market", "grids", "alpha", "bandwidth", "points"), 100_001, "points"),
     ("s2_closedloop", ("environment", "damping"), "abc", "damping"),
     ("s2_closedloop", ("environment", "tol"), math.nan, "tol"),
     ("s2_closedloop", ("environment", "max_iter"), 2.7, "max_iter"),
