@@ -39,7 +39,6 @@ from .multiplex import (
     FrontPoint,
     GaParams,
     ParetoFront,
-    SchemeCandidateSet,
     crowding_distance,
     enumerate_candidates,
     multiplexing_gain,

@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the run manifest and exit without solving")
 
     def ga_flags(p):
-        p.add_argument("--cap", type=int, default=None, help="candidate scheme cap")
         p.add_argument("--ga-pop", type=int, default=40)
         p.add_argument("--ga-gens", type=int, default=100)
         p.add_argument("--ga-crossover", type=float, default=0.9)
@@ -160,14 +159,13 @@ def _cmd_solve(args, scenario, manifest) -> int:
         weights = [float(x) for x in args.weights.split(",")]
         result = orthogonal.solve_weighted_sum(scenario, weights)
     elif args.solver == "exhaustive":
-        result = multiplex.solve_exhaustive(scenario, args.cap)
+        result = multiplex.solve_exhaustive(scenario)
     elif args.solver == "bcd":
-        result = multiplex.solve_bcd(scenario, max_rounds=args.max_rounds, cap=args.cap)
+        result = multiplex.solve_bcd(scenario, max_rounds=args.max_rounds)
     else:
-        front = multiplex.solve_ga(scenario, _ga_params(args), args.cap)
-        candidates = multiplex.enumerate_candidates(scenario, args.cap)
+        front = multiplex.solve_ga(scenario, _ga_params(args))
         best = max(front.points, key=lambda p: (sum(p.profits), tuple(-s for s in p.sizes)))
-        scheme = candidates.schemes[best.scheme_index]
+        scheme = multiplex.enumerate_candidates(scenario)[best.scheme_index]
         result = orthogonal.SolveResult(
             best.sizes, evaluate(scenario, best.sizes, scheme), scheme,
             {"solver": "ga", "iterations": args.ga_pop * (args.ga_gens + 1)},
@@ -178,7 +176,7 @@ def _cmd_solve(args, scenario, manifest) -> int:
 
 
 def _cmd_pareto(args, scenario, manifest) -> int:
-    front = multiplex.solve_ga(scenario, _ga_params(args), args.cap)
+    front = multiplex.solve_ga(scenario, _ga_params(args))
     names = ["scenario", "solver", "seed", "point", "scheme_index"]
     names += [f"size_{s.id}" for s in scenario.specs]
     names += [f"profit_{s.id}" for s in scenario.specs]

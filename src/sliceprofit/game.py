@@ -379,8 +379,7 @@ def pareto_dominates(profits_a: Sequence[float], profits_b: Sequence[float]) -> 
 
 def solve_suboperator(main_pool: ResourcePool, sub_portfolios: Sequence[Operator],
                       sharing: Optional[Sequence[str]] = None,
-                      sharing_eligible: Sequence[int] = (),
-                      cap: Optional[int] = None) -> SubOperatorResult:
+                      sharing_eligible: Sequence[int] = ()) -> SubOperatorResult:
     """Cooperative benchmark: merge every sub-operator's portfolio into one
     scenario over the main pool, solve centrally and report the per-sub
     profit split (no transfer design, just the raw split)."""
@@ -403,7 +402,7 @@ def solve_suboperator(main_pool: ResourcePool, sub_portfolios: Sequence[Operator
         scheme=merged_scheme,
         sharing_eligible=tuple(sharing_eligible),
     )
-    result = multiplex.solve_exhaustive(merged, cap)
+    result = multiplex.solve_exhaustive(merged)
     split = {}
     idx = 0
     for op in sub_portfolios:

@@ -20,8 +20,7 @@ from .model import (
     FEASIBILITY_TOL,
     ConfigurationError,
     InfeasibleScenarioError,
-    check_feasible,
-    slice_breakdown,
+    SchemeModel,
 )
 from .orthogonal import solve_objective_sum
 
@@ -97,14 +96,14 @@ def _realized(scenario_t, sizes) -> tuple:
     """(epoch profit, feasible) of a held size vector. Violating slices earn
     nothing but still pay for what they consume; a slice violates by sitting
     on an over-capacity resource or missing its own reservation."""
-    specs, scheme, pool = scenario_t.specs, scenario_t.scheme, scenario_t.pool
-    revs, exps, alloc = slice_breakdown(specs, scheme, pool, sizes)
-    feasible, violations = check_feasible(alloc, scheme, pool, specs)
+    model = SchemeModel(scenario_t.specs, scenario_t.scheme, scenario_t.pool)
+    revs, exps, alloc = model.breakdown(sizes)
+    feasible, violations = model.verdict(alloc.resources)
     if feasible:
         return float(np.sum(revs - exps)), True
     over = {v.resource for v in violations if v.kind == "pool"}
     violators = {v.slice for v in violations if v.kind == "minimum"}
-    for i in range(len(specs)):
+    for i in range(len(model.specs)):
         if any(alloc.resources[i, j] > FEASIBILITY_TOL for j in over):
             violators.add(i)
     revs = revs.copy()

@@ -395,12 +395,15 @@ class SchemeModel:
         served = np.where(self.customers < sizes, self.customers, sizes)
         return self.price * served, rows @ self.pool.unit_cost, Allocation(sizes, rows)
 
+    def verdict(self, rows: np.ndarray) -> tuple:
+        """check_feasible's (feasible, violations) for per-slice resource rows."""
+        return _verdict(_usage(rows, self.shared), rows, self.pool, self.limits)
+
     def outcome(self, sizes) -> Outcome:
         """Per-slice profits, their total and the feasibility verdict."""
         revs, exps, alloc = self.breakdown(sizes)
         profits = tuple((revs - exps).tolist())
-        rows = alloc.resources
-        feasible, violations = _verdict(_usage(rows, self.shared), rows, self.pool, self.limits)
+        feasible, violations = self.verdict(alloc.resources)
         return Outcome(profits, float(sum(profits)), feasible, violations)
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
+    BudgetExceededError,
     ConfigurationError,
     InfeasibleScenarioError,
     DEDICATED,
@@ -26,13 +27,13 @@ from .model import (
 )
 from .orthogonal import SolveResult, size_bounds, solve_sizes
 
+# Most sharing schemes a search enumerates. There are 2^E of them for E
+# eligible resources, the same bound as the size solver's activation
+# branches, so E = 12 is the largest search that runs.
+MAX_SCHEMES = 4096
 
-@dataclass(frozen=True, eq=False)
-class SchemeCandidateSet:
-    """Ordered scheme candidates; the first always has every eligible
-    resource dedicated."""
-
-    schemes: tuple
+# Contestants per GA parent draw (binary tournament).
+_TOURNAMENT = 2
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,6 @@ class GaParams:
     generations: int = 100
     crossover: float = 0.9
     mutation: float = 0.1
-    tournament: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -68,42 +68,41 @@ class GaParams:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ConfigurationError(f"{name} rate must lie in [0, 1]")
-        if self.tournament < 1 or self.tournament > self.population:
-            raise ConfigurationError("tournament size must lie in [1, population]")
         if self.generations < 0:
             raise ConfigurationError("generations must be non-negative")
 
 
-def enumerate_candidates(scenario, cap: Optional[int] = None) -> SchemeCandidateSet:
+def enumerate_candidates(scenario) -> tuple:
     """All sharing-mode assignments over the eligible resources, in
-    lexicographic order with dedicated before shared, truncated to cap."""
+    lexicographic order with dedicated before shared, so the first keeps
+    every eligible resource dedicated. More than MAX_SCHEMES of them are
+    refused before any is built."""
     eligible = tuple(scenario.sharing_eligible)
     total = 2 ** len(eligible)
-    if cap is None:
-        cap = total
-    if cap < 1:
-        raise ConfigurationError("candidate cap must be at least 1")
+    if total > MAX_SCHEMES:
+        raise BudgetExceededError(
+            f"{total} sharing schemes exceed the budget of {MAX_SCHEMES}", total, MAX_SCHEMES
+        )
     base = list(scenario.scheme.sharing)
     for j in eligible:
         base[j] = DEDICATED
     schemes = []
-    for code in range(min(cap, total)):
+    for code in range(total):
         sharing = list(base)
         for pos, j in enumerate(eligible):
             if code >> (len(eligible) - 1 - pos) & 1:
                 sharing[j] = SHARED
         schemes.append(scenario.scheme.with_sharing(sharing))
-    return SchemeCandidateSet(schemes=tuple(schemes))
+    return tuple(schemes)
 
 
-def solve_exhaustive(scenario, cap: Optional[int] = None) -> SolveResult:
+def solve_exhaustive(scenario) -> SolveResult:
     """Solve sizes for every candidate scheme and keep the best total,
     ties going to the earliest scheme in enumeration order."""
-    candidates = enumerate_candidates(scenario, cap)
     best = None
     per_scheme = []
     nit = 0
-    for idx, scheme in enumerate(candidates.schemes):
+    for idx, scheme in enumerate(enumerate_candidates(scenario)):
         try:
             res = solve_sizes(scenario.specs, scheme, scenario.pool)
         except InfeasibleScenarioError:
@@ -126,7 +125,7 @@ def _scheme_step(candidates, models, sizes):
     region), then enumeration order. models holds each candidate's
     SchemeModel."""
     best = None
-    for idx, (scheme, model) in enumerate(zip(candidates.schemes, models)):
+    for idx, (scheme, model) in enumerate(zip(candidates, models)):
         outcome = model.outcome(sizes)
         if not outcome.feasible:
             continue
@@ -138,7 +137,7 @@ def _scheme_step(candidates, models, sizes):
 
 
 def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
-              max_rounds: int = 20, cap: Optional[int] = None) -> SolveResult:
+              max_rounds: int = 20) -> SolveResult:
     """Alternate exact size solves with a discrete scheme re-selection.
 
     The inner solver is deterministic, so once a scheme step keeps the
@@ -147,17 +146,17 @@ def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
     """
     if max_rounds < 0:
         raise ConfigurationError("max_rounds must be non-negative")
-    candidates = enumerate_candidates(scenario, cap)
+    candidates = enumerate_candidates(scenario)
     if init_scheme is None:
         scheme_idx = 0
     else:
-        matches = [i for i, s in enumerate(candidates.schemes)
+        matches = [i for i, s in enumerate(candidates)
                    if s.sharing == tuple(init_scheme.sharing)]
         if not matches:
             raise ConfigurationError("init_scheme is not in the candidate set")
         scheme_idx = matches[0]
-    scheme = candidates.schemes[scheme_idx]
-    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates.schemes]
+    scheme = candidates[scheme_idx]
+    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
 
     lo, _ = size_bounds(scenario.specs, scheme)
     sizes = lo
@@ -323,8 +322,7 @@ def _rank_and_crowd(pop) -> tuple:
     return ranks, crowd
 
 
-def solve_ga(scenario, params: Optional[GaParams] = None,
-             cap: Optional[int] = None) -> ParetoFront:
+def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     """Elitist multi-objective genetic search over (scheme index, sizes).
 
     Deterministic for a given seed: every random draw comes from a stream
@@ -333,10 +331,10 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
     the nondominated archive, sorted by first objective descending.
     """
     params = params or GaParams()
-    candidates = enumerate_candidates(scenario, cap)
-    n_schemes = len(candidates.schemes)
-    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates.schemes]
-    lo, hi = size_bounds(scenario.specs, candidates.schemes[0])
+    candidates = enumerate_candidates(scenario)
+    n_schemes = len(candidates)
+    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
+    lo, hi = size_bounds(scenario.specs, candidates[0])
     base = models[0].outcome(lo)
     if not base.feasible:
         raise InfeasibleScenarioError(
@@ -368,7 +366,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
         offspring = []
         for j in range(params.population):
             rng = _rng(params.seed, gen, j)
-            picks = rng.integers(len(pop), size=(2, params.tournament))
+            picks = rng.integers(len(pop), size=(2, _TOURNAMENT))
             parents = []
             for row in picks:
                 winner = int(row[0])
@@ -413,12 +411,12 @@ def solve_ga(scenario, params: Optional[GaParams] = None,
     return ParetoFront(points=tuple(points))
 
 
-def multiplexing_gain(scenario, cap: Optional[int] = None) -> float:
+def multiplexing_gain(scenario) -> float:
     """Total profit gained by the best sharing assignment over keeping every
     eligible resource dedicated. Zero when nothing is eligible."""
-    if len(enumerate_candidates(scenario, cap).schemes) == 1:
+    if not scenario.sharing_eligible:
         return 0.0
-    best = solve_exhaustive(scenario, cap)
+    best = solve_exhaustive(scenario)
     # candidate 0 keeps every eligible resource dedicated
     baseline = best.meta["per_scheme"][0]
     if baseline is None:

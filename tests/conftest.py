@@ -80,6 +80,29 @@ def make_scenario(doc_overrides=None, **kwargs):
     return scenario_from_dict(doc)
 
 
+def eligible_doc(n_eligible):
+    """Document of two slices, one per operator, over n_eligible resources
+    that are all sharing-eligible: the scheme search faces 2**n_eligible
+    sharing schemes."""
+    names = [f"r{j}" for j in range(n_eligible)]
+    slices = [
+        {"id": sid, "kpi": [1], "customer_size": 4, "price": 2.0,
+         "min_resources": [0] * n_eligible, "demand_matrix": [[0.1]] * n_eligible,
+         "overhead": [0] * n_eligible}
+        for sid in ("A", "B")
+    ]
+    return {
+        "name": "wide",
+        "resources": [{"name": n, "capacity": 10, "unit_cost": 0.1} for n in names],
+        "kpis": ["rate"],
+        "slices": slices,
+        "sharing": {},
+        "sharing_eligible": names,
+        "operators": [{"id": op, "slices": [sid], "capacity": [5] * n_eligible}
+                      for op, sid in (("alpha", "A"), ("beta", "B"))],
+    }
+
+
 def random_scenario(rng, max_slices=3, max_resources=3, max_eligible=2):
     """Random small instance; minimums are zero so zero sizes are always
     feasible. Mixes profitable and unprofitable slices and occasionally

@@ -128,7 +128,7 @@ def test_06_ga_quality_and_determinism(s2m):
     assert hits >= 4
     rerun = solve_ga(s2m, GaParams(seed=0))
     assert rerun.points == fronts[0].points
-    schemes = enumerate_candidates(s2m).schemes
+    schemes = enumerate_candidates(s2m)
     for front in fronts:
         for p in front.points:
             out = evaluate(s2m, p.sizes, schemes[p.scheme_index])

@@ -25,7 +25,7 @@ import sliceprofit
 from sliceprofit.cli import main
 from sliceprofit import scenario_to_dict
 
-from conftest import make_scenario
+from conftest import eligible_doc, make_scenario
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 # directory holding the imported package, so subprocesses import the same code
@@ -125,6 +125,22 @@ class TestSolve:
         out = tmp_path / "wide.csv"
         rc = main(["solve", "--scenario", str(write_doc(tmp_path, doc)),
                    "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "exhaustive"],
+        ["solve", "--solver", "bcd"],
+        ["solve", "--solver", "ga"],
+        ["pareto"],
+        ["game", "--mode", "suboperator"],
+    ], ids=["exhaustive", "bcd", "ga", "pareto", "suboperator"])
+    def test_scheme_budget_refusal_is_usage_error(self, argv, tmp_path, capsys):
+        # 13 sharing-eligible resources: 2^13 sharing schemes
+        out = tmp_path / "wide.csv"
+        rc = main(argv + ["--scenario", str(write_doc(tmp_path, eligible_doc(13))),
+                          "--out", str(out)])
         assert rc == 2
         assert not out.exists()
         assert "refused" in capsys.readouterr().err

@@ -6,17 +6,24 @@ the same invocation run from the repository root with
 ``--out tests/golden/<name>.csv`` (and ``--trace-out
 tests/golden/<name>.trace.csv`` for closed-loop). The manifest line holds
 the paths of the run, so only its command, flags and scenario digest are
-compared; every byte after it must match.
+compared; every byte after it must match. One more test runs every case
+in a single subprocess and checks that none of them writes to stdout.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import sliceprofit
 from sliceprofit.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+# directory holding the imported package, so subprocesses import the same code
+PACKAGE_ROOT = pathlib.Path(sliceprofit.__file__).resolve().parent.parent
 
 # name -> (argv without --out/--trace-out, expected exit code)
 CASES = {
@@ -55,18 +62,38 @@ def split_manifest(data: bytes):
     return json.loads(first[len(b"# manifest: "):]), rest
 
 
+def full_argv(name, out_dir):
+    """The case's argv with its output paths under out_dir."""
+    files = output_names(name)
+    argv = CASES[name][0] + ["--out", str(out_dir / files[0])]
+    if len(files) > 1:
+        argv += ["--trace-out", str(out_dir / files[1])]
+    return argv
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path, monkeypatch):
-    argv, code = CASES[name]
     monkeypatch.chdir(GOLDEN.parent.parent)
     files = output_names(name)
-    argv = argv + ["--out", str(tmp_path / files[0])]
-    if len(files) > 1:
-        argv += ["--trace-out", str(tmp_path / files[1])]
-    assert main(argv) == code
+    assert main(full_argv(name, tmp_path)) == CASES[name][1]
     for fname in files:
         got_manifest, got = split_manifest((tmp_path / fname).read_bytes())
         want_manifest, want = split_manifest((GOLDEN / fname).read_bytes())
         for key in ("command", "flags", "scenario_sha256"):
             assert got_manifest[key] == want_manifest[key], (fname, key)
         assert got == want, fname
+
+
+def test_cases_write_nothing_to_stdout(tmp_path):
+    # every case in one fresh process, so output that stays buffered until
+    # the interpreter exits is caught too, not only what capsys sees
+    runs = [(full_argv(name, tmp_path), code) for name, (_, code) in sorted(CASES.items())]
+    script = ("import json, sys\n"
+              "from sliceprofit.cli import main\n"
+              "for argv, code in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == code, argv\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -1,6 +1,7 @@
 """Package layering: every import between sliceprofit modules runs at
 module level, those imports form no cycle, and only the CLI and the package
-root import the scenario file format. Small tolerances are named."""
+root import the scenario file format. Small tolerances are named, and
+every command-line option is read by the CLI."""
 
 import ast
 import graphlib
@@ -86,3 +87,33 @@ def test_small_float_literals_are_named_constants():
         and 0 < abs(node.value) < 1e-3 and id(node) not in named
     ]
     assert inline == []
+
+
+def parser_dests(func) -> set:
+    """Destinations of the add_argument and add_subparsers calls in func."""
+    dests = set()
+    for node in ast.walk(func):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("add_argument", "add_subparsers")):
+            continue
+        named = [kw.value.value for kw in node.keywords if kw.arg == "dest"]
+        flags = [arg.value for arg in node.args if isinstance(arg, ast.Constant)
+                 and arg.value.startswith("--")]
+        dests |= set(named) if named else {flags[0][2:].replace("-", "_")}
+    return dests
+
+
+def test_every_cli_option_is_read():
+    # an option no command reads is a knob that does nothing
+    tree = TREES["cli"]
+    (parser,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    read = {
+        node.attr
+        for func in tree.body if func is not parser
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    dests = parser_dests(parser) - {"command", "scenario", "out", "dry_run"}
+    assert dests and sorted(dests - read) == []

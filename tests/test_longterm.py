@@ -20,7 +20,7 @@ from sliceprofit import (
     solve_objective_sum,
 )
 
-from sliceprofit import longterm
+from sliceprofit import longterm, model
 
 from conftest import make_scenario
 
@@ -90,6 +90,14 @@ class TestSimulateHorizon:
         sim = simulate_horizon(s2_trace, s2_trace.trace, period=4)
         assert sim.update_count == 1
         assert sim.profits == pytest.approx((11 / 3, -3.0, 11 / 3, -3.0), abs=1e-6)
+
+    def test_held_epoch_derives_its_limits_once(self, s2_trace, monkeypatch):
+        trace = s2_trace.trace
+        sizes = solve_objective_sum(epoch_scenario(s2_trace, trace, 0)).sizes
+        limits, calls = model._limits, []
+        monkeypatch.setattr(model, "_limits", lambda *a: calls.append(a) or limits(*a))
+        longterm._realized(epoch_scenario(s2_trace, trace, 1), sizes)
+        assert len(calls) == 1
 
     def test_constant_trace_makes_period_irrelevant(self, s2):
         trace = flat_trace(3)

@@ -201,7 +201,7 @@ class TestFeasibilityMatchesLoopReference:
             for spec in scenario.specs
         )
         cands = enumerate_candidates(scenario)
-        scheme = cands.schemes[int(rng.integers(len(cands.schemes)))]
+        scheme = cands[int(rng.integers(len(cands)))]
         lo, hi = size_bounds(scenario.specs, scheme)
         lo[np.isinf(lo)] = 0.0
         scale = (0.0, 0.3, 0.7, 1.0, 1.3, 2.0)[scale_case]
@@ -289,7 +289,7 @@ class TestEvaluationMatchesLoopReference:
             specs = [specs[i] for i in rng.permutation(m)]
         scenario = scenario.with_specs(specs)
         cands = enumerate_candidates(scenario)
-        scheme = cands.schemes[int(rng.integers(len(cands.schemes)))]
+        scheme = cands[int(rng.integers(len(cands)))]
         overhead = rng.uniform(0, 0.5, (m, n)) * (rng.random(m) < 0.5)[:, None]
         scheme = VnfScheme(scheme.slice_ids, scheme.demand, overhead, scheme.sharing)
         self.assert_matches(scenario, scheme, _random_sizes(rng, scenario, scheme, scale))
@@ -299,7 +299,7 @@ class TestEvaluationMatchesLoopReference:
         path = self.FAULT if name == "fault6x4" else scenario_dir / f"{name}.json"
         scenario = load_scenario(path)
         rng = np.random.default_rng(7)
-        for scheme in enumerate_candidates(scenario).schemes:
+        for scheme in enumerate_candidates(scenario):
             for k in range(60):
                 scale = (0.0, 0.5, 1.0, 1.5)[k % 4]
                 self.assert_matches(scenario, scheme, _random_sizes(rng, scenario, scheme, scale))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sliceprofit import (
+    BudgetExceededError,
     ConfigurationError,
     FrontPoint,
     GaParams,
     InfeasibleScenarioError,
+    VnfScheme,
     crowding_distance,
     enumerate_candidates,
     evaluate,
@@ -25,18 +27,8 @@ from sliceprofit import (
 
 from sliceprofit import multiplex
 
-from conftest import make_scenario, random_scenario
+from conftest import eligible_doc, make_scenario, random_scenario
 from reference_impl import pareto_filter_loop
-
-
-def three_resource_doc():
-    doc = scenario_to_dict(make_scenario())
-    doc["resources"].append({"name": "storage", "capacity": 9, "unit_cost": 0.2})
-    for s in doc["slices"]:
-        s["demand_matrix"].append([0.5, 0.5])
-        s["min_resources"].append(0)
-        s["overhead"].append(0)
-    return doc
 
 
 def rescue_scenario():
@@ -58,42 +50,47 @@ def rescue_scenario():
 class TestEnumerateCandidates:
     def test_nothing_eligible(self, s2):
         cands = enumerate_candidates(s2)
-        assert len(cands.schemes) == 1
-        assert cands.schemes[0].sharing == s2.scheme.sharing
+        assert len(cands) == 1
+        assert cands[0].sharing == s2.scheme.sharing
 
     def test_single_eligible(self, s2m):
         cands = enumerate_candidates(s2m)
-        assert [s.sharing for s in cands.schemes] == [
+        assert [s.sharing for s in cands] == [
             ("dedicated", "dedicated"), ("shared", "dedicated"),
         ]
 
     def test_two_eligible_order(self):
         scenario = make_scenario(sharing_eligible=["bandwidth", "compute"])
         cands = enumerate_candidates(scenario)
-        assert [s.sharing for s in cands.schemes] == [
+        assert [s.sharing for s in cands] == [
             ("dedicated", "dedicated"),
             ("dedicated", "shared"),
             ("shared", "dedicated"),
             ("shared", "shared"),
         ]
 
-    def test_cap_truncates(self):
-        doc = three_resource_doc()
-        doc["sharing_eligible"] = ["bandwidth", "compute", "storage"]
-        cands = enumerate_candidates(scenario_from_dict(doc), cap=5)
-        assert len(cands.schemes) == 5
-        assert cands.schemes[0].sharing == ("dedicated",) * 3
+    def test_budget_admits_twelve_eligible(self):
+        cands = enumerate_candidates(scenario_from_dict(eligible_doc(12)))
+        assert len(cands) == multiplex.MAX_SCHEMES == 4096
+        assert cands[0].sharing == ("dedicated",) * 12
+        assert cands[-1].sharing == ("shared",) * 12
 
-    def test_cap_must_be_positive(self, s2m):
-        with pytest.raises(ConfigurationError):
-            enumerate_candidates(s2m, cap=0)
+    def test_budget_refuses_thirteen_eligible_before_building(self, monkeypatch):
+        scenario = scenario_from_dict(eligible_doc(13))
+        built = []
+        monkeypatch.setattr(VnfScheme, "with_sharing",
+                            lambda self, sharing: built.append(sharing))
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_candidates(scenario)
+        assert (info.value.required, info.value.budget) == (8192, 4096)
+        assert built == []
 
     def test_non_eligible_modes_preserved(self):
         scenario = make_scenario(
             sharing={"compute": "shared"}, sharing_eligible=["bandwidth"]
         )
         cands = enumerate_candidates(scenario)
-        assert [s.sharing for s in cands.schemes] == [
+        assert [s.sharing for s in cands] == [
             ("dedicated", "shared"), ("shared", "shared"),
         ]
 
@@ -321,7 +318,7 @@ class TestSolveGa:
         front = solve_ga(s2m, SMALL_GA)
         cands = enumerate_candidates(s2m)
         for p in front.points:
-            out = evaluate(s2m, p.sizes, cands.schemes[p.scheme_index])
+            out = evaluate(s2m, p.sizes, cands[p.scheme_index])
             assert out.feasible
             assert out.profits == pytest.approx(p.profits, abs=1e-12)
         for i, p in enumerate(front.points):
@@ -346,8 +343,6 @@ class TestSolveGa:
         with pytest.raises(ConfigurationError):
             GaParams(mutation=-0.1)
         with pytest.raises(ConfigurationError):
-            GaParams(tournament=0)
-        with pytest.raises(ConfigurationError):
             GaParams(generations=-1)
 
     def test_infeasible_scenario_raises(self):
@@ -366,7 +361,7 @@ class TestMultiplexingGain:
         assert multiplexing_gain(s2m) == pytest.approx(1 / 3, abs=0.02)
 
     def test_solves_each_candidate_once(self, s2m, monkeypatch):
-        schemes = enumerate_candidates(s2m).schemes
+        schemes = enumerate_candidates(s2m)
         # the gain as computed with a separate all-dedicated solve
         sizes = multiplex.solve_sizes(s2m.specs, schemes[0], s2m.pool).sizes
         expected = (solve_exhaustive(s2m).outcome.total_profit

@@ -375,7 +375,7 @@ class TestOneModelPerSolve:
 
     def test_exhaustive_builds_one_per_candidate(self, s2m, built):
         solve_exhaustive(s2m)
-        assert len(built) == len(enumerate_candidates(s2m).schemes)
+        assert len(built) == len(enumerate_candidates(s2m))
 
     def test_market_builds_one_per_lease_solve(self, g1, built, monkeypatch):
         solves = []
