@@ -16,13 +16,7 @@ from .model import (
     build_allocation,
     check_feasible,
     evaluate,
-    expenditure,
     min_size,
-    pool_usage,
-    profit,
-    resource_demand,
-    revenue,
-    slice_breakdown,
     unit_demand,
 )
 from .orthogonal import (
@@ -54,7 +48,6 @@ from .longterm import (
     HorizonResult,
     ReconfigCostModel,
     epoch_scenario,
-    evaluate_period,
     optimize_period,
     simulate_horizon,
 )
@@ -68,8 +61,6 @@ from .game import (
     TradeOutcome,
     best_response,
     build_operators,
-    default_grid,
-    pareto_dominates,
     run_market,
     solve_suboperator,
     verify_nash,

@@ -127,6 +127,14 @@ _INNER = {
 }
 
 
+def _numbers(text: str, kind, flag: str) -> list:
+    """The values of a comma-separated list flag, each parsed by kind."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{flag} must be a comma-separated list, got {text!r}") from None
+
+
 def _ga_params(args):
     return multiplex.GaParams(
         population=args.ga_pop,
@@ -156,7 +164,7 @@ def _cmd_solve(args, scenario, manifest) -> int:
         if not args.weights:
             _log("weighted-sum requires --weights")
             return 2
-        weights = [float(x) for x in args.weights.split(",")]
+        weights = _numbers(args.weights, float, "--weights")
         result = orthogonal.solve_weighted_sum(scenario, weights)
     elif args.solver == "exhaustive":
         result = multiplex.solve_exhaustive(scenario)
@@ -231,17 +239,12 @@ def _cmd_closed_loop(args, scenario, manifest) -> int:
 
 
 def _cmd_longterm(args, scenario, manifest) -> int:
-    if args.trace_in:
-        trace = scn.load_trace(args.trace_in, scenario)
-    else:
-        trace = scenario.trace
+    trace = scn.load_trace(args.trace_in, scenario) if args.trace_in else scenario.trace
     if trace is None:
         _log("scenario declares no trace block and no --trace-in given")
         return 2
-    if args.periods:
-        periods = [int(x) for x in args.periods.split(",")]
-    else:
-        periods = list(range(1, trace.horizon + 1))
+    periods = (_numbers(args.periods, int, "--periods") if args.periods
+               else list(range(1, trace.horizon + 1)))
     cost = longterm.ReconfigCostModel(args.reconfig_cost)
     best, table = longterm.optimize_period(scenario, trace, periods, cost)
     names = ["scenario", "period", "realized_total", "update_count", "net_total", "selected"]
@@ -329,6 +332,9 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         _log(f"scenario file not found: {args.scenario}")
         return 2
+    except OSError as exc:  # a directory, or no permission to read
+        _log(f"cannot open {exc.filename}: {exc.strerror}")
+        return 2
     except scn.ScenarioError as exc:
         _log(str(exc))
         return 2
@@ -351,6 +357,9 @@ def main(argv=None) -> int:
         return 2
     except (ConfigurationError, scn.ScenarioError) as exc:
         _log(str(exc))
+        return 2
+    except OSError as exc:  # a path flag (--trace-in, --out, --trace-out) that cannot be opened
+        _log(f"cannot open {exc.filename}: {exc.strerror}")
         return 2
 
 

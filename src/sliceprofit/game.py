@@ -24,9 +24,8 @@ from .model import (
     InfeasibleScenarioError,
     ResourcePool,
     Scenario,
+    SchemeModel,
     VnfScheme,
-    build_allocation,
-    pool_usage,
 )
 from .orthogonal import solve_sizes
 from . import multiplex
@@ -146,19 +145,14 @@ def _internal(operator: Operator, capacity) -> Optional[tuple]:
     return float(np.sum(res.outcome.profits)), res.sizes
 
 
-def default_grid(operator: Operator, market: MarketConfig) -> dict:
-    """Fallback lease grid: +-idle capacity at the standalone optimum."""
-    base = _internal(operator, operator.pool.capacity)
-    return _idle_grid(operator, market.traded, base)
-
-
 def _idle_grid(operator: Operator, traded, base) -> dict:
-    """default_grid around an already solved standalone optimum `base`."""
+    """Fallback lease grid: +-idle capacity at the standalone optimum `base`
+    (total, sizes), or no trade when the operator has none."""
     if base is None:
         return {j: np.array([0.0]) for j in traded}
     _, sizes = base
-    alloc = build_allocation(operator.specs, operator.scheme, np.asarray(sizes))
-    usage = pool_usage(alloc, operator.scheme)
+    model = SchemeModel(operator.specs, operator.scheme, operator.pool)
+    usage = model.usage(model.breakdown(sizes)[2].resources)
     grids = {}
     for j in traded:
         idle = max(float(operator.pool.capacity[j] - usage[j]), 0.0)
@@ -366,15 +360,6 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
             if gain > NASH_GAIN_TOL and (best_dev is None or gain > best_dev[2]):
                 best_dev = (o.id, tuple(float(x) for x in d), float(gain))
     return NashVerdict(is_nash=best_dev is None, best_deviation=best_dev)
-
-
-def pareto_dominates(profits_a: Sequence[float], profits_b: Sequence[float]) -> bool:
-    """True when a is at least b everywhere and better somewhere."""
-    a = np.asarray(profits_a, dtype=float)
-    b = np.asarray(profits_b, dtype=float)
-    if a.shape != b.shape:
-        raise ConfigurationError("profit vectors must have equal length")
-    return bool(multiplex.dominates(a, b))
 
 
 def solve_suboperator(main_pool: ResourcePool, sub_portfolios: Sequence[Operator],

@@ -163,20 +163,6 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int,
     )
 
 
-def evaluate_period(scenario, trace: DemandTrace, period: int,
-                    cost: ReconfigCostModel,
-                    inner_solver: Optional[Callable] = None) -> float:
-    """Net horizon profit for one update period: realized sum minus
-    ceil(T / period) reconfiguration fees."""
-    sim = simulate_horizon(scenario, trace, period, inner_solver)
-    if sim.update_count != math.ceil(trace.horizon / period):
-        raise RuntimeError(
-            f"period {period} over horizon {trace.horizon} made {sim.update_count} "
-            f"updates, expected {math.ceil(trace.horizon / period)}"
-        )
-    return float(sum(sim.profits) - sim.update_count * cost.cost_per_update)
-
-
 def optimize_period(scenario, trace: DemandTrace, candidates: Sequence[int],
                     cost: ReconfigCostModel,
                     inner_solver: Optional[Callable] = None):

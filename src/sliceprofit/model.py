@@ -4,10 +4,12 @@ A slice serves a customer group with a KPI requirement vector. Its size
 (served customer share) together with the per-slice demand matrix maps KPIs
 to resource demand; resource demand priced at the pool's unit costs gives
 expenditure, price times served customers gives revenue, and profit is the
-difference. Everything here is a pure function over value objects; solvers
-live in separate modules. A Scenario bundles one problem instance: the pool,
-the slices and their base scheme, plus the optional blocks the adaptation
-and market solvers read.
+difference. SchemeModel computes all of it for a size vector under one
+scheme and pool, and evaluate does so for a scenario; build_allocation and
+check_feasible are the allocation-level forms of its rows and its verdict.
+The value objects are frozen and solvers live in separate modules. A
+Scenario bundles one problem instance: the pool, the slices and their base
+scheme, plus the optional blocks the adaptation and market solvers read.
 """
 
 from __future__ import annotations
@@ -277,32 +279,8 @@ def _resource_rows(unit: np.ndarray, overhead: np.ndarray, sizes: np.ndarray) ->
     return np.where((sizes > 0)[:, None], base + overhead, base)
 
 
-def resource_demand(spec: SliceSpec, size: float, scheme: VnfScheme) -> np.ndarray:
-    """Resources consumed by one slice at the given size."""
-    if not math.isfinite(size) or size < 0:
-        raise ValueError(f"size must be a non-negative number, got {size}")
-    return _resource_rows(*scheme_rows([spec], scheme), np.array([size], dtype=float))[0]
-
-
-def expenditure(demand: np.ndarray, pool: ResourcePool) -> float:
-    """Cost of a resource vector at the pool's unit costs."""
-    demand = _as_vector(demand, "resource demand", length=pool.n_resources)
-    return float(np.dot(demand, pool.unit_cost))
-
-
-def revenue(spec: SliceSpec, size: float) -> float:
-    """Price times served customers; saturates at the customer base."""
-    if not math.isfinite(size) or size < 0:
-        raise ValueError(f"size must be a non-negative number, got {size}")
-    return spec.price * min(size, spec.customer_size)
-
-
-def profit(spec: SliceSpec, size: float, scheme: VnfScheme, pool: ResourcePool) -> float:
-    """Slice profit: revenue minus expenditure at the given size."""
-    return revenue(spec, size) - expenditure(resource_demand(spec, size, scheme), pool)
-
-
 def build_allocation(specs: Sequence[SliceSpec], scheme: VnfScheme, sizes) -> Allocation:
+    """The validated sizes and the resource rows they induce, one per spec."""
     sizes = _as_vector(sizes, "sizes", length=len(specs))
     return Allocation(sizes=sizes, resources=_resource_rows(*scheme_rows(specs, scheme), sizes))
 
@@ -346,14 +324,6 @@ def _verdict(usage: np.ndarray, rows: np.ndarray, pool: ResourcePool, limits: tu
     return (False, tuple(violations))
 
 
-def pool_usage(alloc: Allocation, scheme: VnfScheme) -> np.ndarray:
-    """Aggregate per-resource usage: sum over slices for dedicated
-    resources, max over slices for time-shared ones."""
-    if alloc.resources.shape[1] != scheme.n_resources:
-        raise ConfigurationError("allocation and scheme disagree on resource count")
-    return _usage(alloc.resources, np.flatnonzero(scheme.shared_mask()))
-
-
 def check_feasible(
     alloc: Allocation,
     scheme: VnfScheme,
@@ -363,7 +333,10 @@ def check_feasible(
     """Return (feasible, violations) for pool capacity and per-slice
     minimum reservations. Violation amounts are the raw excess/deficit,
     pool violations first by resource, then minimums by slice and resource."""
-    return _verdict(pool_usage(alloc, scheme), alloc.resources, pool, _limits(pool, specs))
+    if alloc.resources.shape[1] != scheme.n_resources:
+        raise ConfigurationError("allocation and scheme disagree on resource count")
+    usage = _usage(alloc.resources, np.flatnonzero(scheme.shared_mask()))
+    return _verdict(usage, alloc.resources, pool, _limits(pool, specs))
 
 
 class SchemeModel:
@@ -391,13 +364,18 @@ class SchemeModel:
         size vector, which is validated first."""
         sizes = _as_vector(sizes, "sizes", length=len(self.specs))
         rows = _resource_rows(self.unit, self.overhead, sizes)
-        # revenue()'s min(size, customer_size), signed zeros included
+        # min(size, customer_size) that keeps the size on a tie, signed zeros included
         served = np.where(self.customers < sizes, self.customers, sizes)
         return self.price * served, rows @ self.pool.unit_cost, Allocation(sizes, rows)
 
+    def usage(self, rows: np.ndarray) -> np.ndarray:
+        """Per-resource pool usage of per-slice resource rows: the sum over
+        slices, or their max on the scheme's shared resources."""
+        return _usage(rows, self.shared)
+
     def verdict(self, rows: np.ndarray) -> tuple:
         """check_feasible's (feasible, violations) for per-slice resource rows."""
-        return _verdict(_usage(rows, self.shared), rows, self.pool, self.limits)
+        return _verdict(self.usage(rows), rows, self.pool, self.limits)
 
     def outcome(self, sizes) -> Outcome:
         """Per-slice profits, their total and the feasibility verdict."""
@@ -405,11 +383,6 @@ class SchemeModel:
         profits = tuple((revs - exps).tolist())
         feasible, violations = self.verdict(alloc.resources)
         return Outcome(profits, float(sum(profits)), feasible, violations)
-
-
-def slice_breakdown(specs, scheme: VnfScheme, pool: ResourcePool, sizes):
-    """Per-slice (revenue, expenditure) arrays for the given sizes."""
-    return SchemeModel(specs, scheme, pool).breakdown(sizes)
 
 
 def evaluate(scenario, sizes, scheme: Optional[VnfScheme] = None) -> Outcome:

@@ -186,7 +186,7 @@ def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
     )
 
 
-def _profit_vectors(points) -> np.ndarray:
+def _profit_vectors(points) -> list:
     rows = []
     for p in points:
         w = p.profits if isinstance(p, FrontPoint) else tuple(p)

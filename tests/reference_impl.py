@@ -6,10 +6,11 @@ and its callers). The loops here are the element-by-element forms they
 replaced.
 
 ``model.SchemeModel`` also turns a whole size vector into resource rows,
-revenue and expenditure at once; ``build_allocation``, ``slice_breakdown``
-and ``evaluate`` compute through it. ``build_allocation_loop``,
+revenue and expenditure at once; ``build_allocation`` and ``evaluate``
+compute through its row formula. ``build_allocation_loop``,
 ``slice_breakdown_loop`` and ``evaluate_loop`` are the slice-by-slice forms
-it replaced.
+of ``build_allocation``, ``SchemeModel.breakdown`` and ``evaluate``. None
+of them uses ``SchemeModel``.
 
 The lease market solves each operator's internal optimum once per lease
 vector and call (``game._LeaseTable``). ``best_response_resolve``,
@@ -36,10 +37,6 @@ from sliceprofit.model import (
     Outcome,
     ResourcePool,
     Violation,
-    build_allocation,
-    pool_usage,
-    revenue,
-    slice_breakdown,
     unit_demand,
 )
 from sliceprofit.orthogonal import solve_sizes
@@ -87,9 +84,11 @@ def build_allocation_loop(specs, scheme, sizes):
 
 
 def slice_breakdown_loop(specs, scheme, pool, sizes):
-    """model.slice_breakdown, one slice at a time."""
+    """SchemeModel(specs, scheme, pool).breakdown, one slice at a time.
+    Revenue is price times served customers, capped at the customer base."""
     alloc = build_allocation_loop(specs, scheme, sizes)
-    revs = np.array([revenue(spec, s) for spec, s in zip(specs, alloc.sizes)])
+    revs = np.array([spec.price * min(s, spec.customer_size)
+                     for spec, s in zip(specs, alloc.sizes)])
     exps = alloc.resources @ pool.unit_cost
     return revs, exps, alloc
 
@@ -142,7 +141,7 @@ def _internal_resolve(operator, extra):
         sizes = solve_sizes(operator.specs, operator.scheme, pool).sizes
     except InfeasibleScenarioError:
         return None
-    r, e, _ = slice_breakdown(operator.specs, operator.scheme, pool, sizes)
+    r, e, _ = slice_breakdown_loop(operator.specs, operator.scheme, pool, sizes)
     return float(np.sum(r - e)), tuple(float(s) for s in sizes)
 
 
@@ -151,8 +150,11 @@ def _default_grid_resolve(operator, market, points=11):
     if base is None:
         return {j: np.array([0.0]) for j in market.traded}
     _, sizes = base
-    alloc = build_allocation(operator.specs, operator.scheme, np.asarray(sizes))
-    usage = pool_usage(alloc, operator.scheme)
+    rows = build_allocation_loop(operator.specs, operator.scheme, sizes).resources
+    usage = [
+        max(column) if mode == SHARED else sum(column)
+        for column, mode in zip(rows.T, operator.scheme.sharing)
+    ]
     grids = {}
     for j in market.traded:
         idle = max(float(operator.pool.capacity[j] - usage[j]), 0.0)

@@ -24,7 +24,6 @@ from sliceprofit import (
     evaluate,
     multiplexing_gain,
     optimize_period,
-    pareto_dominates,
     run_market,
     scenario_from_dict,
     scenario_to_dict,
@@ -134,7 +133,7 @@ def test_06_ga_quality_and_determinism(s2m):
             out = evaluate(s2m, p.sizes, schemes[p.scheme_index])
             assert out.feasible
             assert out.profits == pytest.approx(p.profits, abs=1e-9)
-        # no point dominates another: the rule pareto_dominates applies,
+        # no point dominates another under multiplex.dominates,
         # over all pairs at once (a point never dominates itself)
         objs = np.array([p.profits for p in front.points])
         assert not dominates(objs[:, None, :], objs[None, :, :]).any()
@@ -270,8 +269,8 @@ def test_09_market_equilibrium_and_cooperative_gap(g1, nash_gap):
     order = [op.id for op in rivals]
     coop_profits = [coop.split[o] for o in order]
     nash_profits = [standoff.profits[o] for o in order]
-    assert pareto_dominates(coop_profits, nash_profits)
-    assert not pareto_dominates(nash_profits, coop_profits)
+    assert dominates(coop_profits, nash_profits)
+    assert not dominates(nash_profits, coop_profits)
     assert time.perf_counter() - t0 < 20.0
 
 

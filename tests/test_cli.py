@@ -442,6 +442,26 @@ class TestValidateAndUsage:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scenario", "s2.json", "--solver", "weighted-sum", "--weights", "1,x"],
+        ["longterm", "--scenario", "s2_trace.json", "--periods", "1,a"],
+        ["longterm", "--scenario", "s2_trace.json", "--trace-in", "/nonexistent"],
+        ["validate", "--scenario", "."],
+    ], ids=["weights", "periods", "trace-in", "scenario-directory"])
+    def test_unreadable_input_is_usage_error(self, argv, scenario_dir, tmp_path):
+        # a list flag that does not parse or an input path that cannot be
+        # opened: one line on stderr and exit 2, never a traceback
+        argv = [str(scenario_dir / a) if a.endswith(".json") or a == "." else a for a in argv]
+        if argv[0] != "validate":
+            argv += ["--out", "out.csv"]
+        proc = subprocess.run([sys.executable, "-m", "sliceprofit.cli", *argv],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)))
+        assert proc.returncode == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_unknown_solver_choice(self, scenario_dir, tmp_path, capsys):
         rc = main(["solve", "--scenario", str(scenario_dir / "s2.json"),
                    "--out", str(tmp_path / "x.csv"), "--solver", "simplex"])

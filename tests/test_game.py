@@ -15,13 +15,12 @@ from sliceprofit import (
     VnfScheme,
     best_response,
     build_operators,
-    default_grid,
-    pareto_dominates,
     run_market,
     solve_suboperator,
     verify_nash,
 )
 from sliceprofit import game
+from sliceprofit.multiplex import dominates
 
 from reference_impl import best_response_resolve, run_market_resolve, verify_nash_resolve
 
@@ -229,15 +228,11 @@ class TestVerifyNash:
 
 class TestParetoDominates:
     def test_truth_table(self):
-        assert pareto_dominates((2, 1), (1, 1))
-        assert pareto_dominates((2, 2), (1, 1))
-        assert not pareto_dominates((1, 1), (1, 1))
-        assert not pareto_dominates((2, 0), (1, 1))
-        assert not pareto_dominates((1, 1), (2, 2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            pareto_dominates((1, 2), (1, 2, 3))
+        assert dominates((2, 1), (1, 1))
+        assert dominates((2, 2), (1, 1))
+        assert not dominates((1, 1), (1, 1))
+        assert not dominates((2, 0), (1, 1))
+        assert not dominates((1, 1), (2, 2))
 
 
 class TestSolveSuboperator:
@@ -266,7 +261,7 @@ class TestSolveSuboperator:
         order = sorted(out.profits)
         market_vec = [out.profits[o] for o in order]
         coop_vec = [coop.split[o] for o in order]
-        assert pareto_dominates(coop_vec, market_vec)
+        assert dominates(coop_vec, market_vec)
         assert coop.result.scheme.sharing[0] == "shared"
 
     def test_portfolio_specs_match_scheme_rows_by_id(self, g1, g1_ops):
@@ -290,9 +285,14 @@ class TestSolveSuboperator:
 
 
 class TestDefaultGrid:
+    """The lease grid an operator gets when the market declares none."""
+
+    @staticmethod
+    def default_axes(operator, market):
+        return game._LeaseTable(operator, dataclasses.replace(market, grids={})).axes
+
     def test_idle_capacity_spans_symmetric_grid(self, g1, g1_ops):
-        grids = default_grid(g1_ops[0], g1.market)
-        axis = grids[0]
+        (axis,) = self.default_axes(g1_ops[0], g1.market)
         # embb saturates at size 4 using 8 of 10 bandwidth units
         assert axis[0] == pytest.approx(-2.0)
         assert axis[-1] == pytest.approx(2.0)
@@ -301,8 +301,8 @@ class TestDefaultGrid:
     def test_zero_idle_collapses_to_no_trade(self):
         op = saturated_operator("tight")
         market = MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]))
-        grids = default_grid(op, market)
-        assert grids[0].tolist() == [0.0]
+        (axis,) = self.default_axes(op, market)
+        assert axis.tolist() == [0.0]
 
 
 def _bits(value):
@@ -333,7 +333,7 @@ def _market_case(name, g1, nash_gap):
         ops = [saturated_operator("left"), saturated_operator("right")]
         return ops, MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]))
     if name == "default-grid":
-        # no grids block: both operators lease on default_grid's idle span
+        # no grids block: both operators lease on their idle span
         return build_operators(g1), MarketConfig(traded=(0,), eta=0.05,
                                                  price0=np.array([0.2]), max_rounds=30)
     eta, max_rounds = {

@@ -1,15 +1,20 @@
 """Package layering: every import between sliceprofit modules runs at
 module level, those imports form no cycle, and only the CLI and the package
-root import the scenario file format. Small tolerances are named, and
-every command-line option is read by the CLI."""
+root import the scenario file format. Small tolerances are named, every
+command-line option is read by the CLI, and every function the benchmark's
+tracer wraps still exists."""
 
 import ast
 import graphlib
+import importlib
+import inspect
 import pathlib
+import sys
 
 import sliceprofit
 
 PACKAGE = pathlib.Path(sliceprofit.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -117,3 +122,20 @@ def test_every_cli_option_is_read():
     }
     dests = parser_dests(parser) - {"command", "scenario", "out", "dry_run"}
     assert dests and sorted(dests - read) == []
+
+
+def test_every_traced_name_exists():
+    # the tracer skips a wrapped name it cannot find, and with it every
+    # per-layer metric of that name, so a rename here fails no traced run
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    tracing = importlib.import_module("perfbench.tracing")
+    missing = [
+        f"{module}.{attr}" for module, attr in tracing.WRAPPED
+        if not callable(getattr(importlib.import_module(f"sliceprofit.{module}"), attr, None))
+    ]
+    assert tracing.WRAPPED and missing == []
+    # the tracer reads the first three arguments of solve_sizes by position
+    params = list(inspect.signature(sliceprofit.orthogonal.solve_sizes).parameters.values())
+    assert [p.name for p in params[:3]] == ["specs", "scheme", "pool"]
+    assert all(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params[:3])

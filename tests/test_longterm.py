@@ -10,11 +10,9 @@ from sliceprofit import (
     DemandTrace,
     ReconfigCostModel,
     brute_force_oracle,
+    build_allocation,
     epoch_scenario,
-    evaluate_period,
     optimize_period,
-    resource_demand,
-    revenue,
     scenario_to_dict,
     simulate_horizon,
     solve_objective_sum,
@@ -129,13 +127,10 @@ class TestSimulateHorizon:
         assert sim.violation_epochs == (1,)
         sizes = solve_objective_sum(scenario).sizes
         scn_1 = epoch_scenario(scenario, trace, 1)
-        exp_a = float(np.dot(
-            resource_demand(scn_1.specs[0], sizes[0], scn_1.scheme), scenario.pool.unit_cost
-        ))
-        exp_b = float(np.dot(
-            resource_demand(scn_1.specs[1], sizes[1], scn_1.scheme), scenario.pool.unit_cost
-        ))
-        expected = -exp_a + (revenue(scn_1.specs[1], sizes[1]) - exp_b)
+        rows = build_allocation(scn_1.specs, scn_1.scheme, sizes).resources
+        exp_a, exp_b = rows @ scenario.pool.unit_cost
+        spec_b = scn_1.specs[1]
+        expected = -exp_a + (spec_b.price * min(sizes[1], spec_b.customer_size) - exp_b)
         assert sim.profits[1] == pytest.approx(expected, abs=1e-9)
 
     def test_failed_resolve_flags_covered_epochs(self):
@@ -169,27 +164,27 @@ class TestSimulateHorizon:
 
 
 class TestEvaluatePeriod:
+    """The net total of one update period, as optimize_period's table
+    reports it."""
+
+    @staticmethod
+    def net_total(scenario, period, fee):
+        _, (row,) = optimize_period(scenario, scenario.trace, [period], fee)
+        assert row["period"] == period
+        return row["net_total"]
+
     def test_subtracts_update_fees(self, s2_trace):
         fee = ReconfigCostModel(0.5)
-        net = evaluate_period(s2_trace, s2_trace.trace, 2, fee)
+        net = self.net_total(s2_trace, 2, fee)
         assert net == pytest.approx(4 / 3 - 2 * 0.5, abs=1e-6)
 
     def test_partial_final_window_counts_one_update(self, s2_trace):
         fee = ReconfigCostModel(1.0)
         # period 3 over horizon 4 updates at t=0 and t=3
-        net = evaluate_period(s2_trace, s2_trace.trace, 3, fee)
+        net = self.net_total(s2_trace, 3, fee)
         sim = simulate_horizon(s2_trace, s2_trace.trace, 3)
         assert sim.update_epochs == (0, 3)
         assert net == pytest.approx(sum(sim.profits) - 2.0, abs=1e-9)
-
-    def test_wrong_update_count_raises(self, s2_trace, monkeypatch):
-        # a real exception, not an assert, so it also fires under python -O
-        def short(scenario, trace, period, inner_solver=None):
-            return longterm.HorizonResult((0.0,) * trace.horizon, 1, (0,), (), ())
-
-        monkeypatch.setattr(longterm, "simulate_horizon", short)
-        with pytest.raises(RuntimeError, match="updates"):
-            evaluate_period(s2_trace, s2_trace.trace, 1, ReconfigCostModel(0.0))
 
 
 class TestOptimizePeriod:

@@ -1,4 +1,7 @@
-"""Value-chain arithmetic: demand, expenditure, revenue, profit, usage."""
+"""Value-chain arithmetic through the one evaluation API: resource rows,
+expenditure, revenue and profit from SchemeModel.breakdown and outcome,
+pool usage from SchemeModel.usage, and the allocation-level
+build_allocation, check_feasible and evaluate."""
 
 import math
 import pathlib
@@ -17,15 +20,9 @@ from sliceprofit import (
     check_feasible,
     enumerate_candidates,
     evaluate,
-    expenditure,
     min_size,
-    pool_usage,
-    profit,
-    resource_demand,
     load_scenario,
-    revenue,
     size_bounds,
-    slice_breakdown,
     unit_demand,
 )
 from sliceprofit.model import SchemeModel
@@ -34,10 +31,20 @@ from conftest import make_scenario, random_scenario
 from reference_impl import check_feasible_loop, evaluate_loop, slice_breakdown_loop
 
 
+def slice_model(scenario, spec, scheme=None):
+    """SchemeModel of one slice alone under the scenario's pool."""
+    return SchemeModel((spec,), scheme if scheme is not None else scenario.scheme, scenario.pool)
+
+
+def resource_row(scenario, spec, size, scheme=None):
+    """One slice's resource row at the given size."""
+    return slice_model(scenario, spec, scheme).breakdown([size])[2].resources[0]
+
+
 class TestResourceDemand:
     def test_zero_size_consumes_nothing(self, s2):
         spec = s2.specs[0]
-        assert np.array_equal(resource_demand(spec, 0.0, s2.scheme), [0.0, 0.0])
+        assert np.array_equal(resource_row(s2, spec, 0.0), [0.0, 0.0])
 
     def test_zero_size_skips_overhead_too(self):
         scenario = make_scenario()
@@ -47,90 +54,101 @@ class TestResourceDemand:
             np.array([[1.0, 2.0], [0.0, 0.0]]),
             scenario.scheme.sharing,
         )
-        assert np.array_equal(resource_demand(scenario.specs[0], 0.0, scheme), [0, 0])
-        assert np.allclose(resource_demand(scenario.specs[0], 1.0, scheme), [3.0, 3.0])
+        assert np.array_equal(resource_row(scenario, scenario.specs[0], 0.0, scheme), [0, 0])
+        assert np.allclose(resource_row(scenario, scenario.specs[0], 1.0, scheme), [3.0, 3.0])
 
     def test_linear_form_slice_a(self, s2):
-        r = resource_demand(s2.specs[0], 3.0, s2.scheme)
+        r = resource_row(s2, s2.specs[0], 3.0)
         assert np.allclose(r, [6.0, 3.0])
 
     def test_linear_form_slice_b(self, s2):
-        r = resource_demand(s2.specs[1], 4.6667, s2.scheme)
+        r = resource_row(s2, s2.specs[1], 4.6667)
         assert np.allclose(r, [4.6667, 9.3334])
 
     def test_negative_size_rejected(self, s2):
         with pytest.raises(ValueError):
-            resource_demand(s2.specs[0], -0.1, s2.scheme)
+            resource_row(s2, s2.specs[0], -0.1)
 
     def test_kpi_dimension_mismatch_rejected(self, s2):
         bad = SliceSpec("A", np.array([2.0, 1.0, 7.0]), 4, 3.0, np.zeros(2))
         with pytest.raises(ConfigurationError):
-            resource_demand(bad, 1.0, s2.scheme)
+            resource_row(s2, bad, 1.0)
 
     @given(st.floats(0, 50), st.floats(0, 50))
     def test_monotone_in_size(self, a, b):
         scenario = make_scenario()
         lo, hi = sorted((a, b))
         spec = scenario.specs[0]
-        r_lo = resource_demand(spec, lo, scenario.scheme)
-        r_hi = resource_demand(spec, hi, scenario.scheme)
+        r_lo = resource_row(scenario, spec, lo)
+        r_hi = resource_row(scenario, spec, hi)
         assert np.all(r_hi >= r_lo)
 
 
 class TestExpenditure:
     def test_zero_vector(self, s2):
-        assert expenditure(np.zeros(2), s2.pool) == 0.0
+        _, exps, _ = SchemeModel(s2.specs, s2.scheme, s2.pool).breakdown([0.0, 0.0])
+        assert exps.tolist() == [0.0, 0.0]
 
     def test_dot_product(self, s2):
-        assert expenditure(np.array([6.0, 3.0]), s2.pool) == 7.5
-        assert expenditure(np.array([2.0, 12.0]), s2.pool) == 8.0
-
-    def test_dimension_mismatch(self, s2):
-        with pytest.raises(ConfigurationError):
-            expenditure(np.array([1.0, 2.0, 3.0]), s2.pool)
+        # rows [6, 3] and [6, 12] priced at unit costs (1.0, 0.5)
+        _, exps, alloc = SchemeModel(s2.specs, s2.scheme, s2.pool).breakdown([3.0, 6.0])
+        assert alloc.resources.tolist() == [[6.0, 3.0], [6.0, 12.0]]
+        assert exps.tolist() == [7.5, 12.0]
 
 
 class TestRevenue:
+    @staticmethod
+    def revenue(scenario, spec, size):
+        return slice_model(scenario, spec).breakdown([size])[0][0]
+
     def test_caps_at_customer_size(self, s2):
-        assert revenue(s2.specs[0], 5.0) == 12.0
+        assert self.revenue(s2, s2.specs[0], 5.0) == 12.0
 
     def test_zero(self, s2):
-        assert revenue(s2.specs[0], 0.0) == 0.0
+        assert self.revenue(s2, s2.specs[0], 0.0) == 0.0
 
     def test_below_base_scales_linearly(self, s2):
-        assert revenue(s2.specs[1], 4.6667) == pytest.approx(11.66675)
+        assert self.revenue(s2, s2.specs[1], 4.6667) == pytest.approx(11.66675)
 
     def test_saturation(self, s2):
         spec = s2.specs[0]
         for s in (4.0, 4.5, 9.0, 100.0):
-            assert revenue(spec, s) == revenue(spec, spec.customer_size)
+            assert self.revenue(s2, spec, s) == self.revenue(s2, spec, spec.customer_size)
 
 
 class TestProfit:
+    @staticmethod
+    def profit(scenario, spec, size):
+        return slice_model(scenario, spec).outcome([size]).profits[0]
+
     def test_zero_size_zero_profit(self, s2):
-        assert profit(s2.specs[0], 0.0, s2.scheme, s2.pool) == 0.0
+        assert self.profit(s2, s2.specs[0], 0.0) == 0.0
 
     def test_slice_a_at_four(self, s2):
         # independent straight-line recomputation
         rev = 3.0 * min(4.0, 4.0)
         exp = (4.0 * 2.0) * 1.0 + (4.0 * 1.0) * 0.5
-        assert profit(s2.specs[0], 4.0, s2.scheme, s2.pool) == rev - exp == 2.0
+        assert self.profit(s2, s2.specs[0], 4.0) == rev - exp == 2.0
 
     def test_slice_b(self, s2):
-        w = profit(s2.specs[1], 4.6667, s2.scheme, s2.pool)
+        w = self.profit(s2, s2.specs[1], 4.6667)
         assert w == pytest.approx(2.33335, abs=1e-9)
+
+
+def usage_at(scenario, scheme, sizes, specs=None):
+    """SchemeModel.usage of the rows the sizes induce."""
+    model = SchemeModel(specs if specs is not None else scenario.specs, scheme, scenario.pool)
+    return model.usage(model.breakdown(sizes)[2].resources)
 
 
 class TestPoolUsage:
     def test_dedicated_column_sums(self, s2):
-        alloc = build_allocation(s2.specs, s2.scheme, [3.0, 4.0])
-        assert np.allclose(pool_usage(alloc, s2.scheme), [10.0, 11.0])
+        assert np.allclose(usage_at(s2, s2.scheme, [3.0, 4.0]), [10.0, 11.0])
 
     def test_shared_takes_max(self):
         scenario = make_scenario(sharing={"bandwidth": "shared"})
-        alloc = build_allocation(scenario.specs, scenario.scheme, [3.0, 4.0])
         # rows [[6,3],[4,8]]: max on bandwidth, sum on compute
-        assert np.allclose(pool_usage(alloc, scenario.scheme), [6.0, 11.0])
+        assert np.allclose(usage_at(scenario, scenario.scheme, [3.0, 4.0]), [6.0, 11.0])
 
     def test_single_slice_row(self):
         scenario = make_scenario()
@@ -138,16 +156,15 @@ class TestPoolUsage:
         scheme = scenario.scheme.subset(["A"])
         for mode in ("dedicated", "shared"):
             sub = scheme.with_sharing((mode, mode))
-            alloc = build_allocation((spec,), sub, [2.0])
-            assert np.allclose(pool_usage(alloc, sub), resource_demand(spec, 2.0, sub))
+            usage = usage_at(scenario, sub, [2.0], specs=(spec,))
+            assert np.allclose(usage, resource_row(scenario, spec, 2.0, sub))
 
     def test_sharing_never_hurts_capacity(self, s2):
         rng = np.random.default_rng(7)
         for _ in range(20):
             sizes = rng.uniform(0, 5, size=2)
-            alloc = build_allocation(s2.specs, s2.scheme, sizes)
-            dedicated = pool_usage(alloc, s2.scheme)
-            shared = pool_usage(alloc, s2.scheme.with_sharing(("shared", "dedicated")))
+            dedicated = usage_at(s2, s2.scheme, sizes)
+            shared = usage_at(s2, s2.scheme.with_sharing(("shared", "dedicated")), sizes)
             assert np.all(shared <= dedicated + 1e-12)
 
 
@@ -255,8 +272,8 @@ def _random_sizes(rng, scenario, scheme, scale):
 
 
 class TestEvaluationMatchesLoopReference:
-    """build_allocation, slice_breakdown, SchemeModel.outcome and evaluate
-    against the slice-by-slice reference, bit for bit."""
+    """build_allocation, SchemeModel.breakdown, SchemeModel.outcome and
+    evaluate against the slice-by-slice reference, bit for bit."""
 
     FAULT = pathlib.Path(__file__).resolve().parent / "data" / "fault6x4.json"
 
@@ -265,12 +282,13 @@ class TestEvaluationMatchesLoopReference:
         specs, pool = scenario.specs, scenario.pool
         ref_revs, ref_exps, ref = slice_breakdown_loop(specs, scheme, pool, sizes)
         assert build_allocation(specs, scheme, sizes).resources.tobytes() == ref.resources.tobytes()
-        revs, exps, alloc = slice_breakdown(specs, scheme, pool, sizes)
+        model = SchemeModel(specs, scheme, pool)
+        revs, exps, alloc = model.breakdown(sizes)
         assert revs.tobytes() == ref_revs.tobytes()
         assert exps.tobytes() == ref_exps.tobytes()
         assert alloc.resources.tobytes() == ref.resources.tobytes()
         expected = _outcome_bits(evaluate_loop(scenario, sizes, scheme))
-        assert _outcome_bits(SchemeModel(specs, scheme, pool).outcome(sizes)) == expected
+        assert _outcome_bits(model.outcome(sizes)) == expected
         assert _outcome_bits(evaluate(scenario, sizes, scheme)) == expected
 
     @settings(max_examples=100, deadline=None)
