@@ -38,8 +38,8 @@ _IDLE_SLIVER_TOL = 1e-6
 _CAPACITY_FLOOR = 1e-12
 # Points per traded resource of a lease grid that does not give its own count.
 GRID_POINTS = 11
-# Most grid points verify_nash solves over all operators before refusing.
-NASH_BUDGET = 100_000
+# Most lease grid points, summed over operators, that one market or Nash check may solve.
+LEASE_GRID_BUDGET = 100_000
 # A unilateral deviation must gain more than this to break a Nash equilibrium.
 NASH_GAIN_TOL = 1e-9
 
@@ -93,6 +93,9 @@ class MarketConfig:
             raise ConfigurationError("tol must be positive")
         if self.max_rounds < 1:
             raise ConfigurationError("max_rounds must be at least 1")
+        for oid, by_res in self.grids.items():
+            if not set(traded) <= set(by_res):
+                raise ConfigurationError(f"lease grid of {oid} must list every traded resource")
         object.__setattr__(self, "traded", traded)
         object.__setattr__(self, "price0", price0)
 
@@ -117,7 +120,7 @@ class TradeOutcome:
     converged: bool
     rounds: int
     trace: tuple          # (prices, excess demand) per round
-    # op id -> the _LeaseTable the market solved on; verify_nash reuses it
+    # op id -> the _LeaseTable the market solved on; verify_nash copies its solved leases
     tables: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -169,16 +172,16 @@ class _LeaseTable:
 
     An operator's internal optimum at a lease vector does not depend on
     prices, which only subtract p·d, so each lease is solved once, on first
-    use. The table lives for one run_market or verify_nash call (and on the
-    TradeOutcome it produced); nothing is kept across calls.
+    use. Tables come from _lease_tables and live for one run_market,
+    verify_nash or best_response call (and on the TradeOutcome it produced).
     """
 
-    def __init__(self, operator: Operator, market: MarketConfig, solved=None):
+    def __init__(self, operator: Operator, market: MarketConfig, solved: dict):
         self.operator = operator
         self.traded = market.traded
         # net lease tuple (aligned with traded) -> (total, sizes), or None
         # when the lease leaves the operator infeasible
-        self.solved = {} if solved is None else solved
+        self.solved = solved
         grids = market.grids.get(operator.id)
         if grids is None:
             base = self.internal(np.zeros(len(self.traded)))
@@ -213,6 +216,25 @@ class _LeaseTable:
                 yield (d, *solved)
 
 
+def _lease_tables(ops, market: MarketConfig, prior=None) -> dict:
+    """Operator id -> _LeaseTable on `market`. Grids holding more than
+    LEASE_GRID_BUDGET points over all operators are refused before any lease
+    is solved, bar the no-trade point an undeclared grid is derived from.
+
+    A prior table (op id -> table) of the same Operator object and the same
+    traded resources lends a copy of its solved leases; it is left as it was."""
+    tables = {}
+    for o in ops:
+        old = (prior or {}).get(o.id)
+        reuse = old is not None and old.operator is o and old.traded == market.traded
+        tables[o.id] = _LeaseTable(o, market, dict(old.solved) if reuse else {})
+    required = sum(math.prod(map(len, t.axes)) for t in tables.values())
+    if required > LEASE_GRID_BUDGET:
+        raise BudgetExceededError(f"lease grids hold {required} points, budget is "
+                                  f"{LEASE_GRID_BUDGET}", required, LEASE_GRID_BUDGET)
+    return tables
+
+
 def best_response(operator: Operator, prices, market: MarketConfig, *,
                   table: Optional[_LeaseTable] = None) -> BestResponse:
     """Best net lease vector on the operator's grid at posted prices.
@@ -226,7 +248,7 @@ def best_response(operator: Operator, prices, market: MarketConfig, *,
     """
     prices = np.asarray(prices, dtype=float)
     if table is None:
-        table = _LeaseTable(operator, market)
+        table = _lease_tables([operator], market)[operator.id]
     best = None
     for d, total, sizes in table.feasible():
         objective = total - float(np.dot(prices, d))
@@ -275,7 +297,7 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
     ops = sorted(operators, key=lambda o: o.id)
     if len({o.id for o in ops}) != len(ops):
         raise ConfigurationError("operator ids must be unique")
-    tables = {o.id: _LeaseTable(o, market) for o in ops}
+    tables = _lease_tables(ops, market)
     prices = market.price0.astype(float).copy()
     trace = []
     converged = False
@@ -332,25 +354,12 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
 
 
 def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
-                market: MarketConfig, budget: int = NASH_BUDGET) -> NashVerdict:
+                market: MarketConfig) -> NashVerdict:
     """Search each operator's grid for a profitable unilateral deviation at
-    the outcome's prices. Refuses when the grids exceed the budget.
-
-    Leases the market already solved for the same Operator object and the
-    same traded resources are read from the outcome's tables, not solved
-    again; the outcome's tables are left as they were."""
+    the outcome's prices. Leases the market already solved are read from the
+    outcome's tables (see _lease_tables), not solved again."""
     ops = sorted(operators, key=lambda o: o.id)
-    tables = {}
-    for o in ops:
-        prior = outcome.tables.get(o.id)
-        reuse = prior is not None and prior.operator is o and prior.traded == market.traded
-        tables[o.id] = _LeaseTable(o, market, dict(prior.solved) if reuse else None)
-    required = sum(int(np.prod([len(a) for a in t.axes])) for t in tables.values())
-    if required > budget:
-        raise BudgetExceededError(
-            f"Nash check needs {required} evaluations, budget is {budget}",
-            required, budget,
-        )
+    tables = _lease_tables(ops, market, outcome.tables)
     best_dev = None
     for o in ops:
         current = outcome.profits[o.id]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,21 +112,18 @@ def _realized(scenario_t, sizes) -> tuple:
     return float(np.sum(revs - exps)), False
 
 
-def simulate_horizon(scenario, trace: DemandTrace, period: int,
-                     inner_solver: Optional[Callable] = None, *,
+def simulate_horizon(scenario, trace: DemandTrace, period: int, *,
                      solved: Optional[dict] = None) -> HorizonResult:
-    """Re-solve at epochs 0, period, 2*period, ... and hold in between.
+    """Re-solve (solve_objective_sum) at epochs 0, period, 2*period, ...
+    and hold in between.
 
-    `solved` maps an update epoch to the sizes the inner solver returned
-    there, or None when it raised InfeasibleScenarioError. Epochs missing
-    from it are solved and added, so a caller that simulates several
-    periods of one trace can pass the same dict to each and solve every
-    epoch once. This assumes the inner solver is deterministic: the same
-    epoch scenario always yields the same sizes.
+    `solved` maps an update epoch to the sizes the re-solve returned there,
+    or None when it raised InfeasibleScenarioError. Epochs missing from it
+    are solved and added, so a caller that simulates several periods of one
+    trace can pass the same dict to each and solve every epoch once.
     """
     if period < 1 or period > trace.horizon:
         raise ConfigurationError("period must lie in [1, horizon]")
-    inner = inner_solver if inner_solver is not None else solve_objective_sum
     if solved is None:
         solved = {}
     profits = []
@@ -141,7 +138,7 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int,
             updates.append(t)
             if t not in solved:
                 try:
-                    solved[t] = inner(scn_t).sizes
+                    solved[t] = solve_objective_sum(scn_t).sizes
                 except InfeasibleScenarioError:
                     solved[t] = None
             sizes = solved[t]
@@ -164,8 +161,7 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int,
 
 
 def optimize_period(scenario, trace: DemandTrace, candidates: Sequence[int],
-                    cost: ReconfigCostModel,
-                    inner_solver: Optional[Callable] = None):
+                    cost: ReconfigCostModel):
     """Best update period among the candidates (ties to the smallest) plus
     the full evaluation table. Each update epoch is solved at most once
     over all candidates (see simulate_horizon)."""
@@ -179,7 +175,7 @@ def optimize_period(scenario, trace: DemandTrace, candidates: Sequence[int],
     table = []
     best = None
     for p in periods:
-        sim = simulate_horizon(scenario, trace, p, inner_solver, solved=solved)
+        sim = simulate_horizon(scenario, trace, p, solved=solved)
         realized = float(sum(sim.profits))
         net = realized - sim.update_count * cost.cost_per_update
         table.append(

@@ -23,7 +23,6 @@ from .model import (
     DEDICATED,
     SHARED,
     SchemeModel,
-    VnfScheme,
 )
 from .orthogonal import SolveResult, size_bounds, solve_sizes
 
@@ -136,9 +135,9 @@ def _scheme_step(candidates, models, sizes):
     return best
 
 
-def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
-              max_rounds: int = 20) -> SolveResult:
-    """Alternate exact size solves with a discrete scheme re-selection.
+def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
+    """Alternate exact size solves with a discrete scheme re-selection,
+    starting from candidate 0, which keeps every eligible resource dedicated.
 
     The inner solver is deterministic, so once a scheme step keeps the
     scheme the next round cannot change anything and the loop stops. The
@@ -147,15 +146,7 @@ def solve_bcd(scenario, init_scheme: Optional[VnfScheme] = None,
     if max_rounds < 0:
         raise ConfigurationError("max_rounds must be non-negative")
     candidates = enumerate_candidates(scenario)
-    if init_scheme is None:
-        scheme_idx = 0
-    else:
-        matches = [i for i, s in enumerate(candidates)
-                   if s.sharing == tuple(init_scheme.sharing)]
-        if not matches:
-            raise ConfigurationError("init_scheme is not in the candidate set")
-        scheme_idx = matches[0]
-    scheme = candidates[scheme_idx]
+    scheme_idx, scheme = 0, candidates[0]
     models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
 
     lo, _ = size_bounds(scenario.specs, scheme)

@@ -282,23 +282,23 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
 
     unit, overhead = scheme_rows(specs, scheme)
     lo, hi = size_bounds(specs, scheme)
-    axes = []
-    n_points = 1
+    counts = []
     for i, spec in enumerate(specs):
         implied = math.inf
         for j in range(pool.n_resources):
             if unit[i, j] > 0:
                 implied = min(implied, (pool.capacity[j] - overhead[i, j]) / unit[i, j])
         ub = max(spec.customer_size, lo[i], 0.0 if math.isinf(implied) else implied)
-        count = int(math.floor(ub / grid_step + _GRID_COUNT_TOL)) + 1
-        axes.append(np.arange(count) * grid_step)
-        n_points *= count
+        steps = ub / grid_step + _GRID_COUNT_TOL  # inf when the quotient overflows
+        counts.append(math.floor(steps) + 1 if math.isfinite(steps) else math.inf)
+    n_points = math.prod(counts)  # checked before any axis is allocated
     if n_points > budget:
         raise BudgetExceededError(
             f"grid of {n_points} points exceeds the oracle budget of {budget}",
             n_points, budget,
         )
 
+    axes = [np.arange(count) * grid_step for count in counts]
     grids = np.meshgrid(*axes, indexing="ij")
     sizes = np.stack([g.ravel() for g in grids])  # (M, P), C order is lex order
     active = sizes > 0

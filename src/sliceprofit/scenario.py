@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closedloop import EnvironmentModel
-from .game import GRID_POINTS, LEASE_ZERO_TOL, NASH_BUDGET, MarketConfig, OperatorPartition
+from .game import GRID_POINTS, LEASE_GRID_BUDGET, LEASE_ZERO_TOL, MarketConfig, OperatorPartition
 from .longterm import DemandTrace
 from .model import (
     DEDICATED,
@@ -327,9 +327,9 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
             lo, hi = _number(spec, "lo", where), _number(spec, "hi", where)
             _expect(lo <= hi, f"market: grids[{oid}][{rn}] needs lo <= hi")
             points = _integer(spec, "points", where, 2) if "points" in spec else GRID_POINTS
-            # verify_nash refuses larger grids; linspace would not even allocate some
-            _expect(points <= NASH_BUDGET,
-                    f"{where}: field 'points' must be at most {NASH_BUDGET}")
+            # the market refuses larger grids; linspace would not even allocate some
+            _expect(points <= LEASE_GRID_BUDGET,
+                    f"{where}: field 'points' must be at most {LEASE_GRID_BUDGET}")
             axis = np.linspace(lo, hi, points)
             axis[np.abs(axis) < LEASE_ZERO_TOL] = 0.0
             _expect(bool(np.any(axis == 0.0)),

@@ -252,6 +252,16 @@ class TestOracle:
         assert not out.exists()
         assert "refused" in capsys.readouterr().err
 
+    def test_huge_axis_is_refused_before_it_is_allocated(self, scenario_dir, tmp_path, capsys):
+        doc = json.loads((scenario_dir / "s2.json").read_text())
+        doc["slices"][0]["customer_size"] = 1e300
+        out = tmp_path / "oracle.csv"
+        rc = main(["oracle", "--scenario", str(write_doc(tmp_path, doc)),
+                   "--out", str(out), "--grid-step", "0.5"])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("oracle refused")
+
 
 class TestClosedLoop:
     def test_fixed_point_with_trace_file(self, scenario_dir, tmp_path):
@@ -411,6 +421,19 @@ class TestGame:
         assert total == pytest.approx(3.52, abs=1e-6)
         assert rows[1]["total_profit"] == rows[0]["total_profit"]
         assert sum(float(r["profit"]) for r in rows) == pytest.approx(total, abs=1e-9)
+
+    def test_lease_grid_budget_refusal_is_usage_error(self, scenario_dir, tmp_path, capsys):
+        # two 60,000-point grids: each within the per-axis cap, together
+        # above the 100,000-point budget
+        doc = json.loads((scenario_dir / "g1.json").read_text())
+        for grid in doc["market"]["grids"].values():
+            grid["bandwidth"]["points"] = 60_000
+        out = tmp_path / "g1.csv"
+        rc = main(["game", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "game refused: lease grids hold 120000 points, budget is 100000")
 
     def test_needs_operators_block(self, scenario_dir, tmp_path):
         rc = main(["game", "--scenario", str(scenario_dir / "s2.json"),

@@ -58,6 +58,14 @@ class TestMarketConfig:
         with pytest.raises(ConfigurationError):
             MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]), max_rounds=0)
 
+    def test_grid_must_list_every_traded_resource(self):
+        zero = np.array([0.0])
+        with pytest.raises(ConfigurationError, match="every traded resource"):
+            MarketConfig(traded=(0, 1), eta=0.1, price0=np.array([1.0, 1.0]),
+                         grids={"alpha": {0: zero}})
+        with pytest.raises(ConfigurationError, match="every traded resource"):
+            MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]), grids={"alpha": {}})
+
 
 class TestBuildOperators:
     def test_g1_partition(self, g1, g1_ops):
@@ -222,8 +230,59 @@ class TestVerifyNash:
     def test_budget_refusal(self, g1, g1_ops):
         out = run_market(g1_ops, g1.market)
         with pytest.raises(BudgetExceededError) as err:
-            verify_nash(g1_ops, out, g1.market, budget=3)
-        assert err.value.required == 22
+            verify_nash(g1_ops, out, oversized_market(g1))
+        assert err.value.required == 2 * 60_001
+        assert err.value.budget == game.LEASE_GRID_BUDGET
+
+
+def oversized_market(g1):
+    """g1's market on two 60,001-point lease grids: above the budget together,
+    inside it alone."""
+    return dataclasses.replace(g1.market, grids={
+        "alpha": {0: np.linspace(-4.0, 0.0, 60_001)},
+        "beta": {0: np.linspace(0.0, 4.0, 60_001)},
+    })
+
+
+class TestLeaseGridBudget:
+    """Every market entry point counts its lease grids before solving any."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            # stop at the first solve: an unchecked grid would take minutes
+            calls.append(args)
+            raise AssertionError("a lease was solved before the grid budget was checked")
+
+        monkeypatch.setattr(game, "solve_sizes", counting)
+        return calls
+
+    def test_run_market_refuses_before_any_solve(self, g1, g1_ops, solves):
+        with pytest.raises(BudgetExceededError) as err:
+            run_market(g1_ops, oversized_market(g1))
+        assert err.value.required == 2 * 60_001
+        assert solves == []
+
+    def test_best_response_refuses_before_any_solve(self, g1, g1_ops, solves):
+        wide = dataclasses.replace(g1.market, grids={
+            "alpha": {0: np.linspace(-4.0, 0.0, game.LEASE_GRID_BUDGET + 1)},
+        })
+        with pytest.raises(BudgetExceededError) as err:
+            best_response(g1_ops[0], [0.2], wide)
+        assert err.value.required == game.LEASE_GRID_BUDGET + 1
+        assert solves == []
+
+    def test_grids_at_the_budget_are_admitted(self, g1, g1_ops, solves):
+        half = game.LEASE_GRID_BUDGET // 2
+        full = dataclasses.replace(g1.market, grids={
+            "alpha": {0: np.linspace(-4.0, 0.0, half)},
+            "beta": {0: np.linspace(0.0, 4.0, half)},
+        })
+        tables = game._lease_tables(g1_ops, full)
+        assert sum(len(t.axes[0]) for t in tables.values()) == game.LEASE_GRID_BUDGET
+        assert solves == []
 
 
 class TestParetoDominates:
@@ -289,7 +348,8 @@ class TestDefaultGrid:
 
     @staticmethod
     def default_axes(operator, market):
-        return game._LeaseTable(operator, dataclasses.replace(market, grids={})).axes
+        market = dataclasses.replace(market, grids={})
+        return game._lease_tables([operator], market)[operator.id].axes
 
     def test_idle_capacity_spans_symmetric_grid(self, g1, g1_ops):
         (axis,) = self.default_axes(g1_ops[0], g1.market)
@@ -363,7 +423,7 @@ class TestLeaseTableMatchesResolvingReference:
     def test_best_response_on_a_shared_table(self, g1, g1_ops):
         # price 0 makes alpha's idle-capacity leases tie on payoff
         for op in g1_ops:
-            table = game._LeaseTable(op, g1.market)
+            table = game._lease_tables([op], g1.market)[op.id]
             for price in (0.0, 0.1, 0.253, 0.4, 0.8):
                 fast = best_response(op, [price], g1.market, table=table)
                 assert _result_bits(fast) == _result_bits(

@@ -2,7 +2,8 @@
 module level, those imports form no cycle, and only the CLI and the package
 root import the scenario file format. Small tolerances are named, every
 command-line option is read by the CLI, and every function the benchmark's
-tracer wraps still exists."""
+tracer wraps still exists. Every defaulted parameter of a public function
+is passed by some call in the package."""
 
 import ast
 import graphlib
@@ -139,3 +140,44 @@ def test_every_traced_name_exists():
     params = list(inspect.signature(sliceprofit.orthogonal.solve_sizes).parameters.values())
     assert [p.name for p in params[:3]] == ["specs", "scheme", "pool"]
     assert all(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params[:3])
+
+
+
+# Defaulted parameters that stay although no call in the package passes them.
+UNPASSED_ALLOWED = {
+    # the independent reference the weighted-sum LP is checked against
+    "brute_force_oracle.weights",
+}
+
+
+def passed_arguments() -> dict:
+    """Function name -> the keywords and positions any call in the package
+    passes it; "*" stands for an unpacked *args or **kwargs."""
+    passed = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                args = passed.setdefault(name, set())
+                args |= {kw.arg or "*" for kw in node.keywords}
+                args |= {"*" if isinstance(arg, ast.Starred) else pos
+                         for pos, arg in enumerate(node.args)}
+    return passed
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a keyword only tests set is a knob the program never turns
+    passed = passed_arguments()
+    unpassed = []
+    for name in sliceprofit.__all__:
+        func = getattr(sliceprofit, name)
+        if not inspect.isfunction(func):
+            continue
+        args = passed.get(func.__name__, set())
+        for pos, param in enumerate(inspect.signature(func).parameters.values()):
+            by_position = param.kind is not param.KEYWORD_ONLY and pos in args
+            if param.default is not param.empty and not (
+                    param.name in args or by_position or "*" in args):
+                unpassed.append(f"{func.__name__}.{param.name}")
+    assert sorted(set(unpassed) - UNPASSED_ALLOWED) == []

@@ -1,7 +1,5 @@
 """Horizon simulation: parameter traces, held configs, update periods."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from sliceprofit import (
     ConfigurationError,
     DemandTrace,
     ReconfigCostModel,
-    brute_force_oracle,
     build_allocation,
     epoch_scenario,
     optimize_period,
@@ -144,23 +141,16 @@ class TestSimulateHorizon:
         assert sim.profits[1] == 0.0
         assert sim.update_count == 2
 
-    def test_custom_inner_solver_called_per_update(self, s2_trace):
+    def test_custom_inner_solver_called_per_update(self, s2_trace, monkeypatch):
         calls = []
 
         def counting(scn):
             calls.append(scn)
             return solve_objective_sum(scn)
 
-        simulate_horizon(s2_trace, s2_trace.trace, period=2, inner_solver=counting)
+        monkeypatch.setattr(longterm, "solve_objective_sum", counting)
+        simulate_horizon(s2_trace, s2_trace.trace, period=2)
         assert len(calls) == 2
-
-    def test_oracle_inner_solver(self, s2_trace):
-        sim = simulate_horizon(
-            s2_trace, s2_trace.trace, period=1,
-            inner_solver=lambda scn: brute_force_oracle(scn, 0.5),
-        )
-        assert sim.update_count == 4
-        assert all(math.isfinite(p) for p in sim.profits)
 
 
 class TestEvaluatePeriod:
@@ -230,14 +220,15 @@ class TestOptimizePeriod:
 
 
 class TestOptimizePeriodSolvesEachEpochOnce:
-    def _check(self, scenario, trace, periods, fee, expected_calls):
+    def _check(self, monkeypatch, scenario, trace, periods, fee, expected_calls):
         calls = []
 
         def counting(scn):
             calls.append(scn)
             return solve_objective_sum(scn)
 
-        _, table = optimize_period(scenario, trace, periods, fee, inner_solver=counting)
+        monkeypatch.setattr(longterm, "solve_objective_sum", counting)
+        _, table = optimize_period(scenario, trace, periods, fee)
         assert len(calls) == expected_calls
         for row in table:
             sim = simulate_horizon(scenario, trace, row["period"])
@@ -249,18 +240,19 @@ class TestOptimizePeriodSolvesEachEpochOnce:
                 "net_total": realized - sim.update_count * fee.cost_per_update,
             }
 
-    def test_one_solve_per_epoch_when_period_one_is_a_candidate(self, s2_trace):
+    def test_one_solve_per_epoch_when_period_one_is_a_candidate(self, s2_trace, monkeypatch):
         # one solve per period update would be 4 + 2 + 2 + 1 = 9
-        self._check(s2_trace, s2_trace.trace, [1, 2, 3, 4], ReconfigCostModel(0.5), 4)
+        self._check(monkeypatch, s2_trace, s2_trace.trace, [1, 2, 3, 4],
+                    ReconfigCostModel(0.5), 4)
 
-    def test_one_solve_per_distinct_update_epoch(self, s2_trace):
+    def test_one_solve_per_distinct_update_epoch(self, s2_trace, monkeypatch):
         # periods 2 and 3 update at {0, 2} and {0, 3}
-        self._check(s2_trace, s2_trace.trace, [2, 3], ReconfigCostModel(0.5), 3)
+        self._check(monkeypatch, s2_trace, s2_trace.trace, [2, 3], ReconfigCostModel(0.5), 3)
 
-    def test_infeasible_epoch_is_solved_once(self):
+    def test_infeasible_epoch_is_solved_once(self, monkeypatch):
         doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [2, 0]
         scenario = make_scenario(doc)
         # A's reservation is unreachable at t=1, where period 1 updates
         trace = DemandTrace(2, {}, {}, {"A": (1.0, 0.0)})
-        self._check(scenario, trace, [1, 2], ReconfigCostModel(0.0), 2)
+        self._check(monkeypatch, scenario, trace, [1, 2], ReconfigCostModel(0.0), 2)

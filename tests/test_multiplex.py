@@ -145,13 +145,6 @@ class TestSolveBcd:
             solve_exhaustive(s2m).total_profit, abs=0.02
         )
 
-    def test_shared_init_converges_immediately(self, s2m):
-        init = s2m.scheme.with_sharing(("shared", "dedicated"))
-        res = solve_bcd(s2m, init_scheme=init)
-        assert res.meta["rounds"] == 1
-        assert res.meta["converged"]
-        assert res.total_profit == pytest.approx(4.0, abs=1e-6)
-
     def test_zero_rounds_returns_floor_point(self, s2m):
         res = solve_bcd(s2m, max_rounds=0)
         assert res.sizes == (0.0, 0.0)
@@ -161,11 +154,6 @@ class TestSolveBcd:
     def test_negative_rounds_rejected(self, s2m):
         with pytest.raises(ConfigurationError):
             solve_bcd(s2m, max_rounds=-1)
-
-    def test_unknown_init_scheme_rejected(self, s2m):
-        init = s2m.scheme.with_sharing(("shared", "shared"))
-        with pytest.raises(ConfigurationError):
-            solve_bcd(s2m, init_scheme=init)
 
     def test_no_eligible_resources_is_plain_solve(self, s2):
         res = solve_bcd(s2)

@@ -1,5 +1,6 @@
 """Exact size optimisation for a fixed scheme, plus the grid oracle."""
 
+import math
 import pathlib
 from dataclasses import replace
 
@@ -205,6 +206,16 @@ class TestOracle:
             brute_force_oracle(s2, grid_step=1e-4)
         assert err.value.required > err.value.budget
         assert err.value.budget == 2_000_000
+
+    def test_budget_is_checked_before_any_axis_is_allocated(self, s2):
+        # one axis of 2e300 points: refused on its count, never built
+        huge = s2.with_specs((replace(s2.specs[0], customer_size=1e300),) + s2.specs[1:])
+        with pytest.raises(BudgetExceededError) as err:
+            brute_force_oracle(huge, grid_step=0.5)
+        assert err.value.required > 10**300
+        with pytest.raises(BudgetExceededError) as err:
+            brute_force_oracle(huge, grid_step=1e-300)  # the count overflows a float
+        assert err.value.required == math.inf
 
     def test_respects_reservation_masks(self):
         doc = scenario_to_dict(make_scenario())

@@ -350,6 +350,17 @@ class TestMarketBlock:
         with pytest.raises(ScenarioValidationError, match="not a traded resource"):
             scenario_from_dict(doc)
 
+    def test_grid_must_list_every_traded_resource(self, g1, tmp_path):
+        doc = scenario_to_dict(g1)
+        doc["market"]["grids"]["alpha"] = {}
+        with pytest.raises(ScenarioValidationError, match="every traded resource"):
+            scenario_from_dict(doc)
+        bad = tmp_path / "partial.json"
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--scenario", str(bad)]) == 2
+        assert cli_main(["game", "--scenario", str(bad), "--out", str(tmp_path / "g.csv")]) == 2
+        assert not (tmp_path / "g.csv").exists()
+
     def test_grid_for_unknown_operator(self, g1):
         doc = scenario_to_dict(g1)
         doc["market"]["grids"]["gamma"] = {"bandwidth": {"lo": 0, "hi": 1, "points": 2}}
