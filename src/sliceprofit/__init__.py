@@ -11,6 +11,7 @@ from .model import (
     ResourcePool,
     Scenario,
     SliceSpec,
+    SolverError,
     Violation,
     VnfScheme,
     build_allocation,

@@ -19,6 +19,7 @@ from .model import (
     BudgetExceededError,
     ConfigurationError,
     InfeasibleScenarioError,
+    SolverError,
     evaluate,
 )
 
@@ -355,6 +356,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _log(f"{args.command} refused: {exc}")
         return 2
+    except SolverError as exc:
+        _log(f"{args.command} failed: {exc}")
+        return 1
     except (ConfigurationError, scn.ScenarioError) as exc:
         _log(str(exc))
         return 2

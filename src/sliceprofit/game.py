@@ -40,6 +40,8 @@ _CAPACITY_FLOOR = 1e-12
 GRID_POINTS = 11
 # Most lease grid points, summed over operators, that one market or Nash check may solve.
 LEASE_GRID_BUDGET = 100_000
+# Most tatonnement rounds one market may run.
+MAX_ROUNDS = 10_000
 # A unilateral deviation must gain more than this to break a Nash equilibrium.
 NASH_GAIN_TOL = 1e-9
 
@@ -91,8 +93,8 @@ class MarketConfig:
             raise ConfigurationError("eta must be non-negative")
         if self.tol <= 0:
             raise ConfigurationError("tol must be positive")
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be at least 1")
+        if not 1 <= self.max_rounds <= MAX_ROUNDS:
+            raise ConfigurationError(f"max_rounds must be between 1 and {MAX_ROUNDS}")
         for oid, by_res in self.grids.items():
             if not set(traded) <= set(by_res):
                 raise ConfigurationError(f"lease grid of {oid} must list every traded resource")

@@ -44,6 +44,11 @@ class InfeasibleScenarioError(Exception):
         self.violations = tuple(violations)
 
 
+class SolverError(RuntimeError):
+    """A solve failed for a reason other than infeasibility, such as an LP
+    that HiGHS could not bring to an optimal or infeasible status."""
+
+
 class BudgetExceededError(Exception):
     """An enumeration would exceed its configured evaluation budget."""
 

@@ -23,6 +23,7 @@ from .model import (
     DEDICATED,
     SHARED,
     SchemeModel,
+    SolverError,
 )
 from .orthogonal import SolveResult, size_bounds, solve_sizes
 
@@ -163,7 +164,7 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
         trace.append(res.total_profit)
         step = _scheme_step(candidates, models, sizes)
         if step is None:  # current point is feasible under its own scheme
-            raise RuntimeError("scheme step lost feasibility")
+            raise SolverError("scheme step lost feasibility")
         _, new_idx, new_scheme = step
         if new_idx == scheme_idx:
             converged = True

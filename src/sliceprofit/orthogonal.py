@@ -7,6 +7,12 @@ step is therefore solved exactly as a linear program, followed by a
 lexicographic polish so ties always resolve to the smallest size vector.
 brute_force_oracle is an independent dense-grid enumerator kept free of any
 LP machinery; tests cross-check the two routes.
+
+Every LP goes through the module's one entry point, ``linprog``. When
+scipy's private HiGHS bindings import, it is a direct driver that gives
+the same results as ``scipy.optimize.linprog(method="highs")`` without
+scipy's per-call input parsing, sparse conversion and option checks.
+Otherwise it is scipy's ``linprog`` itself.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
 
 from .model import (
     BudgetExceededError,
@@ -26,6 +32,7 @@ from .model import (
     ResourcePool,
     SchemeModel,
     SliceSpec,
+    SolverError,
     VnfScheme,
     FEASIBILITY_TOL,
     SHARED,
@@ -48,6 +55,87 @@ _BRANCH_TIE = 1e-12
 _GRID_COUNT_TOL = 1e-9
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
+
+# linprog refuses a reported optimum that breaks a bound or a row by more
+# than its default tol of 1e-9 widened the way scipy's result check does.
+_LINPROG_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+def _highs_options():
+    """The options linprog(method="highs") sets; every other option keeps
+    its HiGHS default, as with linprog."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = False
+    opts.log_to_console = False
+    return opts
+
+
+def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
+    """linprog(c, A_ub=, b_ub=, bounds=, method="highs") for dense rows and
+    finite data, solved by a fresh HiGHS instance per call (no warm start).
+    Model, options, iteration count and the post-solve check are linprog's,
+    so x comes back bit-identical, and so are the status codes a bounded LP
+    run without limits can get. Only the fields the size solver reads are
+    returned; method is taken for linprog's call shape."""
+    c = np.asarray(c, dtype=float)
+    a = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    lb, ub = np.array(bounds, dtype=float).T
+    if not all(np.isfinite(v).all() for v in (c, a, b, lb, ub)):
+        raise ValueError("LP data must be finite")
+    n_row, n_col = a.shape
+    cols, rows = np.nonzero(a.T)  # CSC order: by column, rows ascending
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n_col + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = a.T[cols, rows]
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.full(n_row, -np.inf)
+    lp.row_upper_ = b
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        status, info = _highs.HighsModelStatus.kModelError, None
+    elif highs.run() == _highs.HighsStatus.kError:
+        status, info = highs.getModelStatus(), None
+    else:
+        status, info = highs.getModelStatus(), highs.getInfo()
+    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if info else 0
+    message = f"HiGHS model status is {highs.modelStatusToString(status)}"
+    if info is None or status != _highs.HighsModelStatus.kOptimal:
+        # linprog's codes: 2 for infeasible (a model HiGHS rejects counts as
+        # one), and 4 here for any other failure, since these LPs are bounded
+        # and run without limits
+        failed = (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError)
+        return OptimizeResult(x=None, status=2 if status in failed else 4,
+                              success=False, nit=nit, message=message)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = b - np.array(solution.row_value)
+    tol = _LINPROG_CHECK_TOL
+    # a NaN in x, the slack or the objective fails a comparison, as in linprog
+    valid = bool(((x >= lb - tol) & (x <= ub + tol)).all() and (slack >= -tol).all()
+                 and not math.isnan(info.objective_function_value))
+    if not valid:
+        message = f"the solution breaks a bound or row by more than {tol:.2E}"
+    return OptimizeResult(x=x, status=0 if valid else 4, success=valid, nit=nit, message=message)
+
+
+try:
+    import scipy.optimize._highspy._core as _highs
+except ImportError:  # a scipy without these bindings: every LP goes through linprog
+    from scipy.optimize import linprog
+else:
+    _HIGHS_OPTIONS = _highs_options()
+    linprog = _highs_linprog
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +299,7 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
         if res.status == 2:
             continue
         if not res.success:
-            raise RuntimeError(f"size LP failed: {res.message}")
+            raise SolverError(f"size LP failed: {res.message}")
         nit_total += int(res.nit)
         x, nit = _lex_polish(obj, a_ub, b_ub, bounds, res.x, float(obj @ res.x))
         nit_total += nit

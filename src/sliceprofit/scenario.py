@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closedloop import EnvironmentModel
-from .game import GRID_POINTS, LEASE_GRID_BUDGET, LEASE_ZERO_TOL, MarketConfig, OperatorPartition
+from .game import (GRID_POINTS, LEASE_GRID_BUDGET, LEASE_ZERO_TOL, MAX_ROUNDS, MarketConfig,
+                   OperatorPartition)
 from .longterm import DemandTrace
 from .model import (
     DEDICATED,
@@ -311,6 +312,8 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
     options = {"tol": _number(block, "tol", "market")} if "tol" in block else {}
     if "max_rounds" in block:
         options["max_rounds"] = _integer(block, "max_rounds", "market", 1)
+        _expect(options["max_rounds"] <= MAX_ROUNDS,
+                f"market: field 'max_rounds' must be at most {MAX_ROUNDS}")
     grids_doc = block.get("grids", {})
     _expect(isinstance(grids_doc, dict), "market: field 'grids' must be an object")
     op_ids = {p.id for p in (scenario.operators or ())}

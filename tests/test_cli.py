@@ -23,7 +23,7 @@ import pytest
 
 import sliceprofit
 from sliceprofit.cli import main
-from sliceprofit import scenario_to_dict
+from sliceprofit import game, scenario_to_dict
 
 from conftest import eligible_doc, make_scenario
 
@@ -434,6 +434,37 @@ class TestGame:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(
             "game refused: lease grids hold 120000 points, budget is 100000")
+
+    def test_failed_size_lp_exits_1_with_one_line(self, scenario_dir, tmp_path, capsys):
+        # a price above HiGHS's infinite cost (1e20) leaves a lease solve's
+        # LP with model status Unknown; solve itself still succeeds
+        doc = json.loads((scenario_dir / "g1.json").read_text())
+        doc["slices"][0]["price"] = 1e21
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "g1.csv"
+        assert main(["game", "--scenario", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        assert captured.err.startswith("game failed: size LP failed")
+        assert not out.exists()
+        assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+
+    @pytest.mark.parametrize("field", ["document", "flag"])
+    def test_round_bound(self, scenario_dir, tmp_path, capsys, field):
+        # g1 clears in 2 rounds, so a run at the bound is quick
+        doc = json.loads((scenario_dir / "g1.json").read_text())
+        for rounds, code in ((game.MAX_ROUNDS, 0), (game.MAX_ROUNDS + 1, 2)):
+            argv = ["game", "--out", str(tmp_path / f"{rounds}.csv")]
+            if field == "document":
+                doc["market"]["max_rounds"] = rounds
+                argv += ["--scenario", str(write_doc(tmp_path, doc))]
+            else:
+                argv += ["--scenario", str(scenario_dir / "g1.json"), "--rounds", str(rounds)]
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.strip().endswith(str(game.MAX_ROUNDS))
+        assert not (tmp_path / f"{game.MAX_ROUNDS + 1}.csv").exists()
 
     def test_needs_operators_block(self, scenario_dir, tmp_path):
         rc = main(["game", "--scenario", str(scenario_dir / "s2.json"),

@@ -58,6 +58,13 @@ class TestMarketConfig:
         with pytest.raises(ConfigurationError):
             MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]), max_rounds=0)
 
+    def test_rounds_bound(self):
+        at = MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]), max_rounds=game.MAX_ROUNDS)
+        assert at.max_rounds == game.MAX_ROUNDS == 10_000
+        with pytest.raises(ConfigurationError, match="max_rounds"):
+            MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]),
+                         max_rounds=game.MAX_ROUNDS + 1)
+
     def test_grid_must_list_every_traded_resource(self):
         zero = np.array([0.0])
         with pytest.raises(ConfigurationError, match="every traded resource"):

@@ -7,7 +7,9 @@ the same invocation run from the repository root with
 tests/golden/<name>.trace.csv`` for closed-loop). The manifest line holds
 the paths of the run, so only its command, flags and scenario digest are
 compared; every byte after it must match. One more test runs every case
-in a single subprocess and checks that none of them writes to stdout.
+in a single subprocess and checks that none of them writes to stdout, and
+another runs them all with scipy's private HiGHS bindings made unimportable,
+so that every LP goes through ``scipy.optimize.linprog`` itself.
 """
 
 import json
@@ -71,17 +73,20 @@ def full_argv(name, out_dir):
     return argv
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(GOLDEN.parent.parent)
-    files = output_names(name)
-    assert main(full_argv(name, tmp_path)) == CASES[name][1]
-    for fname in files:
-        got_manifest, got = split_manifest((tmp_path / fname).read_bytes())
+def assert_matches_golden(name, out_dir):
+    for fname in output_names(name):
+        got_manifest, got = split_manifest((out_dir / fname).read_bytes())
         want_manifest, want = split_manifest((GOLDEN / fname).read_bytes())
         for key in ("command", "flags", "scenario_sha256"):
             assert got_manifest[key] == want_manifest[key], (fname, key)
         assert got == want, fname
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    assert main(full_argv(name, tmp_path)) == CASES[name][1]
+    assert_matches_golden(name, tmp_path)
 
 
 def test_cases_write_nothing_to_stdout(tmp_path):
@@ -97,3 +102,25 @@ def test_cases_write_nothing_to_stdout(tmp_path):
                           cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def test_linprog_fallback_writes_the_same_bytes(tmp_path):
+    # without scipy's private HiGHS bindings, orthogonal binds scipy's own
+    # linprog; every case, run in one fresh process, still writes its
+    # golden bytes
+    runs = [(full_argv(name, tmp_path), code) for name, (_, code) in sorted(CASES.items())]
+    script = ("import importlib, json, sys\n"
+              "import scipy.optimize\n"
+              "from sliceprofit import orthogonal\n"
+              "from sliceprofit.cli import main\n"
+              "sys.modules['scipy.optimize._highspy._core'] = None\n"
+              "importlib.reload(orthogonal)\n"
+              "assert orthogonal.linprog is scipy.optimize.linprog\n"
+              "for argv, code in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == code, argv\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in sorted(CASES):
+        assert_matches_golden(name, tmp_path)

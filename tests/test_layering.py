@@ -1,9 +1,10 @@
 """Package layering: every import between sliceprofit modules runs at
-module level, those imports form no cycle, and only the CLI and the package
-root import the scenario file format. Small tolerances are named, every
-command-line option is read by the CLI, and every function the benchmark's
-tracer wraps still exists. Every defaulted parameter of a public function
-is passed by some call in the package."""
+module level, those imports form no cycle, only the CLI and the package
+root import the scenario file format, and only orthogonal reaches the LP
+engine. Small tolerances are named, every command-line option is read by
+the CLI, and every function the benchmark's tracer wraps still exists.
+Every defaulted parameter of a public function is passed by some call in
+the package."""
 
 import ast
 import graphlib
@@ -74,6 +75,23 @@ def test_module_imports_form_no_cycle():
 def test_only_cli_and_package_root_read_the_file_format():
     graph = module_level_graph()
     assert {name for name, deps in graph.items() if "scenario" in deps} == {"cli", "__init__"}
+
+
+def test_orthogonal_is_the_one_lp_boundary():
+    # the benchmark's tracer counts LPs at orthogonal.linprog, and the HiGHS
+    # driver is bound there alone, so no other module reaches the LP engine
+    crossing = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in TREES.items() if name != "orthogonal"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("scipy.optimize"))
+        or (isinstance(node, ast.Import)
+            and any(alias.name.startswith("scipy.optimize") for alias in node.names))
+        or (isinstance(node, ast.Call)
+            and "linprog" in (getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+    ]
+    assert crossing == []
 
 
 def test_small_float_literals_are_named_constants():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from sliceprofit import (
@@ -33,7 +34,8 @@ from sliceprofit import (
     solve_weighted_sum,
     validate_weights,
 )
-from sliceprofit import game
+from sliceprofit import game, orthogonal
+from sliceprofit.longterm import ReconfigCostModel, optimize_period
 from sliceprofit.model import SchemeModel
 
 from conftest import make_scenario, random_scenario
@@ -399,3 +401,82 @@ class TestOneModelPerSolve:
         monkeypatch.setattr(game, "solve_sizes", counting)
         run_market(build_operators(g1), g1.market)
         assert solves and len(built) == len(solves)
+
+
+def same_lp_result(got, want) -> bool:
+    """Status, success, simplex iterations and the bytes of x all agree."""
+    if (got.status, got.success, got.nit) != (want.status, want.success, want.nit):
+        return False
+    if got.x is None or want.x is None:
+        return got.x is None and want.x is None
+    return got.x.tobytes() == want.x.tobytes()
+
+
+def reference_linprog(c, A_ub, b_ub, bounds):
+    return scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+
+@pytest.mark.skipif(orthogonal.linprog is scipy.optimize.linprog,
+                    reason="scipy's HiGHS bindings did not import")
+class TestHighsDriver:
+    """orthogonal.linprog, when it is the direct HiGHS driver, returns what
+    scipy.optimize.linprog(method="highs") returns, bit for bit."""
+
+    def test_every_scenario_lp_matches_linprog(self, scenario_dir, monkeypatch):
+        # every main and polish LP that the exhaustive search, the market and
+        # the longterm sweep raise on the shipped scenarios and fault6x4
+        recorded = []
+        driver = orthogonal.linprog
+
+        def record(c, A_ub, b_ub, bounds, method):
+            res = driver(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+            recorded.append((np.copy(c), np.copy(A_ub), np.copy(b_ub), list(bounds), res))
+            return res
+
+        monkeypatch.setattr(orthogonal, "linprog", record)
+        for path in sorted(scenario_dir.glob("*.json")) + [TestLpToleranceOvershoot.FAULT]:
+            scenario = load_scenario(path)
+            solve_exhaustive(scenario)
+            if scenario.market is not None:
+                run_market(build_operators(scenario), scenario.market)
+            if scenario.trace is not None:
+                periods = range(1, scenario.trace.horizon + 1)
+                optimize_period(scenario, scenario.trace, periods, ReconfigCostModel(5.0))
+        # a polish LP minimises one coordinate: its cost vector is a unit vector
+        polish = [c for c, *_ in recorded if np.count_nonzero(c) == 1 and c.max() == 1.0]
+        assert 0 < len(polish) < len(recorded)
+        mismatched = [k for k, (c, a, b, bounds, res) in enumerate(recorded)
+                      if not same_lp_result(res, reference_linprog(c, a, b, bounds))]
+        assert mismatched == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_drawn_lps_match_linprog(self, n, m, data):
+        # zero-row LPs, fixed bounds (v, v) and infeasible row systems
+        # (negative right-hand sides under non-negative boxes) included
+        value = st.floats(-5.0, 5.0, allow_nan=False).map(lambda v: round(v, 3))
+        c = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        a = np.array(data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                        min_size=m, max_size=m))).reshape(m, n)
+        b = np.array(data.draw(st.lists(value, min_size=m, max_size=m)))
+        bounds = []
+        for _ in range(n):
+            lo = data.draw(st.floats(0.0, 3.0).map(lambda v: round(v, 2)))
+            fixed = data.draw(st.booleans())
+            bounds.append((lo, lo) if fixed else (lo, lo + data.draw(st.floats(0.0, 3.0))))
+        got = orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+        assert same_lp_result(got, reference_linprog(c, a, b, bounds))
+
+    @pytest.mark.parametrize("c, a, b, bounds, status", [
+        ([-1.0, 2.0], np.zeros((0, 2)), np.zeros(0), [(0.0, 3.0), (1.0, 1.0)], 0),
+        ([1.0], [[1.0]], [-1.0], [(0.0, 2.0)], 2),
+    ], ids=["zero-rows-fixed-bound", "infeasible"])
+    def test_pinned_lps(self, c, a, b, bounds, status):
+        c, a, b = np.array(c), np.array(a), np.array(b)
+        got = orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+        assert got.status == status
+        assert same_lp_result(got, reference_linprog(c, a, b, bounds))
