@@ -17,14 +17,11 @@ from .model import (
     build_allocation,
     check_feasible,
     evaluate,
-    min_size,
-    unit_demand,
 )
 from .orthogonal import (
     SolveResult,
     brute_force_oracle,
     oracle_gap_bound,
-    size_bounds,
     solve_objective_sum,
     solve_sizes,
     solve_weighted_sum,

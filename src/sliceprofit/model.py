@@ -5,8 +5,10 @@ A slice serves a customer group with a KPI requirement vector. Its size
 to resource demand; resource demand priced at the pool's unit costs gives
 expenditure, price times served customers gives revenue, and profit is the
 difference. SchemeModel computes all of it for a size vector under one
-scheme and pool, and evaluate does so for a scenario; build_allocation and
+scheme and pool, and the size box that reservations and customer bases
+allow. evaluate does so for a scenario; build_allocation and
 check_feasible are the allocation-level forms of its rows and its verdict.
+No other module reads a slice's rows from a scheme.
 The value objects are frozen and solvers live in separate modules. A
 Scenario bundles one problem instance: the pool, the slices and their base
 scheme, plus the optional blocks the adaptation and market solvers read.
@@ -258,22 +260,21 @@ class Outcome:
     violations: tuple
 
 
-def unit_demand(spec: SliceSpec, scheme: VnfScheme) -> np.ndarray:
-    """Per-size-unit resource demand for one slice under a scheme."""
-    i = scheme.index_of(spec.id)
-    mat = scheme.demand[i]
-    if mat.shape[1] != spec.kpi.shape[0]:
-        raise ConfigurationError(
-            f"slice {spec.id}: demand matrix expects {mat.shape[1]} KPIs, got {spec.kpi.shape[0]}"
-        )
-    return mat @ spec.kpi
-
-
-def scheme_rows(specs: Sequence[SliceSpec], scheme: VnfScheme) -> tuple:
+def _scheme_rows(specs: Sequence[SliceSpec], scheme: VnfScheme) -> tuple:
     """(unit demand, overhead) matrices, one row per spec in spec order.
-    Each slice finds its rows in the scheme by id."""
-    unit = np.stack([unit_demand(spec, scheme) for spec in specs])
-    return unit, scheme.overhead[[scheme.index_of(spec.id) for spec in specs]]
+    Each slice finds its rows in the scheme by id, and its unit demand (per
+    size unit) is its demand map applied to its KPIs."""
+    unit, index = [], []
+    for spec in specs:
+        i = scheme.index_of(spec.id)
+        mat = scheme.demand[i]
+        if mat.shape[1] != spec.kpi.shape[0]:
+            raise ConfigurationError(
+                f"slice {spec.id}: demand matrix expects {mat.shape[1]} KPIs, got {spec.kpi.shape[0]}"
+            )
+        unit.append(mat @ spec.kpi)
+        index.append(i)
+    return np.stack(unit), scheme.overhead[index]
 
 
 def _resource_rows(unit: np.ndarray, overhead: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -287,7 +288,7 @@ def _resource_rows(unit: np.ndarray, overhead: np.ndarray, sizes: np.ndarray) ->
 def build_allocation(specs: Sequence[SliceSpec], scheme: VnfScheme, sizes) -> Allocation:
     """The validated sizes and the resource rows they induce, one per spec."""
     sizes = _as_vector(sizes, "sizes", length=len(specs))
-    return Allocation(sizes=sizes, resources=_resource_rows(*scheme_rows(specs, scheme), sizes))
+    return Allocation(sizes=sizes, resources=_resource_rows(*_scheme_rows(specs, scheme), sizes))
 
 
 def _usage(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -353,7 +354,7 @@ class SchemeModel:
 
     def __init__(self, specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool):
         self.specs, self.pool = tuple(specs), pool
-        self.unit, self.overhead = scheme_rows(self.specs, scheme)
+        self.unit, self.overhead = _scheme_rows(self.specs, scheme)
         self.shared = np.flatnonzero(scheme.shared_mask())
         self.price = np.array([spec.price for spec in self.specs])
         self.customers = np.array([spec.customer_size for spec in self.specs])
@@ -389,6 +390,30 @@ class SchemeModel:
         feasible, violations = self.verdict(alloc.resources)
         return Outcome(profits, float(sum(profits)), feasible, violations)
 
+    def size_bounds(self) -> tuple:
+        """Per-slice (lo, hi) search box in spec order. lo is the smallest
+        size whose row meets the slice's reservations: the largest
+        shortfall below overhead over unit demand, 0 without reservations
+        and at least _TINY_SIZE with any, since reservations met by
+        overhead alone still need the slice active. hi is the customer
+        base, or lo above it; profit never improves past the base. Raises
+        InfeasibleScenarioError for a reservation on a resource the slice
+        never consumes."""
+        floors = self.limits[1]
+        need = floors - self.overhead
+        short = need > 0
+        bad = (short & (self.unit <= 0)).any(axis=1)
+        if bad.any():
+            ids = [spec.id for spec, b in zip(self.specs, bad) if b]
+            raise InfeasibleScenarioError(
+                f"slices {ids} reserve resources their demand map never produces"
+            )
+        ratio = np.divide(need, self.unit, out=np.zeros_like(need), where=short)
+        reserved = (floors > 0).any(axis=1)
+        lo = np.where(reserved, np.maximum(ratio.max(axis=1, initial=0.0), _TINY_SIZE), 0.0)
+        # max(customer base, lo) that keeps the base on a tie, signed zeros included
+        return lo, np.where(lo > self.customers, lo, self.customers)
+
 
 def evaluate(scenario, sizes, scheme: Optional[VnfScheme] = None) -> Outcome:
     """Full outcome (per-slice profits, total, feasibility) for a size
@@ -396,24 +421,3 @@ def evaluate(scenario, sizes, scheme: Optional[VnfScheme] = None) -> Outcome:
     scheme = scheme if scheme is not None else scenario.scheme
     return SchemeModel(scenario.specs, scheme, scenario.pool).outcome(sizes)
 
-
-def min_size(spec: SliceSpec, scheme: VnfScheme) -> float:
-    """Smallest size whose resource row meets the slice's reservations.
-
-    Returns math.inf when no size can (reservation on a resource the slice
-    never consumes).
-    """
-    floors = spec.min_resources
-    if np.all(floors <= 0):
-        return 0.0
-    (u,), (b,) = scheme_rows([spec], scheme)
-    lo = 0.0
-    for j in range(floors.shape[0]):
-        need = floors[j] - b[j]
-        if need <= 0:
-            continue
-        if u[j] <= 0:
-            return math.inf
-        lo = max(lo, need / u[j])
-    # Reservations covered purely by overhead still require activation.
-    return max(lo, _TINY_SIZE)

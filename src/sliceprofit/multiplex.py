@@ -25,7 +25,7 @@ from .model import (
     SchemeModel,
     SolverError,
 )
-from .orthogonal import SolveResult, size_bounds, solve_sizes
+from .orthogonal import SolveResult, solve_sizes
 
 # Most sharing schemes a search enumerates. There are 2^E of them for E
 # eligible resources, the same bound as the size solver's activation
@@ -150,8 +150,7 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     scheme_idx, scheme = 0, candidates[0]
     models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
 
-    lo, _ = size_bounds(scenario.specs, scheme)
-    sizes = lo
+    sizes, _ = models[0].size_bounds()
     trace = []
     converged = False
     rounds = 0
@@ -326,7 +325,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     candidates = enumerate_candidates(scenario)
     n_schemes = len(candidates)
     models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
-    lo, hi = size_bounds(scenario.specs, candidates[0])
+    lo, hi = models[0].size_bounds()
     base = models[0].outcome(lo)
     if not base.feasible:
         raise InfeasibleScenarioError(

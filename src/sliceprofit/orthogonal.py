@@ -36,9 +36,6 @@ from .model import (
     VnfScheme,
     FEASIBILITY_TOL,
     SHARED,
-    evaluate,
-    min_size,
-    scheme_rows,
 )
 
 # Activation overhead makes profit discontinuous at size 0; solvers branch
@@ -55,6 +52,11 @@ _BRANCH_TIE = 1e-12
 _GRID_COUNT_TOL = 1e-9
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
+
+# HiGHS rejects an LP holding a matrix value this large (its
+# large_matrix_value) as a model error, which would read as an infeasible
+# branch, so a unit demand this large fails the solve instead.
+_MAX_UNIT_DEMAND = 1e15
 
 # linprog refuses a reported optimum that breaks a bound or a row by more
 # than its default tol of 1e-9 widened the way scipy's result check does.
@@ -162,20 +164,7 @@ def validate_weights(weights, n_slices: int) -> np.ndarray:
     return arr
 
 
-def size_bounds(specs: Sequence[SliceSpec], scheme: VnfScheme):
-    """Per-slice [lo, hi] search box: lo from reservations, hi at the
-    customer base (profit never improves past it under the default model)."""
-    lo = np.array([min_size(spec, scheme) for spec in specs])
-    if np.any(np.isinf(lo)):
-        bad = [specs[i].id for i in np.where(np.isinf(lo))[0]]
-        raise InfeasibleScenarioError(
-            f"slices {bad} reserve resources their demand map never produces"
-        )
-    hi = np.array([max(spec.customer_size, l) for spec, l in zip(specs, lo)])
-    return lo, hi
-
-
-def _lp_rows(model: SchemeModel, active: np.ndarray, sharing) -> tuple:
+def _lp_rows(model: SchemeModel, active: np.ndarray) -> tuple:
     """Build A_ub, b_ub for pool constraints over active slices only.
 
     Returns None when constant overhead alone already breaks a capacity
@@ -186,8 +175,9 @@ def _lp_rows(model: SchemeModel, active: np.ndarray, sharing) -> tuple:
     m, n = unit.shape
     rows, rhs = [], []
     act = np.where(active)[0]
+    shared = set(model.shared.tolist())
     for j in range(n):
-        if sharing[j] == SHARED:
+        if j in shared:
             for i in act:
                 if overhead[i, j] > cap_limit[j]:
                     return None
@@ -254,7 +244,7 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
     outcome on the scheme's model; meta names the solver (objective-sum,
     or weighted-sum when weights are given) and the LP iterations. Raises
     InfeasibleScenarioError when reservations cannot be met inside the
-    pool."""
+    pool, and SolverError when an LP fails or HiGHS would reject one."""
     m = len(specs)
     if m == 0:
         raise ConfigurationError("scenario must contain at least one slice")
@@ -268,7 +258,10 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
 
     model = SchemeModel(specs, scheme, pool)
     unit, overhead = model.unit, model.overhead
-    lo, hi = size_bounds(specs, scheme)
+    if (unit >= _MAX_UNIT_DEMAND).any():
+        raise SolverError(f"size LP failed: a unit demand reaches {_MAX_UNIT_DEMAND:g}, "
+                          "a matrix value HiGHS rejects")
+    lo, hi = model.size_bounds()
     margins = np.array(
         [spec.price - float(np.dot(unit[i], pool.unit_cost)) for i, spec in enumerate(specs)]
     )
@@ -288,7 +281,7 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
         active = np.ones(m, dtype=bool)
         for flag, i in zip(pattern, free):
             active[i] = flag
-        built = _lp_rows(model, active, scheme.sharing)
+        built = _lp_rows(model, active)
         if built is None:
             continue
         a_ub, b_ub = built
@@ -344,7 +337,7 @@ def solve_weighted_sum(scenario, weights) -> SolveResult:
 def oracle_gap_bound(scenario, grid_step: float) -> float:
     """Worst-case optimum underestimate of the grid oracle: one step of the
     summed profit slopes."""
-    unit, _ = scheme_rows(scenario.specs, scenario.scheme)
+    unit = SchemeModel(scenario.specs, scenario.scheme, scenario.pool).unit
     return grid_step * sum(abs(spec.price) + float(np.dot(u, scenario.pool.unit_cost))
                            for spec, u in zip(scenario.specs, unit))
 
@@ -368,8 +361,9 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
         w = validate_weights(weights, m)
     w = w / w.max()
 
-    unit, overhead = scheme_rows(specs, scheme)
-    lo, hi = size_bounds(specs, scheme)
+    model = SchemeModel(specs, scheme, pool)
+    unit, overhead = model.unit, model.overhead
+    lo, _ = model.size_bounds()
     counts = []
     for i, spec in enumerate(specs):
         implied = math.inf
@@ -417,7 +411,7 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
     pick = int(np.argmax(value))  # first max = lex smallest in C order
     best = sizes[:, pick]
     return SolveResult(
-        tuple(float(s) for s in best), evaluate(scenario, best, scheme), scheme,
+        tuple(float(s) for s in best), model.outcome(best), scheme,
         {"solver": "oracle", "iterations": int(n_points),
          "grid_step": float(grid_step), "points": int(n_points)},
     )

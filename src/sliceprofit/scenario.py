@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closedloop import EnvironmentModel
-from .game import (GRID_POINTS, LEASE_GRID_BUDGET, LEASE_ZERO_TOL, MAX_ROUNDS, MarketConfig,
-                   OperatorPartition)
+from .game import GRID_POINTS, LEASE_GRID_BUDGET, LEASE_ZERO_TOL, MarketConfig, OperatorPartition
 from .longterm import DemandTrace
 from .model import (
     DEDICATED,
@@ -30,9 +29,9 @@ from .model import (
     ConfigurationError,
     ResourcePool,
     Scenario,
+    SchemeModel,
     SliceSpec,
     VnfScheme,
-    scheme_rows,
 )
 
 
@@ -207,7 +206,7 @@ def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
     m, l = scenario.n_slices, scenario.n_kpis
     ids = [spec.id for spec in scenario.specs]
     gamma = np.zeros((m, l, m))
-    unit, _ = scheme_rows(scenario.specs, scenario.scheme)
+    unit = SchemeModel(scenario.specs, scenario.scheme, scenario.pool).unit
     shared = scenario.scheme.shared_mask()
     coupling = block.get("coupling", [])
     _expect(isinstance(coupling, list), "environment: 'coupling' must be an array")
@@ -312,8 +311,6 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
     options = {"tol": _number(block, "tol", "market")} if "tol" in block else {}
     if "max_rounds" in block:
         options["max_rounds"] = _integer(block, "max_rounds", "market", 1)
-        _expect(options["max_rounds"] <= MAX_ROUNDS,
-                f"market: field 'max_rounds' must be at most {MAX_ROUNDS}")
     grids_doc = block.get("grids", {})
     _expect(isinstance(grids_doc, dict), "market: field 'grids' must be an object")
     op_ids = {p.id for p in (scenario.operators or ())}

@@ -12,6 +12,10 @@ compute through its row formula. ``build_allocation_loop``,
 of ``build_allocation``, ``SchemeModel.breakdown`` and ``evaluate``. None
 of them uses ``SchemeModel``.
 
+``SchemeModel.size_bounds`` gives every slice's search box at once.
+``size_bounds_loop`` is the slice-by-slice, resource-by-resource form, and
+it reads each slice's rows from the scheme itself.
+
 The lease market solves each operator's internal optimum once per lease
 vector and call (``game._LeaseTable``). ``best_response_resolve``,
 ``run_market_resolve`` and ``verify_nash_resolve`` are the forms that
@@ -37,7 +41,7 @@ from sliceprofit.model import (
     Outcome,
     ResourcePool,
     Violation,
-    unit_demand,
+    _TINY_SIZE,
 )
 from sliceprofit.orthogonal import solve_sizes
 
@@ -70,10 +74,42 @@ def check_feasible_loop(alloc, scheme, pool, specs):
 def _resource_demand_loop(spec, size, scheme):
     """One slice's resources: linear in size, plus the overhead of its own
     scheme row when active (size > 0)."""
-    base = size * unit_demand(spec, scheme)
+    base = size * (scheme.demand[scheme.index_of(spec.id)] @ spec.kpi)
     if size > 0:
         base = base + scheme.overhead[scheme.index_of(spec.id)]
     return base
+
+
+def size_bounds_loop(specs, scheme):
+    """SchemeModel(specs, scheme, pool).size_bounds, one slice and one
+    resource at a time. A slice's lo is 0 without reservations; otherwise
+    it is the largest shortfall below overhead over unit demand, at least
+    _TINY_SIZE. hi is max(customer base, lo), keeping the base on a tie."""
+    lo = []
+    for spec in specs:
+        floors = spec.min_resources
+        if np.all(floors <= 0):
+            lo.append(0.0)
+            continue
+        i = scheme.index_of(spec.id)
+        unit, overhead = scheme.demand[i] @ spec.kpi, scheme.overhead[i]
+        size = 0.0
+        for j in range(floors.shape[0]):
+            need = floors[j] - overhead[j]
+            if need <= 0:
+                continue
+            if unit[j] <= 0:
+                size = math.inf
+                break
+            size = max(size, need / unit[j])
+        lo.append(max(size, _TINY_SIZE))
+    lo = np.array(lo)
+    if np.any(np.isinf(lo)):
+        bad = [specs[i].id for i in np.where(np.isinf(lo))[0]]
+        raise InfeasibleScenarioError(
+            f"slices {bad} reserve resources their demand map never produces"
+        )
+    return lo, np.array([max(spec.customer_size, size) for spec, size in zip(specs, lo)])
 
 
 def build_allocation_loop(specs, scheme, sizes):

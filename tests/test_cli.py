@@ -450,6 +450,22 @@ class TestGame:
         assert not out.exists()
         assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "s.csv")]) == 0
 
+    @pytest.mark.parametrize("command, name, kpi", [("solve", "s2", 1e15), ("game", "g1", 1e19)])
+    def test_unit_demand_highs_rejects_exits_1(self, scenario_dir, tmp_path, capsys,
+                                                command, name, kpi):
+        # HiGHS rejects an LP with a matrix value of 1e15 or more. Read as
+        # infeasible, it gave s2, which reserves nothing, an infeasible row,
+        # and left operator alpha of g1 infeasible at every lease.
+        doc = json.loads((scenario_dir / f"{name}.json").read_text())
+        doc["slices"][0]["kpi"][0] = kpi
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        assert captured.err.startswith(f"{command} failed: size LP failed: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["document", "flag"])
     def test_round_bound(self, scenario_dir, tmp_path, capsys, field):
         # g1 clears in 2 rounds, so a run at the bound is quick

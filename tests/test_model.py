@@ -3,7 +3,6 @@ expenditure, revenue and profit from SchemeModel.breakdown and outcome,
 pool usage from SchemeModel.usage, and the allocation-level
 build_allocation, check_feasible and evaluate."""
 
-import math
 import pathlib
 from dataclasses import replace
 
@@ -13,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sliceprofit import (
     ConfigurationError,
+    InfeasibleScenarioError,
     ResourcePool,
     SliceSpec,
     VnfScheme,
@@ -20,15 +20,13 @@ from sliceprofit import (
     check_feasible,
     enumerate_candidates,
     evaluate,
-    min_size,
     load_scenario,
-    size_bounds,
-    unit_demand,
 )
-from sliceprofit.model import SchemeModel
+from sliceprofit.model import _TINY_SIZE, SchemeModel
 
 from conftest import make_scenario, random_scenario
-from reference_impl import check_feasible_loop, evaluate_loop, slice_breakdown_loop
+from reference_impl import (check_feasible_loop, evaluate_loop, size_bounds_loop,
+                            slice_breakdown_loop)
 
 
 def slice_model(scenario, spec, scheme=None):
@@ -219,8 +217,7 @@ class TestFeasibilityMatchesLoopReference:
         )
         cands = enumerate_candidates(scenario)
         scheme = cands[int(rng.integers(len(cands)))]
-        lo, hi = size_bounds(scenario.specs, scheme)
-        lo[np.isinf(lo)] = 0.0
+        lo, hi = SchemeModel(scenario.specs, scheme, scenario.pool).size_bounds()
         scale = (0.0, 0.3, 0.7, 1.0, 1.3, 2.0)[scale_case]
         sizes = lo + scale * rng.random(len(lo)) * np.maximum(hi - lo, 1e-6)
         sizes[rng.random(len(lo)) < 0.2] = 0.0
@@ -261,8 +258,7 @@ def _outcome_bits(out):
 def _random_sizes(rng, scenario, scheme, scale):
     """Sizes around the search box: some zero (either sign), some exactly at
     the customer base, the rest scaled past it when scale > 1."""
-    lo, hi = size_bounds(scenario.specs, scheme)
-    lo[np.isinf(lo)] = 0.0
+    lo, hi = SchemeModel(scenario.specs, scheme, scenario.pool).size_bounds()
     m = len(lo)
     sizes = lo + scale * rng.random(m) * np.maximum(hi - lo, 1e-6)
     at_base = rng.random(m) < 0.2
@@ -352,18 +348,94 @@ class TestEvaluate:
 
 
 class TestMinSize:
+    """The lower end of SchemeModel.size_bounds: the smallest size that
+    meets a slice's reservations."""
+
     def test_zero_minimums(self, s2):
-        assert min_size(s2.specs[0], s2.scheme) == 0.0
+        lo, _ = SchemeModel(s2.specs, s2.scheme, s2.pool).size_bounds()
+        assert lo[0] == 0.0
 
     def test_positive_minimum(self):
         scenario = make_scenario()
         spec = SliceSpec("A", scenario.specs[0].kpi, 4, 3.0, np.array([4.0, 0.0]))
-        assert min_size(spec, scenario.scheme) == pytest.approx(2.0)
+        lo, _ = slice_model(scenario, spec).size_bounds()
+        assert lo[0] == pytest.approx(2.0)
 
     def test_unsatisfiable_minimum(self):
+        # zero KPIs give a zero unit demand, so no size meets the reservation
         scenario = make_scenario()
         spec = SliceSpec("A", np.array([0.0, 0.0]), 4, 3.0, np.array([1.0, 0.0]))
-        assert min_size(spec, scenario.scheme) == math.inf
+        with pytest.raises(InfeasibleScenarioError, match=r"\['A'\] reserve"):
+            slice_model(scenario, spec).size_bounds()
+
+
+class TestSizeBoundsMatchesLoopReference:
+    """SchemeModel.size_bounds against the slice-by-slice loop, bit for
+    bit, with every floating-point warning raised."""
+
+    @staticmethod
+    def _instance(rng, case):
+        """Specs in shuffled order, their scheme and a pool, drawn so that
+        case holds: no reservations, reservations met by overhead alone, a
+        reservation above slice 0's customer base, -0.0 customer bases, or
+        a reservation on a resource slice 0 never consumes."""
+        m, n, l = (int(rng.integers(1, 4)) for _ in range(3))
+        demand = rng.uniform(0.0, 1.2, (m, n, l)) * (rng.random((m, n, l)) < 0.7)
+        demand[0, 0, 0] += 0.5
+        overhead = rng.uniform(0.0, 0.5, (m, n)) * (rng.random((m, 1)) < 0.5)
+        kpi = rng.uniform(0.4, 2.0, (m, l))
+        unit = np.einsum("inl,il->in", demand, kpi)
+        floors = rng.uniform(0.0, 3.0, (m, n)) * (rng.random((m, n)) < 0.5) * (unit > 0)
+        customers = rng.uniform(0.0, 6.0, m) * (rng.random(m) < 0.8)
+        if case == "none":
+            floors = rng.choice([0.0, -0.0], (m, n))
+        elif case == "overhead":
+            overhead = rng.uniform(0.5, 1.0, (m, n))
+            floors = overhead * rng.uniform(0.1, 1.0, (m, n))
+        elif case == "above":
+            floors[0, 0] = overhead[0, 0] + unit[0, 0] * (customers[0] + 1.0)
+        elif case == "negzero":
+            customers[rng.random(m) < 0.5] = -0.0
+        elif case == "unreachable":
+            j = int(rng.integers(n))
+            demand[0, j] = 0.0
+            floors[0, j] = overhead[0, j] + 1.0
+        ids = [f"s{i}" for i in range(m)]
+        specs = [SliceSpec(ids[i], kpi[i], float(customers[i]), 1.0, floors[i])
+                 for i in rng.permutation(m)]
+        sharing = tuple(rng.choice(["dedicated", "shared"], n))
+        pool = ResourcePool(rng.uniform(4.0, 14.0, n), rng.uniform(0.1, 1.0, n))
+        return specs, VnfScheme(tuple(ids), demand, overhead, sharing), pool
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000),
+           st.sampled_from(["none", "overhead", "above", "negzero", "unreachable"]))
+    def test_agrees_with_loop_reference(self, seed, case):
+        specs, scheme, pool = self._instance(np.random.default_rng(seed), case)
+        model = SchemeModel(specs, scheme, pool)
+        with np.errstate(all="raise"):
+            if case == "unreachable":
+                with pytest.raises(InfeasibleScenarioError) as ours:
+                    model.size_bounds()
+                with pytest.raises(InfeasibleScenarioError) as ref:
+                    size_bounds_loop(specs, scheme)
+                assert str(ours.value) == str(ref.value)
+                return
+            lo, hi = model.size_bounds()
+            ref_lo, ref_hi = size_bounds_loop(specs, scheme)
+        assert lo.tobytes() == ref_lo.tobytes()
+        assert hi.tobytes() == ref_hi.tobytes()
+        if case == "none":
+            assert lo.tobytes() == np.zeros(len(specs)).tobytes()
+        elif case == "overhead":
+            assert (lo == _TINY_SIZE).all()
+        elif case == "above":
+            first = [spec.id for spec in specs].index("s0")
+            assert lo[first] > specs[first].customer_size and hi[first] == lo[first]
+        elif case == "negzero":
+            for spec, l, h in zip(specs, lo, hi):
+                if spec.customer_size == 0.0 and l == 0.0:
+                    assert np.signbit(h) == np.signbit(spec.customer_size)
 
 
 class TestTypeValidation:
@@ -380,5 +452,11 @@ class TestTypeValidation:
             s2.scheme.with_sharing(("pooled", "dedicated"))
 
     def test_unit_demand(self, s2):
-        assert np.allclose(unit_demand(s2.specs[0], s2.scheme), [2.0, 1.0])
-        assert np.allclose(unit_demand(s2.specs[1], s2.scheme), [1.0, 2.0])
+        unit = SchemeModel(s2.specs, s2.scheme, s2.pool).unit
+        assert np.allclose(unit[0], [2.0, 1.0])
+        assert np.allclose(unit[1], [1.0, 2.0])
+
+    def test_kpi_length_must_match_demand_map(self, s2):
+        spec = replace(s2.specs[0], kpi=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ConfigurationError, match="slice A: demand matrix expects 2 KPIs, got 3"):
+            SchemeModel((spec,), s2.scheme, s2.pool)

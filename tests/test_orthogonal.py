@@ -26,7 +26,6 @@ from sliceprofit import (
     oracle_gap_bound,
     run_market,
     scenario_to_dict,
-    size_bounds,
     solve_bcd,
     solve_exhaustive,
     solve_objective_sum,
@@ -111,30 +110,33 @@ class TestWeightedSum:
 
 
 class TestSizeBounds:
+    """SchemeModel.size_bounds, the box every size solver searches."""
+
     def test_defaults(self, s2):
-        lo, hi = size_bounds(s2.specs, s2.scheme)
+        lo, hi = SchemeModel(s2.specs, s2.scheme, s2.pool).size_bounds()
         assert np.array_equal(lo, [0.0, 0.0])
         assert np.array_equal(hi, [4.0, 6.0])
 
     def test_reservation_floor(self):
         scenario = make_scenario()
         spec = SliceSpec("A", scenario.specs[0].kpi, 4, 3.0, np.array([4.0, 0.0]))
-        lo, hi = size_bounds((spec,), scenario.scheme.subset(["A"]))
+        lo, hi = SchemeModel((spec,), scenario.scheme.subset(["A"]), scenario.pool).size_bounds()
         assert lo[0] == pytest.approx(2.0)
         assert hi[0] == 4.0
 
     def test_floor_above_customer_base_extends_hi(self):
         scenario = make_scenario()
         spec = SliceSpec("A", scenario.specs[0].kpi, 4, 3.0, np.array([10.0, 0.0]))
-        lo, hi = size_bounds((spec,), scenario.scheme.subset(["A"]))
+        lo, hi = SchemeModel((spec,), scenario.scheme.subset(["A"]), scenario.pool).size_bounds()
         assert lo[0] == pytest.approx(5.0)
         assert hi[0] == pytest.approx(5.0)
 
     def test_unreachable_reservation(self):
         spec = SliceSpec("A", np.array([0.0]), 4, 3.0, np.array([1.0]))
         scheme = VnfScheme(("A",), np.ones((1, 1, 1)), np.zeros((1, 1)), ("dedicated",))
+        pool = ResourcePool(np.array([10.0]), np.array([1.0]))
         with pytest.raises(InfeasibleScenarioError):
-            size_bounds((spec,), scheme)
+            SchemeModel((spec,), scheme, pool).size_bounds()
 
 
 class TestActivationOverhead:
