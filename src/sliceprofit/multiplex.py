@@ -32,8 +32,9 @@ from .orthogonal import SolveResult, solve_sizes
 # branches, so E = 12 is the largest search that runs.
 MAX_SCHEMES = 4096
 
-# Contestants per GA parent draw (binary tournament).
-_TOURNAMENT = 2
+# Most GA evaluations a run may take, population x (generations + 1): about
+# 60 times the CLI default of 40 x 101 = 4,040.
+MAX_GA_EVALUATIONS = 250_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class GaParams:
                 raise ConfigurationError(f"{name} rate must lie in [0, 1]")
         if self.generations < 0:
             raise ConfigurationError("generations must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
 
 def enumerate_candidates(scenario) -> tuple:
@@ -205,51 +208,34 @@ def pareto_filter(points: Sequence):
 
 
 def nondominated_sort(objectives: np.ndarray) -> list:
-    """Front index per row for a maximisation problem."""
+    """Front index per row for a maximisation problem. Each pass peels the
+    rows no remaining row dominates; the rest move one front down."""
     objectives = np.asarray(objectives, dtype=float)
-    n = objectives.shape[0]
     dom = dominates(objectives[:, None, :], objectives[None, :, :])  # dom[a, b]: a dominates b
-    counts = dom.sum(axis=0)
-    ranks = np.zeros(n, dtype=int)
-    front = [i for i in range(n) if counts[i] == 0]
-    level = 0
-    while front:
-        nxt = []
-        for i in front:
-            ranks[i] = level
-            for j in np.nonzero(dom[i])[0]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(int(j))
-        front = sorted(nxt)
-        level += 1
-    return list(ranks)
+    ranks = np.zeros(len(objectives), dtype=int)
+    left = np.ones(len(objectives), dtype=bool)
+    while left.any():
+        left = dom[left].any(axis=0)  # a peeled row is dominated by no row left
+        ranks[left] += 1
+    return ranks.tolist()
 
 
-def crowding_distance(objectives: np.ndarray) -> np.ndarray:
-    n, k = objectives.shape
-    dist = np.zeros(n)
-    if n <= 2:
-        return np.full(n, np.inf)
-    for j in range(k):
-        order = np.argsort(objectives[:, j], kind="stable")
-        lo, hi = objectives[order[0], j], objectives[order[-1], j]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if hi - lo <= 0:
-            continue
-        for pos in range(1, n - 1):
-            gap = objectives[order[pos + 1], j] - objectives[order[pos - 1], j]
-            dist[order[pos]] += gap / (hi - lo)
+def crowding_distance(objectives) -> np.ndarray:
+    """Crowding distance of each row of one front of finite objectives: per
+    objective of nonzero range, the gap between the row's two neighbours
+    over the range, summed; inf at either end of any objective, and for
+    all of two rows or fewer."""
+    objectives = np.asarray(objectives, dtype=float)
+    if len(objectives) <= 2:
+        return np.full(len(objectives), np.inf)
+    order = np.argsort(objectives, axis=0, kind="stable")
+    ranked = np.take_along_axis(objectives, order, axis=0)
+    width = ranked[-1] - ranked[0]
+    dist = np.zeros(len(objectives))
+    for j in np.flatnonzero(width > 0):
+        dist[order[1:-1, j]] += (ranked[2:, j] - ranked[:-2, j]) / width[j]
+    dist[order[[0, -1]]] = np.inf
     return dist
-
-
-class _Individual:
-    __slots__ = ("scheme_idx", "sizes", "profits")
-
-    def __init__(self, scheme_idx, sizes, profits):
-        self.scheme_idx = scheme_idx
-        self.sizes = sizes
-        self.profits = profits
 
 
 def _repair(feasible, lo, sizes):
@@ -271,12 +257,6 @@ def _repair(feasible, lo, sizes):
 def _rng(seed: int, generation: int, index: int) -> np.random.Generator:
     # Fixed per-individual stream: results cannot depend on evaluation order.
     return np.random.default_rng(np.random.SeedSequence([seed, generation, index]))
-
-
-def _evaluate_ind(models, lo, hi, scheme_idx, sizes):
-    model = models[scheme_idx]
-    sizes = _repair(model, lo, np.clip(sizes, lo, hi))
-    return _Individual(scheme_idx, sizes, np.array(model.outcome(sizes).profits))
 
 
 class _Archive:
@@ -301,27 +281,48 @@ class _Archive:
         self.items.append(item)
 
 
-def _rank_and_crowd(pop) -> tuple:
-    """Nondominated front index and within-front crowding distance of
-    every individual."""
-    objs = np.stack([ind.profits for ind in pop])
-    ranks = np.array(nondominated_sort(objs))
-    crowd = np.zeros(len(pop))
-    for level in np.unique(ranks):
-        members = np.where(ranks == level)[0]
-        crowd[members] = crowding_distance(objs[members])
-    return ranks, crowd
+def _evaluate(models, lo, hi, schemes, sizes, archive) -> tuple:
+    """Clip, repair, evaluate and archive drawn individuals one at a time in
+    index order. Returns the repaired sizes and the profits, (P, M) each."""
+    sizes = np.clip(sizes, lo, hi)
+    profits = np.empty_like(sizes)
+    for i, idx in enumerate(schemes.tolist()):
+        sizes[i] = _repair(models[idx], lo, sizes[i])
+        profits[i] = models[idx].outcome(sizes[i]).profits
+        archive.add(FrontPoint(tuple(sizes[i].tolist()), idx, tuple(profits[i].tolist())),
+                    profits[i])
+    return sizes, profits
+
+
+def _best_first(profits) -> np.ndarray:
+    """Row indices best first: lower nondominated front, then larger
+    crowding distance within the front, then lower index."""
+    ranks = np.array(nondominated_sort(profits))
+    crowd = np.zeros(len(ranks))
+    for level in range(ranks.max() + 1):
+        crowd[ranks == level] = crowding_distance(profits[ranks == level])
+    return np.lexsort((-crowd, ranks))
 
 
 def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     """Elitist multi-objective genetic search over (scheme index, sizes).
 
     Deterministic for a given seed: every random draw comes from a stream
-    keyed by (seed, generation, individual index). Infeasible offspring are
-    repaired by uniform down-scaling toward the reservation floor. Returns
-    the nondominated archive, sorted by first objective descending.
+    keyed by (seed, generation, individual index). A generation draws all
+    offspring from the previous population by binary tournaments on its
+    best-first order, then repairs infeasible ones by uniform down-scaling
+    toward the reservation floor; the best-first head of parents and
+    offspring survives. Runs over MAX_GA_EVALUATIONS are refused first.
+    Returns the nondominated archive, first objective descending.
     """
     params = params or GaParams()
+    pop = params.population
+    required = pop * (params.generations + 1)
+    if required > MAX_GA_EVALUATIONS:
+        raise BudgetExceededError(
+            f"{required} GA evaluations exceed the budget of {MAX_GA_EVALUATIONS}",
+            required, MAX_GA_EVALUATIONS,
+        )
     candidates = enumerate_candidates(scenario)
     n_schemes = len(candidates)
     models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
@@ -335,71 +336,35 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     m = len(scenario.specs)
 
     archive = _Archive(m)
-    pop = []
-    for i in range(params.population):
-        rng = _rng(params.seed, 0, i)
-        scheme_idx = int(rng.integers(n_schemes))
-        sizes = lo + rng.random(m) * span
-        ind = _evaluate_ind(models, lo, hi, scheme_idx, sizes)
-        pop.append(ind)
-        archive.add(ind, ind.profits)
+    rngs = [_rng(params.seed, 0, i) for i in range(pop)]
+    schemes = np.array([rng.integers(n_schemes) for rng in rngs])
+    sizes = np.array([lo + rng.random(m) * span for rng in rngs])
+    sizes, profits = _evaluate(models, lo, hi, schemes, sizes, archive)
 
     for gen in range(1, params.generations + 1):
-        ranks, crowd = _rank_and_crowd(pop)
-
-        def better(a, b):
-            if ranks[a] != ranks[b]:
-                return a if ranks[a] < ranks[b] else b
-            if crowd[a] != crowd[b]:
-                return a if crowd[a] > crowd[b] else b
-            return min(a, b)
-
-        offspring = []
-        for j in range(params.population):
+        place = np.argsort(_best_first(profits))  # each individual's place, best first
+        kid_schemes, kids = np.zeros(pop, dtype=int), np.zeros((pop, m))
+        for j in range(pop):
             rng = _rng(params.seed, gen, j)
-            picks = rng.integers(len(pop), size=(2, _TOURNAMENT))
-            parents = []
-            for row in picks:
-                winner = int(row[0])
-                for cand in row[1:]:
-                    winner = better(winner, int(cand))
-                parents.append(pop[winner])
-            p1, p2 = parents
-            sizes = p1.sizes.copy()
-            scheme_idx = p1.scheme_idx
+            picks = rng.integers(pop, size=(2, 2))  # two binary tournaments
+            p1, p2 = picks[[0, 1], np.argmin(place[picks], axis=1)]
+            kid_schemes[j], kids[j] = schemes[p1], sizes[p1]
             if rng.random() < params.crossover:
-                mask = rng.random(m) < 0.5
-                sizes = np.where(mask, p1.sizes, p2.sizes)
-                scheme_idx = p1.scheme_idx if rng.random() < 0.5 else p2.scheme_idx
+                kids[j] = np.where(rng.random(m) < 0.5, sizes[p1], sizes[p2])
+                kid_schemes[j] = schemes[p1] if rng.random() < 0.5 else schemes[p2]
             mutate = rng.random(m) < params.mutation
             if mutate.any():
-                noise = rng.normal(0.0, 0.15, size=m) * span
-                sizes = np.where(mutate, sizes + noise, sizes)
+                kids[j] = np.where(mutate, kids[j] + rng.normal(0.0, 0.15, size=m) * span, kids[j])
             if rng.random() < params.mutation and n_schemes > 1:
-                scheme_idx = int(rng.integers(n_schemes))
-            ind = _evaluate_ind(models, lo, hi, scheme_idx, sizes)
-            offspring.append(ind)
-            archive.add(ind, ind.profits)
+                kid_schemes[j] = rng.integers(n_schemes)
+        kids, kid_profits = _evaluate(models, lo, hi, kid_schemes, kids, archive)
+        keep = _best_first(np.vstack([profits, kid_profits]))[:pop]
+        schemes = np.concatenate([schemes, kid_schemes])[keep]
+        sizes = np.vstack([sizes, kids])[keep]
+        profits = np.vstack([profits, kid_profits])[keep]
 
-        combined = pop + offspring
-        ranks, crowd = _rank_and_crowd(combined)
-        order = sorted(
-            range(len(combined)), key=lambda i: (ranks[i], -crowd[i], i)
-        )
-        pop = [combined[i] for i in order[: params.population]]
-
-    points = [
-        FrontPoint(
-            sizes=tuple(float(s) for s in ind.sizes),
-            scheme_index=ind.scheme_idx,
-            profits=tuple(float(x) for x in ind.profits),
-        )
-        for ind in archive.items
-    ]
-    points.sort(key=lambda p: (
-        tuple(-x for x in p.profits), p.scheme_index, p.sizes
-    ))
-    return ParetoFront(points=tuple(points))
+    return ParetoFront(tuple(sorted(archive.items, key=lambda p: (
+        tuple(-x for x in p.profits), p.scheme_index, p.sizes))))
 
 
 def multiplexing_gain(scenario) -> float:

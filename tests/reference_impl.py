@@ -22,6 +22,15 @@ vector and call (``game._LeaseTable``). ``best_response_resolve``,
 re-solve every grid point in every round, at settlement and in the Nash
 check.
 
+``multiplex.solve_ga`` keeps its population as arrays, draws a
+generation's offspring before it evaluates any of them, and ranks with a
+dominance-matrix peel and per-objective gap arrays. ``solve_ga_loop`` is
+the per-individual loop it replaced, drawing and evaluating one offspring
+at a time and picking parents with a pairwise tournament; it ranks with
+``nondominated_sort_loop`` and ``crowding_distance_loop``, the
+element-by-element forms of ``nondominated_sort`` and
+``crowding_distance``.
+
 All serve as references for differential tests.
 """
 
@@ -30,7 +39,7 @@ import math
 
 import numpy as np
 
-from sliceprofit import game
+from sliceprofit import game, multiplex
 from sliceprofit.model import (
     FEASIBILITY_TOL,
     SHARED,
@@ -43,6 +52,7 @@ from sliceprofit.model import (
     Violation,
     _TINY_SIZE,
 )
+from sliceprofit.multiplex import FrontPoint, GaParams, ParetoFront
 from sliceprofit.orthogonal import solve_sizes
 
 
@@ -336,3 +346,150 @@ def verify_nash_resolve(operators, outcome, market, tolerance=1e-9, budget=100_0
             if gain > tolerance and (best_dev is None or gain > best_dev[2]):
                 best_dev = (o.id, tuple(float(x) for x in d), float(gain))
     return game.NashVerdict(is_nash=best_dev is None, best_deviation=best_dev)
+
+
+def nondominated_sort_loop(objectives):
+    """multiplex.nondominated_sort by domination counts: each front lowers
+    the counts of the rows it dominates, and rows reaching zero form the
+    next front."""
+    objectives = np.asarray(objectives, dtype=float)
+    n = objectives.shape[0]
+    dom = multiplex.dominates(objectives[:, None, :], objectives[None, :, :])
+    counts = dom.sum(axis=0)
+    ranks = np.zeros(n, dtype=int)
+    front = [i for i in range(n) if counts[i] == 0]
+    level = 0
+    while front:
+        nxt = []
+        for i in front:
+            ranks[i] = level
+            for j in np.nonzero(dom[i])[0]:
+                counts[j] -= 1
+                if counts[j] == 0:
+                    nxt.append(int(j))
+        front = sorted(nxt)
+        level += 1
+    return list(ranks)
+
+
+def crowding_distance_loop(objectives):
+    """multiplex.crowding_distance, one objective and one row at a time."""
+    n, k = objectives.shape
+    dist = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for j in range(k):
+        order = np.argsort(objectives[:, j], kind="stable")
+        lo, hi = objectives[order[0], j], objectives[order[-1], j]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if hi - lo <= 0:
+            continue
+        for pos in range(1, n - 1):
+            gap = objectives[order[pos + 1], j] - objectives[order[pos - 1], j]
+            dist[order[pos]] += gap / (hi - lo)
+    return dist
+
+
+class _Member:
+    __slots__ = ("scheme_idx", "sizes", "profits")
+
+    def __init__(self, scheme_idx, sizes, profits):
+        self.scheme_idx = scheme_idx
+        self.sizes = sizes
+        self.profits = profits
+
+
+def _evaluate_member(models, lo, hi, scheme_idx, sizes):
+    model = models[scheme_idx]
+    sizes = multiplex._repair(model, lo, np.clip(sizes, lo, hi))
+    return _Member(scheme_idx, sizes, np.array(model.outcome(sizes).profits))
+
+
+def _ranks_and_crowding_loop(pop):
+    objs = np.stack([ind.profits for ind in pop])
+    ranks = np.array(nondominated_sort_loop(objs))
+    crowd = np.zeros(len(pop))
+    for level in np.unique(ranks):
+        members = np.where(ranks == level)[0]
+        crowd[members] = crowding_distance_loop(objs[members])
+    return ranks, crowd
+
+
+def solve_ga_loop(scenario, params=None):
+    """multiplex.solve_ga, one individual at a time: each offspring is
+    drawn, repaired, evaluated and archived before the next is drawn."""
+    params = params or GaParams()
+    candidates = multiplex.enumerate_candidates(scenario)
+    n_schemes = len(candidates)
+    models = [multiplex.SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
+    lo, hi = models[0].size_bounds()
+    base = models[0].outcome(lo)
+    if not base.feasible:
+        raise InfeasibleScenarioError(
+            "minimum reservations exceed the pool capacity", base.violations
+        )
+    span = hi - lo
+    m = len(scenario.specs)
+
+    archive = multiplex._Archive(m)
+    pop = []
+    for i in range(params.population):
+        rng = multiplex._rng(params.seed, 0, i)
+        scheme_idx = int(rng.integers(n_schemes))
+        sizes = lo + rng.random(m) * span
+        ind = _evaluate_member(models, lo, hi, scheme_idx, sizes)
+        pop.append(ind)
+        archive.add(ind, ind.profits)
+
+    for gen in range(1, params.generations + 1):
+        ranks, crowd = _ranks_and_crowding_loop(pop)
+
+        def fitter(a, b):
+            if ranks[a] != ranks[b]:
+                return a if ranks[a] < ranks[b] else b
+            if crowd[a] != crowd[b]:
+                return a if crowd[a] > crowd[b] else b
+            return min(a, b)
+
+        offspring = []
+        for j in range(params.population):
+            rng = multiplex._rng(params.seed, gen, j)
+            picks = rng.integers(len(pop), size=(2, 2))
+            parents = []
+            for row in picks:
+                winner = int(row[0])
+                for cand in row[1:]:
+                    winner = fitter(winner, int(cand))
+                parents.append(pop[winner])
+            p1, p2 = parents
+            sizes = p1.sizes.copy()
+            scheme_idx = p1.scheme_idx
+            if rng.random() < params.crossover:
+                mask = rng.random(m) < 0.5
+                sizes = np.where(mask, p1.sizes, p2.sizes)
+                scheme_idx = p1.scheme_idx if rng.random() < 0.5 else p2.scheme_idx
+            mutate = rng.random(m) < params.mutation
+            if mutate.any():
+                noise = rng.normal(0.0, 0.15, size=m) * span
+                sizes = np.where(mutate, sizes + noise, sizes)
+            if rng.random() < params.mutation and n_schemes > 1:
+                scheme_idx = int(rng.integers(n_schemes))
+            ind = _evaluate_member(models, lo, hi, scheme_idx, sizes)
+            offspring.append(ind)
+            archive.add(ind, ind.profits)
+
+        combined = pop + offspring
+        ranks, crowd = _ranks_and_crowding_loop(combined)
+        order = sorted(range(len(combined)), key=lambda i: (ranks[i], -crowd[i], i))
+        pop = [combined[i] for i in order[: params.population]]
+
+    points = [
+        FrontPoint(
+            sizes=tuple(float(s) for s in ind.sizes),
+            scheme_index=ind.scheme_idx,
+            profits=tuple(float(x) for x in ind.profits),
+        )
+        for ind in archive.items
+    ]
+    points.sort(key=lambda p: (tuple(-x for x in p.profits), p.scheme_index, p.sizes))
+    return ParetoFront(points=tuple(points))

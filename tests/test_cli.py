@@ -145,6 +145,26 @@ class TestSolve:
         assert not out.exists()
         assert "refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["solve", "--solver", "ga"], ["pareto"]],
+                             ids=["solve", "pareto"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed must be non-negative"),
+        # 40 x (10^9 + 1) evaluations, refused before the first draw
+        (["--ga-gens", "1000000000"],
+         "refused: 40000000040 GA evaluations exceed the budget of 250000"),
+    ], ids=["negative-seed", "evaluation-budget"])
+    def test_ga_refusal_is_one_line_usage_error(self, argv, flags, message, scenario_dir,
+                                                tmp_path, capsys):
+        out = tmp_path / "ga.csv"
+        rc = main(argv + ["--scenario", str(scenario_dir / "s2m.json"),
+                          "--out", str(out)] + flags)
+        assert rc == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        assert message in captured.err
+
     def test_infeasible_scenario_exits_one_with_status_row(self, tmp_path):
         path = overbooked_doc(tmp_path)
         out = tmp_path / "inf.csv"

@@ -28,7 +28,12 @@ from sliceprofit import (
 from sliceprofit import multiplex
 
 from conftest import eligible_doc, make_scenario, random_scenario
-from reference_impl import pareto_filter_loop
+from reference_impl import (
+    crowding_distance_loop,
+    nondominated_sort_loop,
+    pareto_filter_loop,
+    solve_ga_loop,
+)
 
 
 def rescue_scenario():
@@ -270,6 +275,9 @@ class TestCrowdingDistance:
         dist = crowding_distance(np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]]))
         assert np.isinf(dist[0]) and np.isinf(dist[2])
         assert dist[1] == pytest.approx(2.0)
+        # a nested list reads as the same matrix, as in nondominated_sort
+        listed = crowding_distance([[0, 2], [1, 1], [2, 0]])
+        assert listed.tobytes() == dist.tobytes()
 
     def test_constant_column_ignored(self):
         dist = crowding_distance(np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
@@ -277,7 +285,49 @@ class TestCrowdingDistance:
         assert not np.any(np.isnan(dist))
 
 
+# Values with exact duplicates, signed zeros and ties, plus arbitrary floats.
+OBJECTIVE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, 3.25]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def objective_matrices(draw):
+    """(n, k) matrices with n from 0 to 10: repeated rows and constant
+    columns are drawn on purpose."""
+    n, k = draw(st.integers(0, 10)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(OBJECTIVE_VALUES, min_size=k, max_size=k),
+                         min_size=n, max_size=n))
+    objs = np.array(rows, dtype=float).reshape(n, k)
+    if n and draw(st.booleans()):
+        objs[draw(st.integers(0, n - 1))] = objs[0]
+    if draw(st.booleans()):
+        objs[:, draw(st.integers(0, k - 1))] = draw(OBJECTIVE_VALUES)
+    return objs
+
+
+class TestRankingMatchesLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(objective_matrices())
+    def test_ranks_and_distances_bytes(self, objs):
+        ranks = nondominated_sort(objs)
+        expected = nondominated_sort_loop(objs)
+        assert ranks == expected
+        assert np.array(ranks).tobytes() == np.array(expected).tobytes()
+        assert crowding_distance(objs).tobytes() == crowding_distance_loop(objs).tobytes()
+        for level in set(ranks):
+            front = objs[np.array(ranks) == level]
+            assert crowding_distance(front).tobytes() == crowding_distance_loop(front).tobytes()
+
+
 SMALL_GA = GaParams(population=16, generations=20, seed=0)
+
+
+def front_bytes(front):
+    """Every number of a front, as bytes, in point order."""
+    return [(np.array(p.sizes).tobytes(), p.scheme_index, np.array(p.profits).tobytes())
+            for p in front.points]
 
 
 class TestSolveGa:
@@ -332,6 +382,44 @@ class TestSolveGa:
             GaParams(mutation=-0.1)
         with pytest.raises(ConfigurationError):
             GaParams(generations=-1)
+        with pytest.raises(ConfigurationError):
+            GaParams(seed=-1)
+
+    def test_evaluation_budget_refused_before_any_draw(self, s2m, monkeypatch):
+        # population x (generations + 1): 500 x 500 is the budget itself
+        assert multiplex.MAX_GA_EVALUATIONS == 250_000
+
+        def no_run(*args):
+            raise RuntimeError("the run started")
+
+        monkeypatch.setattr(multiplex, "enumerate_candidates", no_run)
+        monkeypatch.setattr(multiplex, "_rng", no_run)
+        with pytest.raises(BudgetExceededError) as info:
+            solve_ga(s2m, GaParams(population=500, generations=500))
+        assert (info.value.required, info.value.budget) == (250_500, 250_000)
+        with pytest.raises(RuntimeError, match="the run started"):
+            solve_ga(s2m, GaParams(population=500, generations=499))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_s2m_front_matches_loop_reference(self, s2m, seed):
+        params = GaParams(population=12, generations=8, seed=seed)
+        front = solve_ga(s2m, params)
+        assert len({p.scheme_index for p in front.points}) == 2
+        assert front_bytes(front) == front_bytes(solve_ga_loop(s2m, params))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.lists(st.booleans(), min_size=3, max_size=3),
+           st.integers(0, 3))
+    def test_drawn_fronts_match_loop_reference(self, seed, empty, ga_seed):
+        # a slice with no customers has lo = hi = 0: a zero span
+        doc = scenario_to_dict(random_scenario(np.random.default_rng(seed), max_eligible=3))
+        for spec, zero in zip(doc["slices"], empty):
+            if zero:
+                spec["customer_size"] = 0.0
+        scenario = scenario_from_dict(doc)
+        params = GaParams(population=8, generations=4, mutation=0.3, seed=ga_seed)
+        assert front_bytes(solve_ga(scenario, params)) == front_bytes(
+            solve_ga_loop(scenario, params))
 
     def test_infeasible_scenario_raises(self):
         doc = scenario_to_dict(make_scenario())
