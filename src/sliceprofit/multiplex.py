@@ -36,6 +36,13 @@ MAX_SCHEMES = 4096
 # 60 times the CLI default of 40 x 101 = 4,040.
 MAX_GA_EVALUATIONS = 250_000
 
+# Largest GA population. Survival ranks n = 2P rows, and nondominated_sort
+# builds the (n, n) dominance matrix from (n, n, M) boolean comparisons, so
+# the peak grows as (M + 2)·n² bytes: tracemalloc gives 40 MB for P = 1,000
+# at M = 8 (42 MB for a whole one-generation run), where P = 20,000 would
+# need 16 GB.
+MAX_GA_POPULATION = 1000
+
 
 @dataclass(frozen=True)
 class FrontPoint:
@@ -238,22 +245,6 @@ def crowding_distance(objectives) -> np.ndarray:
     return dist
 
 
-def _repair(feasible, lo, sizes):
-    """Pull an infeasible size vector back toward the reservation floor by
-    uniform scaling; usage is monotone in size so bisection applies."""
-    if feasible(sizes):
-        return sizes
-    span = sizes - lo
-    a, b = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (a + b)
-        if feasible(lo + mid * span):
-            a = mid
-        else:
-            b = mid
-    return lo + a * span
-
-
 def _rng(seed: int, generation: int, index: int) -> np.random.Generator:
     # Fixed per-individual stream: results cannot depend on evaluation order.
     return np.random.default_rng(np.random.SeedSequence([seed, generation, index]))
@@ -270,7 +261,8 @@ class _Archive:
         """Insert item with objective vector w unless an archived vector
         equals or dominates w; evict the archived items w dominates."""
         if self.items:
-            if bool(((self.rows == w).all(axis=1) | dominates(self.rows, w)).any()):
+            # equal or dominating: no objective of the row falls below w
+            if bool((self.rows >= w).all(axis=1).any()):
                 return
             beaten = dominates(w, self.rows)
             if bool(beaten.any()):
@@ -281,14 +273,133 @@ class _Archive:
         self.items.append(item)
 
 
-def _evaluate(models, lo, hi, schemes, sizes, archive) -> tuple:
-    """Clip, repair, evaluate and archive drawn individuals one at a time in
-    index order. Returns the repaired sizes and the profits, (P, M) each."""
-    sizes = np.clip(sizes, lo, hi)
+# A repaired size vector lies k·2^-50 of the way from the reservation floor
+# to the drawn sizes, for the integer k the repair searches.
+_REPAIR_BITS = 50
+_REPAIR_TOP = 1 << _REPAIR_BITS
+
+
+def _largest_feasible(k0: np.ndarray, feasible) -> np.ndarray:
+    """Per entry, the largest k in [1, 2^50 - 1] that feasible accepts, or
+    0 when it accepts none, for a verdict monotone in k (true up to some
+    index, false above it). feasible(which, k) tests the entries `which` at
+    indices k in one call. k = 0 and k = 2^50 are never tested: they stand
+    for feasible and infeasible.
+
+    The first call tests each estimate k0 and the index above it, which
+    settles an exact estimate. An entry not settled gallops away from k0
+    with doubling steps, up if both were feasible and down if k0 was not,
+    until the verdict flips or the step leaves the bracket; then it bisects
+    the bracket. A gallop makes at most 50 tests before its step outgrows
+    2^50, and a bracket g doublings wide takes at most g halvings, so no
+    input makes more than 1 + 2·50 calls."""
+    n = len(k0)
+    k = np.clip(k0, 1, _REPAIR_TOP - 2)
+    # the first call tests the estimate and the index above it together
+    ok = feasible(np.tile(np.arange(n), 2), np.concatenate([k, k + 1]))
+    up = ok[n:]
+    lo = np.where(up, k + 1, np.where(ok[:n], k, 0))            # feasible, or 0
+    hi = np.where(up, _REPAIR_TOP, np.where(ok[:n], k + 1, k))  # infeasible, or 2^50
+    gallop = np.ones(n, dtype=bool)
+    step = 1
+    for _ in range(2 * _REPAIR_BITS):
+        which = np.flatnonzero(hi - lo > 1)
+        if not which.size:
+            break
+        lo_w, hi_w, up_w = lo[which], hi[which], up[which]
+        k = np.where(up_w, lo_w + step, hi_w - step)
+        gallop[which] &= (lo_w < k) & (k < hi_w)
+        k = np.where(gallop[which], k, lo_w + (hi_w - lo_w) // 2)
+        ok = feasible(which, k)
+        lo[which] = np.where(ok, k, lo_w)
+        hi[which] = np.where(ok, hi_w, k)
+        gallop[which] &= ok == up_w
+        step = min(2 * step, _REPAIR_TOP)
+    return lo
+
+
+class _Candidates:
+    """Every candidate scheme's SchemeModel, with their unit and overhead
+    rows stacked (S, M, N) and their shared columns as an (S, N) mask, so a
+    generation's size vectors are tested and repaired as one batch. The
+    models share specs and pool, and so the widened bounds."""
+
+    def __init__(self, models):
+        self.models = models
+        self.unit = np.stack([model.unit for model in models])
+        self.overhead = np.stack([model.overhead for model in models])
+        self.shared = np.zeros((len(models), self.unit.shape[2]), dtype=bool)
+        for s, model in enumerate(models):
+            self.shared[s, model.shared] = True
+        self.cap_limit, _, self.floor_limit = models[0].limits
+
+    def feasible(self, schemes, sizes) -> np.ndarray:
+        """SchemeModel.__call__ of models[schemes[b]] on sizes[b], for every
+        row b of the (P, M) sizes at once."""
+        unit = self.unit[schemes]
+        base = sizes[:, :, None] * unit
+        rows = np.where((sizes > 0)[:, :, None], base + self.overhead[schemes], base)
+        usage = np.where(self.shared[schemes], rows.max(axis=1), rows.sum(axis=1))
+        return ~((usage > self.cap_limit).any(axis=1)
+                 | (rows < self.floor_limit).any(axis=(1, 2)))
+
+    def estimate(self, lo, schemes, sizes) -> np.ndarray:
+        """floor(t*·2^50) per row, in [0, 2^50]: t* is the largest scale
+        factor in [0, 1] at which lo + t·(sizes - lo) keeps usage within
+        cap_limit, from usage affine in t. On t in (0, 1] the active slices
+        are fixed, so usage is A + t·B per column, or per row on shared
+        columns, and t* is the least ratio (cap_limit - A) / B."""
+        span = sizes - lo
+        active = (lo > 0) | (span > 0)
+        unit, shared = self.unit[schemes], self.shared[schemes][:, None, :]
+        a = lo[:, None] * unit + np.where(active[:, :, None], self.overhead[schemes], 0.0)
+        b = span[:, :, None] * unit
+        a = np.where(shared, a, a.sum(axis=1, keepdims=True))
+        b = np.where(shared, b, b.sum(axis=1, keepdims=True))
+        room = self.cap_limit - a
+        with np.errstate(over="ignore"):
+            ratio = np.divide(room, b, out=np.where(room < 0, 0.0, np.inf), where=b > 0)
+        return np.floor(ratio.min(axis=(1, 2)).clip(0.0, 1.0) * _REPAIR_TOP).astype(np.int64)
+
+    def repair(self, lo, schemes, sizes) -> np.ndarray:
+        """The (P, M) sizes, within [lo, hi] already, with every infeasible
+        row pulled back toward lo to the point a 50-step bisection of the
+        uniform scaling lo + t·(sizes - lo) over t in [0, 1] returns:
+        lo + k·2^-50·span, k the largest index in [1, 2^50 - 1] whose point
+        is feasible, 0 when none is.
+
+        That k is exact because feasibility is monotone in k, in floating
+        point too. lo + t·span with span >= 0 rises with t under
+        round-to-nearest; unit demands and overheads are non-negative, so
+        every row rises with its size, the activation jump at size 0
+        included; sums, maxima and the capacity comparison are monotone;
+        and the reservation floors, met at lo, stay met above it. So the
+        bounded search of _largest_feasible, started at the estimate,
+        lands on the bisection's k with the real predicate."""
+        bad = np.flatnonzero(~self.feasible(schemes, sizes))
+        if not bad.size:
+            return sizes
+        schemes, span = schemes[bad], sizes[bad] - lo
+
+        def scaled(k, span):
+            return lo + (k * 2.0 ** -_REPAIR_BITS)[:, None] * span
+
+        def feasible(which, k):
+            return self.feasible(schemes[which], scaled(k, span[which]))
+
+        k = _largest_feasible(self.estimate(lo, schemes, sizes[bad]), feasible)
+        sizes[bad] = scaled(k, span)
+        return sizes
+
+
+def _evaluate(cands, lo, hi, schemes, sizes, archive) -> tuple:
+    """Clip and repair drawn individuals as one batch, then evaluate and
+    archive them one at a time in index order. Returns the repaired sizes
+    and the profits, (P, M) each."""
+    sizes = cands.repair(lo, schemes, np.clip(sizes, lo, hi))
     profits = np.empty_like(sizes)
     for i, idx in enumerate(schemes.tolist()):
-        sizes[i] = _repair(models[idx], lo, sizes[i])
-        profits[i] = models[idx].outcome(sizes[i]).profits
+        profits[i] = cands.models[idx].outcome(sizes[i]).profits
         archive.add(FrontPoint(tuple(sizes[i].tolist()), idx, tuple(profits[i].tolist())),
                     profits[i])
     return sizes, profits
@@ -310,13 +421,19 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     Deterministic for a given seed: every random draw comes from a stream
     keyed by (seed, generation, individual index). A generation draws all
     offspring from the previous population by binary tournaments on its
-    best-first order, then repairs infeasible ones by uniform down-scaling
-    toward the reservation floor; the best-first head of parents and
-    offspring survives. Runs over MAX_GA_EVALUATIONS are refused first.
+    best-first order, then repairs the infeasible ones together by uniform
+    down-scaling toward the reservation floor; the best-first head of parents and
+    offspring survives. Populations over MAX_GA_POPULATION and runs over
+    MAX_GA_EVALUATIONS are refused first.
     Returns the nondominated archive, first objective descending.
     """
     params = params or GaParams()
     pop = params.population
+    if pop > MAX_GA_POPULATION:
+        raise BudgetExceededError(
+            f"a GA population of {pop} exceeds the limit of {MAX_GA_POPULATION}",
+            pop, MAX_GA_POPULATION,
+        )
     required = pop * (params.generations + 1)
     if required > MAX_GA_EVALUATIONS:
         raise BudgetExceededError(
@@ -325,9 +442,9 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
         )
     candidates = enumerate_candidates(scenario)
     n_schemes = len(candidates)
-    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
-    lo, hi = models[0].size_bounds()
-    base = models[0].outcome(lo)
+    cands = _Candidates([SchemeModel(scenario.specs, s, scenario.pool) for s in candidates])
+    lo, hi = cands.models[0].size_bounds()
+    base = cands.models[0].outcome(lo)
     if not base.feasible:
         raise InfeasibleScenarioError(
             "minimum reservations exceed the pool capacity", base.violations
@@ -339,7 +456,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     rngs = [_rng(params.seed, 0, i) for i in range(pop)]
     schemes = np.array([rng.integers(n_schemes) for rng in rngs])
     sizes = np.array([lo + rng.random(m) * span for rng in rngs])
-    sizes, profits = _evaluate(models, lo, hi, schemes, sizes, archive)
+    sizes, profits = _evaluate(cands, lo, hi, schemes, sizes, archive)
 
     for gen in range(1, params.generations + 1):
         place = np.argsort(_best_first(profits))  # each individual's place, best first
@@ -357,7 +474,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
                 kids[j] = np.where(mutate, kids[j] + rng.normal(0.0, 0.15, size=m) * span, kids[j])
             if rng.random() < params.mutation and n_schemes > 1:
                 kid_schemes[j] = rng.integers(n_schemes)
-        kids, kid_profits = _evaluate(models, lo, hi, kid_schemes, kids, archive)
+        kids, kid_profits = _evaluate(cands, lo, hi, kid_schemes, kids, archive)
         keep = _best_first(np.vstack([profits, kid_profits]))[:pop]
         schemes = np.concatenate([schemes, kid_schemes])[keep]
         sizes = np.vstack([sizes, kids])[keep]

@@ -29,7 +29,10 @@ the per-individual loop it replaced, drawing and evaluating one offspring
 at a time and picking parents with a pairwise tournament; it ranks with
 ``nondominated_sort_loop`` and ``crowding_distance_loop``, the
 element-by-element forms of ``nondominated_sort`` and
-``crowding_distance``.
+``crowding_distance``. It repairs with ``repair_bisect``, the 50-step
+bisection that ``multiplex._Candidates.repair`` computes directly for a
+whole generation, and archives with ``ArchiveLoop``, whose reject rule
+makes the three comparisons that ``multiplex._Archive`` folds into one.
 
 All serve as references for differential tests.
 """
@@ -399,9 +402,50 @@ class _Member:
         self.profits = profits
 
 
+def repair_bisect(feasible, lo, sizes):
+    """Pull an infeasible size vector back toward the reservation floor by
+    uniform scaling: 50 bisection steps on the scale factor, keeping the
+    last feasible one."""
+    if feasible(sizes):
+        return sizes
+    span = sizes - lo
+    a, b = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (a + b)
+        if feasible(lo + mid * span):
+            a = mid
+        else:
+            b = mid
+    return lo + a * span
+
+
+class ArchiveLoop:
+    """multiplex._Archive with its reject rule as three comparisons: an
+    archived vector equal to w, or one dominating it."""
+
+    def __init__(self, width):
+        self.rows = np.empty((0, width))
+        self.items = []
+
+    def add(self, item, w):
+        if self.items:
+            rows = self.rows
+            equal = (rows == w).all(axis=1)
+            dominating = (rows >= w).all(axis=1) & (rows > w).any(axis=1)
+            if bool((equal | dominating).any()):
+                return
+            beaten = (w >= rows).all(axis=1) & (w > rows).any(axis=1)
+            if bool(beaten.any()):
+                keep = ~beaten
+                self.rows = self.rows[keep]
+                self.items = [it for it, k in zip(self.items, keep) if k]
+        self.rows = np.vstack([self.rows, w[None, :]])
+        self.items.append(item)
+
+
 def _evaluate_member(models, lo, hi, scheme_idx, sizes):
     model = models[scheme_idx]
-    sizes = multiplex._repair(model, lo, np.clip(sizes, lo, hi))
+    sizes = repair_bisect(model, lo, np.clip(sizes, lo, hi))
     return _Member(scheme_idx, sizes, np.array(model.outcome(sizes).profits))
 
 
@@ -431,7 +475,7 @@ def solve_ga_loop(scenario, params=None):
     span = hi - lo
     m = len(scenario.specs)
 
-    archive = multiplex._Archive(m)
+    archive = ArchiveLoop(m)
     pop = []
     for i in range(params.population):
         rng = multiplex._rng(params.seed, 0, i)

@@ -23,7 +23,7 @@ import pytest
 
 import sliceprofit
 from sliceprofit.cli import main
-from sliceprofit import game, scenario_to_dict
+from sliceprofit import game, multiplex, scenario_to_dict
 
 from conftest import eligible_doc, make_scenario
 
@@ -152,9 +152,17 @@ class TestSolve:
         # 40 x (10^9 + 1) evaluations, refused before the first draw
         (["--ga-gens", "1000000000"],
          "refused: 40000000040 GA evaluations exceed the budget of 250000"),
-    ], ids=["negative-seed", "evaluation-budget"])
+        # 40,000 evaluations, but a survival sort of 40,000 rows
+        (["--ga-pop", "20000", "--ga-gens", "1"],
+         "refused: a GA population of 20000 exceeds the limit of 1000"),
+    ], ids=["negative-seed", "evaluation-budget", "population-limit"])
     def test_ga_refusal_is_one_line_usage_error(self, argv, flags, message, scenario_dir,
-                                                tmp_path, capsys):
+                                                tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise RuntimeError("the GA drew an individual")
+
+        # a refused run must not start: one that did would fail here, not allocate
+        monkeypatch.setattr(multiplex, "_rng", no_draw)
         out = tmp_path / "ga.csv"
         rc = main(argv + ["--scenario", str(scenario_dir / "s2m.json"),
                           "--out", str(out)] + flags)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sliceprofit import (
     BudgetExceededError,
@@ -26,12 +26,15 @@ from sliceprofit import (
 )
 
 from sliceprofit import multiplex
+from sliceprofit.model import SchemeModel
 
 from conftest import eligible_doc, make_scenario, random_scenario
 from reference_impl import (
+    ArchiveLoop,
     crowding_distance_loop,
     nondominated_sort_loop,
     pareto_filter_loop,
+    repair_bisect,
     solve_ga_loop,
 )
 
@@ -400,6 +403,21 @@ class TestSolveGa:
         with pytest.raises(RuntimeError, match="the run started"):
             solve_ga(s2m, GaParams(population=500, generations=499))
 
+    def test_population_limit_refused_before_any_draw(self, s2m, monkeypatch):
+        # survival ranks 2P rows in (M + 2)·(2P)² bytes: 40 MB at P = 1,000, M = 8
+        assert multiplex.MAX_GA_POPULATION == 1000
+
+        def no_run(*args):
+            raise RuntimeError("the run started")
+
+        monkeypatch.setattr(multiplex, "enumerate_candidates", no_run)
+        monkeypatch.setattr(multiplex, "_rng", no_run)
+        with pytest.raises(BudgetExceededError) as info:
+            solve_ga(s2m, GaParams(population=1002, generations=0))
+        assert (info.value.required, info.value.budget) == (1002, 1000)
+        with pytest.raises(RuntimeError, match="the run started"):
+            solve_ga(s2m, GaParams(population=1000, generations=0))
+
     @pytest.mark.parametrize("seed", [0, 7])
     def test_s2m_front_matches_loop_reference(self, s2m, seed):
         params = GaParams(population=12, generations=8, seed=seed)
@@ -427,6 +445,191 @@ class TestSolveGa:
         doc["slices"][1]["min_resources"] = [0, 7]
         with pytest.raises(InfeasibleScenarioError):
             solve_ga(scenario_from_dict(doc), SMALL_GA)
+
+
+TOP = multiplex._REPAIR_TOP
+
+
+class TestLargestFeasible:
+    @pytest.mark.parametrize("answer", [0, 1, 2, 12_345, TOP // 3, TOP - 2, TOP - 1])
+    @pytest.mark.parametrize("start", ["zero", "top", "below", "above", "exact"])
+    def test_finds_the_answer_within_the_call_bound(self, answer, start):
+        k0 = {"zero": 0, "top": TOP - 1, "below": max(answer - 2**40, 0),
+              "above": min(answer + 2**40, TOP), "exact": answer}[start]
+        calls = []
+
+        def feasible(which, k):
+            calls.append(len(which))
+            assert ((k >= 1) & (k <= TOP - 1)).all()  # 0 and 2^50 are never tested
+            return k <= answer
+
+        assert multiplex._largest_feasible(np.array([k0]), feasible).tolist() == [answer]
+        assert len(calls) <= 2 * 51
+
+    def test_batch_of_far_estimates(self):
+        # every entry in one search: the calls stay bounded by the worst entry
+        rng = np.random.default_rng(5)
+        answers = np.concatenate([[0, TOP - 1, 1, TOP - 2], rng.integers(0, TOP, size=60)])
+        k0 = np.concatenate([[TOP - 1, 0, TOP, 0], rng.integers(0, TOP + 1, size=60)])
+        calls = []
+
+        def feasible(which, k):
+            calls.append(len(which))
+            return k <= answers[which]
+
+        assert multiplex._largest_feasible(k0, feasible).tolist() == answers.tolist()
+        assert len(calls) <= 2 * 51
+
+
+def candidates_of(doc):
+    """Every candidate's SchemeModel of a document, stacked, and the size
+    box of the first."""
+    scenario = scenario_from_dict(doc)
+    models = [SchemeModel(scenario.specs, s, scenario.pool)
+              for s in enumerate_candidates(scenario)]
+    lo, hi = models[0].size_bounds()
+    return multiplex._Candidates(models), lo, hi
+
+
+def repaired_by_bisection(cands, lo, schemes, sizes):
+    return np.array([repair_bisect(cands.models[s], lo, row.copy())
+                     for s, row in zip(schemes.tolist(), sizes)])
+
+
+def past_the_edge(cands, lo, hi, scheme):
+    """The repaired point on the line from lo to hi, stepped up one ulp at
+    a time in every slice of positive span until the model rejects it, or
+    64 times: a point just past the capacity edge, with t* at or near 1."""
+    model = cands.models[scheme]
+    point = repair_bisect(model, lo, hi.copy())
+    for _ in range(64):
+        if not model(point):
+            break
+        point = np.where(hi > lo, np.nextafter(point, np.inf), point)
+    return point
+
+
+def repair_doc(rng, m, n):
+    """M slices over N resources, half of them sharing-eligible on
+    average. A slice may have no customers (a zero span), a unit demand of
+    0 on a resource, an overhead up to 1.2 times a capacity without a
+    reservation (an activation jump at t = 0 that no t > 0 survives), or a
+    reservation on one resource it uses (lo > 0)."""
+    capacity = rng.uniform(2.0, 12.0, size=n)
+    slices = []
+    for i in range(m):
+        unit = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 1.5, size=n))
+        overhead = np.where(rng.random(n) < 0.4, rng.uniform(0.0, 1.2, size=n) * capacity, 0.0)
+        reserve = np.zeros(n)
+        j = int(rng.integers(n))
+        if rng.random() < 0.3 and unit[j] > 0:
+            reserve[j] = rng.uniform(0.0, 0.3) * capacity[j]
+            overhead = np.minimum(overhead, 0.2 * capacity)
+        slices.append({
+            "id": f"s{i}", "kpi": [1.0], "price": 1.0,
+            "customer_size": 0.0 if rng.random() < 0.2 else float(rng.uniform(1.0, 10.0)),
+            "min_resources": reserve.tolist(), "demand_matrix": [[u] for u in unit],
+            "overhead": overhead.tolist(),
+        })
+    return {
+        "name": "repair", "kpis": ["rate"], "slices": slices, "sharing": {},
+        "resources": [{"name": f"r{j}", "capacity": float(c), "unit_cost": 0.1}
+                      for j, c in enumerate(capacity)],
+        "sharing_eligible": [f"r{j}" for j in range(n) if rng.random() < 0.5],
+    }
+
+
+class TestBatchedRepair:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 10))
+    def test_matches_the_bisection_bytes(self, seed, m, n, p):
+        # the batched predicate equals each model's own, rows below the floors included
+        rng = np.random.default_rng(seed)
+        cands, lo, hi = candidates_of(repair_doc(rng, m, n))
+        assume(cands.models[0](lo))  # solve_ga refuses a floor that breaks the pool
+        schemes = rng.integers(len(cands.models), size=p)
+        sizes = np.empty((p, m))
+        for row, (kind, scheme) in enumerate(zip(rng.integers(5, size=p), schemes)):
+            sizes[row] = [lo, 3 * hi + 1, lo + 1.5 * rng.random(m) * (hi - lo),
+                          past_the_edge(cands, lo, hi, scheme), rng.random(m) * lo][kind]
+        assert cands.feasible(schemes, sizes).tolist() == [
+            cands.models[s](row) for s, row in zip(schemes.tolist(), sizes)]
+        sizes = np.clip(sizes, lo, hi)
+        expected = repaired_by_bisection(cands, lo, schemes, sizes)
+        assert cands.repair(lo, schemes, sizes.copy()).tobytes() == expected.tobytes()
+
+    def test_named_cases(self, monkeypatch):
+        # r0 sharing-eligible. A has no reservation and an overhead above r1's
+        # capacity, so no t > 0 fits while A's span is positive (t* = 0);
+        # B has no customers (a zero span); C reserves part of r0 (lo > 0).
+        doc = {
+            "name": "cases", "kpis": ["rate"], "sharing": {}, "sharing_eligible": ["r0"],
+            "resources": [{"name": "r0", "capacity": 4.0, "unit_cost": 0.1},
+                          {"name": "r1", "capacity": 6.0, "unit_cost": 0.1}],
+            "slices": [
+                {"id": "A", "kpi": [1.0], "customer_size": 5.0, "price": 1.0,
+                 "min_resources": [0, 0], "demand_matrix": [[1.0], [0.5]], "overhead": [0, 7]},
+                {"id": "B", "kpi": [1.0], "customer_size": 0.0, "price": 1.0,
+                 "min_resources": [0, 0], "demand_matrix": [[0.5], [0.5]], "overhead": [0, 0]},
+                {"id": "C", "kpi": [1.0], "customer_size": 6.0, "price": 1.0,
+                 "min_resources": [0.4, 0], "demand_matrix": [[0.8], [0.3]], "overhead": [0, 0]},
+            ],
+        }
+        cands, lo, hi = candidates_of(doc)
+        assert lo.tolist() == [0.0, 0.0, 0.5] and hi.tolist() == [5.0, 0.0, 6.0]
+        no_a = np.array([0.0, 0.0, 6.0])
+        # mixed scheme indices: all dedicated, then r0 shared
+        schemes = np.array([0, 1, 1, 0, 1])
+        sizes = np.array([hi, no_a, past_the_edge(cands, lo, no_a, 1), lo, lo])
+        assert not cands.feasible(schemes[:3], sizes[:3]).any()
+        assert cands.estimate(lo, schemes[:1], sizes[:1]).tolist() == [0]  # t* = 0
+        repaired = cands.repair(lo, schemes, sizes.copy())
+        assert repaired.tobytes() == repaired_by_bisection(cands, lo, schemes, sizes).tobytes()
+        assert repaired[0].tobytes() == lo.tobytes()
+
+        # a batch with nothing to repair is returned as it came, unsearched
+        def no_search(*args):
+            raise RuntimeError("searched")
+
+        monkeypatch.setattr(multiplex, "_largest_feasible", no_search)
+        feasible = sizes[3:].copy()
+        assert cands.repair(lo, schemes[3:], feasible) is feasible
+        assert feasible.tobytes() == sizes[3:].tobytes()
+
+    def test_estimate_at_or_past_one(self):
+        # a drawn document with four schemes whose repaired points, stepped
+        # past the capacity edge, are rejected while the affine estimate
+        # still reads t* >= 1, so the search starts at the top index
+        cands, lo, hi = candidates_of(repair_doc(np.random.default_rng(86), 2, 2))
+        schemes = np.array([0, 2, 1, 3])
+        sizes = np.array([past_the_edge(cands, lo, hi, s) for s in schemes])
+        assert not cands.feasible(schemes[:2], sizes[:2]).any()
+        assert cands.estimate(lo, schemes[:2], sizes[:2]).tolist() == [TOP, TOP]
+        repaired = cands.repair(lo, schemes, sizes.copy())
+        assert repaired.tobytes() == repaired_by_bisection(cands, lo, schemes, sizes).tobytes()
+
+
+ARCHIVE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf])
+
+
+@st.composite
+def archive_vectors(draw):
+    k = draw(st.integers(1, 3))
+    return k, draw(st.lists(st.lists(ARCHIVE_VALUES, min_size=k, max_size=k), max_size=12))
+
+
+class TestArchive:
+    @settings(max_examples=200, deadline=None)
+    @given(archive_vectors())
+    def test_one_comparison_reject_matches_three(self, drawn):
+        # ties, signed zeros and NaN: "no objective below w" is "equal or dominating"
+        k, vectors = drawn
+        fast, slow = multiplex._Archive(k), ArchiveLoop(k)
+        for i, v in enumerate(vectors):
+            fast.add(i, np.array(v))
+            slow.add(i, np.array(v))
+        assert fast.items == slow.items
+        assert fast.rows.tobytes() == slow.rows.tobytes()
 
 
 class TestMultiplexingGain:
