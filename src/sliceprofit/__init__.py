@@ -31,6 +31,7 @@ from .multiplex import (
     FrontPoint,
     GaParams,
     ParetoFront,
+    candidate_scheme,
     crowding_distance,
     enumerate_candidates,
     multiplexing_gain,

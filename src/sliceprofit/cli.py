@@ -174,7 +174,7 @@ def _cmd_solve(args, scenario, manifest) -> int:
     else:
         front = multiplex.solve_ga(scenario, _ga_params(args))
         best = max(front.points, key=lambda p: (sum(p.profits), tuple(-s for s in p.sizes)))
-        scheme = multiplex.enumerate_candidates(scenario)[best.scheme_index]
+        scheme = multiplex.candidate_scheme(scenario, best.scheme_index)
         result = orthogonal.SolveResult(
             best.sizes, evaluate(scenario, best.sizes, scheme), scheme,
             {"solver": "ga", "iterations": args.ga_pop * (args.ga_gens + 1)},

@@ -7,8 +7,9 @@ expenditure, price times served customers gives revenue, and profit is the
 difference. SchemeModel computes all of it for a size vector under one
 scheme and pool, and the size box that reservations and customer bases
 allow. evaluate does so for a scenario; build_allocation and
-check_feasible are the allocation-level forms of its rows and its verdict.
-No other module reads a slice's rows from a scheme.
+check_feasible are the allocation-level forms of its rows and its verdict,
+and feasible tests batches of size vectors under sharing masks. No other
+module reads a slice's rows from a scheme or restates the feasibility rule.
 The value objects are frozen and solvers live in separate modules. A
 Scenario bundles one problem instance: the pool, the slices and their base
 scheme, plus the optional blocks the adaptation and market solvers read.
@@ -169,7 +170,7 @@ class VnfScheme:
             raise ConfigurationError(f"scheme does not cover slice {slice_id!r}") from None
 
     def shared_mask(self) -> np.ndarray:
-        return np.array([m == SHARED for m in self.sharing])
+        return np.array([m == SHARED for m in self.sharing], dtype=bool)
 
     def with_sharing(self, sharing: Sequence[str]) -> "VnfScheme":
         return VnfScheme(self.slice_ids, self.demand, self.overhead, tuple(sharing))
@@ -278,11 +279,11 @@ def _scheme_rows(specs: Sequence[SliceSpec], scheme: VnfScheme) -> tuple:
 
 
 def _resource_rows(unit: np.ndarray, overhead: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-slice resources at the given sizes: demand scales linearly with
-    size, and activation overhead applies only when the slice is active
-    (size > 0)."""
-    base = sizes[:, None] * unit
-    return np.where((sizes > 0)[:, None], base + overhead, base)
+    """Per-slice resources (..., M, N) at (..., M) sizes: demand scales
+    linearly with size, and activation overhead applies only when the slice
+    is active (size > 0)."""
+    base = sizes[..., None] * unit
+    return np.where((sizes > 0)[..., None], base + overhead, base)
 
 
 def build_allocation(specs: Sequence[SliceSpec], scheme: VnfScheme, sizes) -> Allocation:
@@ -292,13 +293,12 @@ def build_allocation(specs: Sequence[SliceSpec], scheme: VnfScheme, sizes) -> Al
 
 
 def _usage(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """Aggregate per-resource usage of per-slice resource rows: sum over
-    slices for dedicated resources, max over slices for the time-shared
-    ones, whose column indices shared holds."""
-    usage = rows.sum(axis=0)
-    if shared.size and rows.shape[0]:
-        usage[shared] = rows[:, shared].max(axis=0)
-    return usage
+    """Per-resource usage (..., N) of per-slice resource rows (..., M, N):
+    the sum over slices, or their max where the (..., N) mask shared holds."""
+    total = rows.sum(axis=-2)
+    if not rows.shape[-2]:
+        return total
+    return np.where(shared, rows.max(axis=-2), total)
 
 
 def _limits(pool: ResourcePool, specs: Sequence[SliceSpec]) -> tuple:
@@ -313,23 +313,6 @@ def _limits(pool: ResourcePool, specs: Sequence[SliceSpec]) -> tuple:
     return cap_limit, floors, floor_limit
 
 
-def _verdict(usage: np.ndarray, rows: np.ndarray, pool: ResourcePool, limits: tuple) -> tuple:
-    """check_feasible on per-slice resource rows and their usage."""
-    cap_limit, floors, floor_limit = limits
-    over, under = usage > cap_limit, rows < floor_limit
-    if not (over.any() or under.any()):
-        return (True, ())
-    violations = [
-        Violation("pool", int(j), float(usage[j] - pool.capacity[j]))
-        for j in np.flatnonzero(over)
-    ]
-    violations += [
-        Violation("minimum", int(j), float(floors[i, j] - rows[i, j]), slice=int(i))
-        for i, j in zip(*np.nonzero(under))
-    ]
-    return (False, tuple(violations))
-
-
 def check_feasible(
     alloc: Allocation,
     scheme: VnfScheme,
@@ -341,8 +324,7 @@ def check_feasible(
     pool violations first by resource, then minimums by slice and resource."""
     if alloc.resources.shape[1] != scheme.n_resources:
         raise ConfigurationError("allocation and scheme disagree on resource count")
-    usage = _usage(alloc.resources, np.flatnonzero(scheme.shared_mask()))
-    return _verdict(usage, alloc.resources, pool, _limits(pool, specs))
+    return SchemeModel(specs, scheme, pool).verdict(alloc.resources)
 
 
 class SchemeModel:
@@ -350,20 +332,30 @@ class SchemeModel:
     scheme and pool, with the per-slice rows, prices and widened bounds
     computed once. Each slice finds its demand and overhead row in the
     scheme by id, so the specs may come in any order; every result follows
-    spec order. Calling the model gives check_feasible's verdict alone."""
+    spec order. shared is the scheme's (N,) mask of shared resources; the
+    rows are those of every scheme that differs from it only in sharing."""
 
     def __init__(self, specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool):
         self.specs, self.pool = tuple(specs), pool
         self.unit, self.overhead = _scheme_rows(self.specs, scheme)
-        self.shared = np.flatnonzero(scheme.shared_mask())
+        self.shared = scheme.shared_mask()
         self.price = np.array([spec.price for spec in self.specs])
         self.customers = np.array([spec.customer_size for spec in self.specs])
         self.limits = _limits(pool, self.specs)
 
-    def __call__(self, sizes: np.ndarray) -> bool:
+    def feasible(self, sizes: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """check_feasible's verdict alone, for (..., M) size vectors under
+        (..., N) shared masks; the leading axes broadcast."""
         rows = _resource_rows(self.unit, self.overhead, sizes)
+        _, over, under = self._breaches(rows, shared)
+        return ~(over.any(axis=-1) | under.any(axis=(-2, -1)))
+
+    def _breaches(self, rows: np.ndarray, shared: np.ndarray) -> tuple:
+        """The usage of rows (..., M, N) under masks (..., N), where it is
+        over the capacity limit and where a row is under its floor limit."""
         cap_limit, _, floor_limit = self.limits
-        return not ((_usage(rows, self.shared) > cap_limit).any() or (rows < floor_limit).any())
+        usage = _usage(rows, shared)
+        return usage, usage > cap_limit, rows < floor_limit
 
     def breakdown(self, sizes) -> tuple:
         """Per-slice (revenue, expenditure) arrays and the allocation of a
@@ -381,7 +373,18 @@ class SchemeModel:
 
     def verdict(self, rows: np.ndarray) -> tuple:
         """check_feasible's (feasible, violations) for per-slice resource rows."""
-        return _verdict(self.usage(rows), rows, self.pool, self.limits)
+        usage, over, under = self._breaches(rows, self.shared)
+        if not (over.any() or under.any()):
+            return (True, ())
+        violations = [
+            Violation("pool", int(j), float(usage[j] - self.pool.capacity[j]))
+            for j in np.flatnonzero(over)
+        ]
+        violations += [
+            Violation("minimum", int(j), float(self.limits[1][i, j] - rows[i, j]), slice=int(i))
+            for i, j in zip(*np.nonzero(under))
+        ]
+        return (False, tuple(violations))
 
     def outcome(self, sizes) -> Outcome:
         """Per-slice profits, their total and the feasibility verdict."""

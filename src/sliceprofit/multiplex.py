@@ -24,6 +24,7 @@ from .model import (
     SHARED,
     SchemeModel,
     SolverError,
+    VnfScheme,
 )
 from .orthogonal import SolveResult, solve_sizes
 
@@ -82,28 +83,36 @@ class GaParams:
             raise ConfigurationError("seed must be non-negative")
 
 
-def enumerate_candidates(scenario) -> tuple:
-    """All sharing-mode assignments over the eligible resources, in
+def _sharing_masks(scenario) -> np.ndarray:
+    """(S, N) shared-resource mask of every candidate scheme: the base
+    scheme's modes with each eligible resource dedicated or shared, in
     lexicographic order with dedicated before shared, so the first keeps
     every eligible resource dedicated. More than MAX_SCHEMES of them are
     refused before any is built."""
-    eligible = tuple(scenario.sharing_eligible)
+    eligible = list(scenario.sharing_eligible)
     total = 2 ** len(eligible)
     if total > MAX_SCHEMES:
         raise BudgetExceededError(
             f"{total} sharing schemes exceed the budget of {MAX_SCHEMES}", total, MAX_SCHEMES
         )
-    base = list(scenario.scheme.sharing)
-    for j in eligible:
-        base[j] = DEDICATED
-    schemes = []
-    for code in range(total):
-        sharing = list(base)
-        for pos, j in enumerate(eligible):
-            if code >> (len(eligible) - 1 - pos) & 1:
-                sharing[j] = SHARED
-        schemes.append(scenario.scheme.with_sharing(sharing))
-    return tuple(schemes)
+    masks = np.repeat(scenario.scheme.shared_mask()[None, :], total, axis=0)
+    masks[:, eligible] = np.arange(total)[:, None] >> np.arange(len(eligible))[::-1] & 1
+    return masks
+
+
+def _with_mask(scheme, mask) -> VnfScheme:
+    return scheme.with_sharing([SHARED if s else DEDICATED for s in mask])
+
+
+def enumerate_candidates(scenario) -> tuple:
+    """Every candidate scheme, in the order of _sharing_masks: the first
+    keeps every eligible resource dedicated. Over MAX_SCHEMES is refused."""
+    return tuple(_with_mask(scenario.scheme, mask) for mask in _sharing_masks(scenario))
+
+
+def candidate_scheme(scenario, index: int) -> VnfScheme:
+    """Candidate `index` of enumerate_candidates, built alone."""
+    return _with_mask(scenario.scheme, _sharing_masks(scenario)[index])
 
 
 def solve_exhaustive(scenario) -> SolveResult:
@@ -129,21 +138,17 @@ def solve_exhaustive(scenario) -> SolveResult:
                               "scheme_index": idx, "per_scheme": per_scheme})
 
 
-def _scheme_step(candidates, models, sizes):
-    """Best candidate at fixed sizes: maximal profit, ties resolved toward
-    more shared resources (never shrinks the next size step's feasible
-    region), then enumeration order. models holds each candidate's
-    SchemeModel."""
-    best = None
-    for idx, (scheme, model) in enumerate(zip(candidates, models)):
-        outcome = model.outcome(sizes)
-        if not outcome.feasible:
-            continue
-        shared = sum(1 for m in scheme.sharing if m == SHARED)
-        key = (outcome.total_profit, shared, -idx)
-        if best is None or key > best[0]:
-            best = (key, idx, scheme)
-    return best
+def _scheme_step(model, masks, sizes):
+    """Index of the candidate to move to at fixed sizes, or None when no
+    mask admits them: the most shared resources among the feasible masks
+    (never shrinks the next size step's feasible region), earliest on a
+    tie. Profit would rank first, but it does not depend on the sharing
+    modes: every candidate has model's rows, and so its revenue and
+    expenditure."""
+    ok = model.feasible(sizes, masks)
+    if not ok.any():
+        return None
+    return int(np.argmax(np.where(ok, masks.sum(axis=1), -1)))
 
 
 def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
@@ -156,11 +161,11 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     """
     if max_rounds < 0:
         raise ConfigurationError("max_rounds must be non-negative")
-    candidates = enumerate_candidates(scenario)
-    scheme_idx, scheme = 0, candidates[0]
-    models = [SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
+    masks = _sharing_masks(scenario)
+    scheme_idx, scheme = 0, _with_mask(scenario.scheme, masks[0])
+    model = SchemeModel(scenario.specs, scheme, scenario.pool)
 
-    sizes, _ = models[0].size_bounds()
+    sizes, _ = model.size_bounds()
     trace = []
     converged = False
     rounds = 0
@@ -168,18 +173,19 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     for _ in range(max_rounds):
         rounds += 1
         res = solve_sizes(scenario.specs, scheme, scenario.pool)
-        sizes = res.sizes
+        sizes = np.array(res.sizes)
         nit += res.meta["iterations"]
         trace.append(res.total_profit)
-        step = _scheme_step(candidates, models, sizes)
-        if step is None:  # current point is feasible under its own scheme
+        new_idx = _scheme_step(model, masks, sizes)
+        if new_idx is None:  # current point is feasible under its own scheme
             raise SolverError("scheme step lost feasibility")
-        _, new_idx, new_scheme = step
         if new_idx == scheme_idx:
             converged = True
             break
-        scheme_idx, scheme = new_idx, new_scheme
-    outcome = models[scheme_idx].outcome(sizes)
+        scheme_idx, scheme = new_idx, _with_mask(scenario.scheme, masks[new_idx])
+    # a converged loop ends on the last solve's own scheme and sizes
+    outcome = (res.outcome if converged
+               else SchemeModel(scenario.specs, scheme, scenario.pool).outcome(sizes))
     return SolveResult(
         tuple(float(s) for s in sizes), outcome, scheme,
         {"solver": "bcd", "iterations": nit, "rounds": rounds,
@@ -319,29 +325,19 @@ def _largest_feasible(k0: np.ndarray, feasible) -> np.ndarray:
 
 
 class _Candidates:
-    """Every candidate scheme's SchemeModel, with their unit and overhead
-    rows stacked (S, M, N) and their shared columns as an (S, N) mask, so a
-    generation's size vectors are tested and repaired as one batch. The
-    models share specs and pool, and so the widened bounds."""
+    """Every candidate scheme as its (S, N) shared mask over one SchemeModel,
+    candidate 0's, whose rows, prices and bounds all candidates share, so a
+    generation's size vectors are tested and repaired as one batch."""
 
-    def __init__(self, models):
-        self.models = models
-        self.unit = np.stack([model.unit for model in models])
-        self.overhead = np.stack([model.overhead for model in models])
-        self.shared = np.zeros((len(models), self.unit.shape[2]), dtype=bool)
-        for s, model in enumerate(models):
-            self.shared[s, model.shared] = True
-        self.cap_limit, _, self.floor_limit = models[0].limits
+    def __init__(self, scenario):
+        self.masks = _sharing_masks(scenario)
+        self.model = SchemeModel(
+            scenario.specs, _with_mask(scenario.scheme, self.masks[0]), scenario.pool)
 
     def feasible(self, schemes, sizes) -> np.ndarray:
-        """SchemeModel.__call__ of models[schemes[b]] on sizes[b], for every
-        row b of the (P, M) sizes at once."""
-        unit = self.unit[schemes]
-        base = sizes[:, :, None] * unit
-        rows = np.where((sizes > 0)[:, :, None], base + self.overhead[schemes], base)
-        usage = np.where(self.shared[schemes], rows.max(axis=1), rows.sum(axis=1))
-        return ~((usage > self.cap_limit).any(axis=1)
-                 | (rows < self.floor_limit).any(axis=(1, 2)))
+        """The model's verdict on sizes[b] under candidate schemes[b], for
+        every row b of the (P, M) sizes at once."""
+        return self.model.feasible(sizes, self.masks[schemes])
 
     def estimate(self, lo, schemes, sizes) -> np.ndarray:
         """floor(t*·2^50) per row, in [0, 2^50]: t* is the largest scale
@@ -351,12 +347,12 @@ class _Candidates:
         columns, and t* is the least ratio (cap_limit - A) / B."""
         span = sizes - lo
         active = (lo > 0) | (span > 0)
-        unit, shared = self.unit[schemes], self.shared[schemes][:, None, :]
-        a = lo[:, None] * unit + np.where(active[:, :, None], self.overhead[schemes], 0.0)
+        unit, shared = self.model.unit, self.masks[schemes][:, None, :]
+        a = lo[:, None] * unit + np.where(active[:, :, None], self.model.overhead, 0.0)
         b = span[:, :, None] * unit
         a = np.where(shared, a, a.sum(axis=1, keepdims=True))
         b = np.where(shared, b, b.sum(axis=1, keepdims=True))
-        room = self.cap_limit - a
+        room = self.model.limits[0] - a
         with np.errstate(over="ignore"):
             ratio = np.divide(room, b, out=np.where(room < 0, 0.0, np.inf), where=b > 0)
         return np.floor(ratio.min(axis=(1, 2)).clip(0.0, 1.0) * _REPAIR_TOP).astype(np.int64)
@@ -395,11 +391,12 @@ class _Candidates:
 def _evaluate(cands, lo, hi, schemes, sizes, archive) -> tuple:
     """Clip and repair drawn individuals as one batch, then evaluate and
     archive them one at a time in index order. Returns the repaired sizes
-    and the profits, (P, M) each."""
+    and the profits, (P, M) each; profit does not depend on the scheme."""
     sizes = cands.repair(lo, schemes, np.clip(sizes, lo, hi))
     profits = np.empty_like(sizes)
     for i, idx in enumerate(schemes.tolist()):
-        profits[i] = cands.models[idx].outcome(sizes[i]).profits
+        revs, exps, _ = cands.model.breakdown(sizes[i])
+        profits[i] = revs - exps
         archive.add(FrontPoint(tuple(sizes[i].tolist()), idx, tuple(profits[i].tolist())),
                     profits[i])
     return sizes, profits
@@ -440,11 +437,10 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
             f"{required} GA evaluations exceed the budget of {MAX_GA_EVALUATIONS}",
             required, MAX_GA_EVALUATIONS,
         )
-    candidates = enumerate_candidates(scenario)
-    n_schemes = len(candidates)
-    cands = _Candidates([SchemeModel(scenario.specs, s, scenario.pool) for s in candidates])
-    lo, hi = cands.models[0].size_bounds()
-    base = cands.models[0].outcome(lo)
+    cands = _Candidates(scenario)
+    n_schemes = len(cands.masks)
+    lo, hi = cands.model.size_bounds()
+    base = cands.model.outcome(lo)
     if not base.feasible:
         raise InfeasibleScenarioError(
             "minimum reservations exceed the pool capacity", base.violations

@@ -175,9 +175,8 @@ def _lp_rows(model: SchemeModel, active: np.ndarray) -> tuple:
     m, n = unit.shape
     rows, rhs = [], []
     act = np.where(active)[0]
-    shared = set(model.shared.tolist())
     for j in range(n):
-        if j in shared:
+        if model.shared[j]:
             for i in act:
                 if overhead[i, j] > cap_limit[j]:
                     return None

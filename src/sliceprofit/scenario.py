@@ -206,8 +206,8 @@ def _environment_block(block, scenario: Scenario) -> EnvironmentModel:
     m, l = scenario.n_slices, scenario.n_kpis
     ids = [spec.id for spec in scenario.specs]
     gamma = np.zeros((m, l, m))
-    unit = SchemeModel(scenario.specs, scenario.scheme, scenario.pool).unit
-    shared = scenario.scheme.shared_mask()
+    model = SchemeModel(scenario.specs, scenario.scheme, scenario.pool)
+    unit, shared = model.unit, model.shared
     coupling = block.get("coupling", [])
     _expect(isinstance(coupling, list), "environment: 'coupling' must be an array")
     for entry in coupling:

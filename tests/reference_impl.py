@@ -12,6 +12,16 @@ compute through its row formula. ``build_allocation_loop``,
 of ``build_allocation``, ``SchemeModel.breakdown`` and ``evaluate``. None
 of them uses ``SchemeModel``.
 
+``SchemeModel.feasible`` tests batches of size vectors under masks of
+shared resources. ``feasible_loop`` is the scalar predicate for one
+scheme, built from ``build_allocation_loop`` and ``check_feasible_loop``.
+
+``multiplex`` enumerates candidate schemes as an array of sharing masks.
+``enumerate_candidates_loop`` is the mode-string loop it replaced.
+``scheme_step_loop`` is the BCD scheme step as one outcome per candidate,
+ranked by profit, then shared resources, then index; ``_scheme_step``
+makes it one batched verdict, since profit does not depend on sharing.
+
 ``SchemeModel.size_bounds`` gives every slice's search box at once.
 ``size_bounds_loop`` is the slice-by-slice, resource-by-resource form, and
 it reads each slice's rows from the scheme itself.
@@ -33,6 +43,9 @@ element-by-element forms of ``nondominated_sort`` and
 bisection that ``multiplex._Candidates.repair`` computes directly for a
 whole generation, and archives with ``ArchiveLoop``, whose reject rule
 makes the three comparisons that ``multiplex._Archive`` folds into one.
+It enumerates, bounds, tests and evaluates with the loop forms above, so
+it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair
+or evaluation code; it shares only the random streams (``_rng``).
 
 All serve as references for differential tests.
 """
@@ -44,6 +57,7 @@ import numpy as np
 
 from sliceprofit import game, multiplex
 from sliceprofit.model import (
+    DEDICATED,
     FEASIBILITY_TOL,
     SHARED,
     Allocation,
@@ -154,6 +168,46 @@ def evaluate_loop(scenario, sizes, scheme=None):
         feasible=feasible,
         violations=violations,
     )
+
+
+def enumerate_candidates_loop(scenario):
+    """multiplex.enumerate_candidates as sharing-mode strings: the base
+    modes with every eligible resource reset to dedicated, then the bits of
+    each code, most significant first, switching eligible resources to
+    shared."""
+    eligible = tuple(scenario.sharing_eligible)
+    total = 2 ** len(eligible)
+    if total > multiplex.MAX_SCHEMES:
+        raise BudgetExceededError(
+            f"{total} sharing schemes exceed the budget of {multiplex.MAX_SCHEMES}",
+            total, multiplex.MAX_SCHEMES,
+        )
+    base = list(scenario.scheme.sharing)
+    for j in eligible:
+        base[j] = DEDICATED
+    schemes = []
+    for code in range(total):
+        sharing = list(base)
+        for pos, j in enumerate(eligible):
+            if code >> (len(eligible) - 1 - pos) & 1:
+                sharing[j] = SHARED
+        schemes.append(scenario.scheme.with_sharing(sharing))
+    return tuple(schemes)
+
+
+def scheme_step_loop(scenario, candidates, sizes):
+    """multiplex._scheme_step, one candidate outcome at a time: the feasible
+    candidate of maximal total profit, ties toward more shared resources,
+    then enumeration order. Returns its index, or None."""
+    best = None
+    for idx, scheme in enumerate(candidates):
+        outcome = evaluate_loop(scenario, sizes, scheme)
+        if not outcome.feasible:
+            continue
+        key = (outcome.total_profit, sum(1 for m in scheme.sharing if m == SHARED), -idx)
+        if best is None or key > best[0]:
+            best = (key, idx)
+    return None if best is None else best[1]
 
 
 def pareto_filter_loop(vectors):
@@ -443,10 +497,22 @@ class ArchiveLoop:
         self.items.append(item)
 
 
-def _evaluate_member(models, lo, hi, scheme_idx, sizes):
-    model = models[scheme_idx]
-    sizes = repair_bisect(model, lo, np.clip(sizes, lo, hi))
-    return _Member(scheme_idx, sizes, np.array(model.outcome(sizes).profits))
+def feasible_loop(specs, scheme, pool):
+    """Scalar feasibility predicate of size vectors under one scheme, built
+    from build_allocation_loop and check_feasible_loop."""
+    def feasible(sizes):
+        alloc = build_allocation_loop(specs, scheme, sizes)
+        return check_feasible_loop(alloc, scheme, pool, specs)[0]
+
+    return feasible
+
+
+def _evaluate_member(scenario, candidates, lo, hi, scheme_idx, sizes):
+    scheme = candidates[scheme_idx]
+    feasible = feasible_loop(scenario.specs, scheme, scenario.pool)
+    sizes = repair_bisect(feasible, lo, np.clip(sizes, lo, hi))
+    revs, exps, _ = slice_breakdown_loop(scenario.specs, scheme, scenario.pool, sizes)
+    return _Member(scheme_idx, sizes, revs - exps)
 
 
 def _ranks_and_crowding_loop(pop):
@@ -463,11 +529,10 @@ def solve_ga_loop(scenario, params=None):
     """multiplex.solve_ga, one individual at a time: each offspring is
     drawn, repaired, evaluated and archived before the next is drawn."""
     params = params or GaParams()
-    candidates = multiplex.enumerate_candidates(scenario)
+    candidates = enumerate_candidates_loop(scenario)
     n_schemes = len(candidates)
-    models = [multiplex.SchemeModel(scenario.specs, s, scenario.pool) for s in candidates]
-    lo, hi = models[0].size_bounds()
-    base = models[0].outcome(lo)
+    lo, hi = size_bounds_loop(scenario.specs, candidates[0])
+    base = evaluate_loop(scenario, lo, candidates[0])
     if not base.feasible:
         raise InfeasibleScenarioError(
             "minimum reservations exceed the pool capacity", base.violations
@@ -481,7 +546,7 @@ def solve_ga_loop(scenario, params=None):
         rng = multiplex._rng(params.seed, 0, i)
         scheme_idx = int(rng.integers(n_schemes))
         sizes = lo + rng.random(m) * span
-        ind = _evaluate_member(models, lo, hi, scheme_idx, sizes)
+        ind = _evaluate_member(scenario, candidates, lo, hi, scheme_idx, sizes)
         pop.append(ind)
         archive.add(ind, ind.profits)
 
@@ -518,7 +583,7 @@ def solve_ga_loop(scenario, params=None):
                 sizes = np.where(mutate, sizes + noise, sizes)
             if rng.random() < params.mutation and n_schemes > 1:
                 scheme_idx = int(rng.integers(n_schemes))
-            ind = _evaluate_member(models, lo, hi, scheme_idx, sizes)
+            ind = _evaluate_member(scenario, candidates, lo, hi, scheme_idx, sizes)
             offspring.append(ind)
             archive.add(ind, ind.profits)
 

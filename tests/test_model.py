@@ -224,8 +224,8 @@ class TestFeasibilityMatchesLoopReference:
         alloc = build_allocation(scenario.specs, scheme, sizes)
         expected = check_feasible_loop(alloc, scheme, scenario.pool, scenario.specs)
         assert check_feasible(alloc, scheme, scenario.pool, scenario.specs) == expected
-        predicate = SchemeModel(scenario.specs, scheme, scenario.pool)
-        assert predicate(sizes) == expected[0]
+        model = SchemeModel(scenario.specs, scheme, scenario.pool)
+        assert model.feasible(sizes, model.shared) == expected[0]
 
     # s2's vertex, where both capacities bind, and slice A's compute floor
     # of 2, each met exactly, within the feasibility slack and beyond it
@@ -245,7 +245,8 @@ class TestFeasibilityMatchesLoopReference:
         expected = check_feasible_loop(alloc, s2.scheme, s2.pool, specs)
         assert expected[0] is ok
         assert check_feasible(alloc, s2.scheme, s2.pool, specs) == expected
-        assert SchemeModel(specs, s2.scheme, s2.pool)(sizes) is ok
+        model = SchemeModel(specs, s2.scheme, s2.pool)
+        assert model.feasible(sizes, model.shared) == ok
 
 
 def _outcome_bits(out):

@@ -11,6 +11,7 @@ from sliceprofit import (
     GaParams,
     InfeasibleScenarioError,
     VnfScheme,
+    candidate_scheme,
     crowding_distance,
     enumerate_candidates,
     evaluate,
@@ -32,9 +33,12 @@ from conftest import eligible_doc, make_scenario, random_scenario
 from reference_impl import (
     ArchiveLoop,
     crowding_distance_loop,
+    enumerate_candidates_loop,
+    feasible_loop,
     nondominated_sort_loop,
     pareto_filter_loop,
     repair_bisect,
+    scheme_step_loop,
     solve_ga_loop,
 )
 
@@ -82,6 +86,23 @@ class TestEnumerateCandidates:
         assert len(cands) == multiplex.MAX_SCHEMES == 4096
         assert cands[0].sharing == ("dedicated",) * 12
         assert cands[-1].sharing == ("shared",) * 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 2), st.data())
+    def test_masks_match_the_string_loop(self, e, extra, data):
+        # the base scheme may share eligible resources (reset to dedicated)
+        # and others (kept); eligible resources come in any order
+        names = [f"r{j}" for j in range(e + extra)]
+        doc = eligible_doc(len(names))
+        shared = data.draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+        doc["sharing"] = {name: "shared" for name, s in zip(names, shared) if s}
+        doc["sharing_eligible"] = data.draw(st.permutations(names))[:e]
+        scenario = scenario_from_dict(doc)
+        want = [s.sharing for s in enumerate_candidates_loop(scenario)]
+        got = enumerate_candidates(scenario)
+        assert [s.sharing for s in got] == want
+        assert all(type(mode) is str for s in got for mode in s.sharing)
+        assert [candidate_scheme(scenario, k).sharing for k in range(len(want))] == want
 
     def test_budget_refuses_thirteen_eligible_before_building(self, monkeypatch):
         scenario = scenario_from_dict(eligible_doc(13))
@@ -139,6 +160,45 @@ class TestSolveExhaustive:
 
     def test_matches_single_scheme_solver(self, s2):
         assert solve_exhaustive(s2).sizes == solve_objective_sum(s2).sizes
+
+
+class TestSchemeStep:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]))
+    def test_matches_the_outcome_loop(self, seed, m, n, scale):
+        # scaled past the box or cut to zero below a reservation, sizes may
+        # be admitted by no candidate
+        rng = np.random.default_rng(seed)
+        scenario = scenario_from_dict(repair_doc(rng, m, n))
+        candidates = enumerate_candidates_loop(scenario)
+        model = SchemeModel(scenario.specs, candidates[0], scenario.pool)
+        lo, hi = model.size_bounds()
+        sizes = lo + scale * rng.random(m) * (hi - lo + 1.0)
+        sizes[rng.random(m) < 0.2] = 0.0
+        step = multiplex._scheme_step(model, multiplex._sharing_masks(scenario), sizes)
+        assert step == scheme_step_loop(scenario, candidates, sizes)
+
+    @pytest.mark.parametrize("sizes, index", [
+        ((0.0, 0.0), None),  # below both reservations under every scheme
+        ((5.0, 8.0), 1),     # only the shared scheme holds both rows
+        ((5.0, 2.0), None),  # B under its reservation
+    ])
+    def test_named_points(self, sizes, index):
+        scenario = rescue_scenario()
+        candidates = enumerate_candidates_loop(scenario)
+        model = SchemeModel(scenario.specs, candidates[0], scenario.pool)
+        sizes = np.array(sizes)
+        step = multiplex._scheme_step(model, multiplex._sharing_masks(scenario), sizes)
+        assert step == scheme_step_loop(scenario, candidates, sizes) == index
+
+    def test_ties_go_to_the_most_shared(self, s2m):
+        # both schemes admit the floor point and earn the same there
+        candidates = enumerate_candidates_loop(s2m)
+        model = SchemeModel(s2m.specs, candidates[0], s2m.pool)
+        sizes = np.zeros(2)
+        step = multiplex._scheme_step(model, multiplex._sharing_masks(s2m), sizes)
+        assert step == scheme_step_loop(s2m, candidates, sizes) == 1
 
 
 class TestSolveBcd:
@@ -395,7 +455,7 @@ class TestSolveGa:
         def no_run(*args):
             raise RuntimeError("the run started")
 
-        monkeypatch.setattr(multiplex, "enumerate_candidates", no_run)
+        monkeypatch.setattr(multiplex, "_sharing_masks", no_run)
         monkeypatch.setattr(multiplex, "_rng", no_run)
         with pytest.raises(BudgetExceededError) as info:
             solve_ga(s2m, GaParams(population=500, generations=500))
@@ -410,7 +470,7 @@ class TestSolveGa:
         def no_run(*args):
             raise RuntimeError("the run started")
 
-        monkeypatch.setattr(multiplex, "enumerate_candidates", no_run)
+        monkeypatch.setattr(multiplex, "_sharing_masks", no_run)
         monkeypatch.setattr(multiplex, "_rng", no_run)
         with pytest.raises(BudgetExceededError) as info:
             solve_ga(s2m, GaParams(population=1002, generations=0))
@@ -482,28 +542,28 @@ class TestLargestFeasible:
 
 
 def candidates_of(doc):
-    """Every candidate's SchemeModel of a document, stacked, and the size
-    box of the first."""
+    """The batched candidates of a document, the size box, and each
+    candidate's scalar loop-reference predicate."""
     scenario = scenario_from_dict(doc)
-    models = [SchemeModel(scenario.specs, s, scenario.pool)
-              for s in enumerate_candidates(scenario)]
-    lo, hi = models[0].size_bounds()
-    return multiplex._Candidates(models), lo, hi
+    cands = multiplex._Candidates(scenario)
+    lo, hi = cands.model.size_bounds()
+    preds = [feasible_loop(scenario.specs, s, scenario.pool)
+             for s in enumerate_candidates_loop(scenario)]
+    return cands, lo, hi, preds
 
 
-def repaired_by_bisection(cands, lo, schemes, sizes):
-    return np.array([repair_bisect(cands.models[s], lo, row.copy())
+def repaired_by_bisection(preds, lo, schemes, sizes):
+    return np.array([repair_bisect(preds[s], lo, row.copy())
                      for s, row in zip(schemes.tolist(), sizes)])
 
 
-def past_the_edge(cands, lo, hi, scheme):
+def past_the_edge(feasible, lo, hi):
     """The repaired point on the line from lo to hi, stepped up one ulp at
-    a time in every slice of positive span until the model rejects it, or
+    a time in every slice of positive span until feasible rejects it, or
     64 times: a point just past the capacity edge, with t* at or near 1."""
-    model = cands.models[scheme]
-    point = repair_bisect(model, lo, hi.copy())
+    point = repair_bisect(feasible, lo, hi.copy())
     for _ in range(64):
-        if not model(point):
+        if not feasible(point):
             break
         point = np.where(hi > lo, np.nextafter(point, np.inf), point)
     return point
@@ -543,19 +603,19 @@ class TestBatchedRepair:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 10))
     def test_matches_the_bisection_bytes(self, seed, m, n, p):
-        # the batched predicate equals each model's own, rows below the floors included
+        # the batched predicate equals each scheme's loop predicate, rows below the floors included
         rng = np.random.default_rng(seed)
-        cands, lo, hi = candidates_of(repair_doc(rng, m, n))
-        assume(cands.models[0](lo))  # solve_ga refuses a floor that breaks the pool
-        schemes = rng.integers(len(cands.models), size=p)
+        cands, lo, hi, preds = candidates_of(repair_doc(rng, m, n))
+        assume(preds[0](lo))  # solve_ga refuses a floor that breaks the pool
+        schemes = rng.integers(len(preds), size=p)
         sizes = np.empty((p, m))
         for row, (kind, scheme) in enumerate(zip(rng.integers(5, size=p), schemes)):
             sizes[row] = [lo, 3 * hi + 1, lo + 1.5 * rng.random(m) * (hi - lo),
-                          past_the_edge(cands, lo, hi, scheme), rng.random(m) * lo][kind]
+                          past_the_edge(preds[scheme], lo, hi), rng.random(m) * lo][kind]
         assert cands.feasible(schemes, sizes).tolist() == [
-            cands.models[s](row) for s, row in zip(schemes.tolist(), sizes)]
+            preds[s](row) for s, row in zip(schemes.tolist(), sizes)]
         sizes = np.clip(sizes, lo, hi)
-        expected = repaired_by_bisection(cands, lo, schemes, sizes)
+        expected = repaired_by_bisection(preds, lo, schemes, sizes)
         assert cands.repair(lo, schemes, sizes.copy()).tobytes() == expected.tobytes()
 
     def test_named_cases(self, monkeypatch):
@@ -575,16 +635,16 @@ class TestBatchedRepair:
                  "min_resources": [0.4, 0], "demand_matrix": [[0.8], [0.3]], "overhead": [0, 0]},
             ],
         }
-        cands, lo, hi = candidates_of(doc)
+        cands, lo, hi, preds = candidates_of(doc)
         assert lo.tolist() == [0.0, 0.0, 0.5] and hi.tolist() == [5.0, 0.0, 6.0]
         no_a = np.array([0.0, 0.0, 6.0])
         # mixed scheme indices: all dedicated, then r0 shared
         schemes = np.array([0, 1, 1, 0, 1])
-        sizes = np.array([hi, no_a, past_the_edge(cands, lo, no_a, 1), lo, lo])
+        sizes = np.array([hi, no_a, past_the_edge(preds[1], lo, no_a), lo, lo])
         assert not cands.feasible(schemes[:3], sizes[:3]).any()
         assert cands.estimate(lo, schemes[:1], sizes[:1]).tolist() == [0]  # t* = 0
         repaired = cands.repair(lo, schemes, sizes.copy())
-        assert repaired.tobytes() == repaired_by_bisection(cands, lo, schemes, sizes).tobytes()
+        assert repaired.tobytes() == repaired_by_bisection(preds, lo, schemes, sizes).tobytes()
         assert repaired[0].tobytes() == lo.tobytes()
 
         # a batch with nothing to repair is returned as it came, unsearched
@@ -600,13 +660,13 @@ class TestBatchedRepair:
         # a drawn document with four schemes whose repaired points, stepped
         # past the capacity edge, are rejected while the affine estimate
         # still reads t* >= 1, so the search starts at the top index
-        cands, lo, hi = candidates_of(repair_doc(np.random.default_rng(86), 2, 2))
+        cands, lo, hi, preds = candidates_of(repair_doc(np.random.default_rng(86), 2, 2))
         schemes = np.array([0, 2, 1, 3])
-        sizes = np.array([past_the_edge(cands, lo, hi, s) for s in schemes])
+        sizes = np.array([past_the_edge(preds[s], lo, hi) for s in schemes])
         assert not cands.feasible(schemes[:2], sizes[:2]).any()
         assert cands.estimate(lo, schemes[:2], sizes[:2]).tolist() == [TOP, TOP]
         repaired = cands.repair(lo, schemes, sizes.copy())
-        assert repaired.tobytes() == repaired_by_bisection(cands, lo, schemes, sizes).tobytes()
+        assert repaired.tobytes() == repaired_by_bisection(preds, lo, schemes, sizes).tobytes()
 
 
 ARCHIVE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf])

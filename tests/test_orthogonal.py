@@ -1,5 +1,6 @@
 """Exact size optimisation for a fixed scheme, plus the grid oracle."""
 
+import json
 import math
 import pathlib
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sliceprofit import (
     BudgetExceededError,
     ConfigurationError,
+    GaParams,
     InfeasibleScenarioError,
     ResourcePool,
     SliceSpec,
@@ -25,19 +27,22 @@ from sliceprofit import (
     load_scenario,
     oracle_gap_bound,
     run_market,
+    scenario_from_dict,
     scenario_to_dict,
     solve_bcd,
     solve_exhaustive,
+    solve_ga,
     solve_objective_sum,
     solve_sizes,
     solve_weighted_sum,
     validate_weights,
 )
 from sliceprofit import game, orthogonal
+from sliceprofit.cli import main
 from sliceprofit.longterm import ReconfigCostModel, optimize_period
 from sliceprofit.model import SchemeModel
 
-from conftest import make_scenario, random_scenario
+from conftest import eligible_doc, make_scenario, random_scenario
 
 
 DOUBLED = {"resources": [
@@ -365,7 +370,7 @@ class TestSpecOrder:
         for probe in (sizes[order], 1.5 * sizes[order]):
             alloc = build_allocation(permuted.specs, permuted.scheme, probe)
             verdict = check_feasible(alloc, permuted.scheme, permuted.pool, permuted.specs)
-            assert model(probe) == verdict[0]
+            assert model.feasible(probe, model.shared) == verdict[0]
 
 
 class TestOneModelPerSolve:
@@ -391,6 +396,43 @@ class TestOneModelPerSolve:
     def test_exhaustive_builds_one_per_candidate(self, s2m, built):
         solve_exhaustive(s2m)
         assert len(built) == len(enumerate_candidates(s2m))
+
+    @pytest.fixture
+    def schemes(self, monkeypatch):
+        built = []
+        post_init = VnfScheme.__post_init__
+
+        def counting(self):
+            built.append(self.sharing)
+            post_init(self)
+
+        monkeypatch.setattr(VnfScheme, "__post_init__", counting)
+        return built
+
+    def test_ga_builds_one_model_over_4096_candidates(self, built, schemes):
+        scenario = scenario_from_dict(eligible_doc(12))
+        schemes.clear()
+        solve_ga(scenario, GaParams(population=20, generations=5))
+        # candidate 0's scheme and model; the other candidates are masks
+        assert len(built) == 1
+        assert schemes == [("dedicated",) * 12]
+
+    def test_bcd_builds_do_not_grow_with_the_candidates(self, s2m, built):
+        # candidate 0's model for the scheme steps and one per size solve;
+        # the converged loop returns the last solve's outcome
+        for scenario in (s2m, scenario_from_dict(eligible_doc(12))):
+            built.clear()
+            res = solve_bcd(scenario)
+            assert res.meta["rounds"] == 2 and res.meta["converged"]
+            assert len(built) == 3
+
+    def test_cli_ga_builds_only_the_winning_scheme(self, tmp_path, schemes):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(eligible_doc(12)))
+        rc = main(["solve", "--solver", "ga", "--scenario", str(path), "--ga-pop", "8",
+                   "--ga-gens", "2", "--out", str(tmp_path / "out.csv")])
+        # the loaded base scheme, candidate 0 inside solve_ga, the winner
+        assert rc == 0 and len(schemes) == 3
 
     def test_market_builds_one_per_lease_solve(self, g1, built, monkeypatch):
         solves = []
