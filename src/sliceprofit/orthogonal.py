@@ -13,17 +13,32 @@ scipy's private HiGHS bindings import, it is a direct driver that gives
 the same results as ``scipy.optimize.linprog(method="highs")`` without
 scipy's per-call input parsing, sparse conversion and option checks.
 Otherwise it is scipy's ``linprog`` itself.
+
+The bindings are scipy's extension file ``optimize/_highspy/_core<suffix>``,
+with the suffix from ``importlib.machinery.EXTENSION_SUFFIXES``. They are
+loaded under their real name and registered in ``sys.modules`` without
+running the ``__init__`` of ``scipy.optimize``, which would import
+``scipy.linalg`` and most of ``scipy._lib``. A later ``import
+scipy.optimize`` reuses that module, so the extension is initialised once
+(reach it by import: its package gets no ``_core`` attribute), and an entry
+already in ``sys.modules`` is used as it is. ``_highs_linprog`` returns an
+``LpResult``: the five fields of scipy's ``OptimizeResult`` that the size
+solver reads.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeResult
+import scipy
 
 from .model import (
     BudgetExceededError,
@@ -61,6 +76,49 @@ _MAX_UNIT_DEMAND = 1e15
 # linprog refuses a reported optimum that breaks a bound or a row by more
 # than its default tol of 1e-9 widened the way scipy's result check does.
 _LINPROG_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS bindings: the sys.modules entry if there is one, else
+    the extension file loaded under its real name. ImportError for a None
+    entry or a missing file."""
+    if _HIGHS_MODULE in sys.modules:
+        module = sys.modules[_HIGHS_MODULE]
+        if module is None:
+            raise ImportError(f"import of {_HIGHS_MODULE} halted; None in sys.modules")
+        return module
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no {_HIGHS_MODULE} extension in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, path)
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        # no half-initialised module for the fallback's import to find
+        sys.modules.pop(_HIGHS_MODULE, None)
+        raise
+    return module
+
+
+@dataclass(frozen=True, eq=False)
+class LpResult:
+    """One LP's answer: the fields of scipy's OptimizeResult that the size
+    solver reads."""
+
+    x: Optional[np.ndarray]
+    status: int
+    success: bool
+    nit: int
+    message: str
 
 
 def _highs_options():
@@ -117,8 +175,8 @@ def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
         # one), and 4 here for any other failure, since these LPs are bounded
         # and run without limits
         failed = (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError)
-        return OptimizeResult(x=None, status=2 if status in failed else 4,
-                              success=False, nit=nit, message=message)
+        return LpResult(x=None, status=2 if status in failed else 4,
+                        success=False, nit=nit, message=message)
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     slack = b - np.array(solution.row_value)
@@ -128,11 +186,11 @@ def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
                  and not math.isnan(info.objective_function_value))
     if not valid:
         message = f"the solution breaks a bound or row by more than {tol:.2E}"
-    return OptimizeResult(x=x, status=0 if valid else 4, success=valid, nit=nit, message=message)
+    return LpResult(x=x, status=0 if valid else 4, success=valid, nit=nit, message=message)
 
 
 try:
-    import scipy.optimize._highspy._core as _highs
+    _highs = _load_highs()
 except ImportError:  # a scipy without these bindings: every LP goes through linprog
     from scipy.optimize import linprog
 else:

@@ -9,7 +9,8 @@ the paths of the run, so only its command, flags and scenario digest are
 compared; every byte after it must match. One more test runs every case
 in a single subprocess and checks that none of them writes to stdout, and
 another runs them all with scipy's private HiGHS bindings made unimportable,
-so that every LP goes through ``scipy.optimize.linprog`` itself.
+so that every LP goes through ``scipy.optimize.linprog`` itself. A last one
+hides the bindings' file instead, the other way the fallback is reached.
 """
 
 import json
@@ -124,3 +125,22 @@ def test_linprog_fallback_writes_the_same_bytes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in sorted(CASES):
         assert_matches_golden(name, tmp_path)
+
+
+def test_missing_bindings_file_writes_the_same_bytes(tmp_path):
+    # with no extension suffix to name the bindings' file by, orthogonal
+    # finds no file and binds scipy's own linprog, which imports the
+    # bindings its own way
+    name = "solve-objective-sum-s2"
+    script = ("import importlib.machinery, json, sys\n"
+              "importlib.machinery.EXTENSION_SUFFIXES.clear()\n"
+              "from sliceprofit import orthogonal\n"
+              "from sliceprofit.cli import main\n"
+              "import scipy.optimize\n"
+              "assert orthogonal.linprog is scipy.optimize.linprog\n"
+              "assert main(json.loads(sys.argv[1])) == 0\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(full_argv(name, tmp_path))],
+                          cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert_matches_golden(name, tmp_path)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import sliceprofit
 from sliceprofit import (
     BudgetExceededError,
     ConfigurationError,
@@ -44,6 +48,9 @@ from sliceprofit.model import SchemeModel
 
 from conftest import eligible_doc, make_scenario, random_scenario
 
+
+# directory holding the imported package, so subprocesses import the same code
+PACKAGE_ROOT = pathlib.Path(sliceprofit.__file__).resolve().parent.parent
 
 DOUBLED = {"resources": [
     {"name": "bandwidth", "capacity": 20, "unit_cost": 1.0},
@@ -524,3 +531,61 @@ class TestHighsDriver:
         got = orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
         assert got.status == status
         assert same_lp_result(got, reference_linprog(c, a, b, bounds))
+
+
+class TestColdStart:
+    """In a fresh process the bindings load from their file without
+    scipy.optimize, and one extension module serves orthogonal and scipy
+    in either import order."""
+
+    @staticmethod
+    def run(script):
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        self.run("import sys\n"
+                 "import sliceprofit.cli\n"
+                 "from sliceprofit import orthogonal\n"
+                 "loaded = {'scipy.optimize', 'scipy.linalg'} & sys.modules.keys()\n"
+                 "assert not loaded, loaded\n"
+                 "assert orthogonal.linprog is orthogonal._highs_linprog\n"
+                 "import scipy.optimize\n"
+                 "assert orthogonal.linprog is not scipy.optimize.linprog\n")
+
+    def test_scipy_imported_after_reuses_the_bindings(self):
+        self.run("import sys\n"
+                 "from sliceprofit import orthogonal\n"
+                 "import scipy.optimize\n"
+                 "assert sys.modules['scipy.optimize._highspy._core'] is orthogonal._highs\n"
+                 "res = scipy.optimize.linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[3.0],\n"
+                 "                             bounds=[(0.0, 2.0)] * 2, method='highs')\n"
+                 "assert res.status == 0 and res.x.tolist() == [1.0, 2.0], res\n")
+
+    def test_scipy_imported_first_lends_its_bindings(self):
+        self.run("import sys\n"
+                 "import scipy.optimize\n"
+                 "core = sys.modules['scipy.optimize._highspy._core']\n"
+                 "from sliceprofit import orthogonal\n"
+                 "assert orthogonal._highs is core\n"
+                 "assert orthogonal.linprog is orthogonal._highs_linprog\n")
+
+    def test_failed_load_leaves_no_half_module_behind(self):
+        # the first exec of an extension fails; the fallback's own import of
+        # scipy.optimize must then load the bindings afresh, not find an
+        # unexecuted module under their name
+        self.run("import sys\n"
+                 "from importlib.machinery import ExtensionFileLoader\n"
+                 "real = ExtensionFileLoader.exec_module\n"
+                 "def fail_once(self, module):\n"
+                 "    if self.name != 'scipy.optimize._highspy._core':\n"
+                 "        return real(self, module)\n"
+                 "    ExtensionFileLoader.exec_module = real\n"
+                 "    raise ImportError('exec failed')\n"
+                 "ExtensionFileLoader.exec_module = fail_once\n"
+                 "from sliceprofit import orthogonal\n"
+                 "import scipy.optimize\n"
+                 "assert orthogonal.linprog is scipy.optimize.linprog\n"
+                 "assert hasattr(sys.modules['scipy.optimize._highspy._core'], '_Highs')\n")
