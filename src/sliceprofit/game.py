@@ -150,6 +150,15 @@ def _internal(operator: Operator, capacity) -> Optional[tuple]:
     return float(np.sum(res.outcome.profits)), res.sizes
 
 
+def lease_axis(lo: float, hi: float, points: int) -> np.ndarray:
+    """points lease values evenly spaced from lo to hi, the ones within
+    LEASE_ZERO_TOL · max(1, |lo|, |hi|) of 0 set to 0: rounding grows with
+    the end points."""
+    axis = np.linspace(lo, hi, points)
+    axis[np.abs(axis) < LEASE_ZERO_TOL * max(1.0, abs(lo), abs(hi))] = 0.0
+    return axis
+
+
 def _idle_grid(operator: Operator, traded, base) -> dict:
     """Fallback lease grid: +-idle capacity at the standalone optimum `base`
     (total, sizes), or no trade when the operator has none."""
@@ -163,9 +172,7 @@ def _idle_grid(operator: Operator, traded, base) -> dict:
         idle = max(float(operator.pool.capacity[j] - usage[j]), 0.0)
         if idle < _IDLE_SLIVER_TOL * max(1.0, float(operator.pool.capacity[j])):
             idle = 0.0
-        pts = np.linspace(-idle, idle, GRID_POINTS) if idle > 0 else np.array([0.0])
-        pts[np.abs(pts) < LEASE_ZERO_TOL] = 0.0
-        grids[j] = pts
+        grids[j] = lease_axis(-idle, idle, GRID_POINTS) if idle > 0 else np.array([0.0])
     return grids
 
 

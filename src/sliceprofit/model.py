@@ -4,12 +4,13 @@ A slice serves a customer group with a KPI requirement vector. Its size
 (served customer share) together with the per-slice demand matrix maps KPIs
 to resource demand; resource demand priced at the pool's unit costs gives
 expenditure, price times served customers gives revenue, and profit is the
-difference. SchemeModel computes all of it for a size vector under one
-scheme and pool, and the size box that reservations and customer bases
-allow. evaluate does so for a scenario; build_allocation and
-check_feasible are the allocation-level forms of its rows and its verdict,
-and feasible tests batches of size vectors under sharing masks. No other
-module reads a slice's rows from a scheme or restates the feasibility rule.
+difference. SchemeModel computes all of it under one scheme and pool, for
+one size vector or (breakdown) a batch, and the size box that reservations
+and customer bases allow. evaluate does so for a scenario; build_allocation
+and check_feasible are the allocation-level forms of its rows and its
+verdict, and feasible tests batches of size vectors under sharing masks.
+No other module reads a slice's rows from a scheme or restates the
+feasibility rule.
 The value objects are frozen and solvers live in separate modules. A
 Scenario bundles one problem instance: the pool, the slices and their base
 scheme, plus the optional blocks the adaptation and market solvers read.
@@ -61,15 +62,16 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-def _as_vector(values, name: str, length: Optional[int] = None, nonneg: bool = True) -> np.ndarray:
+def _as_vector(values, name: str, length: Optional[int] = None, batch: bool = False) -> np.ndarray:
+    """values as a finite, non-negative vector, or (..., length) vectors with batch."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
+    if arr.ndim != 1 and not (batch and arr.ndim > 1):
         raise ConfigurationError(f"{name} must be a flat vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise ConfigurationError(f"{name} must have length {length}, got {arr.shape[0]}")
+    if length is not None and arr.shape[-1] != length:
+        raise ConfigurationError(f"{name} must have length {length}, got {arr.shape[-1]}")
     if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} must be finite")
-    if nonneg and (arr < 0).any():
+    if (arr < 0).any():
         raise ConfigurationError(f"{name} must be non-negative")
     return arr
 
@@ -358,9 +360,10 @@ class SchemeModel:
         return usage, usage > cap_limit, rows < floor_limit
 
     def breakdown(self, sizes) -> tuple:
-        """Per-slice (revenue, expenditure) arrays and the allocation of a
-        size vector, which is validated first."""
-        sizes = _as_vector(sizes, "sizes", length=len(self.specs))
+        """Per-slice (revenue, expenditure) arrays and the allocation of
+        (..., M) size vectors, which are validated first: (..., M) each,
+        and (..., M, N) resource rows."""
+        sizes = _as_vector(sizes, "sizes", length=len(self.specs), batch=True)
         rows = _resource_rows(self.unit, self.overhead, sizes)
         # min(size, customer_size) that keeps the size on a tie, signed zeros included
         served = np.where(self.customers < sizes, self.customers, sizes)
@@ -372,7 +375,10 @@ class SchemeModel:
         return _usage(rows, self.shared)
 
     def verdict(self, rows: np.ndarray) -> tuple:
-        """check_feasible's (feasible, violations) for per-slice resource rows."""
+        """check_feasible's (feasible, violations) for the (M, N) per-slice
+        resource rows of one size vector."""
+        if rows.ndim != 2:
+            raise ConfigurationError(f"verdict takes one (M, N) row matrix, got shape {rows.shape}")
         usage, over, under = self._breaches(rows, self.shared)
         if not (over.any() or under.any()):
             return (True, ())
@@ -387,7 +393,7 @@ class SchemeModel:
         return (False, tuple(violations))
 
     def outcome(self, sizes) -> Outcome:
-        """Per-slice profits, their total and the feasibility verdict."""
+        """Per-slice profits, their total and the verdict of one size vector."""
         revs, exps, alloc = self.breakdown(sizes)
         profits = tuple((revs - exps).tolist())
         feasible, violations = self.verdict(alloc.resources)

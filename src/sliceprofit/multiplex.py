@@ -324,81 +324,67 @@ def _largest_feasible(k0: np.ndarray, feasible) -> np.ndarray:
     return lo
 
 
-class _Candidates:
-    """Every candidate scheme as its (S, N) shared mask over one SchemeModel,
-    candidate 0's, whose rows, prices and bounds all candidates share, so a
-    generation's size vectors are tested and repaired as one batch."""
+def _estimate(model, lo, shared, sizes) -> np.ndarray:
+    """floor(t*·2^50) per row of the (P, M) sizes under the (P, N) shared
+    masks, in [0, 2^50]: t* is the largest scale factor in [0, 1] at which
+    lo + t·(sizes - lo) keeps usage within model's capacity limit, from
+    usage affine in t. On t in (0, 1] the active slices are fixed, so usage
+    is A + t·B per column, or per row on shared columns, and t* is the
+    least ratio (cap_limit - A) / B."""
+    span = sizes - lo
+    active = (lo > 0) | (span > 0)
+    unit, shared = model.unit, shared[:, None, :]
+    a = lo[:, None] * unit + np.where(active[:, :, None], model.overhead, 0.0)
+    b = span[:, :, None] * unit
+    a = np.where(shared, a, a.sum(axis=1, keepdims=True))
+    b = np.where(shared, b, b.sum(axis=1, keepdims=True))
+    room = model.limits[0] - a
+    with np.errstate(over="ignore"):
+        ratio = np.divide(room, b, out=np.where(room < 0, 0.0, np.inf), where=b > 0)
+    return np.floor(ratio.min(axis=(1, 2)).clip(0.0, 1.0) * _REPAIR_TOP).astype(np.int64)
 
-    def __init__(self, scenario):
-        self.masks = _sharing_masks(scenario)
-        self.model = SchemeModel(
-            scenario.specs, _with_mask(scenario.scheme, self.masks[0]), scenario.pool)
 
-    def feasible(self, schemes, sizes) -> np.ndarray:
-        """The model's verdict on sizes[b] under candidate schemes[b], for
-        every row b of the (P, M) sizes at once."""
-        return self.model.feasible(sizes, self.masks[schemes])
+def _repair(model, lo, shared, sizes) -> np.ndarray:
+    """The (P, M) sizes, within [lo, hi] already, with every row that
+    model rejects under its row of the (P, N) shared masks pulled back to
+    the point a 50-step bisection of the uniform scaling lo + t·(sizes - lo)
+    over t in [0, 1] returns: lo + k·2^-50·span, k the largest index in
+    [1, 2^50 - 1] whose point is feasible, 0 when none is.
 
-    def estimate(self, lo, schemes, sizes) -> np.ndarray:
-        """floor(t*·2^50) per row, in [0, 2^50]: t* is the largest scale
-        factor in [0, 1] at which lo + t·(sizes - lo) keeps usage within
-        cap_limit, from usage affine in t. On t in (0, 1] the active slices
-        are fixed, so usage is A + t·B per column, or per row on shared
-        columns, and t* is the least ratio (cap_limit - A) / B."""
-        span = sizes - lo
-        active = (lo > 0) | (span > 0)
-        unit, shared = self.model.unit, self.masks[schemes][:, None, :]
-        a = lo[:, None] * unit + np.where(active[:, :, None], self.model.overhead, 0.0)
-        b = span[:, :, None] * unit
-        a = np.where(shared, a, a.sum(axis=1, keepdims=True))
-        b = np.where(shared, b, b.sum(axis=1, keepdims=True))
-        room = self.model.limits[0] - a
-        with np.errstate(over="ignore"):
-            ratio = np.divide(room, b, out=np.where(room < 0, 0.0, np.inf), where=b > 0)
-        return np.floor(ratio.min(axis=(1, 2)).clip(0.0, 1.0) * _REPAIR_TOP).astype(np.int64)
-
-    def repair(self, lo, schemes, sizes) -> np.ndarray:
-        """The (P, M) sizes, within [lo, hi] already, with every infeasible
-        row pulled back toward lo to the point a 50-step bisection of the
-        uniform scaling lo + t·(sizes - lo) over t in [0, 1] returns:
-        lo + k·2^-50·span, k the largest index in [1, 2^50 - 1] whose point
-        is feasible, 0 when none is.
-
-        That k is exact because feasibility is monotone in k, in floating
-        point too. lo + t·span with span >= 0 rises with t under
-        round-to-nearest; unit demands and overheads are non-negative, so
-        every row rises with its size, the activation jump at size 0
-        included; sums, maxima and the capacity comparison are monotone;
-        and the reservation floors, met at lo, stay met above it. So the
-        bounded search of _largest_feasible, started at the estimate,
-        lands on the bisection's k with the real predicate."""
-        bad = np.flatnonzero(~self.feasible(schemes, sizes))
-        if not bad.size:
-            return sizes
-        schemes, span = schemes[bad], sizes[bad] - lo
-
-        def scaled(k, span):
-            return lo + (k * 2.0 ** -_REPAIR_BITS)[:, None] * span
-
-        def feasible(which, k):
-            return self.feasible(schemes[which], scaled(k, span[which]))
-
-        k = _largest_feasible(self.estimate(lo, schemes, sizes[bad]), feasible)
-        sizes[bad] = scaled(k, span)
+    That k is exact because feasibility is monotone in k, in floating
+    point too. lo + t·span with span >= 0 rises with t under
+    round-to-nearest; unit demands and overheads are non-negative, so
+    every row rises with its size, the activation jump at size 0
+    included; sums, maxima and the capacity comparison are monotone;
+    and the reservation floors, met at lo, stay met above it. So the
+    bounded search of _largest_feasible, started at the estimate,
+    lands on the bisection's k with the real predicate."""
+    bad = np.flatnonzero(~model.feasible(sizes, shared))
+    if not bad.size:
         return sizes
+    shared, span = shared[bad], sizes[bad] - lo
+
+    def scaled(k, span):
+        return lo + (k * 2.0 ** -_REPAIR_BITS)[:, None] * span
+
+    def feasible(which, k):
+        return model.feasible(scaled(k, span[which]), shared[which])
+
+    k = _largest_feasible(_estimate(model, lo, shared, sizes[bad]), feasible)
+    sizes[bad] = scaled(k, span)
+    return sizes
 
 
-def _evaluate(cands, lo, hi, schemes, sizes, archive) -> tuple:
-    """Clip and repair drawn individuals as one batch, then evaluate and
-    archive them one at a time in index order. Returns the repaired sizes
-    and the profits, (P, M) each; profit does not depend on the scheme."""
-    sizes = cands.repair(lo, schemes, np.clip(sizes, lo, hi))
-    profits = np.empty_like(sizes)
-    for i, idx in enumerate(schemes.tolist()):
-        revs, exps, _ = cands.model.breakdown(sizes[i])
-        profits[i] = revs - exps
-        archive.add(FrontPoint(tuple(sizes[i].tolist()), idx, tuple(profits[i].tolist())),
-                    profits[i])
+def _evaluate(model, masks, lo, hi, schemes, sizes, archive) -> tuple:
+    """Clip and repair drawn individuals, each under the mask of its
+    scheme index, and evaluate them as one batch; then archive them in
+    index order. Returns the repaired sizes and the profits, (P, M) each;
+    profit does not depend on the scheme."""
+    sizes = _repair(model, lo, masks[schemes], np.clip(sizes, lo, hi))
+    revs, exps, _ = model.breakdown(sizes)
+    profits = revs - exps
+    for idx, row, w in zip(schemes.tolist(), sizes.tolist(), profits):
+        archive.add(FrontPoint(tuple(row), idx, tuple(w.tolist())), w)
     return sizes, profits
 
 
@@ -437,10 +423,11 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
             f"{required} GA evaluations exceed the budget of {MAX_GA_EVALUATIONS}",
             required, MAX_GA_EVALUATIONS,
         )
-    cands = _Candidates(scenario)
-    n_schemes = len(cands.masks)
-    lo, hi = cands.model.size_bounds()
-    base = cands.model.outcome(lo)
+    # candidate 0's model: every candidate has its rows, prices and bounds
+    masks = _sharing_masks(scenario)
+    model = SchemeModel(scenario.specs, _with_mask(scenario.scheme, masks[0]), scenario.pool)
+    lo, hi = model.size_bounds()
+    base = model.outcome(lo)
     if not base.feasible:
         raise InfeasibleScenarioError(
             "minimum reservations exceed the pool capacity", base.violations
@@ -450,9 +437,9 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
 
     archive = _Archive(m)
     rngs = [_rng(params.seed, 0, i) for i in range(pop)]
-    schemes = np.array([rng.integers(n_schemes) for rng in rngs])
+    schemes = np.array([rng.integers(len(masks)) for rng in rngs])
     sizes = np.array([lo + rng.random(m) * span for rng in rngs])
-    sizes, profits = _evaluate(cands, lo, hi, schemes, sizes, archive)
+    sizes, profits = _evaluate(model, masks, lo, hi, schemes, sizes, archive)
 
     for gen in range(1, params.generations + 1):
         place = np.argsort(_best_first(profits))  # each individual's place, best first
@@ -468,9 +455,9 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
             mutate = rng.random(m) < params.mutation
             if mutate.any():
                 kids[j] = np.where(mutate, kids[j] + rng.normal(0.0, 0.15, size=m) * span, kids[j])
-            if rng.random() < params.mutation and n_schemes > 1:
-                kid_schemes[j] = rng.integers(n_schemes)
-        kids, kid_profits = _evaluate(cands, lo, hi, kid_schemes, kids, archive)
+            if rng.random() < params.mutation and len(masks) > 1:
+                kid_schemes[j] = rng.integers(len(masks))
+        kids, kid_profits = _evaluate(model, masks, lo, hi, kid_schemes, kids, archive)
         keep = _best_first(np.vstack([profits, kid_profits]))[:pop]
         schemes = np.concatenate([schemes, kid_schemes])[keep]
         sizes = np.vstack([sizes, kids])[keep]

@@ -327,7 +327,7 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
     # Slices that may legitimately stay off and carry overhead create an
     # activation choice; enumerate it, everything else is one LP.
     free = [i for i in range(m) if lo[i] == 0 and overhead[i].any()]
-    if len(free) > 12 or 2 ** len(free) > _MAX_ACTIVATION_BRANCHES:
+    if 2 ** len(free) > _MAX_ACTIVATION_BRANCHES:
         raise BudgetExceededError(
             "too many overhead activation branches", 2 ** len(free), _MAX_ACTIVATION_BRANCHES
         )

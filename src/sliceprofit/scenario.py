@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closedloop import EnvironmentModel
-from .game import GRID_POINTS, LEASE_GRID_BUDGET, LEASE_ZERO_TOL, MarketConfig, OperatorPartition
+from .game import GRID_POINTS, LEASE_GRID_BUDGET, MarketConfig, OperatorPartition, lease_axis
 from .longterm import DemandTrace
 from .model import (
     DEDICATED,
@@ -330,8 +330,7 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
             # the market refuses larger grids; linspace would not even allocate some
             _expect(points <= LEASE_GRID_BUDGET,
                     f"{where}: field 'points' must be at most {LEASE_GRID_BUDGET}")
-            axis = np.linspace(lo, hi, points)
-            axis[np.abs(axis) < LEASE_ZERO_TOL] = 0.0
+            axis = lease_axis(lo, hi, points)
             _expect(bool(np.any(axis == 0.0)),
                     f"market: grids[{oid}][{rn}] must contain 0 (the no-trade option)")
             parsed[j] = axis

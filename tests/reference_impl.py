@@ -40,7 +40,7 @@ at a time and picking parents with a pairwise tournament; it ranks with
 ``nondominated_sort_loop`` and ``crowding_distance_loop``, the
 element-by-element forms of ``nondominated_sort`` and
 ``crowding_distance``. It repairs with ``repair_bisect``, the 50-step
-bisection that ``multiplex._Candidates.repair`` computes directly for a
+bisection that ``multiplex._repair`` computes directly for a
 whole generation, and archives with ``ArchiveLoop``, whose reject rule
 makes the three comparisons that ``multiplex._Archive`` folds into one.
 It enumerates, bounds, tests and evaluates with the loop forms above, so
@@ -264,7 +264,7 @@ def _default_grid_resolve(operator, market, points=11):
         if idle < 1e-6 * max(1.0, float(operator.pool.capacity[j])):
             idle = 0.0
         pts = np.linspace(-idle, idle, points) if idle > 0 else np.array([0.0])
-        pts[np.abs(pts) < 1e-12] = 0.0
+        pts[np.abs(pts) < 1e-12 * max(1.0, idle)] = 0.0
         grids[j] = pts
     return grids
 

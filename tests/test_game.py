@@ -1,9 +1,11 @@
 """Operator market: best responses, tatonnement, Nash check, cooperation."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceprofit import (
     BudgetExceededError,
@@ -15,11 +17,13 @@ from sliceprofit import (
     VnfScheme,
     best_response,
     build_operators,
+    load_scenario,
     run_market,
     solve_suboperator,
     verify_nash,
 )
 from sliceprofit import game
+from sliceprofit.cli import main as cli_main
 from sliceprofit.multiplex import dominates
 
 from reference_impl import best_response_resolve, run_market_resolve, verify_nash_resolve
@@ -370,6 +374,26 @@ class TestDefaultGrid:
         market = MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]))
         (axis,) = self.default_axes(op, market)
         assert axis.tolist() == [0.0]
+
+    def test_wide_idle_span_keeps_its_no_trade_point(self, scenario_dir, tmp_path):
+        # alpha idles about 1e4 bandwidth units; linspace rounds the middle of
+        # that grid to about 1.8e-12, past an absolute 1e-12 snap
+        doc = json.loads((scenario_dir / "g1.json").read_text())
+        del doc["market"]["grids"]
+        doc["operators"][0]["capacity"] = [10248.1, 12]
+        doc["resources"][0]["capacity"] = 10249.1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(path)
+        (axis,) = self.default_axes(build_operators(scenario)[0], scenario.market)
+        assert axis[len(axis) // 2] == 0.0
+        assert cli_main(["game", "--scenario", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e6, exclude_min=True), st.integers(1, 500))
+    def test_symmetric_axis_holds_an_exact_zero(self, half, k):
+        axis = game.lease_axis(-half, half, 2 * k + 1)
+        assert axis[k] == 0.0
 
 
 def _bits(value):

@@ -22,7 +22,7 @@ from sliceprofit import (
     evaluate,
     load_scenario,
 )
-from sliceprofit.model import _TINY_SIZE, SchemeModel
+from sliceprofit.model import _TINY_SIZE, DEDICATED, SHARED, SchemeModel
 
 from conftest import make_scenario, random_scenario
 from reference_impl import (check_feasible_loop, evaluate_loop, size_bounds_loop,
@@ -318,6 +318,65 @@ class TestEvaluationMatchesLoopReference:
             for k in range(60):
                 scale = (0.0, 0.5, 1.0, 1.5)[k % 4]
                 self.assert_matches(scenario, scheme, _random_sizes(rng, scenario, scheme, scale))
+
+
+def batch_model(rng, m, n):
+    """A SchemeModel of m slices over n resources: overheads on about half
+    the slices, some customer bases 0, mixed sharing modes."""
+    l = int(rng.integers(1, 3))
+    customers = rng.uniform(0.5, 6.0, m) * (rng.random(m) > 0.2)
+    specs = tuple(SliceSpec(f"s{i}", rng.uniform(0.1, 2.0, l), float(customers[i]),
+                            float(rng.uniform(0.0, 3.0)), np.zeros(n)) for i in range(m))
+    overhead = rng.uniform(0.0, 0.5, (m, n)) * (rng.random(m) < 0.5)[:, None]
+    sharing = tuple(rng.choice([DEDICATED, SHARED], n).tolist())
+    scheme = VnfScheme(tuple(spec.id for spec in specs), rng.uniform(0.0, 1.2, (m, n, l)),
+                       overhead, sharing)
+    pool = ResourcePool(rng.uniform(1.0, 10.0, n), rng.uniform(0.1, 1.0, n))
+    return SchemeModel(specs, scheme, pool)
+
+
+class TestBatchedBreakdown:
+    """breakdown of (..., M) size vectors against one call per vector."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 8), st.integers(1, 6))
+    def test_matches_row_by_row_bytes(self, seed, p, m, n):
+        rng = np.random.default_rng(seed)
+        model = batch_model(rng, m, n)
+        sizes = rng.uniform(0.0, 8.0, (p, m))
+        kind = rng.integers(4, size=(p, m))
+        sizes[kind == 0] = 0.0
+        sizes[kind == 1] = -0.0
+        sizes = np.where(kind == 2, model.customers, sizes)  # ties at the customer base
+        rows = [model.breakdown(row) for row in sizes]
+        for batch in (sizes, sizes.reshape(1, p, m)):
+            revs, exps, alloc = model.breakdown(batch)
+            assert revs.shape == exps.shape == alloc.sizes.shape == batch.shape
+            assert alloc.resources.shape == batch.shape + (n,)
+            assert revs.tobytes() == b"".join(r[0].tobytes() for r in rows)
+            assert exps.tobytes() == b"".join(r[1].tobytes() for r in rows)
+            assert alloc.sizes.tobytes() == sizes.tobytes()
+            assert alloc.resources.tobytes() == b"".join(r[2].resources.tobytes() for r in rows)
+
+    @pytest.mark.parametrize("sizes, message", [
+        (np.zeros((3, 3)), "length 2"),
+        (np.array([[1.0, 2.0], [np.nan, 0.0]]), "finite"),
+        (np.array([[1.0, 2.0], [0.0, -1e-300]]), "non-negative"),
+        (np.float64(1.0), "flat vector"),
+    ])
+    def test_refuses(self, s2, sizes, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SchemeModel(s2.specs, s2.scheme, s2.pool).breakdown(sizes)
+
+    def test_one_vector_forms_refuse_a_batch(self, s2):
+        model = SchemeModel(s2.specs, s2.scheme, s2.pool)
+        sizes = np.array([[4.0, 2.0], [1.0, 1.0]])
+        with pytest.raises(ConfigurationError):
+            model.outcome(sizes)
+        with pytest.raises(ConfigurationError):
+            evaluate(s2, sizes)
+        with pytest.raises(ConfigurationError):
+            model.verdict(model.breakdown(sizes)[2].resources)
 
 
 class TestEvaluate:

@@ -434,6 +434,19 @@ class TestSolveGa:
         for p in front.points:
             assert len(p.profits) == 2
 
+    def test_one_breakdown_per_generation(self, s2m, monkeypatch):
+        # the floor's outcome, then one batch for the first population and one per generation
+        shapes = []
+        breakdown = SchemeModel.breakdown
+
+        def counting(self, sizes):
+            shapes.append(np.shape(sizes))
+            return breakdown(self, sizes)
+
+        monkeypatch.setattr(SchemeModel, "breakdown", counting)
+        solve_ga(s2m, GaParams(population=8, generations=5))
+        assert shapes == [(2,)] + [(8, 2)] * 6
+
     def test_param_validation(self):
         with pytest.raises(ConfigurationError):
             GaParams(population=7)
@@ -542,14 +555,16 @@ class TestLargestFeasible:
 
 
 def candidates_of(doc):
-    """The batched candidates of a document, the size box, and each
-    candidate's scalar loop-reference predicate."""
+    """Candidate 0's model and every candidate's sharing mask, as solve_ga
+    builds them, the size box, and each candidate's scalar loop-reference
+    predicate."""
     scenario = scenario_from_dict(doc)
-    cands = multiplex._Candidates(scenario)
-    lo, hi = cands.model.size_bounds()
+    masks = multiplex._sharing_masks(scenario)
+    model = SchemeModel(scenario.specs, candidate_scheme(scenario, 0), scenario.pool)
+    lo, hi = model.size_bounds()
     preds = [feasible_loop(scenario.specs, s, scenario.pool)
              for s in enumerate_candidates_loop(scenario)]
-    return cands, lo, hi, preds
+    return model, masks, lo, hi, preds
 
 
 def repaired_by_bisection(preds, lo, schemes, sizes):
@@ -605,18 +620,19 @@ class TestBatchedRepair:
     def test_matches_the_bisection_bytes(self, seed, m, n, p):
         # the batched predicate equals each scheme's loop predicate, rows below the floors included
         rng = np.random.default_rng(seed)
-        cands, lo, hi, preds = candidates_of(repair_doc(rng, m, n))
+        model, masks, lo, hi, preds = candidates_of(repair_doc(rng, m, n))
         assume(preds[0](lo))  # solve_ga refuses a floor that breaks the pool
         schemes = rng.integers(len(preds), size=p)
         sizes = np.empty((p, m))
         for row, (kind, scheme) in enumerate(zip(rng.integers(5, size=p), schemes)):
             sizes[row] = [lo, 3 * hi + 1, lo + 1.5 * rng.random(m) * (hi - lo),
                           past_the_edge(preds[scheme], lo, hi), rng.random(m) * lo][kind]
-        assert cands.feasible(schemes, sizes).tolist() == [
+        assert model.feasible(sizes, masks[schemes]).tolist() == [
             preds[s](row) for s, row in zip(schemes.tolist(), sizes)]
         sizes = np.clip(sizes, lo, hi)
         expected = repaired_by_bisection(preds, lo, schemes, sizes)
-        assert cands.repair(lo, schemes, sizes.copy()).tobytes() == expected.tobytes()
+        repaired = multiplex._repair(model, lo, masks[schemes], sizes.copy())
+        assert repaired.tobytes() == expected.tobytes()
 
     def test_named_cases(self, monkeypatch):
         # r0 sharing-eligible. A has no reservation and an overhead above r1's
@@ -635,15 +651,16 @@ class TestBatchedRepair:
                  "min_resources": [0.4, 0], "demand_matrix": [[0.8], [0.3]], "overhead": [0, 0]},
             ],
         }
-        cands, lo, hi, preds = candidates_of(doc)
+        model, masks, lo, hi, preds = candidates_of(doc)
         assert lo.tolist() == [0.0, 0.0, 0.5] and hi.tolist() == [5.0, 0.0, 6.0]
         no_a = np.array([0.0, 0.0, 6.0])
         # mixed scheme indices: all dedicated, then r0 shared
         schemes = np.array([0, 1, 1, 0, 1])
         sizes = np.array([hi, no_a, past_the_edge(preds[1], lo, no_a), lo, lo])
-        assert not cands.feasible(schemes[:3], sizes[:3]).any()
-        assert cands.estimate(lo, schemes[:1], sizes[:1]).tolist() == [0]  # t* = 0
-        repaired = cands.repair(lo, schemes, sizes.copy())
+        assert not model.feasible(sizes[:3], masks[schemes[:3]]).any()
+        t_zero = multiplex._estimate(model, lo, masks[schemes[:1]], sizes[:1])
+        assert t_zero.tolist() == [0]
+        repaired = multiplex._repair(model, lo, masks[schemes], sizes.copy())
         assert repaired.tobytes() == repaired_by_bisection(preds, lo, schemes, sizes).tobytes()
         assert repaired[0].tobytes() == lo.tobytes()
 
@@ -653,19 +670,19 @@ class TestBatchedRepair:
 
         monkeypatch.setattr(multiplex, "_largest_feasible", no_search)
         feasible = sizes[3:].copy()
-        assert cands.repair(lo, schemes[3:], feasible) is feasible
+        assert multiplex._repair(model, lo, masks[schemes[3:]], feasible) is feasible
         assert feasible.tobytes() == sizes[3:].tobytes()
 
     def test_estimate_at_or_past_one(self):
         # a drawn document with four schemes whose repaired points, stepped
         # past the capacity edge, are rejected while the affine estimate
         # still reads t* >= 1, so the search starts at the top index
-        cands, lo, hi, preds = candidates_of(repair_doc(np.random.default_rng(86), 2, 2))
+        model, masks, lo, hi, preds = candidates_of(repair_doc(np.random.default_rng(86), 2, 2))
         schemes = np.array([0, 2, 1, 3])
         sizes = np.array([past_the_edge(preds[s], lo, hi) for s in schemes])
-        assert not cands.feasible(schemes[:2], sizes[:2]).any()
-        assert cands.estimate(lo, schemes[:2], sizes[:2]).tolist() == [TOP, TOP]
-        repaired = cands.repair(lo, schemes, sizes.copy())
+        assert not model.feasible(sizes[:2], masks[schemes[:2]]).any()
+        assert multiplex._estimate(model, lo, masks[schemes[:2]], sizes[:2]).tolist() == [TOP, TOP]
+        repaired = multiplex._repair(model, lo, masks[schemes], sizes.copy())
         assert repaired.tobytes() == repaired_by_bisection(preds, lo, schemes, sizes).tobytes()
 
 

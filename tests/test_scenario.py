@@ -338,6 +338,16 @@ class TestMarketBlock:
         j = scenario.resource_names.index("bandwidth")
         assert 0.0 in scenario.market.grids["alpha"][j].tolist()
 
+    def test_grid_zero_snapping_scales_with_the_end_points(self, g1):
+        # linspace rounds the middle of this grid to about 1.8e-12
+        doc = scenario_to_dict(g1)
+        doc["market"]["grids"]["alpha"]["bandwidth"] = {"lo": -10240.6, "hi": 10240.6, "points": 11}
+        doc["operators"][0]["capacity"][0] = 10248.6
+        doc["resources"][0]["capacity"] = 10249.6
+        scenario = scenario_from_dict(doc)
+        j = scenario.resource_names.index("bandwidth")
+        assert scenario.market.grids["alpha"][j][5] == 0.0
+
     def test_price0_unknown_resource(self, g1):
         doc = scenario_to_dict(g1)
         doc["market"]["price0"]["storage"] = 1.0
