@@ -9,6 +9,7 @@ reported, not raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,8 +48,8 @@ class EnvironmentModel:
                 raise ConfigurationError("self-coupling rates must be zero")
         if not (0.0 < self.damping <= 1.0):
             raise ConfigurationError("damping must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigurationError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
         object.__setattr__(self, "baseline", baseline)

@@ -91,8 +91,8 @@ class MarketConfig:
             raise ConfigurationError("price0 must be finite and non-negative")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ConfigurationError("eta must be non-negative")
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigurationError("tol must be positive and finite")
         if not 1 <= self.max_rounds <= MAX_ROUNDS:
             raise ConfigurationError(f"max_rounds must be between 1 and {MAX_ROUNDS}")
         for oid, by_res in self.grids.items():
@@ -150,13 +150,16 @@ def _internal(operator: Operator, capacity) -> Optional[tuple]:
     return float(np.sum(res.outcome.profits)), res.sizes
 
 
-def lease_axis(lo: float, hi: float, points: int) -> np.ndarray:
-    """points lease values evenly spaced from lo to hi, the ones within
-    LEASE_ZERO_TOL · max(1, |lo|, |hi|) of 0 set to 0: rounding grows with
-    the end points."""
-    axis = np.linspace(lo, hi, points)
-    axis[np.abs(axis) < LEASE_ZERO_TOL * max(1.0, abs(lo), abs(hi))] = 0.0
+def _snap_zero(axis: np.ndarray) -> np.ndarray:
+    """axis with the points within LEASE_ZERO_TOL · max(1, largest |point|)
+    of 0 set to 0, in place: rounding grows with the end points."""
+    axis[np.abs(axis) < LEASE_ZERO_TOL * max(1.0, np.abs(axis).max(initial=0.0))] = 0.0
     return axis
+
+
+def lease_axis(lo: float, hi: float, points: int) -> np.ndarray:
+    """points lease values evenly spaced from lo to hi, snapped to 0 near 0."""
+    return _snap_zero(np.linspace(lo, hi, points))
 
 
 def _idle_grid(operator: Operator, traded, base) -> dict:
@@ -197,8 +200,8 @@ class _LeaseTable:
             grids = _idle_grid(operator, self.traded, base)
         self.axes = []
         for j in self.traded:
-            axis = np.asarray(grids[j], dtype=float)
-            if not np.any(np.abs(axis) < LEASE_ZERO_TOL):
+            axis = _snap_zero(np.array(grids[j], dtype=float))
+            if not np.any(axis == 0.0):
                 raise ConfigurationError(
                     f"lease grid of operator {operator.id} must contain 0"
                 )

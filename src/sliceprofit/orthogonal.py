@@ -3,8 +3,10 @@
 The default profit model is piecewise linear: revenue is linear up to the
 customer base and expenditure is affine in size, while shared-mode pool
 constraints reduce to per-slice rows (max <= cap is row-wise cap). The size
-step is therefore solved exactly as a linear program, followed by a
-lexicographic polish so ties always resolve to the smallest size vector.
+step is therefore solved exactly as one linear program per activation
+branch, a choice of which overhead-carrying slices are on, each followed by
+a lexicographic polish so ties always resolve to the smallest size vector.
+``_branches`` is the one enumerator of those branches and their LP rows.
 brute_force_oracle is an independent dense-grid enumerator kept free of any
 LP machinery; tests cross-check the two routes.
 
@@ -222,39 +224,45 @@ def validate_weights(weights, n_slices: int) -> np.ndarray:
     return arr
 
 
-def _lp_rows(model: SchemeModel, active: np.ndarray) -> tuple:
-    """Build A_ub, b_ub for pool constraints over active slices only.
-
-    Returns None when constant overhead alone already breaks a capacity
-    beyond the model's slack.
-    """
-    unit, overhead, capacity = model.unit, model.overhead, model.pool.capacity
-    cap_limit = model.limits[0]
-    m, n = unit.shape
-    rows, rhs = [], []
-    act = np.where(active)[0]
-    for j in range(n):
-        if model.shared[j]:
-            for i in act:
-                if overhead[i, j] > cap_limit[j]:
-                    return None
-                if unit[i, j] > 0:
-                    coef = np.zeros(m)
-                    coef[i] = unit[i, j]
-                    rows.append(coef)
-                    rhs.append(capacity[j] - overhead[i, j])
-        else:
-            used = overhead[act, j].sum()
-            if used > cap_limit[j]:
-                return None
-            coef = np.zeros(m)
-            coef[act] = unit[act, j]
-            if np.any(coef > 0):
-                rows.append(coef)
-                rhs.append(capacity[j] - used)
-    if not rows:
-        return np.zeros((0, m)), np.zeros(0)
-    return np.vstack(rows), np.array(rhs)
+def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray):
+    """(a_ub, b_ub, bounds) of the size LP in each activation branch, in
+    itertools.product((True, False), ...) order over the slices that may
+    stay off (lo = 0) and carry overhead; bounds is (M, 2), (0, 0) for an
+    inactive slice. Rows go by resource: on a shared one, one per active
+    slice with a positive unit demand, in slice order; on a dedicated one,
+    one for the active slices' summed demand unless it is all 0. Branches
+    whose overhead alone breaks a capacity limit are skipped. Raises
+    BudgetExceededError before the first branch when there are too many."""
+    unit, overhead, shared = model.unit, model.overhead, model.shared
+    capacity, cap_limit = model.pool.capacity, model.limits[0]
+    m = len(lo)
+    free = np.flatnonzero((lo == 0) & overhead.any(axis=1))
+    if 2 ** len(free) > _MAX_ACTIVATION_BRANCHES:
+        raise BudgetExceededError(
+            "too many overhead activation branches", 2 ** len(free), _MAX_ACTIVATION_BRANCHES
+        )
+    box = np.stack([lo, hi], axis=1)
+    first = np.arange(m) == 0
+    for pattern in itertools.product((True, False), repeat=len(free)):
+        active = np.ones(m, dtype=bool)
+        active[free] = pattern
+        over = overhead[active]
+        # each resource's overhead summed as one contiguous 1-D run: numpy's
+        # pairwise order, which a sum over axis 0 would not keep past 7 rows
+        used = np.ascontiguousarray(over.T).sum(axis=1)
+        if ((over > cap_limit) & shared).any() or ((used > cap_limit) & ~shared).any():
+            continue
+        # row (j, k): slice k's row on shared resource j; k = 0 holds the
+        # summed row of dedicated resource j
+        positive = (active[:, None] & (unit > 0)).T
+        keep = np.where(shared[:, None], positive, first & positive.any(axis=1)[:, None])
+        js, ks = np.nonzero(keep)
+        a_ub = np.zeros((len(js), m))
+        per_slice = shared[js]
+        a_ub[per_slice, ks[per_slice]] = unit[ks[per_slice], js[per_slice]]
+        a_ub[~per_slice] = np.where(active, unit.T[js[~per_slice]], 0.0)
+        b_ub = (capacity[:, None] - np.where(shared[:, None], overhead.T, used[:, None]))[js, ks]
+        yield a_ub, b_ub, np.where(active[:, None], box, 0.0)
 
 
 def _lex_polish(obj: np.ndarray, a_ub, b_ub, bounds, best_x, best_val):
@@ -265,7 +273,7 @@ def _lex_polish(obj: np.ndarray, a_ub, b_ub, bounds, best_x, best_val):
     a_opt = np.vstack([a_ub, -obj]) if a_ub.size else (-obj).reshape(1, -1)
     b_opt = np.append(b_ub, -(best_val - slack))
     x = np.array(best_x, dtype=float)
-    fixed = list(bounds)
+    fixed = bounds.copy()
     nit = 0
     for i in range(m):
         c = np.zeros(m)
@@ -275,7 +283,7 @@ def _lex_polish(obj: np.ndarray, a_ub, b_ub, bounds, best_x, best_val):
             break  # keep the unpolished optimum rather than fail
         nit += int(res.nit)
         x = res.x
-        fixed[i] = (x[i], x[i])
+        fixed[i] = x[i]
     return x, nit
 
 
@@ -314,7 +322,7 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
     w = w / w.max()
 
     model = SchemeModel(specs, scheme, pool)
-    unit, overhead = model.unit, model.overhead
+    unit = model.unit
     if (unit >= _MAX_UNIT_DEMAND).any():
         raise SolverError(f"size LP failed: a unit demand reaches {_MAX_UNIT_DEMAND:g}, "
                           "a matrix value HiGHS rejects")
@@ -324,27 +332,9 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
     )
     obj = w * margins
 
-    # Slices that may legitimately stay off and carry overhead create an
-    # activation choice; enumerate it, everything else is one LP.
-    free = [i for i in range(m) if lo[i] == 0 and overhead[i].any()]
-    if 2 ** len(free) > _MAX_ACTIVATION_BRANCHES:
-        raise BudgetExceededError(
-            "too many overhead activation branches", 2 ** len(free), _MAX_ACTIVATION_BRANCHES
-        )
-
     best = None
     nit_total = 0
-    for pattern in itertools.product((True, False), repeat=len(free)):
-        active = np.ones(m, dtype=bool)
-        for flag, i in zip(pattern, free):
-            active[i] = flag
-        built = _lp_rows(model, active)
-        if built is None:
-            continue
-        a_ub, b_ub = built
-        bounds = [
-            (lo[i], hi[i]) if active[i] else (0.0, 0.0) for i in range(m)
-        ]
+    for a_ub, b_ub, bounds in _branches(model, lo, hi):
         res = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
         if res.status == 2:
             continue
@@ -353,10 +343,9 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
         nit_total += int(res.nit)
         x, nit = _lex_polish(obj, a_ub, b_ub, bounds, res.x, float(obj @ res.x))
         nit_total += nit
-        floor = np.array([b[0] for b in bounds])
-        x = np.clip(x, floor, [b[1] for b in bounds])
+        x = np.clip(x, bounds[:, 0], bounds[:, 1])
         x[np.abs(x) < _ZERO_CLIP] = 0.0
-        x = _pull_inside(a_ub, b_ub, floor, x)
+        x = _pull_inside(a_ub, b_ub, bounds[:, 0], x)
         # Rank branches by the true (step-function) weighted profit.
         revs, exps, _ = model.breakdown(x)
         true_val = float(np.dot(w, revs - exps))

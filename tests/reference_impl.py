@@ -26,6 +26,11 @@ makes it one batched verdict, since profit does not depend on sharing.
 ``size_bounds_loop`` is the slice-by-slice, resource-by-resource form, and
 it reads each slice's rows from the scheme itself.
 
+``orthogonal._branches`` enumerates the size LP's activation branches and
+builds each branch's rows as array code. ``branches_loop`` is the inline
+loop of ``solve_sizes`` it replaced, over ``lp_rows_loop``, which builds
+the rows one resource and one active slice at a time.
+
 The lease market solves each operator's internal optimum once per lease
 vector and call (``game._LeaseTable``). ``best_response_resolve``,
 ``run_market_resolve`` and ``verify_nash_resolve`` are the forms that
@@ -70,7 +75,7 @@ from sliceprofit.model import (
     _TINY_SIZE,
 )
 from sliceprofit.multiplex import FrontPoint, GaParams, ParetoFront
-from sliceprofit.orthogonal import solve_sizes
+from sliceprofit.orthogonal import _MAX_ACTIVATION_BRANCHES, solve_sizes
 
 
 def check_feasible_loop(alloc, scheme, pool, specs):
@@ -137,6 +142,62 @@ def size_bounds_loop(specs, scheme):
             f"slices {bad} reserve resources their demand map never produces"
         )
     return lo, np.array([max(spec.customer_size, size) for spec, size in zip(specs, lo)])
+
+
+def lp_rows_loop(model, active):
+    """(A_ub, b_ub) of the size LP over the active slices only, or None
+    when constant overhead alone already breaks a capacity beyond the
+    model's slack."""
+    unit, overhead, capacity = model.unit, model.overhead, model.pool.capacity
+    cap_limit = model.limits[0]
+    m, n = unit.shape
+    rows, rhs = [], []
+    act = np.where(active)[0]
+    for j in range(n):
+        if model.shared[j]:
+            for i in act:
+                if overhead[i, j] > cap_limit[j]:
+                    return None
+                if unit[i, j] > 0:
+                    coef = np.zeros(m)
+                    coef[i] = unit[i, j]
+                    rows.append(coef)
+                    rhs.append(capacity[j] - overhead[i, j])
+        else:
+            used = overhead[act, j].sum()
+            if used > cap_limit[j]:
+                return None
+            coef = np.zeros(m)
+            coef[act] = unit[act, j]
+            if np.any(coef > 0):
+                rows.append(coef)
+                rhs.append(capacity[j] - used)
+    if not rows:
+        return np.zeros((0, m)), np.zeros(0)
+    return np.vstack(rows), np.array(rhs)
+
+
+def branches_loop(model, lo, hi):
+    """(A_ub, b_ub, bounds) of each activation branch that lp_rows_loop
+    builds, in itertools.product order over the slices that may stay off
+    and carry overhead; bounds is a list of (lo, hi) tuples, (0, 0) for an
+    inactive slice. Raises BudgetExceededError for more than
+    _MAX_ACTIVATION_BRANCHES branches."""
+    m = len(lo)
+    free = [i for i in range(m) if lo[i] == 0 and model.overhead[i].any()]
+    if 2 ** len(free) > _MAX_ACTIVATION_BRANCHES:
+        raise BudgetExceededError(
+            "too many overhead activation branches", 2 ** len(free), _MAX_ACTIVATION_BRANCHES
+        )
+    for pattern in itertools.product((True, False), repeat=len(free)):
+        active = np.ones(m, dtype=bool)
+        for flag, i in zip(pattern, free):
+            active[i] = flag
+        built = lp_rows_loop(model, active)
+        if built is None:
+            continue
+        bounds = [(lo[i], hi[i]) if active[i] else (0.0, 0.0) for i in range(m)]
+        yield (*built, bounds)
 
 
 def build_allocation_loop(specs, scheme, sizes):

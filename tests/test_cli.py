@@ -540,6 +540,23 @@ class TestValidateAndUsage:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, tol", [
+        ("game", "g1", "nan"), ("game", "g1", "inf"),
+        ("closed-loop", "s2_closedloop", "nan"), ("closed-loop", "s2_closedloop", "inf"),
+    ])
+    def test_non_finite_tol_is_usage_error(self, scenario_dir, tmp_path, capsys,
+                                           command, name, tol):
+        # a NaN tol passed tol <= 0 and never converged; an infinite one
+        # stopped the closed loop after one iteration
+        out = tmp_path / "out.csv"
+        rc = main([command, "--scenario", str(scenario_dir / f"{name}.json"),
+                   "--out", str(out), "--tol", tol])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["tol must be positive and finite"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--scenario", "s2.json", "--solver", "weighted-sum", "--weights", "1,x"],
         ["longterm", "--scenario", "s2_trace.json", "--periods", "1,a"],

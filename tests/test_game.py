@@ -124,6 +124,18 @@ class TestBestResponse:
         with pytest.raises(ConfigurationError):
             best_response(g1_ops[0], [0.2], market)
 
+    def test_grid_built_in_code_snaps_its_no_trade_point(self, g1, g1_ops):
+        # linspace puts the middle of this grid at -1.8e-12, past an absolute
+        # 1e-12 zero test; the snap relative to its largest point makes it 0
+        grid = np.linspace(-10240.6, 10240.6, 11)
+        assert grid[5] != 0.0
+        market = dataclasses.replace(g1.market, grids=dict(g1.market.grids, alpha={0: grid}))
+        out = run_market(g1_ops, market)
+        axis = out.tables["alpha"].axes[0]
+        assert axis[5] == 0.0 and np.delete(axis, 5).tobytes() == np.delete(grid, 5).tobytes()
+        assert grid[5] != 0.0  # the caller's grid is left as it was
+        assert (0.0,) in out.tables["alpha"].solved
+
     def test_everything_infeasible_stays_out(self):
         # reservation exceeds the operator's own pool at the only grid point
         spec = SliceSpec("x", np.array([1.0]), 4.0, 2.0, np.array([9.0]))

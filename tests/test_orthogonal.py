@@ -47,6 +47,7 @@ from sliceprofit.longterm import ReconfigCostModel, optimize_period
 from sliceprofit.model import SchemeModel
 
 from conftest import eligible_doc, make_scenario, random_scenario
+from reference_impl import branches_loop
 
 
 # directory holding the imported package, so subprocesses import the same code
@@ -177,7 +178,9 @@ class TestActivationOverhead:
         # 3.5*5.5 revenue against row [6.5, 12] priced at (1.0, 0.5)
         assert res.total_profit == pytest.approx(6.75, abs=1e-6)
 
-    def test_branch_budget_guard(self):
+    def test_branch_budget_guard(self, monkeypatch):
+        lps = []
+        monkeypatch.setattr(orthogonal, "linprog", lambda *args, **kwargs: lps.append(args))
         m = 13
         specs = tuple(
             SliceSpec(f"s{i}", np.array([1.0]), 1.0, 2.0, np.array([0.0])) for i in range(m)
@@ -192,6 +195,87 @@ class TestActivationOverhead:
         with pytest.raises(BudgetExceededError) as err:
             solve_sizes(specs, scheme, pool)
         assert err.value.required == 2 ** m
+        assert lps == []  # refused before the first branch's LP
+
+
+def branch_model(unit, overhead, shared, capacity):
+    """SchemeModel whose unit demands are exactly `unit`: one KPI of 1."""
+    m, n = unit.shape
+    ids = tuple(f"s{i}" for i in range(m))
+    specs = tuple(SliceSpec(i, np.array([1.0]), 1.0, 1.0, np.zeros(n)) for i in ids)
+    sharing = tuple("shared" if flag else "dedicated" for flag in shared)
+    scheme = VnfScheme(ids, unit[:, :, None], overhead, sharing)
+    return SchemeModel(specs, scheme, ResourcePool(capacity, np.ones(n)))
+
+
+def branches_as_loop(model, lo, hi) -> list:
+    """orthogonal._branches and branches_loop yield the same branches in the
+    same order, byte for byte; the branches as (a_ub, b_ub, bounds)."""
+    ours = list(orthogonal._branches(model, lo, hi))
+    ref = list(branches_loop(model, lo, hi))
+    assert len(ours) == len(ref)
+    for branch, (a, b, bounds) in zip(ours, ref):
+        for got, want in zip(branch, (a, b, np.array(bounds, dtype=float))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return ours
+
+
+class TestBranches:
+    """orthogonal._branches against the loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 10), n=st.integers(1, 4), data=st.data())
+    def test_matches_the_loop(self, m, n, data):
+        def matrix(values):
+            return np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                               min_size=m, max_size=m)))
+
+        def vector(values, size):
+            return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        # hypothesis picks which entries are 0; a stream picks the magnitudes
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        unit = matrix(st.booleans()) * rng.uniform(0.01, 10.0, (m, n))
+        # overhead of 40 and more breaks any capacity alone
+        kind = matrix(st.sampled_from([0, 1, 2]))
+        overhead = np.choose(kind, [0.0, rng.uniform(1e-3, 5.0, (m, n)),
+                                    rng.uniform(40.0, 200.0, (m, n))])
+        capacity = rng.uniform(1.0, 39.0, n)
+        shared = vector(st.booleans(), n)
+        lo = vector(st.sampled_from([0.0, 0.5, 3.0]), m)
+        # at most 16 branches: the loop form is slow
+        lo[np.flatnonzero((lo == 0) & overhead.any(axis=1))[4:]] = 0.5
+        hi = lo + vector(st.floats(0.0, 10.0), m)
+        branches_as_loop(branch_model(unit, overhead, shared, capacity), lo, hi)
+
+    def test_overhead_past_a_capacity_skips_the_branch(self):
+        # both free slices on together need 12 of the dedicated 10; alone
+        # each fits, and the reserved third slice is always on
+        unit = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 0.5]])
+        overhead = np.array([[6.0, 0.0], [6.0, 0.0], [0.0, 1.0]])
+        model = branch_model(unit, overhead, np.array([False, True]), np.array([10.0, 4.0]))
+        lo, hi = np.array([0.0, 0.0, 1.0]), np.array([5.0, 5.0, 2.0])
+        branches = branches_as_loop(model, lo, hi)
+        assert [bounds.tolist() for *_, bounds in branches] == [
+            [[0.0, 5.0], [0.0, 0.0], [1.0, 2.0]],
+            [[0.0, 0.0], [0.0, 5.0], [1.0, 2.0]],
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]],
+        ]
+        a, b, _ = branches[1]
+        # dedicated: one summed row; shared: a row per active slice with demand
+        assert a.tolist() == [[0.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]
+        assert b.tolist() == [4.0, 4.0, 3.0]
+
+    def test_overhead_sums_of_many_active_slices(self):
+        # past 7 summed terms, numpy's pairwise order for a 1-D sum and the
+        # sequential order of a sum over axis 0 give different bits
+        rng = np.random.default_rng(21)
+        for m in (8, 9, 10):
+            for _ in range(100):
+                model = branch_model(rng.uniform(0.0, 1.0, (m, 2)), rng.uniform(0.0, 1.0, (m, 2)),
+                                     np.array([False, True]), np.array([2.0 * m, 2.0]))
+                lo = np.where(np.arange(m) < 2, 0.0, 0.5)
+                assert len(branches_as_loop(model, lo, lo + 1.0)) == 4
 
 
 class TestOracle:
@@ -481,7 +565,8 @@ class TestHighsDriver:
 
         def record(c, A_ub, b_ub, bounds, method):
             res = driver(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
-            recorded.append((np.copy(c), np.copy(A_ub), np.copy(b_ub), list(bounds), res))
+            recorded.append((np.copy(c), np.copy(A_ub), np.copy(b_ub),
+                             np.array(bounds, dtype=float), res))
             return res
 
         monkeypatch.setattr(orthogonal, "linprog", record)
