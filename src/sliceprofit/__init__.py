@@ -1,5 +1,7 @@
 """Profit-driven sizing, sharing, adaptation and trading of network slices."""
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     DEDICATED,
     SHARED,
@@ -81,4 +83,6 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here too, by the imports above; they are not API names
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -43,10 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dry-run", action="store_true",
                        help="print the run manifest and exit without solving")
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("validate", help="schema-check a scenario file")
-    common(p, needs_out=False)
+    p.add_argument("--scenario", required=True, help="scenario JSON file")
     return parser
 
 
@@ -111,7 +110,7 @@ def _manifest(args) -> dict:
         if key in skip or value is None:
             continue
         flags[key.replace("_", "-")] = value
-    outputs = [p for p in (getattr(args, "out", None), getattr(args, "trace_out", None)) if p]
+    outputs = [p for p in (args.out, getattr(args, "trace_out", None)) if p]
     return {
         "command": args.command,
         "scenario": args.scenario,
@@ -261,16 +260,8 @@ def _cmd_longterm(args, scenario, manifest) -> int:
 
 
 def _cmd_game(args, scenario, manifest) -> int:
-    if scenario.operators is None:
-        _log("scenario declares no operators block")
-        return 2
-    operators = game.build_operators(scenario)
     if args.mode == "suboperator":
-        sub = game.solve_suboperator(
-            scenario.pool, operators,
-            sharing=scenario.scheme.sharing,
-            sharing_eligible=scenario.sharing_eligible,
-        )
+        sub = game.solve_suboperator(scenario)
         names = ["scenario", "mode", "operator", "profit", "total_profit"]
         total = sub.result.outcome.total_profit
         rows = [
@@ -282,6 +273,7 @@ def _cmd_game(args, scenario, manifest) -> int:
         _log(f"suboperator {scenario.name}: total profit {total:.6g}")
         return 0
 
+    operators = game.build_operators(scenario)
     if scenario.market is None:
         _log("scenario declares no market block")
         return 2

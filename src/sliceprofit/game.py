@@ -18,12 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    DEDICATED,
     BudgetExceededError,
     ConfigurationError,
     InfeasibleScenarioError,
     ResourcePool,
-    Scenario,
     SchemeModel,
     VnfScheme,
 )
@@ -71,7 +69,8 @@ class MarketConfig:
     """Traded resource indices, tatonnement parameters and per-operator
     lease grids: grids[op_id][resource_index] is an array of candidate net
     leases (positive = lease in). Every grid must contain 0 so staying out
-    of the market is always available."""
+    of the market is always available; each declared axis is kept as a
+    float copy, snapped to 0 near 0 (see lease_axis)."""
 
     traded: tuple
     eta: float
@@ -95,11 +94,23 @@ class MarketConfig:
             raise ConfigurationError("tol must be positive and finite")
         if not 1 <= self.max_rounds <= MAX_ROUNDS:
             raise ConfigurationError(f"max_rounds must be between 1 and {MAX_ROUNDS}")
+        grids = {}
         for oid, by_res in self.grids.items():
             if not set(traded) <= set(by_res):
                 raise ConfigurationError(f"lease grid of {oid} must list every traded resource")
+            grids[oid] = {}
+            for j in traded:
+                axis = np.array(by_res[j], dtype=float)
+                if axis.ndim != 1 or not np.all(np.isfinite(axis)):
+                    raise ConfigurationError(f"lease grid of {oid} on resource {j} must "
+                                             "be a 1-D array of finite numbers")
+                if not np.any(_snap_zero(axis) == 0.0):
+                    raise ConfigurationError(f"lease grid of {oid} on resource {j} must "
+                                             "contain 0 (the no-trade option)")
+                grids[oid][j] = axis
         object.__setattr__(self, "traded", traded)
         object.__setattr__(self, "price0", price0)
+        object.__setattr__(self, "grids", grids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +209,7 @@ class _LeaseTable:
         if grids is None:
             base = self.internal(np.zeros(len(self.traded)))
             grids = _idle_grid(operator, self.traded, base)
-        self.axes = []
-        for j in self.traded:
-            axis = _snap_zero(np.array(grids[j], dtype=float))
-            if not np.any(axis == 0.0):
-                raise ConfigurationError(
-                    f"lease grid of operator {operator.id} must contain 0"
-                )
-            self.axes.append(axis)
+        self.axes = [grids[j] for j in self.traded]
 
     def internal(self, d) -> Optional[tuple]:
         """(total, sizes) of the internal optimum at net lease `d`, or None."""
@@ -383,40 +387,20 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
     return NashVerdict(is_nash=best_dev is None, best_deviation=best_dev)
 
 
-def solve_suboperator(main_pool: ResourcePool, sub_portfolios: Sequence[Operator],
-                      sharing: Optional[Sequence[str]] = None,
-                      sharing_eligible: Sequence[int] = ()) -> SubOperatorResult:
-    """Cooperative benchmark: merge every sub-operator's portfolio into one
-    scenario over the main pool, solve centrally and report the per-sub
-    profit split (no transfer design, just the raw split)."""
-    all_ids = [spec.id for op in sub_portfolios for spec in op.specs]
-    if len(set(all_ids)) != len(all_ids):
-        raise ConfigurationError("sub-operator slice ids must be globally unique")
-    schemes = [op.scheme.subset([spec.id for spec in op.specs]) for op in sub_portfolios]
-    demand = np.concatenate([scheme.demand for scheme in schemes])
-    overhead = np.concatenate([scheme.overhead for scheme in schemes])
-    if sharing is None:
-        sharing = (DEDICATED,) * main_pool.n_resources
-    merged_scheme = VnfScheme(tuple(all_ids), demand, overhead, tuple(sharing))
-    specs = tuple(spec for op in sub_portfolios for spec in op.specs)
-    merged = Scenario(
-        name="suboperator",
-        resource_names=tuple(f"r{j}" for j in range(main_pool.n_resources)),
-        kpi_names=tuple(f"k{l}" for l in range(demand.shape[2])),
-        pool=main_pool,
-        specs=specs,
-        scheme=merged_scheme,
-        sharing_eligible=tuple(sharing_eligible),
-    )
-    result = multiplex.solve_exhaustive(merged)
+def solve_suboperator(scenario) -> SubOperatorResult:
+    """Cooperative benchmark: one owner solves the whole scenario over the
+    main pool, and each partition of its operators block is credited with
+    the summed profit of its slices (no transfer design, just the raw split)."""
+    if not scenario.operators:
+        raise ConfigurationError("scenario declares no operators block")
+    result = multiplex.solve_exhaustive(scenario)
     split = {}
-    idx = 0
-    for op in sub_portfolios:
+    for part in scenario.operators:
         total = 0.0
-        for _ in op.specs:
-            total += result.outcome.profits[idx]
-            idx += 1
-        split[op.id] = float(total)
+        for spec, profit in zip(scenario.specs, result.outcome.profits):
+            if spec.id in part.slice_ids:
+                total += profit
+        split[part.id] = float(total)
     return SubOperatorResult(result=result, split=split)
 
 

@@ -330,10 +330,7 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
             # the market refuses larger grids; linspace would not even allocate some
             _expect(points <= LEASE_GRID_BUDGET,
                     f"{where}: field 'points' must be at most {LEASE_GRID_BUDGET}")
-            axis = lease_axis(lo, hi, points)
-            _expect(bool(np.any(axis == 0.0)),
-                    f"market: grids[{oid}][{rn}] must contain 0 (the no-trade option)")
-            parsed[j] = axis
+            parsed[j] = lease_axis(lo, hi, points)
         grids[oid] = parsed
     try:
         return MarketConfig(traded=traded, eta=eta, price0=price0, grids=grids, **options)
@@ -402,14 +399,16 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.market is not None:
         grids = {}
         for op_id, by_res in sorted(s.market.grids.items()):
-            grids[op_id] = {
-                s.resource_names[j]: {
-                    "lo": float(axis[0]),
-                    "hi": float(axis[-1]),
-                    "points": int(len(axis)),
-                }
-                for j, axis in sorted(by_res.items())
-            }
+            grids[op_id] = {}
+            for j, axis in sorted(by_res.items()):
+                # a document states a grid as lo/hi/points >= 2: refuse one it would not read back
+                if len(axis) < 2 or axis.tobytes() != lease_axis(
+                        axis[0], axis[-1], len(axis)).tobytes():
+                    raise ConfigurationError(
+                        f"lease grid of operator {op_id} on {s.resource_names[j]} cannot be "
+                        "stated as lo, hi and points (2 or more, evenly spaced)")
+                grids[op_id][s.resource_names[j]] = {
+                    "lo": float(axis[0]), "hi": float(axis[-1]), "points": len(axis)}
         doc["market"] = {
             "traded": [s.resource_names[j] for j in s.market.traded],
             "eta": s.market.eta,
@@ -453,8 +452,9 @@ def load_trace(path, scenario: Scenario) -> DemandTrace:
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Canonical JSON dump; loading it back reproduces the scenario."""
+    doc = scenario_to_dict(scenario)  # before the file is opened: it may refuse
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -261,11 +261,7 @@ def test_09_market_equilibrium_and_cooperative_gap(g1, nash_gap):
     standoff = run_market(rivals, nash_gap.market)
     assert standoff.converged
     assert verify_nash(rivals, standoff, nash_gap.market).is_nash
-    coop = solve_suboperator(
-        nash_gap.pool, rivals,
-        sharing=nash_gap.scheme.sharing,
-        sharing_eligible=nash_gap.sharing_eligible,
-    )
+    coop = solve_suboperator(nash_gap)
     order = [op.id for op in rivals]
     coop_profits = [coop.split[o] for o in order]
     nash_profits = [standoff.profits[o] for o in order]

@@ -522,6 +522,13 @@ class TestValidateAndUsage:
         assert rc == 0
         assert "valid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--dry-run"]], ids=["seed", "dry-run"])
+    def test_validate_takes_no_run_flags(self, scenario_dir, capsys, flag):
+        # validate solves nothing, so a seed or a manifest would be ignored
+        rc = main(["validate", "--scenario", str(scenario_dir / "s2.json"), *flag])
+        assert rc == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_validate_rejects_bad_schema(self, tmp_path):
         doc = scenario_to_dict(make_scenario())
         doc["resources"][0]["capacity"] = 0

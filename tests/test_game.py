@@ -19,6 +19,8 @@ from sliceprofit import (
     build_operators,
     load_scenario,
     run_market,
+    scenario_from_dict,
+    scenario_to_dict,
     solve_suboperator,
     verify_nash,
 )
@@ -77,6 +79,21 @@ class TestMarketConfig:
         with pytest.raises(ConfigurationError, match="every traded resource"):
             MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]), grids={"alpha": {}})
 
+    def test_declared_grids_are_float_copies_of_the_traded_axes(self):
+        # the snap itself: TestBestResponse::test_grid_built_in_code_snaps_its_no_trade_point
+        declared = np.array([-1.0, 0.0])
+        market = MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]),
+                              grids={"alpha": {0: declared, 1: [0.0]}, "beta": {0: [0, 1, 2]}})
+        assert market.grids["alpha"][0] is not declared
+        assert list(market.grids["alpha"]) == [0]
+        assert market.grids["beta"][0].dtype == float
+
+    @pytest.mark.parametrize("axis", [[[0.0, 1.0]], [0.0, np.nan], [-np.inf, 0.0]],
+                             ids=["2-D", "nan", "inf"])
+    def test_grid_must_be_finite_and_one_dimensional(self, axis):
+        with pytest.raises(ConfigurationError, match="finite numbers"):
+            MarketConfig(traded=(0,), eta=0.1, price0=np.array([1.0]), grids={"a": {0: axis}})
+
 
 class TestBuildOperators:
     def test_g1_partition(self, g1, g1_ops):
@@ -90,8 +107,9 @@ class TestBuildOperators:
         )
 
     def test_requires_an_operators_block(self, s2):
-        with pytest.raises(ConfigurationError):
-            build_operators(s2)
+        for needs_operators in (build_operators, solve_suboperator):
+            with pytest.raises(ConfigurationError, match="no operators block"):
+                needs_operators(s2)
 
 
 class TestBestResponse:
@@ -118,11 +136,10 @@ class TestBestResponse:
         resp = best_response(beta, [0.1], g1.market)
         assert resp.objective == pytest.approx(resp.internal_profit - 0.1 * 4.0)
 
-    def test_grid_without_zero_rejected(self, g1_ops):
-        market = MarketConfig(traded=(0,), eta=0.1, price0=np.array([0.2]),
-                              grids={"alpha": {0: np.array([-4.0, -2.0])}})
-        with pytest.raises(ConfigurationError):
-            best_response(g1_ops[0], [0.2], market)
+    def test_grid_without_zero_rejected(self):
+        with pytest.raises(ConfigurationError, match="no-trade"):
+            MarketConfig(traded=(0,), eta=0.1, price0=np.array([0.2]),
+                         grids={"alpha": {0: np.array([-4.0, -2.0])}})
 
     def test_grid_built_in_code_snaps_its_no_trade_point(self, g1, g1_ops):
         # linspace puts the middle of this grid at -1.8e-12, past an absolute
@@ -318,9 +335,8 @@ class TestParetoDominates:
 
 
 class TestSolveSuboperator:
-    def test_split_sums_to_central_total(self, g1, g1_ops):
-        sub = solve_suboperator(g1.pool, g1_ops, sharing=g1.scheme.sharing,
-                                sharing_eligible=g1.sharing_eligible)
+    def test_split_sums_to_central_total(self, g1):
+        sub = solve_suboperator(g1)
         assert sum(sub.split.values()) == pytest.approx(sub.result.total_profit)
         assert sub.result.total_profit == pytest.approx(3.52, abs=1e-6)
         assert sub.split["alpha"] == pytest.approx(1.5, abs=1e-6)
@@ -329,7 +345,7 @@ class TestSolveSuboperator:
     def test_matches_market_total_on_g1(self, g1, g1_ops):
         # merging the pools cannot do worse than the bilateral trade here
         out = run_market(g1_ops, g1.market)
-        sub = solve_suboperator(g1.pool, g1_ops, sharing=g1.scheme.sharing)
+        sub = solve_suboperator(g1)
         assert sub.result.total_profit >= sum(out.profits.values()) - 1e-6
 
     def test_cooperative_sharing_dominates_market_on_gap_scenario(self, nash_gap):
@@ -338,32 +354,64 @@ class TestSolveSuboperator:
         assert out.converged
         verdict = verify_nash(ops, out, nash_gap.market)
         assert verdict.is_nash
-        coop = solve_suboperator(nash_gap.pool, ops, sharing=nash_gap.scheme.sharing,
-                                 sharing_eligible=nash_gap.sharing_eligible)
+        coop = solve_suboperator(nash_gap)
         order = sorted(out.profits)
         market_vec = [out.profits[o] for o in order]
         coop_vec = [coop.split[o] for o in order]
         assert dominates(coop_vec, market_vec)
         assert coop.result.scheme.sharing[0] == "shared"
 
-    def test_portfolio_specs_match_scheme_rows_by_id(self, g1, g1_ops):
-        alpha, beta = g1_ops
+    def test_portfolio_specs_match_scheme_rows_by_id(self, g1):
         # ppdr needs twice sensor's resources, so a row mix-up shows
-        demand = beta.scheme.demand * np.array([2.0, 1.0])[:, None, None]
-        scheme = VnfScheme(beta.scheme.slice_ids, demand, beta.scheme.overhead,
-                           beta.scheme.sharing)
-        aligned = solve_suboperator(g1.pool, [alpha, dataclasses.replace(beta, scheme=scheme)])
-        flipped = solve_suboperator(g1.pool, [alpha, dataclasses.replace(
-            beta, scheme=scheme, specs=tuple(reversed(beta.specs)))])
+        double = [2.0 if sid == "ppdr" else 1.0 for sid in g1.scheme.slice_ids]
+        demand = g1.scheme.demand * np.array(double)[:, None, None]
+        scheme = VnfScheme(g1.scheme.slice_ids, demand, g1.scheme.overhead, g1.scheme.sharing)
+        aligned = dataclasses.replace(g1, scheme=scheme)
+        embb, ppdr, sensor = aligned.specs
+        flipped = solve_suboperator(aligned.with_specs((embb, sensor, ppdr)))
+        aligned = solve_suboperator(aligned)
         assert flipped.split == pytest.approx(aligned.split, abs=1e-9)
         assert flipped.result.sizes == pytest.approx(
             [aligned.result.sizes[i] for i in (0, 2, 1)], abs=1e-7)
 
-    def test_duplicate_slice_ids_rejected(self):
-        a = saturated_operator("a")
-        b = Operator("b", a.pool, a.specs, a.scheme)
-        with pytest.raises(ConfigurationError):
-            solve_suboperator(a.pool, [a, b])
+
+def _outcome_fields(out: game.TradeOutcome) -> tuple:
+    """Every field of a TradeOutcome as bytes or exact values."""
+    per_op = tuple(
+        (oid, out.net_lease[oid].tobytes(), out.profits[oid], out.internal[oid],
+         out.income[oid], out.payment[oid], out.no_trade[oid])
+        for oid in sorted(out.profits))
+    trace = tuple((p.tobytes(), z.tobytes()) for p, z in out.trace)
+    return out.prices.tobytes(), per_op, out.converged, out.rounds, trace
+
+
+class TestOperatorOrder:
+    """Metamorphic relation: the order operators are listed in changes nothing."""
+
+    @pytest.mark.parametrize("name", ["g1", "nash_gap"])
+    def test_market_and_nash_check_ignore_the_operator_list_order(self, request, name):
+        scenario = request.getfixturevalue(name)
+        ops = build_operators(scenario)
+        runs = []
+        for order in (ops, ops[::-1]):
+            out = run_market(order, scenario.market)
+            runs.append((_outcome_fields(out), verify_nash(order, out, scenario.market)))
+        (fields, verdict), (fields_rev, verdict_rev) = runs
+        assert fields_rev == fields
+        assert (verdict_rev.is_nash, verdict_rev.best_deviation) == (
+            verdict.is_nash, verdict.best_deviation)
+
+    @pytest.mark.parametrize("name", ["g1", "nash_gap"])
+    def test_cooperative_split_ignores_the_operators_block_order(self, request, name):
+        scenario = request.getfixturevalue(name)
+        doc = scenario_to_dict(scenario)
+        doc["operators"].reverse()
+        reversed_block = scenario_from_dict(doc)
+        assert [p.id for p in reversed_block.operators] == [
+            p.id for p in scenario.operators][::-1]
+        sub, sub_rev = solve_suboperator(scenario), solve_suboperator(reversed_block)
+        assert sub_rev.split == sub.split  # exact, key by key
+        assert sub_rev.result.total_profit == sub.result.total_profit
 
 
 class TestDefaultGrid:

@@ -143,6 +143,18 @@ def test_every_cli_option_is_read():
     assert dests and sorted(dests - read) == []
 
 
+def test_all_lists_every_public_name_but_the_submodules():
+    # the package imports bind its submodules too; `from sliceprofit import *`
+    # must not bind `scenario` or `game` to a module
+    public = {name for name in dir(sliceprofit) if not name.startswith("_")}
+    modules = {name for name in public if inspect.ismodule(getattr(sliceprofit, name))}
+    assert {"model", "scenario", "game"} <= modules
+    assert sorted(sliceprofit.__all__) == sorted(public - modules)
+    star = {}
+    exec("from sliceprofit import *", star)
+    assert [name for name, value in star.items() if inspect.ismodule(value)] == []
+
+
 def test_every_traced_name_exists():
     # the tracer skips a wrapped name it cannot find, and with it every
     # per-layer metric of that name, so a rename here fails no traced run

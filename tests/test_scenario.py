@@ -1,6 +1,7 @@
 """Scenario parsing, validation, serialization and CSV output."""
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -55,6 +56,18 @@ class TestParsing:
         flipped = scenario.with_specs(tuple(reversed(scenario.specs)))
         again = scenario_from_dict(scenario_to_dict(flipped))
         assert evaluate(again, (1.0, 2.0)) == evaluate(flipped, (1.0, 2.0))
+
+    @pytest.mark.parametrize("axis", [[-4.0, -3.5, 0.0], [0.0]], ids=["uneven", "one-point"])
+    def test_grid_a_document_cannot_state_is_refused(self, g1, tmp_path, axis):
+        # lo/hi/points would read back as [-4, -2, 0], or not at all
+        market = dataclasses.replace(g1.market, grids=dict(g1.market.grids, alpha={0: axis}))
+        scenario = dataclasses.replace(g1, market=market)
+        with pytest.raises(ConfigurationError, match="operator alpha on bandwidth"):
+            scenario_to_dict(scenario)
+        out = tmp_path / "g1.json"
+        with pytest.raises(ConfigurationError):
+            save_scenario(scenario, out)
+        assert not out.exists()
 
     def test_invalid_json_reports_location(self, tmp_path):
         bad = tmp_path / "bad.json"

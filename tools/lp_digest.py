@@ -1,15 +1,18 @@
 """One sha1 per document over every LP the size solver raises.
 
 Runs ``solve_exhaustive`` and ``solve_bcd`` on each document, plus
-``run_market`` and ``verify_nash`` when it has a market, ``optimize_period``
-over every period when it has a trace, and ``solve_closed_loop`` when it
-has an environment. Every call of ``orthogonal.linprog`` is hashed as it
-happens: its inputs (cost, rows, right-hand sides, bounds) and its result
-(status, simplex iterations, the bytes of x). A library error ends a run
-and is hashed by its type. The documents are the shipped scenarios,
-``tests/data/fault6x4.json`` and every benchmark document of the given
-seeds, so two source trees whose digests agree raise the same LPs and get
-the same answers.
+``run_market`` and ``verify_nash`` when it has a market, the cooperative
+benchmark when it has operators, ``optimize_period`` over every period when
+it has a trace, and ``solve_closed_loop`` when it has an environment. The
+cooperative benchmark runs as ``game --mode suboperator`` through
+``cli.main`` on a temporary copy of the document, a call every source tree
+takes in the same shape; its exit code is hashed too. Every call of
+``orthogonal.linprog`` is hashed as it happens: its inputs (cost, rows,
+right-hand sides, bounds) and its result (status, simplex iterations, the
+bytes of x). A library error ends a run and is hashed by its type. The
+documents are the shipped scenarios, ``tests/data/fault6x4.json`` and every
+benchmark document of the given seeds, so two source trees whose digests
+agree raise the same LPs and get the same answers.
 
     python tools/lp_digest.py --seeds 1 2 3 [--src SRC]
 
@@ -18,8 +21,12 @@ checkout's ``src``. Each line is ``<sha1> <LP count> <document>``.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,9 +45,9 @@ def _documents(seeds):
     return docs
 
 
-def _runs(sliceprofit, scenario):
+def _runs(sliceprofit, scenario, doc, workdir, digest):
     """The solver calls made on one scenario, as thunks."""
-    from sliceprofit import closedloop, game, longterm
+    from sliceprofit import cli, closedloop, game, longterm
 
     runs = [lambda: sliceprofit.solve_exhaustive(scenario),
             lambda: sliceprofit.solve_bcd(scenario)]
@@ -49,6 +56,16 @@ def _runs(sliceprofit, scenario):
             ops = game.build_operators(scenario)
             game.verify_nash(ops, game.run_market(ops, scenario.market), scenario.market)
         runs.append(market)
+    if scenario.operators is not None:
+        def cooperative():
+            path = workdir / "scenario.json"
+            path.write_bytes(doc.read_bytes() if isinstance(doc, Path) else json.dumps(doc).encode())
+            argv = ["game", "--mode", "suboperator", "--scenario", str(path),
+                    "--out", str(workdir / "coop.csv")]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            digest.update(f"exit {code}".encode())
+        runs.append(cooperative)
     if scenario.trace is not None:
         periods = range(1, scenario.trace.horizon + 1)
         runs.append(lambda: longterm.optimize_period(
@@ -85,18 +102,19 @@ def main(argv=None) -> int:
     orthogonal.linprog = record
     errors = (sliceprofit.BudgetExceededError, sliceprofit.ConfigurationError,
               sliceprofit.InfeasibleScenarioError, sliceprofit.SolverError)
-    for label, doc in _documents(args.seeds):
-        state.update(digest=hashlib.sha1(), count=0)
-        if isinstance(doc, Path):
-            scenario = sliceprofit.load_scenario(doc)
-        else:
-            scenario = sliceprofit.scenario_from_dict(doc)
-        for run in _runs(sliceprofit, scenario):
-            try:
-                run()
-            except errors as exc:
-                state["digest"].update(type(exc).__name__.encode())
-        print(state["digest"].hexdigest(), state["count"], label, flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, doc in _documents(args.seeds):
+            state.update(digest=hashlib.sha1(), count=0)
+            if isinstance(doc, Path):
+                scenario = sliceprofit.load_scenario(doc)
+            else:
+                scenario = sliceprofit.scenario_from_dict(doc)
+            for run in _runs(sliceprofit, scenario, doc, Path(workdir), state["digest"]):
+                try:
+                    run()
+                except errors as exc:
+                    state["digest"].update(type(exc).__name__.encode())
+            print(state["digest"].hexdigest(), state["count"], label, flush=True)
     return 0
 
 
