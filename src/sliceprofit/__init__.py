@@ -23,7 +23,6 @@ from .model import (
 from .orthogonal import (
     SolveResult,
     brute_force_oracle,
-    oracle_gap_bound,
     solve_objective_sum,
     solve_sizes,
     solve_weighted_sum,
@@ -38,7 +37,6 @@ from .multiplex import (
     enumerate_candidates,
     multiplexing_gain,
     nondominated_sort,
-    pareto_filter,
     solve_bcd,
     solve_exhaustive,
     solve_ga,

@@ -120,6 +120,10 @@ def _manifest(args) -> dict:
     }
 
 
+# (flag, the option that picks a mode, the one mode that reads the flag)
+_MODE_FLAGS = [("weights", "solver", "weighted-sum"), ("eta", "mode", "market"),
+               ("rounds", "mode", "market"), ("tol", "mode", "market")]
+
 _INNER = {
     "objective-sum": orthogonal.solve_objective_sum,
     "exhaustive": multiplex.solve_exhaustive,
@@ -320,6 +324,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
+    for flag, option, mode in _MODE_FLAGS:  # a flag the chosen mode would ignore
+        if getattr(args, flag, None) is not None and getattr(args, option, mode) != mode:
+            _log(f"--{flag} needs --{option} {mode}")
+            return 2
     try:
         scenario = scn.load_scenario(args.scenario)
     except FileNotFoundError:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ConfigurationError
+from .model import ConfigurationError, as_count
 from .orthogonal import SolveResult, solve_objective_sum
 
 
@@ -50,7 +50,7 @@ class EnvironmentModel:
             raise ConfigurationError("damping must lie in (0, 1]")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigurationError("tol must be positive and finite")
-        if self.max_iter < 1:
+        if as_count(self.max_iter, "max_iter") < 1:
             raise ConfigurationError("max_iter must be at least 1")
         object.__setattr__(self, "baseline", baseline)
         object.__setattr__(self, "gamma", gamma)

@@ -24,6 +24,7 @@ from .model import (
     ResourcePool,
     SchemeModel,
     VnfScheme,
+    as_count,
 )
 from .orthogonal import solve_sizes
 from . import multiplex
@@ -46,7 +47,8 @@ NASH_GAIN_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """One market participant: private pool, portfolio and scheme."""
+    """One market participant: private pool, portfolio and scheme; its
+    slices find their rows in the scheme by id."""
 
     id: str
     pool: ResourcePool
@@ -92,7 +94,7 @@ class MarketConfig:
             raise ConfigurationError("eta must be non-negative")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigurationError("tol must be positive and finite")
-        if not 1 <= self.max_rounds <= MAX_ROUNDS:
+        if not 1 <= as_count(self.max_rounds, "max_rounds") <= MAX_ROUNDS:
             raise ConfigurationError(f"max_rounds must be between 1 and {MAX_ROUNDS}")
         grids = {}
         for oid, by_res in self.grids.items():
@@ -290,16 +292,11 @@ def _ration(responses: dict, traded) -> dict:
             for o in ids:
                 executed[o][idx] = 0.0
             continue
-        if buys > sells:
-            factor = sells / buys
-            for o in ids:
-                if executed[o][idx] > 0:
-                    executed[o][idx] *= factor
-        elif sells > buys:
-            factor = buys / sells
-            for o in ids:
-                if executed[o][idx] < 0:
-                    executed[o][idx] *= factor
+        # the long side's sign and scale; a balanced market scales by 1
+        sign, factor = (1.0, sells / buys) if buys > sells else (-1.0, buys / sells)
+        for o in ids:
+            if sign * executed[o][idx] > 0:
+                executed[o][idx] *= factor
         residue = sum(executed[o][idx] for o in ids)
         if residue != 0.0:
             side = [o for o in ids if executed[o][idx] < 0] or ids
@@ -331,7 +328,7 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
         prices = np.maximum(0.0, prices + market.eta * z)
 
     executed = _ration(responses, market.traded)
-    internal, income, payment, profits = {}, {}, {}, {}
+    internal, income, payment = {}, {}, {}
     no_trade = {}
     sellers = [o for o in sorted(executed) if np.any(executed[o] < 0)]
     payments_total = np.zeros(len(market.traded))
@@ -352,12 +349,10 @@ def run_market(operators: Sequence[Operator], market: MarketConfig) -> TradeOutc
             vec = prices * np.maximum(-d, 0.0)
             incomes_assigned += vec
             income[o.id] = float(np.sum(vec))
-    for o in ops:
-        profits[o.id] = internal[o.id] + income[o.id] - payment[o.id]
     return TradeOutcome(
         prices=prices,
         net_lease={o: executed[o] for o in executed},
-        profits=profits,
+        profits={o.id: internal[o.id] + income[o.id] - payment[o.id] for o in ops},
         internal=internal,
         income=income,
         payment=payment,
@@ -408,10 +403,7 @@ def build_operators(scenario) -> list:
     """Materialise Operator objects from a scenario's partition block."""
     if not scenario.operators:
         raise ConfigurationError("scenario declares no operators block")
-    ops = []
-    for part in scenario.operators:
-        specs = tuple(s for s in scenario.specs if s.id in part.slice_ids)
-        scheme = scenario.scheme.subset([s.id for s in specs])
-        pool = ResourcePool(part.capacity, part.unit_cost)
-        ops.append(Operator(id=part.id, pool=pool, specs=specs, scheme=scheme))
-    return ops
+    return [Operator(id=part.id, pool=ResourcePool(part.capacity, part.unit_cost),
+                     specs=tuple(s for s in scenario.specs if s.id in part.slice_ids),
+                     scheme=scenario.scheme)
+            for part in scenario.operators]

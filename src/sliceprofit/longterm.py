@@ -21,6 +21,7 @@ from .model import (
     ConfigurationError,
     InfeasibleScenarioError,
     SchemeModel,
+    as_count,
 )
 from .orthogonal import solve_objective_sum
 
@@ -36,7 +37,7 @@ class DemandTrace:
     kpi_scale: dict
 
     def __post_init__(self):
-        if self.horizon < 1:
+        if as_count(self.horizon, "trace horizon") < 1:
             raise ConfigurationError("trace horizon must be at least 1")
         for name in ("customer_size", "price", "kpi_scale"):
             series = getattr(self, name)
@@ -80,15 +81,9 @@ def epoch_scenario(scenario, trace: DemandTrace, t: int):
         c = trace.customer_size.get(spec.id, (None,) * trace.horizon)[t]
         p = trace.price.get(spec.id, (None,) * trace.horizon)[t]
         scale = trace.kpi_scale.get(spec.id, (None,) * trace.horizon)[t]
-        kpi = spec.kpi if scale is None else spec.kpi * scale
-        new_specs.append(
-            replace(
-                spec,
-                kpi=kpi,
-                customer_size=spec.customer_size if c is None else c,
-                price=spec.price if p is None else p,
-            )
-        )
+        new_specs.append(replace(spec, kpi=spec.kpi if scale is None else spec.kpi * scale,
+                                 customer_size=spec.customer_size if c is None else c,
+                                 price=spec.price if p is None else p))
     return scenario.with_specs(tuple(new_specs))
 
 

@@ -76,6 +76,14 @@ def _as_vector(values, name: str, length: Optional[int] = None, batch: bool = Fa
     return arr
 
 
+def as_count(value, name: str):
+    """value, refused unless it is an int or a numpy integer (a bool is
+    not): a count of rounds, iterations or draws, or a seed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SliceSpec:
     """One slice: KPI requirement, customer base, price, reservations."""
@@ -176,10 +184,6 @@ class VnfScheme:
 
     def with_sharing(self, sharing: Sequence[str]) -> "VnfScheme":
         return VnfScheme(self.slice_ids, self.demand, self.overhead, tuple(sharing))
-
-    def subset(self, slice_ids: Sequence[str]) -> "VnfScheme":
-        idx = [self.index_of(s) for s in slice_ids]
-        return VnfScheme(tuple(slice_ids), self.demand[idx], self.overhead[idx], self.sharing)
 
 
 @dataclass(frozen=True, eq=False)

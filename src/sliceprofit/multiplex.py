@@ -10,9 +10,8 @@ profit vectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .model import (
     SchemeModel,
     SolverError,
     VnfScheme,
+    as_count,
 )
 from .orthogonal import SolveResult, solve_sizes
 
@@ -56,11 +56,6 @@ class FrontPoint:
 class ParetoFront:
     points: tuple
 
-    def best_total(self) -> float:
-        if not self.points:
-            return -math.inf
-        return max(sum(p.profits) for p in self.points)
-
 
 @dataclass(frozen=True)
 class GaParams:
@@ -71,16 +66,15 @@ class GaParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 4 or self.population % 2:
+        if as_count(self.population, "population") < 4 or self.population % 2:
             raise ConfigurationError("population must be even and at least 4")
         for name in ("crossover", "mutation"):
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ConfigurationError(f"{name} rate must lie in [0, 1]")
-        if self.generations < 0:
-            raise ConfigurationError("generations must be non-negative")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
+        for name in ("generations", "seed"):
+            if as_count(getattr(self, name), name) < 0:
+                raise ConfigurationError(f"{name} must be non-negative")
 
 
 def _sharing_masks(scenario) -> np.ndarray:
@@ -159,7 +153,7 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     scheme the next round cannot change anything and the loop stops. The
     per-round profit trace is non-decreasing.
     """
-    if max_rounds < 0:
+    if as_count(max_rounds, "max_rounds") < 0:
         raise ConfigurationError("max_rounds must be non-negative")
     masks = _sharing_masks(scenario)
     scheme_idx, scheme = 0, _with_mask(scenario.scheme, masks[0])
@@ -193,31 +187,11 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     )
 
 
-def _profit_vectors(points) -> list:
-    rows = []
-    for p in points:
-        w = p.profits if isinstance(p, FrontPoint) else tuple(p)
-        rows.append(tuple(float(x) for x in w))
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ConfigurationError("profit vectors must all have the same length")
-    return rows
-
-
 def dominates(a, b) -> np.ndarray:
     """Pareto dominance for maximisation: a >= b everywhere and a > b
     somewhere. Objectives lie on the last axis; leading axes broadcast."""
     a, b = np.asarray(a), np.asarray(b)
     return (a >= b).all(axis=-1) & (a > b).any(axis=-1)
-
-
-def pareto_filter(points: Sequence):
-    """Nondominated subset of the input, stable order, first duplicate
-    kept. Idempotent."""
-    rows = _profit_vectors(points)
-    archive = _Archive(len(rows[0]) if rows else 0)
-    for point, w in zip(points, rows):
-        archive.add(point, np.array(w))
-    return archive.items
 
 
 def nondominated_sort(objectives: np.ndarray) -> list:

@@ -380,14 +380,6 @@ def solve_weighted_sum(scenario, weights) -> SolveResult:
     return res
 
 
-def oracle_gap_bound(scenario, grid_step: float) -> float:
-    """Worst-case optimum underestimate of the grid oracle: one step of the
-    summed profit slopes."""
-    unit = SchemeModel(scenario.specs, scenario.scheme, scenario.pool).unit
-    return grid_step * sum(abs(spec.price) + float(np.dot(u, scenario.pool.unit_cost))
-                           for spec, u in zip(scenario.specs, unit))
-
-
 def brute_force_oracle(scenario, grid_step: float, weights=None,
                        budget: int = DEFAULT_ORACLE_BUDGET) -> SolveResult:
     """Dense-grid reference optimiser, independent of the LP route.
@@ -395,7 +387,9 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
     Evaluates every point of {0, step, 2 step, ...}^M inside per-axis upper
     bounds and returns the feasible maximiser, ties resolved to the
     lexicographically smallest size vector. Refuses (with the required
-    budget) rather than run unbounded enumerations.
+    budget) rather than run unbounded enumerations. meta["gap_bound"] is the
+    most it can fall below the optimum: grid_step times the summed slopes
+    |price| + unit demand · unit cost of the slices.
     """
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ConfigurationError("grid_step must be positive")
@@ -459,5 +453,7 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
     return SolveResult(
         tuple(float(s) for s in best), model.outcome(best), scheme,
         {"solver": "oracle", "iterations": int(n_points),
-         "grid_step": float(grid_step), "points": int(n_points)},
+         "grid_step": float(grid_step), "points": int(n_points),
+         "gap_bound": grid_step * sum(abs(spec.price) + float(np.dot(u, pool.unit_cost))
+                                      for spec, u in zip(specs, unit))},
     )

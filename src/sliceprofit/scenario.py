@@ -340,7 +340,7 @@ def _market_block(block, scenario: Scenario) -> MarketConfig:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """The scenario as a document; scenario_from_dict reads it back."""
-    aligned = s.scheme.subset([spec.id for spec in s.specs])  # rows in spec order
+    rows = [s.scheme.index_of(spec.id) for spec in s.specs]  # each spec's scheme row
     doc = {
         "name": s.name,
         "resources": [
@@ -359,8 +359,8 @@ def scenario_to_dict(s: Scenario) -> dict:
                 "customer_size": float(spec.customer_size),
                 "price": float(spec.price),
                 "min_resources": [float(x) for x in spec.min_resources],
-                "demand_matrix": [[float(x) for x in row] for row in aligned.demand[i]],
-                "overhead": [float(x) for x in aligned.overhead[i]],
+                "demand_matrix": [[float(x) for x in row] for row in s.scheme.demand[rows[i]]],
+                "overhead": [float(x) for x in s.scheme.overhead[rows[i]]],
             }
             for i, spec in enumerate(s.specs)
         ],
@@ -461,9 +461,7 @@ def save_scenario(scenario: Scenario, path) -> None:
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):  # np.float64's own repr names its type
         return repr(float(value))
     return str(value)
 

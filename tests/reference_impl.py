@@ -52,6 +52,11 @@ It enumerates, bounds, tests and evaluates with the loop forms above, so
 it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair
 or evaluation code; it shares only the random streams (``_rng``).
 
+``orthogonal.brute_force_oracle`` reports its own error bound in
+``meta["gap_bound"]`` from its model's unit demands.
+``oracle_gap_bound_loop`` is the separate function that bound came from,
+reading each slice's demand map from the scheme itself.
+
 All serve as references for differential tests.
 """
 
@@ -110,6 +115,16 @@ def _resource_demand_loop(spec, size, scheme):
     if size > 0:
         base = base + scheme.overhead[scheme.index_of(spec.id)]
     return base
+
+
+def oracle_gap_bound_loop(scenario, grid_step):
+    """Worst-case optimum underestimate of the grid oracle: one step of the
+    summed profit slopes, |price| + unit demand · unit cost per slice."""
+    scheme, pool = scenario.scheme, scenario.pool
+    return grid_step * sum(
+        abs(spec.price)
+        + float(np.dot(scheme.demand[scheme.index_of(spec.id)] @ spec.kpi, pool.unit_cost))
+        for spec in scenario.specs)
 
 
 def size_bounds_loop(specs, scheme):

@@ -123,7 +123,7 @@ def test_06_ga_quality_and_determinism(s2m):
     t0 = time.perf_counter()
     fronts = [solve_ga(s2m, GaParams(seed=k)) for k in range(5)]
     assert time.perf_counter() - t0 < 30.0
-    hits = sum(front.best_total() >= 0.99 * 4.0 for front in fronts)
+    hits = sum(max(sum(p.profits) for p in front.points) >= 0.99 * 4.0 for front in fronts)
     assert hits >= 4
     rerun = solve_ga(s2m, GaParams(seed=0))
     assert rerun.points == fronts[0].points

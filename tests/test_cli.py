@@ -529,6 +529,33 @@ class TestValidateAndUsage:
         assert rc == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--scenario", "s2.json", "--weights", "3,1"],
+         "--weights needs --solver weighted-sum"),
+        (["solve", "--scenario", "s2.json", "--solver", "exhaustive", "--weights", "3,1"],
+         "--weights needs --solver weighted-sum"),
+        (["game", "--scenario", "g1.json", "--mode", "suboperator", "--eta", "5"],
+         "--eta needs --mode market"),
+        (["game", "--scenario", "g1.json", "--mode", "suboperator", "--rounds", "3"],
+         "--rounds needs --mode market"),
+        (["game", "--scenario", "g1.json", "--mode", "suboperator", "--tol", "7"],
+         "--tol needs --mode market"),
+        (["game", "--scenario", "g1.json", "--mode", "suboperator",
+          "--eta", "5", "--rounds", "3", "--tol", "7"], "--eta needs --mode market"),
+    ], ids=["objective-sum-weights", "exhaustive-weights", "suboperator-eta",
+            "suboperator-rounds", "suboperator-tol", "suboperator-all"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_flag_the_mode_ignores_is_usage_error(self, scenario_dir, tmp_path, capsys,
+                                                  argv, message, dry_run):
+        # a flag the chosen mode would not read is refused, not recorded
+        argv = [str(scenario_dir / a) if a.endswith(".json") else a for a in argv]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)] + dry_run) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        assert not out.exists()
+
     def test_validate_rejects_bad_schema(self, tmp_path):
         doc = scenario_to_dict(make_scenario())
         doc["resources"][0]["capacity"] = 0

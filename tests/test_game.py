@@ -26,6 +26,7 @@ from sliceprofit import (
 )
 from sliceprofit import game
 from sliceprofit.cli import main as cli_main
+from sliceprofit.model import SchemeModel
 from sliceprofit.multiplex import dominates
 
 from reference_impl import best_response_resolve, run_market_resolve, verify_nash_resolve
@@ -105,6 +106,20 @@ class TestBuildOperators:
         assert alpha.pool.capacity.sum() + beta.pool.capacity.sum() == pytest.approx(
             g1.pool.capacity.sum()
         )
+
+    @pytest.mark.parametrize("name", ["g1", "nash_gap"])
+    def test_operators_read_their_rows_from_the_scenario_scheme(self, name, request):
+        # each operator keeps the scenario's scheme and finds its slices'
+        # rows by id: the same bits as the whole scenario's model holds
+        scenario = request.getfixturevalue(name)
+        whole = SchemeModel(scenario.specs, scenario.scheme, scenario.pool)
+        ids = [spec.id for spec in scenario.specs]
+        for op in build_operators(scenario):
+            assert op.scheme is scenario.scheme
+            model = SchemeModel(op.specs, op.scheme, op.pool)
+            rows = [ids.index(spec.id) for spec in op.specs]
+            assert model.unit.tobytes() == whole.unit[rows].tobytes()
+            assert model.overhead.tobytes() == whole.overhead[rows].tobytes()
 
     def test_requires_an_operators_block(self, s2):
         for needs_operators in (build_operators, solve_suboperator):

@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from sliceprofit import (
     ConfigurationError,
+    DemandTrace,
+    EnvironmentModel,
+    GaParams,
     InfeasibleScenarioError,
+    MarketConfig,
     ResourcePool,
     SliceSpec,
     VnfScheme,
@@ -21,10 +25,11 @@ from sliceprofit import (
     enumerate_candidates,
     evaluate,
     load_scenario,
+    solve_bcd,
 )
 from sliceprofit.model import _TINY_SIZE, DEDICATED, SHARED, SchemeModel
 
-from conftest import make_scenario, random_scenario
+from conftest import SCENARIO_DIR, make_scenario, random_scenario
 from reference_impl import (check_feasible_loop, evaluate_loop, size_bounds_loop,
                             slice_breakdown_loop)
 
@@ -151,9 +156,9 @@ class TestPoolUsage:
     def test_single_slice_row(self):
         scenario = make_scenario()
         spec = scenario.specs[0]
-        scheme = scenario.scheme.subset(["A"])
         for mode in ("dedicated", "shared"):
-            sub = scheme.with_sharing((mode, mode))
+            # slice A alone finds its row in the two-slice scheme by id
+            sub = scenario.scheme.with_sharing((mode, mode))
             usage = usage_at(scenario, sub, [2.0], specs=(spec,))
             assert np.allclose(usage, resource_row(scenario, spec, 2.0, sub))
 
@@ -520,3 +525,29 @@ class TestTypeValidation:
         spec = replace(s2.specs[0], kpi=np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ConfigurationError, match="slice A: demand matrix expects 2 KPIs, got 3"):
             SchemeModel((spec,), s2.scheme, s2.pool)
+
+
+# Every count a library caller sets, each as a function of the count.
+COUNTS = {
+    "GaParams.population": lambda n: GaParams(population=n),
+    "GaParams.generations": lambda n: GaParams(generations=n),
+    "GaParams.seed": lambda n: GaParams(seed=n),
+    "MarketConfig.max_rounds": lambda n: MarketConfig((0,), 0.1, [1.0], max_rounds=n),
+    "EnvironmentModel.max_iter": lambda n: EnvironmentModel(np.ones((2, 1)), np.zeros((2, 1, 2)),
+                                                            max_iter=n),
+    "DemandTrace.horizon": lambda n: DemandTrace(n, {}, {}, {}),
+    "solve_bcd.max_rounds": lambda n: solve_bcd(load_scenario(SCENARIO_DIR / "s2m.json"),
+                                                max_rounds=n),
+}
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_counts_take_integers_only(count):
+    # a float count used to pass the range check and fail later with a
+    # TypeError, inside range() or a random seed
+    make = COUNTS[count]
+    for value in (4.0, 2.5, np.float64(4.0), True, "4"):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            make(value)
+    for value in (4, np.int64(4), np.int32(4)):
+        make(value)

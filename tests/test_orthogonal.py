@@ -29,7 +29,6 @@ from sliceprofit import (
     enumerate_candidates,
     evaluate,
     load_scenario,
-    oracle_gap_bound,
     run_market,
     scenario_from_dict,
     scenario_to_dict,
@@ -47,7 +46,7 @@ from sliceprofit.longterm import ReconfigCostModel, optimize_period
 from sliceprofit.model import SchemeModel
 
 from conftest import eligible_doc, make_scenario, random_scenario
-from reference_impl import branches_loop
+from reference_impl import branches_loop, oracle_gap_bound_loop
 
 
 # directory holding the imported package, so subprocesses import the same code
@@ -133,14 +132,14 @@ class TestSizeBounds:
     def test_reservation_floor(self):
         scenario = make_scenario()
         spec = SliceSpec("A", scenario.specs[0].kpi, 4, 3.0, np.array([4.0, 0.0]))
-        lo, hi = SchemeModel((spec,), scenario.scheme.subset(["A"]), scenario.pool).size_bounds()
+        lo, hi = SchemeModel((spec,), scenario.scheme, scenario.pool).size_bounds()
         assert lo[0] == pytest.approx(2.0)
         assert hi[0] == 4.0
 
     def test_floor_above_customer_base_extends_hi(self):
         scenario = make_scenario()
         spec = SliceSpec("A", scenario.specs[0].kpi, 4, 3.0, np.array([10.0, 0.0]))
-        lo, hi = SchemeModel((spec,), scenario.scheme.subset(["A"]), scenario.pool).size_bounds()
+        lo, hi = SchemeModel((spec,), scenario.scheme, scenario.pool).size_bounds()
         assert lo[0] == pytest.approx(5.0)
         assert hi[0] == pytest.approx(5.0)
 
@@ -291,7 +290,7 @@ class TestOracle:
         for step in (0.5, 0.25, 0.1):
             grid = brute_force_oracle(s2, grid_step=step)
             assert grid.total_profit <= lp.total_profit + 1e-9
-            assert grid.total_profit >= lp.total_profit - oracle_gap_bound(s2, step)
+            assert grid.total_profit >= lp.total_profit - grid.meta["gap_bound"]
 
     def test_tie_breaks_to_lex_smallest(self):
         # price equals marginal cost, so every feasible point is worth zero
@@ -334,7 +333,10 @@ class TestOracle:
                 brute_force_oracle(s2, grid_step=step)
 
     def test_gap_bound_formula(self, s2):
-        assert oracle_gap_bound(s2, 0.01) == pytest.approx(0.1)
+        assert brute_force_oracle(s2, 0.01).meta["gap_bound"] == pytest.approx(0.1)
+        for step in (0.01, 0.25, 0.5):
+            bound = brute_force_oracle(s2, step).meta["gap_bound"]
+            assert bound.hex() == oracle_gap_bound_loop(s2, step).hex()
 
 
 class TestLpToleranceOvershoot:
@@ -380,7 +382,7 @@ class TestOverheadWithinTheSlack:
         assert grid.sizes == (2.0,)
         assert grid.total_profit == pytest.approx(1.8, abs=1e-12)
         assert res.outcome.feasible
-        assert abs(res.total_profit - grid.total_profit) <= oracle_gap_bound(scenario, 0.5)
+        assert abs(res.total_profit - grid.total_profit) <= grid.meta["gap_bound"]
 
     def test_beyond_the_slack_raises_with_the_pool_violation(self):
         with pytest.raises(InfeasibleScenarioError) as err:
@@ -398,7 +400,7 @@ class TestCrossValidation:
         grid = brute_force_oracle(scenario, grid_step=0.25)
         assert grid.outcome.feasible
         assert lp.total_profit >= grid.total_profit - 1e-9
-        assert lp.total_profit <= grid.total_profit + oracle_gap_bound(scenario, 0.25) + 1e-9
+        assert lp.total_profit <= grid.total_profit + grid.meta["gap_bound"] + 1e-9
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -447,7 +449,7 @@ class TestSpecOrder:
             scenario.scheme.slice_ids, scenario.scheme.demand, overhead, scenario.scheme.sharing))
         order = rng.permutation(m)
         permuted = scenario.with_specs(scenario.specs[i] for i in order)
-        bound = oracle_gap_bound(scenario, 0.25)
+        bound = brute_force_oracle(scenario, 0.25).meta["gap_bound"]
         for solve in (solve_objective_sum, lambda s: brute_force_oracle(s, 0.25)):
             aligned, moved = solve(scenario), solve(permuted)
             assert moved.outcome.feasible
@@ -462,6 +464,41 @@ class TestSpecOrder:
             alloc = build_allocation(permuted.specs, permuted.scheme, probe)
             verdict = check_feasible(alloc, permuted.scheme, permuted.pool, permuted.specs)
             assert model.feasible(probe, model.shared) == verdict[0]
+
+
+def raised_capacity_losses(scenario):
+    """Per resource, how far solve_objective_sum's total falls when that
+    resource's capacity grows by 1 %, less the polish contract: the polish
+    may give up _POLISH_SLACK·max(1, |V|) of the optimum V. A positive
+    entry breaks capacity monotonicity."""
+    before = solve_objective_sum(scenario).total_profit
+    losses = []
+    for j in range(scenario.n_resources):
+        capacity = scenario.pool.capacity.copy()
+        capacity[j] *= 1.01
+        raised = replace(scenario, pool=ResourcePool(capacity, scenario.pool.unit_cost))
+        after = solve_objective_sum(raised).total_profit
+        slack = orthogonal._POLISH_SLACK * max(1.0, abs(before), abs(after))
+        losses.append(before - after - slack)
+    return losses
+
+
+class TestCapacityMonotonicity:
+    """A metamorphic relation: more of any one resource never lowers the
+    optimum, since every size vector feasible before stays feasible."""
+
+    @pytest.mark.parametrize("path", sorted(
+        [*pathlib.Path(__file__).resolve().parents[1].joinpath("scenarios").glob("*.json"),
+         pathlib.Path(__file__).resolve().parent / "data" / "fault6x4.json"]),
+        ids=lambda p: p.stem)
+    def test_shipped_documents(self, path):
+        assert max(raised_capacity_losses(load_scenario(path))) <= 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_documents(self, seed):
+        scenario = random_scenario(np.random.default_rng(seed))
+        assert max(raised_capacity_losses(scenario)) <= 0.0
 
 
 class TestOneModelPerSolve:

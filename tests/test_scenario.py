@@ -414,10 +414,11 @@ class TestCsvOutput:
 
     def test_float_cells_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        value = 1 / 3
-        write_csv(path, ["v"], [{"v": value}])
-        text = path.read_text().splitlines()[1]
-        assert float(text) == value
+        # numpy scalars are written as plain numbers, not as their repr
+        for value in (1 / 3, np.float64(1 / 3), np.float32(1 / 3)):
+            write_csv(path, ["v"], [{"v": value}])
+            text = path.read_text().splitlines()[1]
+            assert float(text) == value
 
     def test_missing_keys_render_empty(self, tmp_path):
         path = tmp_path / "out.csv"
