@@ -9,6 +9,7 @@ errors. Identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -36,6 +37,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sliceprofit",

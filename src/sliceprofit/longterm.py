@@ -117,7 +117,7 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int, *,
     are solved and added, so a caller that simulates several periods of one
     trace can pass the same dict to each and solve every epoch once.
     """
-    if period < 1 or period > trace.horizon:
+    if as_count(period, "period") < 1 or period > trace.horizon:
         raise ConfigurationError("period must lie in [1, horizon]")
     if solved is None:
         solved = {}
@@ -160,7 +160,7 @@ def optimize_period(scenario, trace: DemandTrace, candidates: Sequence[int],
     """Best update period among the candidates (ties to the smallest) plus
     the full evaluation table. Each update epoch is solved at most once
     over all candidates (see simulate_horizon)."""
-    periods = sorted(set(int(p) for p in candidates))
+    periods = sorted(set(int(as_count(p, "candidate period")) for p in candidates))
     if not periods:
         raise ConfigurationError("candidate period list must not be empty")
     for p in periods:

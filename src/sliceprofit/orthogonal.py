@@ -13,7 +13,8 @@ LP machinery; tests cross-check the two routes.
 Every LP goes through the module's one entry point, ``linprog``. When
 scipy's private HiGHS bindings import, it is a direct driver that gives
 the same results as ``scipy.optimize.linprog(method="highs")`` without
-scipy's per-call input parsing, sparse conversion and option checks.
+scipy's per-call input parsing, sparse conversion and option checks, and
+on one HiGHS instance per thread instead of a new one per LP.
 Otherwise it is scipy's ``linprog`` itself.
 
 The bindings are scipy's extension file ``optimize/_highspy/_core<suffix>``,
@@ -36,6 +37,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -135,13 +137,26 @@ def _highs_options():
     return opts
 
 
+def _thread_highs():
+    """This thread's HiGHS instance, made with linprog's options on the
+    thread's first LP."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
+
 def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
     """linprog(c, A_ub=, b_ub=, bounds=, method="highs") for dense rows and
-    finite data, solved by a fresh HiGHS instance per call (no warm start).
-    Model, options, iteration count and the post-solve check are linprog's,
-    so x comes back bit-identical, and so are the status codes a bounded LP
-    run without limits can get. Only the fields the size solver reads are
-    returned; method is taken for linprog's call shape."""
+    finite data, solved by this thread's one HiGHS instance (threads never
+    share one). clearModel first drops the previous LP's model, basis,
+    solution and info and keeps only the options, so every LP starts cold,
+    as on a fresh instance, with no warm start. Model, options, iteration
+    count and the post-solve check are linprog's, so x comes back
+    bit-identical, and so are the status codes a bounded LP run without
+    limits can get. Only the fields the size solver reads are returned;
+    method is taken for linprog's call shape."""
     c = np.asarray(c, dtype=float)
     a = np.asarray(A_ub, dtype=float)
     b = np.asarray(b_ub, dtype=float)
@@ -162,8 +177,8 @@ def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
     lp.col_upper_ = ub
     lp.row_lower_ = np.full(n_row, -np.inf)
     lp.row_upper_ = b
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _thread_highs()
+    highs.clearModel()
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         status, info = _highs.HighsModelStatus.kModelError, None
     elif highs.run() == _highs.HighsStatus.kError:
@@ -197,6 +212,7 @@ except ImportError:  # a scipy without these bindings: every LP goes through lin
     from scipy.optimize import linprog
 else:
     _HIGHS_OPTIONS = _highs_options()
+    _THREAD = threading.local()
     linprog = _highs_linprog
 
 

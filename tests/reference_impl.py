@@ -57,6 +57,10 @@ or evaluation code; it shares only the random streams (``_rng``).
 ``oracle_gap_bound_loop`` is the separate function that bound came from,
 reading each slice's demand map from the scheme itself.
 
+``orthogonal._highs_linprog`` solves every LP on its thread's one HiGHS
+instance, cleared before each model. ``fresh_highs_linprog`` is the driver
+it replaced, which builds and drops a fresh instance per call.
+
 All serve as references for differential tests.
 """
 
@@ -65,7 +69,7 @@ import math
 
 import numpy as np
 
-from sliceprofit import game, multiplex
+from sliceprofit import game, multiplex, orthogonal
 from sliceprofit.model import (
     DEDICATED,
     FEASIBILITY_TOL,
@@ -678,3 +682,52 @@ def solve_ga_loop(scenario, params=None):
     ]
     points.sort(key=lambda p: (tuple(-x for x in p.profits), p.scheme_index, p.sizes))
     return ParetoFront(points=tuple(points))
+
+
+def fresh_highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
+    """orthogonal.linprog's direct HiGHS driver on a fresh instance per call."""
+    highs_core = orthogonal._highs
+    c = np.asarray(c, dtype=float)
+    a = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    lb, ub = np.array(bounds, dtype=float).T
+    if not all(np.isfinite(v).all() for v in (c, a, b, lb, ub)):
+        raise ValueError("LP data must be finite")
+    n_row, n_col = a.shape
+    cols, rows = np.nonzero(a.T)  # CSC order: by column, rows ascending
+    lp = highs_core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n_col + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = a.T[cols, rows]
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.full(n_row, -np.inf)
+    lp.row_upper_ = b
+    highs = highs_core._Highs()
+    highs.passOptions(orthogonal._HIGHS_OPTIONS)
+    if highs.passModel(lp) == highs_core.HighsStatus.kError:
+        status, info = highs_core.HighsModelStatus.kModelError, None
+    elif highs.run() == highs_core.HighsStatus.kError:
+        status, info = highs.getModelStatus(), None
+    else:
+        status, info = highs.getModelStatus(), highs.getInfo()
+    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if info else 0
+    message = f"HiGHS model status is {highs.modelStatusToString(status)}"
+    if info is None or status != highs_core.HighsModelStatus.kOptimal:
+        failed = (highs_core.HighsModelStatus.kInfeasible, highs_core.HighsModelStatus.kModelError)
+        return orthogonal.LpResult(x=None, status=2 if status in failed else 4,
+                                   success=False, nit=nit, message=message)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = b - np.array(solution.row_value)
+    tol = orthogonal._LINPROG_CHECK_TOL
+    valid = bool(((x >= lb - tol) & (x <= ub + tol)).all() and (slack >= -tol).all()
+                 and not math.isnan(info.objective_function_value))
+    if not valid:
+        message = f"the solution breaks a bound or row by more than {tol:.2E}"
+    return orthogonal.LpResult(x=x, status=0 if valid else 4, success=valid, nit=nit,
+                               message=message)

@@ -23,7 +23,7 @@ import pytest
 
 import sliceprofit
 from sliceprofit.cli import main
-from sliceprofit import game, multiplex, scenario_to_dict
+from sliceprofit import cli, game, multiplex, scenario_to_dict
 
 from conftest import eligible_doc, make_scenario
 
@@ -514,6 +514,58 @@ class TestGame:
         rc = main(["game", "--scenario", str(scenario_dir / "s2.json"),
                    "--out", str(tmp_path / "g.csv")])
         assert rc == 2
+
+
+class TestSuccessiveCalls:
+    """main builds its parser once per process; a run, a usage error or a
+    help text leaves nothing behind for the next call."""
+
+    CALLS = [
+        ["solve", "--scenario", "s2.json", "--out", "a.csv"],
+        ["solve", "--scenario", "s2m.json", "--out", "b.csv", "--solver", "bcd",
+         "--max-rounds", "3", "--seed", "4"],
+        ["solve", "--scenario", "s2.json", "--out", "c.csv", "--solver", "nope"],
+        ["--help"],
+        ["game", "--scenario", "g1.json", "--out", "d.csv", "--rounds", "50"],
+        ["longterm", "--scenario", "s2_trace.json", "--out", "e.csv", "--periods", "1,2",
+         "--reconfig-cost", "5"],
+        ["pareto", "--scenario", "s2m.json"],
+        ["solve", "--help"],
+        ["solve", "--scenario", "s2.json", "--out", "f.csv", "--solver", "weighted-sum",
+         "--weights", "3,1", "--dry-run"],
+        ["validate", "--scenario", "s2.json"],
+        ["solve", "--scenario", "s2.json", "--out", "a.csv"],
+    ]
+
+    @staticmethod
+    def call(argv, tmp_path, capsys):
+        """(exit code, stdout, stderr, bytes of each output file) of one
+        main call; the output files are removed afterwards."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        outputs = {}
+        for path in sorted(tmp_path.glob("*.csv")):
+            outputs[path.name] = path.read_bytes()
+            path.unlink()
+        return code, captured.out, captured.err, outputs
+
+    def test_each_call_matches_the_call_alone(self, scenario_dir, tmp_path, capsys):
+        calls = [[str(scenario_dir / a) if a.endswith(".json")
+                  else str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+                 for argv in self.CALLS]
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(self.call(argv, tmp_path, capsys))
+        cli.build_parser.cache_clear()
+        in_turn = [self.call(argv, tmp_path, capsys) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, *_ in alone] == [0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0]
+        assert [sorted(outputs) for *_, outputs in alone] == [
+            ["a.csv"], ["b.csv"], [], [], ["d.csv"], ["e.csv"], [], [], [], [], ["a.csv"]]
+        assert alone[3][1].startswith("usage: sliceprofit")
+        assert in_turn == alone
+        assert in_turn[0] == in_turn[-1]
 
 
 class TestValidateAndUsage:

@@ -107,6 +107,16 @@ class TestSimulateHorizon:
             with pytest.raises(ConfigurationError):
                 simulate_horizon(s2_trace, s2_trace.trace, period)
 
+    @pytest.mark.parametrize("period", [2.5, 2.0, True, "2"])
+    def test_period_must_be_an_integer(self, s2_trace, period):
+        # 2.5 used to run, updating at epoch 0 only
+        with pytest.raises(ConfigurationError, match="period must be an integer"):
+            simulate_horizon(s2_trace, s2_trace.trace, period)
+
+    def test_numpy_integer_period_is_a_count(self, s2_trace):
+        sim = simulate_horizon(s2_trace, s2_trace.trace, np.int64(2))
+        assert sim.update_epochs == (0, 2)
+
     def test_drift_into_pool_violation_zeroes_revenue(self, s2):
         trace = DemandTrace(2, {}, {}, {"A": (1.0, 2.0)})
         sim = simulate_horizon(s2, trace, period=2)
@@ -206,6 +216,20 @@ class TestOptimizePeriod:
             optimize_period(s2_trace, s2_trace.trace, [0], ReconfigCostModel(0.0))
         with pytest.raises(ConfigurationError):
             optimize_period(s2_trace, s2_trace.trace, [9], ReconfigCostModel(0.0))
+
+    @pytest.mark.parametrize("candidates", [[2.5], [1, 2.5], [2.0], ["2"]])
+    def test_candidates_must_be_integers(self, s2_trace, candidates):
+        # [2.5] used to be truncated to period 2
+        with pytest.raises(ConfigurationError, match="candidate period must be an integer"):
+            optimize_period(s2_trace, s2_trace.trace, candidates, ReconfigCostModel(0.0))
+
+    def test_numpy_integer_candidates_give_int_periods(self, s2_trace):
+        best, table = optimize_period(s2_trace, s2_trace.trace, np.arange(1, 5),
+                                      ReconfigCostModel(0.25))
+        plain, _ = optimize_period(s2_trace, s2_trace.trace, [1, 2, 3, 4],
+                                   ReconfigCostModel(0.25))
+        assert best == plain
+        assert [type(row["period"]) for row in table] == [int] * 4
 
     def test_table_reports_update_counts(self, s2_trace):
         _, table = optimize_period(

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +47,7 @@ from sliceprofit.longterm import ReconfigCostModel, optimize_period
 from sliceprofit.model import SchemeModel
 
 from conftest import eligible_doc, make_scenario, random_scenario
-from reference_impl import branches_loop, oracle_gap_bound_loop
+from reference_impl import branches_loop, fresh_highs_linprog, oracle_gap_bound_loop
 
 
 # directory holding the imported package, so subprocesses import the same code
@@ -588,6 +589,49 @@ def reference_linprog(c, A_ub, b_ub, bounds):
     return scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
 
+@st.composite
+def drawn_lps(draw):
+    """(c, A_ub, b_ub, bounds) with 1-4 columns and 0-3 rows: zero-row LPs,
+    fixed bounds (v, v) and infeasible row systems (negative right-hand
+    sides under non-negative boxes) included."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    value = st.floats(-5.0, 5.0, allow_nan=False).map(lambda v: round(v, 3))
+    c = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                               min_size=m, max_size=m))).reshape(m, n)
+    b = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.floats(0.0, 3.0).map(lambda v: round(v, 2)))
+        fixed = draw(st.booleans())
+        bounds.append((lo, lo) if fixed else (lo, lo + draw(st.floats(0.0, 3.0))))
+    return c, a, b, bounds
+
+
+INFEASIBLE_LP = ([1.0], [[1.0]], [-1.0], [(0.0, 2.0)])
+# a matrix value HiGHS rejects (its large_matrix_value): a model error
+REJECTED_LP = ([-1.0, -1.0], [[1e15, 1.0]], [1.0], [(0.0, 1.0), (0.0, 1.0)])
+
+
+def shipped_lps(scenario_dir):
+    """(c, A_ub, b_ub, bounds) of every LP solve_exhaustive raises on the
+    shipped scenarios, in call order."""
+    lps = []
+    driver = orthogonal.linprog
+
+    def record(c, A_ub, b_ub, bounds, method):
+        lps.append((np.copy(c), np.copy(A_ub), np.copy(b_ub), np.array(bounds, dtype=float)))
+        return driver(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+
+    orthogonal.linprog = record
+    try:
+        for path in sorted(scenario_dir.glob("*.json")):
+            solve_exhaustive(load_scenario(path))
+    finally:
+        orthogonal.linprog = driver
+    return lps
+
+
 @pytest.mark.skipif(orthogonal.linprog is scipy.optimize.linprog,
                     reason="scipy's HiGHS bindings did not import")
 class TestHighsDriver:
@@ -623,36 +667,78 @@ class TestHighsDriver:
         assert mismatched == []
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 4),
-        m=st.integers(0, 3),
-        data=st.data(),
-    )
-    def test_drawn_lps_match_linprog(self, n, m, data):
-        # zero-row LPs, fixed bounds (v, v) and infeasible row systems
-        # (negative right-hand sides under non-negative boxes) included
-        value = st.floats(-5.0, 5.0, allow_nan=False).map(lambda v: round(v, 3))
-        c = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
-        a = np.array(data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
-                                        min_size=m, max_size=m))).reshape(m, n)
-        b = np.array(data.draw(st.lists(value, min_size=m, max_size=m)))
-        bounds = []
-        for _ in range(n):
-            lo = data.draw(st.floats(0.0, 3.0).map(lambda v: round(v, 2)))
-            fixed = data.draw(st.booleans())
-            bounds.append((lo, lo) if fixed else (lo, lo + data.draw(st.floats(0.0, 3.0))))
+    @given(lp=drawn_lps())
+    def test_drawn_lps_match_linprog(self, lp):
+        c, a, b, bounds = lp
         got = orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
         assert same_lp_result(got, reference_linprog(c, a, b, bounds))
 
     @pytest.mark.parametrize("c, a, b, bounds, status", [
         ([-1.0, 2.0], np.zeros((0, 2)), np.zeros(0), [(0.0, 3.0), (1.0, 1.0)], 0),
-        ([1.0], [[1.0]], [-1.0], [(0.0, 2.0)], 2),
+        INFEASIBLE_LP + (2,),
     ], ids=["zero-rows-fixed-bound", "infeasible"])
     def test_pinned_lps(self, c, a, b, bounds, status):
         c, a, b = np.array(c), np.array(a), np.array(b)
         got = orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
         assert got.status == status
         assert same_lp_result(got, reference_linprog(c, a, b, bounds))
+
+
+@pytest.mark.skipif(orthogonal.linprog is scipy.optimize.linprog,
+                    reason="scipy's HiGHS bindings did not import")
+class TestReusedHighsInstance:
+    """Each thread solves every LP on one HiGHS instance, cleared before
+    each model, and gets what a fresh instance per call gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lp=drawn_lps())
+    def test_interleaved_lps_match_a_fresh_instance(self, lp):
+        # an optimum, an infeasible branch and a rejected model leave
+        # nothing behind for the next LP on the same instance
+        calls = [lp, INFEASIBLE_LP, REJECTED_LP, lp]
+        got = [orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+               for c, a, b, bounds in calls]
+        want = [fresh_highs_linprog(c, a, b, bounds) for c, a, b, bounds in calls]
+        assert [same_lp_result(g, w) for g, w in zip(got, want)] == [True] * 4
+        assert [r.status for r in got[1:3]] == [2, 2]
+        assert "Model error" in got[2].message
+        assert same_lp_result(got[3], got[0])
+
+    def test_threads_solve_on_their_own_instances(self, scenario_dir):
+        lps = shipped_lps(scenario_dir)
+        serial = [orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+                  for c, a, b, bounds in lps]
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+        results, instances = {}, {}
+
+        def solve(k):
+            order = range(len(lps)) if k % 2 == 0 else reversed(range(len(lps)))
+            start.wait(timeout=30)
+            got = {}
+            for i in order:
+                c, a, b, bounds = lps[i]
+                got[i] = orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+            results[k] = [got[i] for i in range(len(lps))]
+            instances[k] = orthogonal._thread_highs()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert [thread.is_alive() for thread in threads] == [False] * n_threads
+        assert sorted(results) == list(range(n_threads))
+        for got in results.values():
+            assert [same_lp_result(g, w) for g, w in zip(got, serial)] == [True] * len(lps)
+        mine = orthogonal._thread_highs()
+        distinct = {id(h) for h in [mine, *instances.values()]}
+        assert len(distinct) == n_threads + 1
 
 
 class TestColdStart:
@@ -674,6 +760,7 @@ class TestColdStart:
                  "loaded = {'scipy.optimize', 'scipy.linalg'} & sys.modules.keys()\n"
                  "assert not loaded, loaded\n"
                  "assert orthogonal.linprog is orthogonal._highs_linprog\n"
+                 "assert not hasattr(orthogonal._THREAD, 'highs')\n"
                  "import scipy.optimize\n"
                  "assert orthogonal.linprog is not scipy.optimize.linprog\n")
 
