@@ -69,7 +69,6 @@ from .scenario import (
     ScenarioParseError,
     ScenarioValidationError,
     load_scenario,
-    load_trace,
     result_fieldnames,
     result_row,
     save_outcome,

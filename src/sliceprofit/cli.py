@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import replace
 
 from . import closedloop, game, longterm, multiplex, orthogonal, scenario as scn
 from .model import (
@@ -80,15 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--inner", default="objective-sum",
                    choices=["objective-sum", "exhaustive", "bcd"])
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--damping", type=float, default=None)
     p.add_argument("--trace-out", default=None, help="residual trace CSV path")
 
     p = sub.add_parser("longterm", help="update-period sweep over a demand trace")
     common(p)
-    p.add_argument("--trace-in", default=None,
-                   help="standalone trace file (overrides the scenario's trace block)")
     p.add_argument("--periods", default=None,
                    help="comma-separated candidate periods (default 1..horizon)")
     p.add_argument("--reconfig-cost", type=float, default=0.0)
@@ -96,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="operator market or cooperative benchmark")
     common(p)
     p.add_argument("--mode", default="market", choices=["market", "suboperator"])
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("validate", help="schema-check a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -121,10 +112,6 @@ def _manifest(args) -> dict:
         "outputs": outputs,
     }
 
-
-# (flag, the option that picks a mode, the one mode that reads the flag)
-_MODE_FLAGS = [("weights", "solver", "weighted-sum"), ("eta", "mode", "market"),
-               ("rounds", "mode", "market"), ("tol", "mode", "market")]
 
 _INNER = {
     "objective-sum": orthogonal.solve_objective_sum,
@@ -167,9 +154,6 @@ def _cmd_solve(args, scenario, manifest) -> int:
     if args.solver == "objective-sum":
         result = orthogonal.solve_objective_sum(scenario)
     elif args.solver == "weighted-sum":
-        if not args.weights:
-            _log("weighted-sum requires --weights")
-            return 2
         weights = _numbers(args.weights, float, "--weights")
         result = orthogonal.solve_weighted_sum(scenario, weights)
     elif args.solver == "exhaustive":
@@ -215,16 +199,7 @@ def _cmd_oracle(args, scenario, manifest) -> int:
     return 0
 
 
-def _override(config, **values):
-    """config with the given fields replaced, skipping flags left unset."""
-    return replace(config, **{key: value for key, value in values.items() if value is not None})
-
-
 def _cmd_closed_loop(args, scenario, manifest) -> int:
-    if scenario.environment is not None:  # solve_closed_loop rejects a missing one
-        env = _override(scenario.environment,
-                        tol=args.tol, max_iter=args.max_iter, damping=args.damping)
-        scenario = replace(scenario, environment=env)
     result = closedloop.solve_closed_loop(scenario, _INNER[args.inner])
     converged = result.meta["converged"]
     status = "ok" if converged else "not-converged"
@@ -245,9 +220,9 @@ def _cmd_closed_loop(args, scenario, manifest) -> int:
 
 
 def _cmd_longterm(args, scenario, manifest) -> int:
-    trace = scn.load_trace(args.trace_in, scenario) if args.trace_in else scenario.trace
+    trace = scenario.trace
     if trace is None:
-        _log("scenario declares no trace block and no --trace-in given")
+        _log("scenario declares no trace block")
         return 2
     periods = (_numbers(args.periods, int, "--periods") if args.periods
                else list(range(1, trace.horizon + 1)))
@@ -280,10 +255,10 @@ def _cmd_game(args, scenario, manifest) -> int:
         return 0
 
     operators = game.build_operators(scenario)
-    if scenario.market is None:
+    market = scenario.market
+    if market is None:
         _log("scenario declares no market block")
         return 2
-    market = _override(scenario.market, eta=args.eta, max_rounds=args.rounds, tol=args.tol)
     outcome = game.run_market(operators, market)
     status = "ok" if outcome.converged else "not-converged"
     names = ["scenario", "mode", "operator", "status"]
@@ -326,9 +301,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    for flag, option, mode in _MODE_FLAGS:  # a flag the chosen mode would ignore
-        if getattr(args, flag, None) is not None and getattr(args, option, mode) != mode:
-            _log(f"--{flag} needs --{option} {mode}")
+    if args.command == "solve":  # --weights and --solver weighted-sum come together
+        if args.solver != "weighted-sum" and args.weights is not None:
+            _log("--weights needs --solver weighted-sum")
+            return 2
+        if args.solver == "weighted-sum" and not args.weights:
+            _log("weighted-sum requires --weights")
             return 2
     try:
         scenario = scn.load_scenario(args.scenario)
@@ -364,7 +342,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, scn.ScenarioError) as exc:
         _log(str(exc))
         return 2
-    except OSError as exc:  # a path flag (--trace-in, --out, --trace-out) that cannot be opened
+    except OSError as exc:  # an output path (--out, --trace-out) that cannot be opened
         _log(f"cannot open {exc.filename}: {exc.strerror}")
         return 2
 

@@ -17,13 +17,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    FEASIBILITY_TOL,
     ConfigurationError,
     InfeasibleScenarioError,
     SchemeModel,
     as_count,
 )
 from .orthogonal import solve_objective_sum
+
+# A slice whose row on an over-capacity resource exceeds this uses that
+# resource, and so shares in the breach; a row at or below it counts as zero.
+_IN_USE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +43,8 @@ class DemandTrace:
         if as_count(self.horizon, "trace horizon") < 1:
             raise ConfigurationError("trace horizon must be at least 1")
         for name in ("customer_size", "price", "kpi_scale"):
-            series = getattr(self, name)
-            for slice_id, values in series.items():
+            series = {}
+            for slice_id, values in getattr(self, name).items():
                 vals = tuple(float(v) for v in values)
                 if len(vals) != self.horizon:
                     raise ConfigurationError(
@@ -52,6 +55,7 @@ class DemandTrace:
                         f"trace {name}[{slice_id}] must be finite and non-negative"
                     )
                 series[slice_id] = vals
+            object.__setattr__(self, name, series)
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def _realized(scenario_t, sizes) -> tuple:
     over = {v.resource for v in violations if v.kind == "pool"}
     violators = {v.slice for v in violations if v.kind == "minimum"}
     for i in range(len(model.specs)):
-        if any(alloc.resources[i, j] > FEASIBILITY_TOL for j in over):
+        if any(alloc.resources[i, j] > _IN_USE_TOL for j in over):
             violators.add(i)
     revs = revs.copy()
     for i in violators:

@@ -423,9 +423,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
-def _read_json(path, parse):
-    """parse(document) of a JSON file, with the path prefixed to parse and
-    validation errors."""
+def load_scenario(path) -> Scenario:
+    """Parse and validate a scenario file; parse and validation errors name
+    the path."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -435,19 +435,9 @@ def _read_json(path, parse):
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     try:
-        return parse(doc)
+        return scenario_from_dict(doc)
     except ScenarioValidationError as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from None
-
-
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file."""
-    return _read_json(path, scenario_from_dict)
-
-
-def load_trace(path, scenario: Scenario) -> DemandTrace:
-    """Parse a standalone trace file (same schema as the 'trace' block)."""
-    return _read_json(path, lambda doc: _trace_block(doc, scenario))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

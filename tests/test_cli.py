@@ -311,10 +311,11 @@ class TestClosedLoop:
         assert float(steps[1]["residual"]) < 1e-8
 
     def test_iteration_cap_exits_one(self, scenario_dir, tmp_path):
+        doc = json.loads((scenario_dir / "s2_closedloop.json").read_text())
+        doc["environment"]["max_iter"] = 1
         out = tmp_path / "cl.csv"
-        rc = main(["closed-loop",
-                   "--scenario", str(scenario_dir / "s2_closedloop.json"),
-                   "--out", str(out), "--max-iter", "1"])
+        rc = main(["closed-loop", "--scenario", str(write_doc(tmp_path, doc)),
+                   "--out", str(out)])
         assert rc == 1
         _, rows = read_csv(out)
         assert rows[0]["status"] == "not-converged"
@@ -369,17 +370,6 @@ class TestLongterm:
                        "--periods", periods])
             assert rc == 2
 
-    def test_standalone_trace_overrides(self, scenario_dir, tmp_path):
-        trace = write_doc(
-            tmp_path, {"horizon": 2, "customer_size": {"B": [6, 2]}}, "t.json"
-        )
-        out = tmp_path / "lt.csv"
-        rc = main(["longterm", "--scenario", str(scenario_dir / "s2.json"),
-                   "--out", str(out), "--trace-in", str(trace)])
-        assert rc == 0
-        _, rows = read_csv(out)
-        assert [r["period"] for r in rows] == ["1", "2"]
-
     def test_missing_trace_is_usage_error(self, scenario_dir, tmp_path, capsys):
         rc = main(["longterm", "--scenario", str(scenario_dir / "s2.json"),
                    "--out", str(tmp_path / "lt.csv")])
@@ -409,9 +399,10 @@ class TestGame:
         assert alpha["lease_income"] == beta["lease_payment"]
 
     def test_eta_override_can_stall(self, scenario_dir, tmp_path):
+        doc = json.loads((scenario_dir / "g1.json").read_text())
+        doc["market"].update(eta=0, max_rounds=4)
         out = tmp_path / "g1.csv"
-        rc = main(["game", "--scenario", str(scenario_dir / "g1.json"),
-                   "--out", str(out), "--eta", "0", "--rounds", "4"])
+        rc = main(["game", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)])
         assert rc == 1
         _, rows = read_csv(out)
         assert rows[0]["status"] == "not-converged"
@@ -420,18 +411,17 @@ class TestGame:
     def test_tol_override(self, scenario_dir, tmp_path, capsys):
         # g1 clears in 2 rounds at its own tol of 1e-3; round 1's excess
         # demand is within a tol of 10
+        doc = json.loads((scenario_dir / "g1.json").read_text())
+        doc["market"]["tol"] = 10
         out = tmp_path / "g1.csv"
-        rc = main(["game", "--scenario", str(scenario_dir / "g1.json"),
-                   "--out", str(out), "--tol", "10"])
+        rc = main(["game", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)])
         assert rc == 0
-        manifest, rows = read_csv(out)
-        assert manifest["flags"]["tol"] == 10.0
+        _, rows = read_csv(out)
         assert [r["rounds"] for r in rows] == ["1", "1"]
         assert all(r["converged"] == "true" for r in rows)
-        # the override is validated like the scenario's own value
+        doc["market"]["tol"] = 0
         bad = tmp_path / "bad.csv"
-        rc = main(["game", "--scenario", str(scenario_dir / "g1.json"),
-                   "--out", str(bad), "--tol", "0"])
+        rc = main(["game", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(bad)])
         assert rc == 2
         assert "tol must be positive" in capsys.readouterr().err
         assert not bad.exists()
@@ -494,18 +484,13 @@ class TestGame:
         assert captured.err.startswith(f"{command} failed: size LP failed: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["document", "flag"])
-    def test_round_bound(self, scenario_dir, tmp_path, capsys, field):
+    def test_round_bound(self, scenario_dir, tmp_path, capsys):
         # g1 clears in 2 rounds, so a run at the bound is quick
         doc = json.loads((scenario_dir / "g1.json").read_text())
         for rounds, code in ((game.MAX_ROUNDS, 0), (game.MAX_ROUNDS + 1, 2)):
-            argv = ["game", "--out", str(tmp_path / f"{rounds}.csv")]
-            if field == "document":
-                doc["market"]["max_rounds"] = rounds
-                argv += ["--scenario", str(write_doc(tmp_path, doc))]
-            else:
-                argv += ["--scenario", str(scenario_dir / "g1.json"), "--rounds", str(rounds)]
-            assert main(argv) == code
+            doc["market"]["max_rounds"] = rounds
+            assert main(["game", "--scenario", str(write_doc(tmp_path, doc)),
+                         "--out", str(tmp_path / f"{rounds}.csv")]) == code
         err = capsys.readouterr().err
         assert err.strip().endswith(str(game.MAX_ROUNDS))
         assert not (tmp_path / f"{game.MAX_ROUNDS + 1}.csv").exists()
@@ -526,7 +511,7 @@ class TestSuccessiveCalls:
          "--max-rounds", "3", "--seed", "4"],
         ["solve", "--scenario", "s2.json", "--out", "c.csv", "--solver", "nope"],
         ["--help"],
-        ["game", "--scenario", "g1.json", "--out", "d.csv", "--rounds", "50"],
+        ["game", "--scenario", "g1.json", "--out", "d.csv"],
         ["longterm", "--scenario", "s2_trace.json", "--out", "e.csv", "--periods", "1,2",
          "--reconfig-cost", "5"],
         ["pareto", "--scenario", "s2m.json"],
@@ -586,20 +571,14 @@ class TestValidateAndUsage:
          "--weights needs --solver weighted-sum"),
         (["solve", "--scenario", "s2.json", "--solver", "exhaustive", "--weights", "3,1"],
          "--weights needs --solver weighted-sum"),
-        (["game", "--scenario", "g1.json", "--mode", "suboperator", "--eta", "5"],
-         "--eta needs --mode market"),
-        (["game", "--scenario", "g1.json", "--mode", "suboperator", "--rounds", "3"],
-         "--rounds needs --mode market"),
-        (["game", "--scenario", "g1.json", "--mode", "suboperator", "--tol", "7"],
-         "--tol needs --mode market"),
-        (["game", "--scenario", "g1.json", "--mode", "suboperator",
-          "--eta", "5", "--rounds", "3", "--tol", "7"], "--eta needs --mode market"),
-    ], ids=["objective-sum-weights", "exhaustive-weights", "suboperator-eta",
-            "suboperator-rounds", "suboperator-tol", "suboperator-all"])
+        (["solve", "--scenario", "s2.json", "--solver", "weighted-sum"],
+         "weighted-sum requires --weights"),
+    ], ids=["objective-sum-weights", "exhaustive-weights", "weighted-sum-no-weights"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
     def test_flag_the_mode_ignores_is_usage_error(self, scenario_dir, tmp_path, capsys,
                                                   argv, message, dry_run):
-        # a flag the chosen mode would not read is refused, not recorded
+        # a flag the chosen mode would not read, or one it cannot run
+        # without, is refused before the scenario is read
         argv = [str(scenario_dir / a) if a.endswith(".json") else a for a in argv]
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)] + dry_run) == 2
@@ -626,29 +605,32 @@ class TestValidateAndUsage:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, name, tol", [
-        ("game", "g1", "nan"), ("game", "g1", "inf"),
-        ("closed-loop", "s2_closedloop", "nan"), ("closed-loop", "s2_closedloop", "inf"),
-    ])
-    def test_non_finite_tol_is_usage_error(self, scenario_dir, tmp_path, capsys,
-                                           command, name, tol):
-        # a NaN tol passed tol <= 0 and never converged; an infinite one
-        # stopped the closed loop after one iteration
+    @pytest.mark.parametrize("argv", [
+        ["closed-loop", "--scenario", "s2_closedloop.json", "--tol", "1e-3"],
+        ["closed-loop", "--scenario", "s2_closedloop.json", "--max-iter", "5"],
+        ["closed-loop", "--scenario", "s2_closedloop.json", "--damping", "0.5"],
+        ["game", "--scenario", "g1.json", "--eta", "0.1"],
+        ["game", "--scenario", "g1.json", "--rounds", "50"],
+        ["game", "--scenario", "g1.json", "--tol", "10"],
+        ["longterm", "--scenario", "s2_trace.json", "--trace-in", "s2_trace.json"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_scenario_values_take_no_flag(self, scenario_dir, tmp_path, capsys,
+                                          argv, dry_run):
+        # model parameters come from the scenario file alone
+        argv = [str(scenario_dir / a) if a.endswith(".json") else a for a in argv]
         out = tmp_path / "out.csv"
-        rc = main([command, "--scenario", str(scenario_dir / f"{name}.json"),
-                   "--out", str(out), "--tol", tol])
-        assert rc == 2
+        assert main(argv + ["--out", str(out)] + dry_run) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["tol must be positive and finite"]
+        assert "unrecognized arguments" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--scenario", "s2.json", "--solver", "weighted-sum", "--weights", "1,x"],
         ["longterm", "--scenario", "s2_trace.json", "--periods", "1,a"],
-        ["longterm", "--scenario", "s2_trace.json", "--trace-in", "/nonexistent"],
         ["validate", "--scenario", "."],
-    ], ids=["weights", "periods", "trace-in", "scenario-directory"])
+    ], ids=["weights", "periods", "scenario-directory"])
     def test_unreadable_input_is_usage_error(self, argv, scenario_dir, tmp_path):
         # a list flag that does not parse or an input path that cannot be
         # opened: one line on stderr and exit 2, never a traceback

@@ -37,6 +37,12 @@ class TestDemandTrace:
         with pytest.raises(ConfigurationError):
             DemandTrace(2, {}, {"A": (1.0, -0.5)}, {})
 
+    def test_caller_dicts_are_left_as_given(self):
+        sizes, prices = {"A": [1, 2]}, {"B": (3, 4)}
+        trace = DemandTrace(2, sizes, prices, {})
+        assert sizes == {"A": [1, 2]} and prices == {"B": (3, 4)}
+        assert trace.customer_size == {"A": (1.0, 2.0)} and trace.price == {"B": (3.0, 4.0)}
+
     def test_reconfig_cost_non_negative(self):
         with pytest.raises(ConfigurationError):
             ReconfigCostModel(-1.0)

@@ -18,7 +18,6 @@ from sliceprofit import (
     SolveResult,
     evaluate,
     load_scenario,
-    load_trace,
     result_fieldnames,
     save_outcome,
     save_scenario,
@@ -190,19 +189,6 @@ class TestTraceBlock:
             with pytest.raises(ScenarioValidationError, match="horizon"):
                 scenario_from_dict(doc)
 
-    def test_standalone_trace_file(self, s2, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps({"horizon": 2, "customer_size": {"A": [1, 3]}}))
-        trace = load_trace(path, s2)
-        assert trace.horizon == 2
-        assert trace.customer_size["A"] == (1.0, 3.0)
-
-    def test_standalone_trace_invalid(self, s2, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps({"horizon": 2, "customer_size": {"Z": [1, 3]}}))
-        with pytest.raises(ScenarioValidationError):
-            load_trace(path, s2)
-
 
 # (fixture, path to the value in the document, bad value, field the error names)
 BAD_VALUES = [
@@ -210,6 +196,7 @@ BAD_VALUES = [
     ("g1", ("market", "tol"), None, "tol"),
     ("g1", ("market", "tol"), True, "tol"),
     ("g1", ("market", "tol"), math.nan, "tol"),
+    ("g1", ("market", "tol"), math.inf, "tol"),
     ("g1", ("market", "max_rounds"), 2.7, "max_rounds"),
     ("g1", ("market", "price0", "bandwidth"), "abc", "price0"),
     ("g1", ("market", "grids", "alpha", "bandwidth", "points"), 2.5, "points"),
@@ -217,6 +204,7 @@ BAD_VALUES = [
     ("g1", ("market", "grids", "alpha", "bandwidth", "points"), 100_001, "points"),
     ("s2_closedloop", ("environment", "damping"), "abc", "damping"),
     ("s2_closedloop", ("environment", "tol"), math.nan, "tol"),
+    ("s2_closedloop", ("environment", "tol"), math.inf, "tol"),
     ("s2_closedloop", ("environment", "max_iter"), 2.7, "max_iter"),
     ("s2_closedloop", ("environment", "max_iter"), True, "max_iter"),
     ("s2_trace", ("trace", "horizon"), "4", "horizon"),
