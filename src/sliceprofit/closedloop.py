@@ -18,6 +18,11 @@ import numpy as np
 from .model import ConfigurationError, as_count
 from .orthogonal import SolveResult, solve_objective_sum
 
+# Most fixed-point steps one run may take. Each step is one open-loop size
+# solve, about 1 ms on the shipped 2-slice document, so 10,000 steps stay
+# near 10 s there; the default is 50.
+MAX_ITER = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class EnvironmentModel:
@@ -50,8 +55,8 @@ class EnvironmentModel:
             raise ConfigurationError("damping must lie in (0, 1]")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigurationError("tol must be positive and finite")
-        if as_count(self.max_iter, "max_iter") < 1:
-            raise ConfigurationError("max_iter must be at least 1")
+        if not 1 <= as_count(self.max_iter, "max_iter") <= MAX_ITER:
+            raise ConfigurationError(f"max_iter must be between 1 and {MAX_ITER}")
         object.__setattr__(self, "baseline", baseline)
         object.__setattr__(self, "gamma", gamma)
 

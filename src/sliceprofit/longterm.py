@@ -28,6 +28,12 @@ from .orthogonal import solve_objective_sum
 # resource, and so shares in the breach; a row at or below it counts as zero.
 _IN_USE_TOL = 1e-9
 
+# Longest trace. The longterm command's default sweep simulates every period
+# from 1 to H, H² epochs of about 80 µs each on the shipped 2-slice document
+# plus one 1 ms solve per epoch: H = 1,000 takes about 80 s there. Shipped
+# and benchmark traces run up to 8 epochs.
+MAX_HORIZON = 1_000
+
 
 @dataclass(frozen=True, eq=False)
 class DemandTrace:
@@ -40,8 +46,8 @@ class DemandTrace:
     kpi_scale: dict
 
     def __post_init__(self):
-        if as_count(self.horizon, "trace horizon") < 1:
-            raise ConfigurationError("trace horizon must be at least 1")
+        if not 1 <= as_count(self.horizon, "trace horizon") <= MAX_HORIZON:
+            raise ConfigurationError(f"trace horizon must be between 1 and {MAX_HORIZON}")
         for name in ("customer_size", "price", "kpi_scale"):
             series = {}
             for slice_id, values in getattr(self, name).items():

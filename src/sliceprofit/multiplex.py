@@ -11,6 +11,7 @@ profit vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -38,10 +39,10 @@ MAX_SCHEMES = 4096
 MAX_GA_EVALUATIONS = 250_000
 
 # Largest GA population. Survival ranks n = 2P rows, and nondominated_sort
-# builds the (n, n) dominance matrix from (n, n, M) boolean comparisons, so
-# the peak grows as (M + 2)·n² bytes: tracemalloc gives 40 MB for P = 1,000
-# at M = 8 (42 MB for a whole one-generation run), where P = 20,000 would
-# need 16 GB.
+# builds the (n, n) dominance matrix one objective plane at a time, so the
+# peak is about 3·n² bytes whatever M: tracemalloc gives 12 MB for P = 1,000
+# at M = 8 (15 MB for a whole one-generation run), where P = 20,000 would
+# need 4.8 GB. The archive's pre-filter adds at most 8 MiB (_COVER_PAIRS).
 MAX_GA_POPULATION = 1000
 
 
@@ -70,8 +71,9 @@ class GaParams:
             raise ConfigurationError("population must be even and at least 4")
         for name in ("crossover", "mutation"):
             rate = getattr(self, name)
-            if not (0.0 <= rate <= 1.0):
-                raise ConfigurationError(f"{name} rate must lie in [0, 1]")
+            # a bool would compare as 0 or 1, a string not at all
+            if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 <= rate <= 1.0:
+                raise ConfigurationError(f"{name} rate must be a number in [0, 1], got {rate!r}")
         for name in ("generations", "seed"):
             if as_count(getattr(self, name), name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
@@ -189,9 +191,19 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
 
 def dominates(a, b) -> np.ndarray:
     """Pareto dominance for maximisation: a >= b everywhere and a > b
-    somewhere. Objectives lie on the last axis; leading axes broadcast."""
+    somewhere. Objectives lie on the last axis; leading axes broadcast.
+    The objective planes are compared one at a time, since numpy reduces
+    a short last axis slowly."""
     a, b = np.asarray(a), np.asarray(b)
-    return (a >= b).all(axis=-1) & (a > b).any(axis=-1)
+    if a.shape[-1:] != b.shape[-1:]:
+        a, b = np.broadcast_arrays(a, b)
+    if not a.shape[-1]:  # no objective: nothing is better anywhere
+        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), dtype=bool)
+    ge, gt = a[..., 0] >= b[..., 0], a[..., 0] > b[..., 0]
+    for j in range(1, a.shape[-1]):
+        ge &= a[..., j] >= b[..., j]
+        gt |= a[..., j] > b[..., j]
+    return ge & gt
 
 
 def nondominated_sort(objectives: np.ndarray) -> list:
@@ -230,26 +242,54 @@ def _rng(seed: int, generation: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, generation, index]))
 
 
+# Most (archived vector, offspring) pairs one pre-filter comparison holds,
+# so it needs two boolean planes of 4 MiB however large the archive grows.
+_COVER_PAIRS = 1 << 22
+
+
+def _covers(a, b) -> np.ndarray:
+    """a >= b on every objective, for objective-major a and b (objective j
+    is a[j] against b[j]; the axes after the first broadcast)."""
+    out = a[0] >= b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out &= x >= y
+    return out
+
+
 class _Archive:
-    """Nondominated set with first-duplicate-kept, insertion-ordered."""
+    """Nondominated set with first-duplicate-kept, insertion-ordered. The
+    vectors are kept objective-major, one row of cols per objective."""
 
     def __init__(self, width: int):
-        self.rows = np.empty((0, width))
+        self.cols = np.empty((width, 0))
         self.items: list = []
+
+    def covered(self, profits) -> np.ndarray:
+        """Per row of the (P, M) profits, whether some archived vector is at
+        least as large on every objective: add would refuse it, and it
+        would still refuse it after any other insert, since a vector that
+        evicts the covering one covers the row too. Compares at most
+        _COVER_PAIRS (archived, row) pairs at a time."""
+        step = max(1, _COVER_PAIRS // max(1, self.cols.shape[1]))
+        out = np.zeros(len(profits), dtype=bool)
+        for i in range(0, len(profits), step):
+            part = profits[i:i + step].T[:, None, :]
+            out[i:i + step] = _covers(self.cols[:, :, None], part).any(axis=0)
+        return out
 
     def add(self, item, w: np.ndarray) -> None:
         """Insert item with objective vector w unless an archived vector
         equals or dominates w; evict the archived items w dominates."""
         if self.items:
             # equal or dominating: no objective of the row falls below w
-            if bool((self.rows >= w).all(axis=1).any()):
+            if bool(_covers(self.cols, w).any()):
                 return
-            beaten = dominates(w, self.rows)
+            beaten = dominates(w, self.cols.T)
             if bool(beaten.any()):
                 keep = ~beaten
-                self.rows = self.rows[keep]
+                self.cols = self.cols[:, keep]
                 self.items = [it for it, k in zip(self.items, keep) if k]
-        self.rows = np.vstack([self.rows, w[None, :]])
+        self.cols = np.concatenate([self.cols, w[:, None]], axis=1)
         self.items.append(item)
 
 
@@ -351,13 +391,14 @@ def _repair(model, lo, shared, sizes) -> np.ndarray:
 
 def _evaluate(model, masks, lo, hi, schemes, sizes, archive) -> tuple:
     """Clip and repair drawn individuals, each under the mask of its
-    scheme index, and evaluate them as one batch; then archive them in
-    index order. Returns the repaired sizes and the profits, (P, M) each;
-    profit does not depend on the scheme."""
+    scheme index, and evaluate them as one batch; then archive, in index
+    order, those no archived vector covers. Returns the repaired sizes and
+    the profits, (P, M) each; profit does not depend on the scheme."""
     sizes = _repair(model, lo, masks[schemes], np.clip(sizes, lo, hi))
     revs, exps, _ = model.breakdown(sizes)
     profits = revs - exps
-    for idx, row, w in zip(schemes.tolist(), sizes.tolist(), profits):
+    fresh = np.flatnonzero(~archive.covered(profits))
+    for idx, row, w in zip(schemes[fresh].tolist(), sizes[fresh].tolist(), profits[fresh]):
         archive.add(FrontPoint(tuple(row), idx, tuple(w.tolist())), w)
     return sizes, profits
 
@@ -370,6 +411,40 @@ def _best_first(profits) -> np.ndarray:
     for level in range(ranks.max() + 1):
         crowd[ranks == level] = crowding_distance(profits[ranks == level])
     return np.lexsort((-crowd, ranks))
+
+
+def _offspring(params, gen, place, schemes, sizes, span, n_schemes) -> tuple:
+    """Generation gen's (P,) schemes and (P, M) sizes before repair, from
+    the population's schemes, sizes and best-first places. Offspring j's
+    stream (seed, gen, j) makes the same draws whatever the parents: four
+    tournament picks (the lower place of each pair wins), a crossover coin
+    and, if it lands, a gene mask and a scheme coin; a mutation mask and,
+    if any gene mutates, noise scaled by span; a scheme coin and, if it
+    lands and there is a choice, a new scheme. The draws are kept and the
+    offspring built from them as arrays."""
+    pop, m = sizes.shape
+    picks = np.zeros((pop, 2, 2), dtype=int)
+    cross, coin, resample = np.zeros((3, pop), dtype=bool)
+    genes, mutate = np.zeros((2, pop, m), dtype=bool)
+    noise, drawn = np.zeros((pop, m)), np.zeros(pop, dtype=int)
+    for j in range(pop):
+        rng = _rng(params.seed, gen, j)
+        picks[j] = rng.integers(pop, size=(2, 2))
+        if rng.random() < params.crossover:
+            cross[j] = True
+            genes[j] = rng.random(m) < 0.5
+            coin[j] = rng.random() < 0.5
+        mutate[j] = rng.random(m) < params.mutation
+        if mutate[j].any():
+            noise[j] = rng.normal(0.0, 0.15, size=m)
+        if rng.random() < params.mutation and n_schemes > 1:
+            resample[j], drawn[j] = True, rng.integers(n_schemes)
+    places = place[picks]
+    p1, p2 = np.where(places[..., 1] < places[..., 0], picks[..., 1], picks[..., 0]).T
+    kids = np.where(cross[:, None] & ~genes, sizes[p2], sizes[p1])
+    kids = np.where(mutate, kids + noise * span, kids)
+    kid_schemes = np.where(cross & ~coin, schemes[p2], schemes[p1])
+    return np.where(resample, drawn, kid_schemes), kids
 
 
 def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
@@ -417,20 +492,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
 
     for gen in range(1, params.generations + 1):
         place = np.argsort(_best_first(profits))  # each individual's place, best first
-        kid_schemes, kids = np.zeros(pop, dtype=int), np.zeros((pop, m))
-        for j in range(pop):
-            rng = _rng(params.seed, gen, j)
-            picks = rng.integers(pop, size=(2, 2))  # two binary tournaments
-            p1, p2 = picks[[0, 1], np.argmin(place[picks], axis=1)]
-            kid_schemes[j], kids[j] = schemes[p1], sizes[p1]
-            if rng.random() < params.crossover:
-                kids[j] = np.where(rng.random(m) < 0.5, sizes[p1], sizes[p2])
-                kid_schemes[j] = schemes[p1] if rng.random() < 0.5 else schemes[p2]
-            mutate = rng.random(m) < params.mutation
-            if mutate.any():
-                kids[j] = np.where(mutate, kids[j] + rng.normal(0.0, 0.15, size=m) * span, kids[j])
-            if rng.random() < params.mutation and len(masks) > 1:
-                kid_schemes[j] = rng.integers(len(masks))
+        kid_schemes, kids = _offspring(params, gen, place, schemes, sizes, span, len(masks))
         kids, kid_profits = _evaluate(model, masks, lo, hi, kid_schemes, kids, archive)
         keep = _best_first(np.vstack([profits, kid_profits]))[:pop]
         schemes = np.concatenate([schemes, kid_schemes])[keep]

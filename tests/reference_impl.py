@@ -37,6 +37,10 @@ vector and call (``game._LeaseTable``). ``best_response_resolve``,
 re-solve every grid point in every round, at settlement and in the Nash
 check.
 
+``multiplex.dominates`` compares the objective planes one at a time.
+``dominates_reduce`` is the form it replaced, one reduction over the
+objective axis.
+
 ``multiplex.solve_ga`` keeps its population as arrays, draws a
 generation's offspring before it evaluates any of them, and ranks with a
 dominance-matrix peel and per-objective gap arrays. ``solve_ga_loop`` is
@@ -47,7 +51,9 @@ element-by-element forms of ``nondominated_sort`` and
 ``crowding_distance``. It repairs with ``repair_bisect``, the 50-step
 bisection that ``multiplex._repair`` computes directly for a
 whole generation, and archives with ``ArchiveLoop``, whose reject rule
-makes the three comparisons that ``multiplex._Archive`` folds into one.
+makes the three comparisons that ``multiplex._Archive`` folds into one,
+and which takes every offspring in turn where ``multiplex._evaluate``
+first drops those an archived vector covers.
 It enumerates, bounds, tests and evaluates with the loop forms above, so
 it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair
 or evaluation code; it shares only the random streams (``_rng``).
@@ -483,6 +489,12 @@ def verify_nash_resolve(operators, outcome, market, tolerance=1e-9, budget=100_0
             if gain > tolerance and (best_dev is None or gain > best_dev[2]):
                 best_dev = (o.id, tuple(float(x) for x in d), float(gain))
     return game.NashVerdict(is_nash=best_dev is None, best_deviation=best_dev)
+
+
+def dominates_reduce(a, b):
+    """multiplex.dominates as one reduction over the last axis."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a >= b).all(axis=-1) & (a > b).any(axis=-1)
 
 
 def nondominated_sort_loop(objectives):

@@ -11,8 +11,15 @@ in a single subprocess and checks that none of them writes to stdout, and
 another runs them all with scipy's private HiGHS bindings made unimportable,
 so that every LP goes through ``scipy.optimize.linprog`` itself. A last one
 hides the bindings' file instead, the other way the fallback is reached.
+
+``ga_fronts.txt`` pins the GA beyond s2m: one sha1 of ``repr(solve_ga(...))``
+per seeded pareto document of the benchmark (seed 1) and GA seed, at
+population 20 and 20 generations. Rewrite it with
+``PYTHONPATH=src python tests/test_golden.py > tests/golden/ga_fronts.txt``
+only when a change of the fronts is intended.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -21,10 +28,14 @@ import sys
 
 import pytest
 
+import numpy as np
+import scipy
+
 import sliceprofit
 from sliceprofit.cli import main
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 # directory holding the imported package, so subprocesses import the same code
 PACKAGE_ROOT = pathlib.Path(sliceprofit.__file__).resolve().parent.parent
 
@@ -85,7 +96,7 @@ def assert_matches_golden(name, out_dir):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(GOLDEN.parent.parent)
+    monkeypatch.chdir(ROOT)
     assert main(full_argv(name, tmp_path)) == CASES[name][1]
     assert_matches_golden(name, tmp_path)
 
@@ -100,7 +111,7 @@ def test_cases_write_nothing_to_stdout(tmp_path):
               "    assert main(argv) == code, argv\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True)
+                          cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 
@@ -121,7 +132,7 @@ def test_linprog_fallback_writes_the_same_bytes(tmp_path):
               "    assert main(argv) == code, argv\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True)
+                          cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for name in sorted(CASES):
         assert_matches_golden(name, tmp_path)
@@ -141,6 +152,40 @@ def test_missing_bindings_file_writes_the_same_bytes(tmp_path):
               "assert main(json.loads(sys.argv[1])) == 0\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(full_argv(name, tmp_path))],
-                          cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True)
+                          cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert_matches_golden(name, tmp_path)
+
+
+def ga_front_lines():
+    """``<document> <GA seed> <sha1>`` per seeded pareto document of
+    benchmark seed 1 and GA seed 0 and 1."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+
+    lines = []
+    for name, doc in workloads.pareto(1).docs.items():
+        if name == "s2m":  # shipped; the golden CSVs pin it
+            continue
+        scenario = sliceprofit.scenario_from_dict(doc)
+        for seed in (0, 1):
+            front = sliceprofit.solve_ga(
+                scenario, sliceprofit.GaParams(population=20, generations=20, seed=seed))
+            lines.append(f"{name} {seed} {hashlib.sha1(repr(front).encode()).hexdigest()}")
+    return lines
+
+
+def test_ga_fronts_match_golden():
+    want = [line for line in (GOLDEN / "ga_fronts.txt").read_text().splitlines()
+            if not line.startswith("#")]
+    got = ga_front_lines()
+    assert len(got) == len(want) == 12
+    for got_line, want_line in zip(got, want):
+        assert got_line == want_line, f"GA front of {want_line.split()[:2]} moved"
+
+
+if __name__ == "__main__":
+    print(f"# sha1 of repr(solve_ga(...)) per document and GA seed; "
+          f"numpy {np.__version__}, scipy {scipy.__version__}")
+    print("\n".join(ga_front_lines()))

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sliceprofit import (
     BudgetExceededError,
@@ -32,6 +33,7 @@ from conftest import eligible_doc, make_scenario, random_scenario
 from reference_impl import (
     ArchiveLoop,
     crowding_distance_loop,
+    dominates_reduce,
     enumerate_candidates_loop,
     feasible_loop,
     nondominated_sort_loop,
@@ -290,6 +292,33 @@ class TestParetoFilter:
         assert [id(p) for p in kept] == [id(p) for p in expected]
 
 
+DOMINANCE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def dominance_pairs(draw):
+    """Two arrays whose leading axes broadcast, with M = 0 to 4 objectives
+    on the last axis, where either may hold 1 and broadcast too."""
+    m = draw(st.integers(0, 4))
+    lead = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3))
+    return [draw(hnp.arrays(float, shape + (draw(st.sampled_from([m, 1])),),
+                            elements=DOMINANCE_VALUES))
+            for shape in lead.input_shapes]
+
+
+class TestDominates:
+    @settings(max_examples=300, deadline=None)
+    @given(dominance_pairs())
+    @example([np.zeros(0), np.zeros(0)])  # no objective: never dominance
+    @example([np.zeros((3, 0)), np.zeros((2, 1, 0))])
+    def test_matches_the_reduction(self, pair):
+        # ties, signed zeros, NaN and infinities, over broadcast shapes
+        got, want = multiplex.dominates(*pair), dominates_reduce(*pair)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == bool
+        assert np.array_equal(got, want)
+
+
 def brute_ranks(objectives):
     """Quadratic reference ranking, peeled front by front."""
     objectives = [tuple(row) for row in objectives]
@@ -391,6 +420,9 @@ class TestRankingMatchesLoopReference:
 
 
 SMALL_GA = GaParams(population=16, generations=20, seed=0)
+# (crossover, mutation) of the drawn GA runs: a mixed pair, and every coin
+# that always or never lands
+GA_RATES = [(0.9, 0.3), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
 def front_bytes(front):
@@ -467,6 +499,13 @@ class TestSolveGa:
             GaParams(generations=-1)
         with pytest.raises(ConfigurationError):
             GaParams(seed=-1)
+        # a rate is a real number: a bool, a string or None is refused by name
+        for bad in (True, False, np.bool_(True), "0.5", None, [0.5], float("nan")):
+            for name in ("crossover", "mutation"):
+                with pytest.raises(ConfigurationError, match=name):
+                    GaParams(**{name: bad})
+        params = GaParams(crossover=1, mutation=np.float64(0.25))
+        assert (params.crossover, params.mutation) == (1, 0.25)
 
     def test_evaluation_budget_refused_before_any_draw(self, s2m, monkeypatch):
         # population x (generations + 1): 500 x 500 is the budget itself
@@ -484,7 +523,7 @@ class TestSolveGa:
             solve_ga(s2m, GaParams(population=500, generations=499))
 
     def test_population_limit_refused_before_any_draw(self, s2m, monkeypatch):
-        # survival ranks 2P rows in (M + 2)·(2P)² bytes: 40 MB at P = 1,000, M = 8
+        # survival ranks 2P rows in about 3·(2P)² bytes: 12 MB at P = 1,000
         assert multiplex.MAX_GA_POPULATION == 1000
 
         def no_run(*args):
@@ -507,15 +546,21 @@ class TestSolveGa:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.lists(st.booleans(), min_size=3, max_size=3),
-           st.integers(0, 3))
-    def test_drawn_fronts_match_loop_reference(self, seed, empty, ga_seed):
+           st.integers(0, 3), st.sampled_from(GA_RATES))
+    @example(11, [False, False, False], 0, (0.0, 0.0))
+    @example(12, [False, True, False], 1, (0.0, 1.0))
+    @example(13, [False, False, False], 2, (1.0, 0.0))
+    @example(14, [True, False, False], 3, (1.0, 1.0))
+    def test_drawn_fronts_match_loop_reference(self, seed, empty, ga_seed, rates):
         # a slice with no customers has lo = hi = 0: a zero span
         doc = scenario_to_dict(random_scenario(np.random.default_rng(seed), max_eligible=3))
         for spec, zero in zip(doc["slices"], empty):
             if zero:
                 spec["customer_size"] = 0.0
         scenario = scenario_from_dict(doc)
-        params = GaParams(population=8, generations=4, mutation=0.3, seed=ga_seed)
+        crossover, mutation = rates
+        params = GaParams(population=8, generations=4, crossover=crossover,
+                          mutation=mutation, seed=ga_seed)
         assert front_bytes(solve_ga(scenario, params)) == front_bytes(
             solve_ga_loop(scenario, params))
 
@@ -702,6 +747,14 @@ def archive_vectors(draw):
     return k, draw(st.lists(st.lists(ARCHIVE_VALUES, min_size=k, max_size=k), max_size=12))
 
 
+@st.composite
+def archive_batches(draw):
+    """Vectors archived one by one, then a batch of the same width."""
+    k, earlier = draw(archive_vectors())
+    batch = draw(st.lists(st.lists(ARCHIVE_VALUES, min_size=k, max_size=k), max_size=12))
+    return k, earlier, np.array(batch, dtype=float).reshape(len(batch), k)
+
+
 class TestArchive:
     @settings(max_examples=200, deadline=None)
     @given(archive_vectors())
@@ -713,7 +766,24 @@ class TestArchive:
             fast.add(i, np.array(v))
             slow.add(i, np.array(v))
         assert fast.items == slow.items
-        assert fast.rows.tobytes() == slow.rows.tobytes()
+        assert fast.cols.T.tobytes() == slow.rows.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(archive_batches())
+    def test_prefiltered_batch_matches_every_insert(self, drawn):
+        # _evaluate's path, dropping what the archive covers before the
+        # in-order inserts, keeps what inserting every vector keeps
+        k, earlier, batch = drawn
+        fast, slow = multiplex._Archive(k), ArchiveLoop(k)
+        for i, v in enumerate(earlier):
+            fast.add(i, np.array(v))
+            slow.add(i, np.array(v))
+        for i in np.flatnonzero(~fast.covered(batch)).tolist():
+            fast.add(len(earlier) + i, batch[i])
+        for i, w in enumerate(batch):
+            slow.add(len(earlier) + i, w)
+        assert fast.items == slow.items
+        assert fast.cols.T.tobytes() == slow.rows.tobytes()
 
 
 class TestMultiplexingGain:

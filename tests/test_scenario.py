@@ -207,7 +207,9 @@ BAD_VALUES = [
     ("s2_closedloop", ("environment", "tol"), math.inf, "tol"),
     ("s2_closedloop", ("environment", "max_iter"), 2.7, "max_iter"),
     ("s2_closedloop", ("environment", "max_iter"), True, "max_iter"),
+    ("s2_closedloop", ("environment", "max_iter"), 10 ** 12, "max_iter"),
     ("s2_trace", ("trace", "horizon"), "4", "horizon"),
+    ("s2_trace", ("trace",), {"horizon": 10 ** 9}, "horizon"),
     ("s2_trace", ("trace", "customer_size", "B", 0), None, "customer_size"),
     ("s2", ("slices", 0, "demand_matrix", 0, 0), True, "demand_matrix"),
     ("s2", ("slices", 0, "kpi", 0), math.inf, "kpi"),
