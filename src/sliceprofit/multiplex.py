@@ -10,6 +10,7 @@ profit vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Optional
@@ -237,9 +238,132 @@ def crowding_distance(objectives) -> np.ndarray:
     return dist
 
 
-def _rng(seed: int, generation: int, index: int) -> np.random.Generator:
-    # Fixed per-individual stream: results cannot depend on evaluation order.
-    return np.random.default_rng(np.random.SeedSequence([seed, generation, index]))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _entropy_words(n: int) -> list:
+    """n as SeedSequence reads an entropy int: 32-bit words, least
+    significant first, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of count SeedSequence hash steps and
+    after the last: init·mult^k mod 2^32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _seed_words(seed: int, gen: int, count: int) -> np.ndarray:
+    """SeedSequence([seed, gen, j]).generate_state(4, np.uint64) for every
+    j < count, as a (4, count) array: the seed sequence hashes the entropy
+    words into a pool of four 32-bit words and draws eight words from the
+    pool. Each hash step takes the next constant of a fixed sequence, so
+    the steps of one source word run at once over the pool words, and over
+    every j."""
+    key = _entropy_words(seed) + _entropy_words(gen)
+    # the entropy words, j's last (j < MAX_GA_POPULATION is one word), and
+    # zero words up to the pool's four
+    entropy = np.zeros((max(len(key) + 1, 4), count), dtype=np.uint32)
+    entropy[:len(key)] = np.array(key, dtype=np.uint32)[:, None]
+    entropy[len(key)] = np.arange(count)
+    const = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
+    used = 0
+
+    def hashmix(values, n):
+        nonlocal used
+        values = (values ^ const[used:used + n]) * const[used + 1:used + n + 1]
+        used += n
+        return values ^ values >> 16
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    pool = hashmix(entropy[:4], 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for word in entropy[4:]:
+        pool = mix(pool, hashmix(word, 4))
+    const = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = (pool[[0, 1, 2, 3] * 2] ^ const[:-1]) * const[1:]
+    state = (state ^ state >> 16).astype(np.uint64)
+    return state[0::2] | state[1::2] << 32
+
+
+class _Streams:
+    """The random streams of generation gen, one per individual j < count:
+    numpy's default_rng(SeedSequence([seed, gen, j])), so the fronts cannot
+    depend on evaluation order. Building that Generator costs about 11 µs
+    per stream, so the seed sequences are hashed as arrays over j instead,
+    and each stream is read as raw words from one PCG64 set to its state."""
+
+    def __init__(self, seed: int, gen: int, count: int):
+        # PCG64 seeded from words w0..w3: increment (w2·2^64 + w3)·2 + 1,
+        # and two LCG steps from state 0 with w0·2^64 + w1 added between
+        self.states = []
+        for w0, w1, w2, w3 in zip(*_seed_words(seed, gen, count).tolist()):
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            self.states.append((((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc))
+        self.bits = np.random.PCG64(0)  # any seed: each read sets a stream's state
+        self.rng = np.random.Generator(self.bits)
+
+    def _seek(self, j: int) -> None:
+        state, inc = self.states[j]
+        self.bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                           "state": {"state": state, "inc": inc}}
+
+    def words(self, n: int) -> np.ndarray:
+        """The first n raw 64-bit words of every stream, (count, n)."""
+        rows = []
+        for j in range(len(self.states)):
+            self._seek(j)
+            rows.append(self.bits.random_raw(n))
+        return np.array(rows)
+
+    def generator(self, j: int, skip: int = 0) -> np.random.Generator:
+        """Stream j's Generator, past its first `skip` words."""
+        self._seek(j)
+        self.bits.advance(skip)
+        return self.rng
+
+
+def _doubles(words) -> np.ndarray:
+    """Generator.random() of each raw word: its top 53 bits times 2^-53."""
+    return (words >> 11).astype(float) * 2.0 ** -53
+
+
+def _below(words, rate) -> np.ndarray:
+    """Generator.random() < rate of each raw word, as an exact integer
+    test for any real rate: k·2^-53 < rate iff k < ceil(rate·2^53)."""
+    return words >> 11 < math.ceil(rate * 2 ** 53)
+
+
+def _bounded(words, bound: int) -> tuple:
+    """Generator.integers(bound) of each word's low 32 bits by numpy's
+    Lemire rule, and whether the rule would reject it and draw again. A
+    power-of-two bound is never rejected."""
+    scaled = (words & _MASK32) * bound
+    return (scaled >> 32).astype(np.int64), scaled & _MASK32 < (1 << 32) % bound
+
+
+def _tournament_picks(words, pop: int) -> tuple:
+    """Generator.integers(pop, size=(2, 2)) of each row of raw words, from
+    the 32-bit halves of words 0 and 1, low half first, and per row whether
+    Lemire's rule rejects one of them."""
+    picks, rejected = _bounded(np.stack([words[:, :2], words[:, :2] >> 32], axis=-1), pop)
+    return picks, rejected.any(axis=(1, 2))
 
 
 # Most (archived vector, offspring) pairs one pre-filter comparison holds,
@@ -258,10 +382,13 @@ def _covers(a, b) -> np.ndarray:
 
 class _Archive:
     """Nondominated set with first-duplicate-kept, insertion-ordered. The
-    vectors are kept objective-major, one row of cols per objective."""
+    vectors are kept objective-major, one row of cols per objective; cols
+    is a view of the live columns of a buffer that doubles when full, so
+    an insert copies no archived vector."""
 
     def __init__(self, width: int):
-        self.cols = np.empty((width, 0))
+        self._buffer = np.empty((width, 16))
+        self.cols = self._buffer[:, :0]
         self.items: list = []
 
     def covered(self, profits) -> np.ndarray:
@@ -287,9 +414,13 @@ class _Archive:
             beaten = dominates(w, self.cols.T)
             if bool(beaten.any()):
                 keep = ~beaten
-                self.cols = self.cols[:, keep]
                 self.items = [it for it, k in zip(self.items, keep) if k]
-        self.cols = np.concatenate([self.cols, w[:, None]], axis=1)
+                self._buffer[:, :len(self.items)] = self.cols[:, keep]
+        size = len(self.items)
+        if size == self._buffer.shape[1]:
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
+        self._buffer[:, size] = w
+        self.cols = self._buffer[:, :size + 1]
         self.items.append(item)
 
 
@@ -413,6 +544,16 @@ def _best_first(profits) -> np.ndarray:
     return np.lexsort((-crowd, ranks))
 
 
+def _draw_tail(rng, mutate, mutation, n_schemes) -> tuple:
+    """An offspring's draws after its mutation mask, from its Generator:
+    noise if any gene mutates, a scheme coin and, if it lands and there is
+    a choice, a new scheme. Returns (noise, resample, scheme)."""
+    noise = rng.normal(0.0, 0.15, size=len(mutate)) if mutate.any() else 0.0
+    if rng.random() < mutation and n_schemes > 1:
+        return noise, True, rng.integers(n_schemes)
+    return noise, False, 0
+
+
 def _offspring(params, gen, place, schemes, sizes, span, n_schemes) -> tuple:
     """Generation gen's (P,) schemes and (P, M) sizes before repair, from
     the population's schemes, sizes and best-first places. Offspring j's
@@ -420,25 +561,41 @@ def _offspring(params, gen, place, schemes, sizes, span, n_schemes) -> tuple:
     tournament picks (the lower place of each pair wins), a crossover coin
     and, if it lands, a gene mask and a scheme coin; a mutation mask and,
     if any gene mutates, noise scaled by span; a scheme coin and, if it
-    lands and there is a choice, a new scheme. The draws are kept and the
-    offspring built from them as arrays."""
+    lands and there is a choice, a new scheme.
+
+    The draws are decoded from each stream's first 2M + 6 raw words as
+    numpy makes them: the picks from the 32-bit halves of words 0 and 1,
+    every coin and mask from one word each at the row's own cursor, and the
+    new scheme from the low half of the next word. A row whose noise the
+    ziggurat draws goes on from its cursor through a Generator, and a row
+    whose picks Lemire's rule rejects is drawn again whole. The offspring
+    are built from the draws as arrays."""
     pop, m = sizes.shape
-    picks = np.zeros((pop, 2, 2), dtype=int)
-    cross, coin, resample = np.zeros((3, pop), dtype=bool)
-    genes, mutate = np.zeros((2, pop, m), dtype=bool)
-    noise, drawn = np.zeros((pop, m)), np.zeros(pop, dtype=int)
-    for j in range(pop):
-        rng = _rng(params.seed, gen, j)
+    streams = _Streams(params.seed, gen, pop)
+    words = streams.words(2 * m + 6)
+    rows = np.arange(pop)
+    picks, rejected = _tournament_picks(words, pop)
+    cross = _below(words[:, 2], params.crossover)
+    genes = _below(words[:, 3:3 + m], 0.5)
+    coin = _below(words[:, 3 + m], 0.5)
+    at = np.where(cross, 4 + m, 3)  # each row's cursor past its crossover draws
+    mutate = _below(words[rows[:, None], at[:, None] + np.arange(m)], params.mutation)
+    at += m
+    resample = _below(words[rows, at], params.mutation) & (n_schemes > 1)
+    drawn, _ = _bounded(words[rows, at + 1], n_schemes)
+    noise = np.zeros((pop, m))
+    for j in np.flatnonzero(rejected).tolist():
+        rng = streams.generator(j)
         picks[j] = rng.integers(pop, size=(2, 2))
-        if rng.random() < params.crossover:
-            cross[j] = True
+        cross[j] = rng.random() < params.crossover
+        if cross[j]:
             genes[j] = rng.random(m) < 0.5
             coin[j] = rng.random() < 0.5
         mutate[j] = rng.random(m) < params.mutation
-        if mutate[j].any():
-            noise[j] = rng.normal(0.0, 0.15, size=m)
-        if rng.random() < params.mutation and n_schemes > 1:
-            resample[j], drawn[j] = True, rng.integers(n_schemes)
+        noise[j], resample[j], drawn[j] = _draw_tail(rng, mutate[j], params.mutation, n_schemes)
+    for j in np.flatnonzero(mutate.any(axis=1) & ~rejected).tolist():
+        rng = streams.generator(j, int(at[j]))
+        noise[j], resample[j], drawn[j] = _draw_tail(rng, mutate[j], params.mutation, n_schemes)
     places = place[picks]
     p1, p2 = np.where(places[..., 1] < places[..., 0], picks[..., 1], picks[..., 0]).T
     kids = np.where(cross[:, None] & ~genes, sizes[p2], sizes[p1])
@@ -450,8 +607,10 @@ def _offspring(params, gen, place, schemes, sizes, span, n_schemes) -> tuple:
 def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     """Elitist multi-objective genetic search over (scheme index, sizes).
 
-    Deterministic for a given seed: every random draw comes from a stream
-    keyed by (seed, generation, individual index). A generation draws all
+    Deterministic for a given seed: every random draw of individual j in
+    generation g comes from its own stream, numpy's
+    default_rng(SeedSequence([seed, g, j])), whose draws are decoded from
+    its raw PCG64 words without building the Generator. A generation draws all
     offspring from the previous population by binary tournaments on its
     best-first order, then repairs the infeasible ones together by uniform
     down-scaling toward the reservation floor; the best-first head of parents and
@@ -485,9 +644,11 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     m = len(scenario.specs)
 
     archive = _Archive(m)
-    rngs = [_rng(params.seed, 0, i) for i in range(pop)]
-    schemes = np.array([rng.integers(len(masks)) for rng in rngs])
-    sizes = np.array([lo + rng.random(m) * span for rng in rngs])
+    # each stream draws a scheme (integers(1) draws nothing), then m doubles
+    draws_scheme = len(masks) > 1
+    words = _Streams(params.seed, 0, pop).words(m + draws_scheme)
+    schemes = _bounded(words[:, 0], len(masks))[0] if draws_scheme else np.zeros(pop, dtype=int)
+    sizes = lo + _doubles(words[:, draws_scheme:]) * span
     sizes, profits = _evaluate(model, masks, lo, hi, schemes, sizes, archive)
 
     for gen in range(1, params.generations + 1):

@@ -55,8 +55,13 @@ makes the three comparisons that ``multiplex._Archive`` folds into one,
 and which takes every offspring in turn where ``multiplex._evaluate``
 first drops those an archived vector covers.
 It enumerates, bounds, tests and evaluates with the loop forms above, so
-it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair
-or evaluation code; it shares only the random streams (``_rng``).
+it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair,
+evaluation or stream code: it builds each individual's
+``default_rng(SeedSequence([seed, g, j]))`` itself.
+
+``multiplex._offspring`` decodes a generation's draws from the raw words
+of its streams. ``offspring_loop`` is the per-individual form it replaced,
+which builds each stream's Generator and calls it.
 
 ``orthogonal.brute_force_oracle`` reports its own error bound in
 ``meta["gap_bound"]`` from its model's unit demands.
@@ -599,6 +604,39 @@ def feasible_loop(specs, scheme, pool):
     return feasible
 
 
+def individual_rng(seed, generation, index):
+    """The random stream of individual `index` in a GA generation."""
+    return np.random.default_rng(np.random.SeedSequence([seed, generation, index]))
+
+
+def offspring_loop(params, gen, place, schemes, sizes, span, n_schemes):
+    """multiplex._offspring, one Generator per offspring: the draws are
+    kept and the offspring built from them as arrays."""
+    pop, m = sizes.shape
+    picks = np.zeros((pop, 2, 2), dtype=int)
+    cross, coin, resample = np.zeros((3, pop), dtype=bool)
+    genes, mutate = np.zeros((2, pop, m), dtype=bool)
+    noise, drawn = np.zeros((pop, m)), np.zeros(pop, dtype=int)
+    for j in range(pop):
+        rng = individual_rng(params.seed, gen, j)
+        picks[j] = rng.integers(pop, size=(2, 2))
+        if rng.random() < params.crossover:
+            cross[j] = True
+            genes[j] = rng.random(m) < 0.5
+            coin[j] = rng.random() < 0.5
+        mutate[j] = rng.random(m) < params.mutation
+        if mutate[j].any():
+            noise[j] = rng.normal(0.0, 0.15, size=m)
+        if rng.random() < params.mutation and n_schemes > 1:
+            resample[j], drawn[j] = True, rng.integers(n_schemes)
+    places = place[picks]
+    p1, p2 = np.where(places[..., 1] < places[..., 0], picks[..., 1], picks[..., 0]).T
+    kids = np.where(cross[:, None] & ~genes, sizes[p2], sizes[p1])
+    kids = np.where(mutate, kids + noise * span, kids)
+    kid_schemes = np.where(cross & ~coin, schemes[p2], schemes[p1])
+    return np.where(resample, drawn, kid_schemes), kids
+
+
 def _evaluate_member(scenario, candidates, lo, hi, scheme_idx, sizes):
     scheme = candidates[scheme_idx]
     feasible = feasible_loop(scenario.specs, scheme, scenario.pool)
@@ -635,7 +673,7 @@ def solve_ga_loop(scenario, params=None):
     archive = ArchiveLoop(m)
     pop = []
     for i in range(params.population):
-        rng = multiplex._rng(params.seed, 0, i)
+        rng = individual_rng(params.seed, 0, i)
         scheme_idx = int(rng.integers(n_schemes))
         sizes = lo + rng.random(m) * span
         ind = _evaluate_member(scenario, candidates, lo, hi, scheme_idx, sizes)
@@ -654,7 +692,7 @@ def solve_ga_loop(scenario, params=None):
 
         offspring = []
         for j in range(params.population):
-            rng = multiplex._rng(params.seed, gen, j)
+            rng = individual_rng(params.seed, gen, j)
             picks = rng.integers(len(pop), size=(2, 2))
             parents = []
             for row in picks:

@@ -13,8 +13,9 @@ so that every LP goes through ``scipy.optimize.linprog`` itself. A last one
 hides the bindings' file instead, the other way the fallback is reached.
 
 ``ga_fronts.txt`` pins the GA beyond s2m: one sha1 of ``repr(solve_ga(...))``
-per seeded pareto document of the benchmark (seed 1) and GA seed, at
-population 20 and 20 generations. Rewrite it with
+per seeded pareto document of the benchmark (seed 1) and GA run: GA seeds
+0 and 1 at population 20 and 20 generations, then the runs of
+``EXTRA_GA_RUNS``. Rewrite it with
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/ga_fronts.txt``
 only when a change of the fronts is intended.
 """
@@ -157,22 +158,36 @@ def test_missing_bindings_file_writes_the_same_bytes(tmp_path):
     assert_matches_golden(name, tmp_path)
 
 
+# GA runs pinned beyond GA seeds 0 and 1 at 20 x 20, by label: every
+# offspring crossed and every gene mutated, so each row draws normal noise;
+# no crossover with half the genes mutated, so some rows draw noise and some
+# a scheme coin; and a seed of three 32-bit words, whose stream entropy of
+# five words is longer than the seed sequence's pool of four
+EXTRA_GA_RUNS = {
+    "8x30:c1:m1": dict(population=8, generations=30, crossover=1, mutation=1),
+    "40x10:c0:m0.5": dict(population=40, generations=10, crossover=0, mutation=0.5),
+    "seed=2^64+3": dict(population=20, generations=20, seed=2**64 + 3),
+}
+
+
 def ga_front_lines():
-    """``<document> <GA seed> <sha1>`` per seeded pareto document of
-    benchmark seed 1 and GA seed 0 and 1."""
+    """``<document> <run> <sha1>`` per seeded pareto document of benchmark
+    seed 1 and GA run, where run is the GA seed, 0 or 1, at population 20
+    and 20 generations, or the label of one of EXTRA_GA_RUNS."""
     if str(ROOT) not in sys.path:
         sys.path.insert(0, str(ROOT))
     from perfbench import workloads
 
+    runs = {str(seed): dict(population=20, generations=20, seed=seed) for seed in (0, 1)}
+    runs.update(EXTRA_GA_RUNS)
     lines = []
     for name, doc in workloads.pareto(1).docs.items():
         if name == "s2m":  # shipped; the golden CSVs pin it
             continue
         scenario = sliceprofit.scenario_from_dict(doc)
-        for seed in (0, 1):
-            front = sliceprofit.solve_ga(
-                scenario, sliceprofit.GaParams(population=20, generations=20, seed=seed))
-            lines.append(f"{name} {seed} {hashlib.sha1(repr(front).encode()).hexdigest()}")
+        for label, params in runs.items():
+            front = sliceprofit.solve_ga(scenario, sliceprofit.GaParams(**params))
+            lines.append(f"{name} {label} {hashlib.sha1(repr(front).encode()).hexdigest()}")
     return lines
 
 
@@ -180,12 +195,12 @@ def test_ga_fronts_match_golden():
     want = [line for line in (GOLDEN / "ga_fronts.txt").read_text().splitlines()
             if not line.startswith("#")]
     got = ga_front_lines()
-    assert len(got) == len(want) == 12
+    assert len(got) == len(want) == 6 * (2 + len(EXTRA_GA_RUNS))
     for got_line, want_line in zip(got, want):
         assert got_line == want_line, f"GA front of {want_line.split()[:2]} moved"
 
 
 if __name__ == "__main__":
-    print(f"# sha1 of repr(solve_ga(...)) per document and GA seed; "
+    print(f"# sha1 of repr(solve_ga(...)) per document and GA run; "
           f"numpy {np.__version__}, scipy {scipy.__version__}")
     print("\n".join(ga_front_lines()))

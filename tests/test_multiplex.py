@@ -1,5 +1,7 @@
 """Scheme search: exhaustive sweep, coordinate descent, GA front."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -37,6 +39,7 @@ from reference_impl import (
     enumerate_candidates_loop,
     feasible_loop,
     nondominated_sort_loop,
+    offspring_loop,
     pareto_filter_loop,
     repair_bisect,
     scheme_step_loop,
@@ -515,7 +518,7 @@ class TestSolveGa:
             raise RuntimeError("the run started")
 
         monkeypatch.setattr(multiplex, "_sharing_masks", no_run)
-        monkeypatch.setattr(multiplex, "_rng", no_run)
+        monkeypatch.setattr(multiplex, "_Streams", no_run)
         with pytest.raises(BudgetExceededError) as info:
             solve_ga(s2m, GaParams(population=500, generations=500))
         assert (info.value.required, info.value.budget) == (250_500, 250_000)
@@ -530,7 +533,7 @@ class TestSolveGa:
             raise RuntimeError("the run started")
 
         monkeypatch.setattr(multiplex, "_sharing_masks", no_run)
-        monkeypatch.setattr(multiplex, "_rng", no_run)
+        monkeypatch.setattr(multiplex, "_Streams", no_run)
         with pytest.raises(BudgetExceededError) as info:
             solve_ga(s2m, GaParams(population=1002, generations=0))
         assert (info.value.required, info.value.budget) == (1002, 1000)
@@ -570,6 +573,73 @@ class TestSolveGa:
         doc["slices"][1]["min_resources"] = [0, 7]
         with pytest.raises(InfeasibleScenarioError):
             solve_ga(scenario_from_dict(doc), SMALL_GA)
+
+
+# rates of every kind GaParams takes: the ends, floats between and a Fraction
+DRAW_RATES = st.one_of(st.sampled_from([0, 1, 0.5, Fraction(1, 3), np.float64(0.1)]),
+                       st.floats(0.0, 1.0))
+# seeds of one to five 32-bit words; five give the seed sequence more
+# entropy words than its pool of four holds
+STREAM_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**130))
+
+
+class TestStreams:
+    @settings(max_examples=40, deadline=None)
+    @given(STREAM_SEEDS, st.integers(0, 250_000), st.integers(1, 12))
+    @example(2**64 + 3, 7, 4)
+    def test_numpy_seeding_contract(self, seed, gen, count):
+        # the hash, the PCG64 seeding and the raw words are numpy's: a numpy
+        # that changes any of them fails here by name
+        words = multiplex._seed_words(seed, gen, count)
+        streams = multiplex._Streams(seed, gen, count)
+        raw = streams.words(5)
+        for j in range(count):
+            seq = np.random.SeedSequence([seed, gen, j])
+            assert words[:, j].tolist() == seq.generate_state(4, np.uint64).tolist()
+            bits = np.random.PCG64(seq)
+            state = bits.state["state"]
+            assert streams.states[j] == (state["state"], state["inc"])
+            assert raw[j].tolist() == bits.random_raw(5).tolist()
+            assert streams.generator(j, 5).random() == np.random.Generator(bits).random()
+
+    @pytest.mark.parametrize("rate", [0, 1, 0.5, 0.1, 1e-300, Fraction(2, 3), np.float64(0.7)])
+    def test_coin_is_the_exact_comparison(self, rate):
+        # a word whose double sits at the rate or one step to either side
+        # lands as Generator.random() < rate does, also where float(rate)
+        # rounds the rate
+        edge = min(max(int(rate * 2**53), 1), 2**53 - 2)
+        ks = [0, edge - 1, edge, edge + 1, 2**53 - 1]
+        words = np.array([k << 11 | 0x7FF for k in ks], dtype=np.uint64)
+        want = [k * 2.0**-53 < rate for k in ks]
+        assert multiplex._below(words, rate).tolist() == want
+        assert (multiplex._doubles(words) == [k * 2.0**-53 for k in ks]).all()
+
+    @pytest.mark.parametrize("gen, j", [(208, 30), (1677, 395)])
+    def test_pinned_streams_reject_a_pick(self, gen, j):
+        # seed 0, P = 962: Lemire's rule rejects one of the four tournament
+        # draws, so numpy takes a fifth 32-bit half and one stays buffered
+        bits = np.random.PCG64(np.random.SeedSequence([0, gen, j]))
+        np.random.Generator(bits).integers(962, size=(2, 2))
+        assert bits.state["has_uint32"] == 1
+        _, rejected = multiplex._tournament_picks(multiplex._Streams(0, gen, 962).words(2), 962)
+        assert np.flatnonzero(rejected).tolist() == [j]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 32), st.integers(1, 6), st.integers(0, 250_000), STREAM_SEEDS,
+           DRAW_RATES, DRAW_RATES, st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @example(481, 2, 208, 0, 0.9, 0.1, 1, 0)   # offspring 30's third pick is rejected
+    @example(481, 3, 1677, 0, 0.9, 0.5, 3, 1)  # offspring 395's first pick is rejected
+    def test_decoded_draws_match_the_generator_loop(self, half, m, gen, seed, crossover,
+                                                    mutation, e, layout):
+        pop, n_schemes = 2 * half, 2 ** e  # integers(1) draws nothing
+        rng = np.random.default_rng(layout)
+        args = (GaParams(population=pop, crossover=crossover, mutation=mutation, seed=seed),
+                gen, rng.permutation(pop), rng.integers(n_schemes, size=pop),
+                rng.normal(size=(pop, m)), rng.random(m), n_schemes)
+        kid_schemes, kids = multiplex._offspring(*args)
+        want_schemes, want_kids = offspring_loop(*args)
+        assert kid_schemes.tobytes() == want_schemes.tobytes()
+        assert kids.tobytes() == want_kids.tobytes()
 
 
 TOP = multiplex._REPAIR_TOP
@@ -784,6 +854,20 @@ class TestArchive:
             slow.add(len(earlier) + i, w)
         assert fast.items == slow.items
         assert fast.cols.T.tobytes() == slow.rows.tobytes()
+
+    def test_growing_buffer_keeps_every_column(self):
+        # a long front with evictions between: the doubling buffer keeps the
+        # same vectors, in the same order, as a fresh array per insert
+        rng = np.random.default_rng(4)
+        fast, slow = multiplex._Archive(2), ArchiveLoop(2)
+        for i in range(300):
+            x = float(rng.integers(0, 120))
+            w = np.array([x, 120.0 - x + float(rng.integers(-2, 3))])
+            fast.add(i, w)
+            slow.add(i, w)
+            assert fast.items == slow.items
+            assert fast.cols.T.tobytes() == slow.rows.tobytes()
+        assert fast.cols.shape[1] > 16
 
 
 class TestMultiplexingGain:
