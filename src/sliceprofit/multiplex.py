@@ -11,9 +11,9 @@ profit vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,8 +42,10 @@ MAX_GA_EVALUATIONS = 250_000
 # Largest GA population. Survival ranks n = 2P rows, and nondominated_sort
 # builds the (n, n) dominance matrix one objective plane at a time, so the
 # peak is about 3·n² bytes whatever M: tracemalloc gives 12 MB for P = 1,000
-# at M = 8 (15 MB for a whole one-generation run), where P = 20,000 would
-# need 4.8 GB. The archive's pre-filter adds at most 8 MiB (_COVER_PAIRS).
+# at M = 8 (15 MB for a whole three-generation run), where P = 20,000 would
+# need 4.8 GB. The archive's comparisons hold a few 2 MiB planes
+# (_COVER_PAIRS): a 20-generation run whose archive reaches 14,751 points
+# peaks at 24 MB. A block of offspring draws takes about 1 MB (_BLOCK_WORDS).
 MAX_GA_POPULATION = 1000
 
 
@@ -57,6 +59,8 @@ class FrontPoint:
 @dataclass(frozen=True, eq=False)
 class ParetoFront:
     points: tuple
+    # solve_ga's run counts; left out of repr, which golden digests hash
+    meta: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -264,19 +268,22 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _seed_words(seed: int, gen: int, count: int) -> np.ndarray:
-    """SeedSequence([seed, gen, j]).generate_state(4, np.uint64) for every
-    j < count, as a (4, count) array: the seed sequence hashes the entropy
-    words into a pool of four 32-bit words and draws eight words from the
-    pool. Each hash step takes the next constant of a fixed sequence, so
-    the steps of one source word run at once over the pool words, and over
-    every j."""
-    key = _entropy_words(seed) + _entropy_words(gen)
-    # the entropy words, j's last (j < MAX_GA_POPULATION is one word), and
-    # zero words up to the pool's four
-    entropy = np.zeros((max(len(key) + 1, 4), count), dtype=np.uint32)
+def _seed_words(seed: int, gens, count: int) -> np.ndarray:
+    """SeedSequence([seed, g, j]).generate_state(4, np.uint64) for every g
+    in gens and j < count, g-major, as a (4, len(gens)·count) array: the
+    seed sequence hashes the entropy words into a pool of four 32-bit words
+    and draws eight words from the pool. Each hash step takes the next
+    constant of a fixed sequence, so the steps of one source word run at
+    once over the pool words, and over every (g, j). g and j are one word
+    each: solve_ga's g stays under MAX_GA_EVALUATIONS and its j under
+    MAX_GA_POPULATION."""
+    key = _entropy_words(seed)
+    columns = len(gens) * count
+    # the seed's words, g's, j's, and zero words up to the pool's four
+    entropy = np.zeros((max(len(key) + 2, 4), columns), dtype=np.uint32)
     entropy[:len(key)] = np.array(key, dtype=np.uint32)[:, None]
-    entropy[len(key)] = np.arange(count)
+    entropy[len(key)] = np.repeat(np.asarray(gens, dtype=np.uint32), count)
+    entropy[len(key) + 1] = np.tile(np.arange(count, dtype=np.uint32), len(gens))
     const = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
     used = 0
 
@@ -302,41 +309,60 @@ def _seed_words(seed: int, gen: int, count: int) -> np.ndarray:
     return state[0::2] | state[1::2] << 32
 
 
-class _Streams:
-    """The random streams of generation gen, one per individual j < count:
-    numpy's default_rng(SeedSequence([seed, gen, j])), so the fronts cannot
-    depend on evaluation order. Building that Generator costs about 11 µs
-    per stream, so the seed sequences are hashed as arrays over j instead,
-    and each stream is read as raw words from one PCG64 set to its state."""
+# the 64-bit halves of PCG64's multiplier, and the 32-bit halves of its low one
+_MUL_HI, _MUL_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+_MUL_L0, _MUL_L1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
 
-    def __init__(self, seed: int, gen: int, count: int):
-        # PCG64 seeded from words w0..w3: increment (w2·2^64 + w3)·2 + 1,
-        # and two LCG steps from state 0 with w0·2^64 + w1 added between
-        self.states = []
-        for w0, w1, w2, w3 in zip(*_seed_words(seed, gen, count).tolist()):
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            self.states.append((((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc))
-        self.bits = np.random.PCG64(0)  # any seed: each read sets a stream's state
-        self.rng = np.random.Generator(self.bits)
 
-    def _seek(self, j: int) -> None:
-        state, inc = self.states[j]
-        self.bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                           "state": {"state": state, "inc": inc}}
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple:
+    """PCG64's LCG step, state·mult + inc mod 2^128, over uint64 arrays of
+    the 64-bit halves of states and increments. uint64 products wrap mod
+    2^64, which gives the low half of lo·mult_lo and both cross terms; the
+    high half of lo·mult_lo is summed from the 32-bit limbs' products, each
+    exact in 64 bits."""
+    l0, l1 = lo & _MASK32, lo >> 32
+    p01, p10 = l0 * _MUL_L1, l1 * _MUL_L0
+    mid = (l0 * _MUL_L0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = l1 * _MUL_L1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _MUL_LO + inc_lo
+    new_hi = carry + hi * _MUL_LO + lo * _MUL_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
 
-    def words(self, n: int) -> np.ndarray:
-        """The first n raw 64-bit words of every stream, (count, n)."""
-        rows = []
-        for j in range(len(self.states)):
-            self._seek(j)
-            rows.append(self.bits.random_raw(n))
-        return np.array(rows)
 
-    def generator(self, j: int, skip: int = 0) -> np.random.Generator:
-        """Stream j's Generator, past its first `skip` words."""
-        self._seek(j)
-        self.bits.advance(skip)
-        return self.rng
+def _stream_words(seed: int, gens, count: int, n: int) -> tuple:
+    """The first n raw 64-bit words of every stream (seed, g, j), numpy's
+    PCG64(SeedSequence([seed, g, j])).random_raw(n), for g in gens and
+    j < count, g-major: (len(gens)·count, n). Also returns the streams'
+    seed words (_seed_words), which _seek takes.
+
+    PCG64 seeded from words w0..w3 has increment (w2·2^64 + w3)·2 + 1 and
+    the state of two LCG steps from 0 with w0·2^64 + w1 added between. A
+    raw word steps the LCG, then folds the state by XSL-RR: the halves'
+    xor rotated right by the state's top six bits. Every stream steps at
+    once, as arrays."""
+    seeds = _seed_words(seed, gens, count)
+    w0, w1, w2, w3 = seeds
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = inc_lo + w1
+    hi, lo = _lcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
+    words = np.empty((len(lo), n), dtype=np.uint64)
+    for k in range(n):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        folded, rot = hi ^ lo, hi >> 58
+        words[:, k] = folded >> rot | folded << (64 - rot & 63)
+    return words, seeds
+
+
+def _seek(rng, seed_words, skip: int = 0) -> np.random.Generator:
+    """rng, a Generator on PCG64, set to the stream whose seed words are
+    seed_words (four ints) and moved past its first skip raw words."""
+    w0, w1, w2, w3 = seed_words
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+    rng.bit_generator.advance(skip)
+    return rng
 
 
 def _doubles(words) -> np.ndarray:
@@ -366,9 +392,9 @@ def _tournament_picks(words, pop: int) -> tuple:
     return picks, rejected.any(axis=(1, 2))
 
 
-# Most (archived vector, offspring) pairs one pre-filter comparison holds,
-# so it needs two boolean planes of 4 MiB however large the archive grows.
-_COVER_PAIRS = 1 << 22
+# Most (vector, vector) pairs one archive comparison holds, so it needs a
+# few boolean planes of 2 MiB however large the archive grows.
+_COVER_PAIRS = 1 << 21
 
 
 def _covers(a, b) -> np.ndarray:
@@ -377,6 +403,21 @@ def _covers(a, b) -> np.ndarray:
     out = a[0] >= b[0]
     for x, y in zip(a[1:], b[1:]):
         out &= x >= y
+    return out
+
+
+def _covered_by(a, b, index=None) -> np.ndarray:
+    """Per column of the objective-major b, whether some column of a covers
+    it. With index (np.less, say), a column i of a counts for column k of b
+    only where index(i, k) holds: a and b are then one batch. Compares at
+    most _COVER_PAIRS pairs at a time."""
+    step = max(1, _COVER_PAIRS // max(1, a.shape[1]))
+    out = np.zeros(b.shape[1], dtype=bool)
+    for i in range(0, b.shape[1], step):
+        hit = _covers(a[:, :, None], b[:, None, i:i + step])
+        if index is not None:
+            hit &= index(np.arange(a.shape[1])[:, None], np.arange(i, i + hit.shape[1]))
+        out[i:i + step] = hit.any(axis=0)
     return out
 
 
@@ -393,35 +434,37 @@ class _Archive:
 
     def covered(self, profits) -> np.ndarray:
         """Per row of the (P, M) profits, whether some archived vector is at
-        least as large on every objective: add would refuse it, and it
-        would still refuse it after any other insert, since a vector that
-        evicts the covering one covers the row too. Compares at most
-        _COVER_PAIRS (archived, row) pairs at a time."""
-        step = max(1, _COVER_PAIRS // max(1, self.cols.shape[1]))
-        out = np.zeros(len(profits), dtype=bool)
-        for i in range(0, len(profits), step):
-            part = profits[i:i + step].T[:, None, :]
-            out[i:i + step] = _covers(self.cols[:, :, None], part).any(axis=0)
-        return out
+        least as large on every objective: inserting the rows one at a time
+        would refuse it, and would still refuse it after any other insert,
+        since a vector that evicts the covering one covers the row too."""
+        return _covered_by(self.cols, profits.T)
 
-    def add(self, item, w: np.ndarray) -> None:
-        """Insert item with objective vector w unless an archived vector
-        equals or dominates w; evict the archived items w dominates."""
-        if self.items:
-            # equal or dominating: no objective of the row falls below w
-            if bool(_covers(self.cols, w).any()):
-                return
-            beaten = dominates(w, self.cols.T)
-            if bool(beaten.any()):
-                keep = ~beaten
-                self.items = [it for it, k in zip(self.items, keep) if k]
-                self._buffer[:, :len(self.items)] = self.cols[:, keep]
-        size = len(self.items)
-        if size == self._buffer.shape[1]:
+    def extend(self, items, rows) -> None:
+        """Insert items with their (K, M) objective rows, none of which an
+        archived vector covers, as inserting each in index order would: an
+        insert refuses a row that an equal or dominating vector is archived
+        for, and evicts the vectors the row dominates. So a row goes in when
+        no earlier row covers it (covering is transitive). An archived
+        vector leaves when a row that went in covers it, and so does a row
+        that went in when a later one covers it: neither covers the row
+        that covers it, so covering is dominating there. The rest keep their
+        order."""
+        if not len(rows):
+            return
+        new = rows.T
+        fresh = ~_covered_by(new, new, np.less)
+        new, items = new[:, fresh], [it for it, f in zip(items, fresh) if f]
+        stays = ~_covered_by(new, self.cols)
+        if not stays.all():
+            self.items = [it for it, s in zip(self.items, stays) if s]
+            self._buffer[:, :len(self.items)] = self.cols[:, stays]
+        lasts = ~_covered_by(new, new, np.greater)
+        size, count = len(self.items), int(lasts.sum())
+        while size + count > self._buffer.shape[1]:
             self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
-        self._buffer[:, size] = w
-        self.cols = self._buffer[:, :size + 1]
-        self.items.append(item)
+        self._buffer[:, size:size + count] = new[:, lasts]
+        self.cols = self._buffer[:, :size + count]
+        self.items += [it for it, last in zip(items, lasts) if last]
 
 
 # A repaired size vector lies k·2^-50 of the way from the reservation floor
@@ -489,12 +532,13 @@ def _estimate(model, lo, shared, sizes) -> np.ndarray:
     return np.floor(ratio.min(axis=(1, 2)).clip(0.0, 1.0) * _REPAIR_TOP).astype(np.int64)
 
 
-def _repair(model, lo, shared, sizes) -> np.ndarray:
+def _repair(model, lo, shared, sizes) -> tuple:
     """The (P, M) sizes, within [lo, hi] already, with every row that
     model rejects under its row of the (P, N) shared masks pulled back to
     the point a 50-step bisection of the uniform scaling lo + t·(sizes - lo)
     over t in [0, 1] returns: lo + k·2^-50·span, k the largest index in
-    [1, 2^50 - 1] whose point is feasible, 0 when none is.
+    [1, 2^50 - 1] whose point is feasible, 0 when none is. Returns the
+    sizes and the number of rows pulled back.
 
     That k is exact because feasibility is monotone in k, in floating
     point too. lo + t·span with span >= 0 rises with t under
@@ -506,7 +550,7 @@ def _repair(model, lo, shared, sizes) -> np.ndarray:
     lands on the bisection's k with the real predicate."""
     bad = np.flatnonzero(~model.feasible(sizes, shared))
     if not bad.size:
-        return sizes
+        return sizes, 0
     shared, span = shared[bad], sizes[bad] - lo
 
     def scaled(k, span):
@@ -517,20 +561,24 @@ def _repair(model, lo, shared, sizes) -> np.ndarray:
 
     k = _largest_feasible(_estimate(model, lo, shared, sizes[bad]), feasible)
     sizes[bad] = scaled(k, span)
-    return sizes
+    return sizes, len(bad)
 
 
-def _evaluate(model, masks, lo, hi, schemes, sizes, archive) -> tuple:
+def _evaluate(model, masks, lo, hi, schemes, sizes, archive, counts) -> tuple:
     """Clip and repair drawn individuals, each under the mask of its
-    scheme index, and evaluate them as one batch; then archive, in index
-    order, those no archived vector covers. Returns the repaired sizes and
-    the profits, (P, M) each; profit does not depend on the scheme."""
-    sizes = _repair(model, lo, masks[schemes], np.clip(sizes, lo, hi))
+    scheme index, and evaluate them as one batch; then archive those no
+    archived vector covers, as if one at a time in index order. Returns the
+    repaired sizes and the profits, (P, M) each; profit does not depend on
+    the scheme. Counts the evaluations and the rows repaired."""
+    sizes, pulled = _repair(model, lo, masks[schemes], np.clip(sizes, lo, hi))
     revs, exps, _ = model.breakdown(sizes)
     profits = revs - exps
     fresh = np.flatnonzero(~archive.covered(profits))
-    for idx, row, w in zip(schemes[fresh].tolist(), sizes[fresh].tolist(), profits[fresh]):
-        archive.add(FrontPoint(tuple(row), idx, tuple(w.tolist())), w)
+    archive.extend([FrontPoint(tuple(row), idx, tuple(w))
+                    for idx, row, w in zip(schemes[fresh].tolist(), sizes[fresh].tolist(),
+                                           profits[fresh].tolist())], profits[fresh])
+    counts["evaluations"] += len(sizes)
+    counts["repaired"] += pulled
     return sizes, profits
 
 
@@ -554,26 +602,52 @@ def _draw_tail(rng, mutate, mutation, n_schemes) -> tuple:
     return noise, False, 0
 
 
-def _offspring(params, gen, place, schemes, sizes, span, n_schemes) -> tuple:
-    """Generation gen's (P,) schemes and (P, M) sizes before repair, from
-    the population's schemes, sizes and best-first places. Offspring j's
-    stream (seed, gen, j) makes the same draws whatever the parents: four
-    tournament picks (the lower place of each pair wins), a crossover coin
-    and, if it lands, a gene mask and a scheme coin; a mutation mask and,
-    if any gene mutates, noise scaled by span; a scheme coin and, if it
-    lands and there is a choice, a new scheme.
+# Most raw words one block of generations draws at once (512 KiB), however
+# large the population: the block holds at least one generation.
+_BLOCK_WORDS = 1 << 16
+
+
+def _generation_blocks(generations: int, words: int) -> list:
+    """Generations 1..generations in order, as consecutive ranges of at
+    most _BLOCK_WORDS // words of them (at least one), words being what one
+    generation draws."""
+    per = max(1, _BLOCK_WORDS // words)
+    return [range(g, min(g + per, generations + 1)) for g in range(1, generations + 1, per)]
+
+
+class _Draws(NamedTuple):
+    """Offspring draws, one row per offspring: the four tournament picks
+    (2, 2), the crossover coin, gene mask (M,) and scheme coin, the
+    mutation mask (M,) and its unscaled noise (M,), and whether the scheme
+    is drawn again and which. Leading axes (generation, offspring) for a
+    block, (offspring,) for one generation."""
+    picks: np.ndarray
+    cross: np.ndarray
+    genes: np.ndarray
+    coin: np.ndarray
+    mutate: np.ndarray
+    noise: np.ndarray
+    resample: np.ndarray
+    drawn: np.ndarray
+
+
+def _offspring_draws(params, gens, pop, m, n_schemes, counts) -> _Draws:
+    """Every draw of the offspring of generations gens, each offspring j
+    of generation g from its stream (seed, g, j): four tournament picks, a
+    crossover coin and, if it lands, a gene mask and a scheme coin; a
+    mutation mask and, if any gene mutates, normal noise; a scheme coin
+    and, if it lands and there is a choice, a new scheme. No draw depends
+    on the parents, so a block of generations draws at once.
 
     The draws are decoded from each stream's first 2M + 6 raw words as
     numpy makes them: the picks from the 32-bit halves of words 0 and 1,
     every coin and mask from one word each at the row's own cursor, and the
     new scheme from the low half of the next word. A row whose noise the
     ziggurat draws goes on from its cursor through a Generator, and a row
-    whose picks Lemire's rule rejects is drawn again whole. The offspring
-    are built from the draws as arrays."""
-    pop, m = sizes.shape
-    streams = _Streams(params.seed, gen, pop)
-    words = streams.words(2 * m + 6)
-    rows = np.arange(pop)
+    whose picks Lemire's rule rejects is drawn again whole. Counts both
+    kinds of row."""
+    words, seeds = _stream_words(params.seed, gens, pop, 2 * m + 6)
+    rows = np.arange(len(words))
     picks, rejected = _tournament_picks(words, pop)
     cross = _below(words[:, 2], params.crossover)
     genes = _below(words[:, 3:3 + m], 0.5)
@@ -583,9 +657,12 @@ def _offspring(params, gen, place, schemes, sizes, span, n_schemes) -> tuple:
     at += m
     resample = _below(words[rows, at], params.mutation) & (n_schemes > 1)
     drawn, _ = _bounded(words[rows, at + 1], n_schemes)
-    noise = np.zeros((pop, m))
-    for j in np.flatnonzero(rejected).tolist():
-        rng = streams.generator(j)
+    noise = np.zeros((len(words), m))
+    replayed = np.flatnonzero(rejected)
+    tails = np.flatnonzero(mutate.any(axis=1) & ~rejected)
+    rng = np.random.Generator(np.random.PCG64(0))  # any seed: _seek sets each stream
+    for j, key in zip(replayed.tolist(), seeds[:, replayed].T.tolist()):
+        _seek(rng, key)
         picks[j] = rng.integers(pop, size=(2, 2))
         cross[j] = rng.random() < params.crossover
         if cross[j]:
@@ -593,15 +670,27 @@ def _offspring(params, gen, place, schemes, sizes, span, n_schemes) -> tuple:
             coin[j] = rng.random() < 0.5
         mutate[j] = rng.random(m) < params.mutation
         noise[j], resample[j], drawn[j] = _draw_tail(rng, mutate[j], params.mutation, n_schemes)
-    for j in np.flatnonzero(mutate.any(axis=1) & ~rejected).tolist():
-        rng = streams.generator(j, int(at[j]))
+    for j, key, skip in zip(tails.tolist(), seeds[:, tails].T.tolist(), at[tails].tolist()):
+        _seek(rng, key, skip)
         noise[j], resample[j], drawn[j] = _draw_tail(rng, mutate[j], params.mutation, n_schemes)
-    places = place[picks]
-    p1, p2 = np.where(places[..., 1] < places[..., 0], picks[..., 1], picks[..., 0]).T
-    kids = np.where(cross[:, None] & ~genes, sizes[p2], sizes[p1])
-    kids = np.where(mutate, kids + noise * span, kids)
-    kid_schemes = np.where(cross & ~coin, schemes[p2], schemes[p1])
-    return np.where(resample, drawn, kid_schemes), kids
+    counts["replayed"] += len(replayed)
+    counts["noise_rows"] += len(tails)
+    lead = (len(gens), pop)
+    return _Draws(*(a.reshape(lead + a.shape[1:])
+                    for a in (picks, cross, genes, coin, mutate, noise, resample, drawn)))
+
+
+def _offspring(draws, place, schemes, sizes, span) -> tuple:
+    """One generation's (P,) schemes and (P, M) sizes before repair, built
+    from its draws and the population's schemes, sizes and best-first
+    places: each parent is the pick of the lower place in its pair."""
+    places = place[draws.picks]
+    p1, p2 = np.where(places[..., 1] < places[..., 0], draws.picks[..., 1],
+                      draws.picks[..., 0]).T
+    kids = np.where(draws.cross[:, None] & ~draws.genes, sizes[p2], sizes[p1])
+    kids = np.where(draws.mutate, kids + draws.noise * span, kids)
+    kid_schemes = np.where(draws.cross & ~draws.coin, schemes[p2], schemes[p1])
+    return np.where(draws.resample, draws.drawn, kid_schemes), kids
 
 
 def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
@@ -609,14 +698,18 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
 
     Deterministic for a given seed: every random draw of individual j in
     generation g comes from its own stream, numpy's
-    default_rng(SeedSequence([seed, g, j])), whose draws are decoded from
-    its raw PCG64 words without building the Generator. A generation draws all
+    default_rng(SeedSequence([seed, g, j])). No draw depends on the
+    parents, so the streams of a block of generations are stepped as arrays
+    and decoded before the block runs. A generation draws all
     offspring from the previous population by binary tournaments on its
     best-first order, then repairs the infeasible ones together by uniform
     down-scaling toward the reservation floor; the best-first head of parents and
     offspring survives. Populations over MAX_GA_POPULATION and runs over
     MAX_GA_EVALUATIONS are refused first.
-    Returns the nondominated archive, first objective descending.
+    Returns the nondominated archive, first objective descending, with the
+    run's counts in meta: evaluations, rows repaired, offspring whose
+    noise a Generator drew (noise_rows) and offspring drawn again whole
+    after a rejected pick (replayed).
     """
     params = params or GaParams()
     pop = params.population
@@ -644,24 +737,29 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     m = len(scenario.specs)
 
     archive = _Archive(m)
+    counts = dict.fromkeys(("evaluations", "repaired", "noise_rows", "replayed"), 0)
     # each stream draws a scheme (integers(1) draws nothing), then m doubles
     draws_scheme = len(masks) > 1
-    words = _Streams(params.seed, 0, pop).words(m + draws_scheme)
+    words, _ = _stream_words(params.seed, [0], pop, m + draws_scheme)
     schemes = _bounded(words[:, 0], len(masks))[0] if draws_scheme else np.zeros(pop, dtype=int)
     sizes = lo + _doubles(words[:, draws_scheme:]) * span
-    sizes, profits = _evaluate(model, masks, lo, hi, schemes, sizes, archive)
+    sizes, profits = _evaluate(model, masks, lo, hi, schemes, sizes, archive, counts)
 
-    for gen in range(1, params.generations + 1):
-        place = np.argsort(_best_first(profits))  # each individual's place, best first
-        kid_schemes, kids = _offspring(params, gen, place, schemes, sizes, span, len(masks))
-        kids, kid_profits = _evaluate(model, masks, lo, hi, kid_schemes, kids, archive)
-        keep = _best_first(np.vstack([profits, kid_profits]))[:pop]
-        schemes = np.concatenate([schemes, kid_schemes])[keep]
-        sizes = np.vstack([sizes, kids])[keep]
-        profits = np.vstack([profits, kid_profits])[keep]
+    for gens in _generation_blocks(params.generations, pop * (2 * m + 6)):
+        block = _offspring_draws(params, gens, pop, m, len(masks), counts)
+        for i in range(len(gens)):
+            place = np.argsort(_best_first(profits))  # each individual's place, best first
+            kid_schemes, kids = _offspring(_Draws(*(a[i] for a in block)),
+                                           place, schemes, sizes, span)
+            kids, kid_profits = _evaluate(model, masks, lo, hi, kid_schemes, kids,
+                                          archive, counts)
+            keep = _best_first(np.vstack([profits, kid_profits]))[:pop]
+            schemes = np.concatenate([schemes, kid_schemes])[keep]
+            sizes = np.vstack([sizes, kids])[keep]
+            profits = np.vstack([profits, kid_profits])[keep]
 
     return ParetoFront(tuple(sorted(archive.items, key=lambda p: (
-        tuple(-x for x in p.profits), p.scheme_index, p.sizes))))
+        tuple(-x for x in p.profits), p.scheme_index, p.sizes))), counts)
 
 
 def multiplexing_gain(scenario) -> float:

@@ -54,14 +54,19 @@ whole generation, and archives with ``ArchiveLoop``, whose reject rule
 makes the three comparisons that ``multiplex._Archive`` folds into one,
 and which takes every offspring in turn where ``multiplex._evaluate``
 first drops those an archived vector covers.
+
+``multiplex._Archive.extend`` inserts a batch of vectors at once.
+``SequentialArchive.add`` is the one-at-a-time insert it replaced.
 It enumerates, bounds, tests and evaluates with the loop forms above, so
 it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair,
 evaluation or stream code: it builds each individual's
 ``default_rng(SeedSequence([seed, g, j]))`` itself.
 
-``multiplex._offspring`` decodes a generation's draws from the raw words
-of its streams. ``offspring_loop`` is the per-individual form it replaced,
-which builds each stream's Generator and calls it.
+``multiplex._offspring_draws`` decodes a block of generations' draws from
+the raw words of their streams, which ``multiplex._stream_words`` steps
+as arrays, and ``multiplex._offspring`` builds one generation from them.
+``offspring_loop`` is the per-individual form they replaced, which builds
+each stream's Generator and calls it.
 
 ``orthogonal.brute_force_oracle`` reports its own error bound in
 ``meta["gap_bound"]`` from its model's unit demands.
@@ -594,6 +599,30 @@ class ArchiveLoop:
         self.items.append(item)
 
 
+class SequentialArchive(multiplex._Archive):
+    """multiplex._Archive inserting one vector at a time, the insert that
+    _Archive.extend batches."""
+
+    def add(self, item, w) -> None:
+        """Insert item with objective vector w unless an archived vector
+        equals or dominates w; evict the archived items w dominates."""
+        if self.items:
+            # equal or dominating: no objective of the row falls below w
+            if bool(multiplex._covers(self.cols, w).any()):
+                return
+            beaten = multiplex.dominates(w, self.cols.T)
+            if bool(beaten.any()):
+                keep = ~beaten
+                self.items = [it for it, k in zip(self.items, keep) if k]
+                self._buffer[:, :len(self.items)] = self.cols[:, keep]
+        size = len(self.items)
+        if size == self._buffer.shape[1]:
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
+        self._buffer[:, size] = w
+        self.cols = self._buffer[:, :size + 1]
+        self.items.append(item)
+
+
 def feasible_loop(specs, scheme, pool):
     """Scalar feasibility predicate of size vectors under one scheme, built
     from build_allocation_loop and check_feasible_loop."""
@@ -610,8 +639,9 @@ def individual_rng(seed, generation, index):
 
 
 def offspring_loop(params, gen, place, schemes, sizes, span, n_schemes):
-    """multiplex._offspring, one Generator per offspring: the draws are
-    kept and the offspring built from them as arrays."""
+    """Generation gen's offspring as multiplex._offspring_draws and
+    multiplex._offspring make them, one Generator per offspring: the draws
+    are kept and the offspring built from them as arrays."""
     pop, m = sizes.shape
     picks = np.zeros((pop, 2, 2), dtype=int)
     cross, coin, resample = np.zeros((3, pop), dtype=bool)

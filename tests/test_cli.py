@@ -162,7 +162,7 @@ class TestSolve:
             raise RuntimeError("the GA drew an individual")
 
         # a refused run must not start: one that did would fail here, not allocate
-        monkeypatch.setattr(multiplex, "_Streams", no_draw)
+        monkeypatch.setattr(multiplex, "_stream_words", no_draw)
         out = tmp_path / "ga.csv"
         rc = main(argv + ["--scenario", str(scenario_dir / "s2m.json"),
                           "--out", str(out)] + flags)

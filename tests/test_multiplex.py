@@ -34,6 +34,7 @@ from sliceprofit.model import SchemeModel
 from conftest import eligible_doc, make_scenario, random_scenario
 from reference_impl import (
     ArchiveLoop,
+    SequentialArchive,
     crowding_distance_loop,
     dominates_reduce,
     enumerate_candidates_loop,
@@ -243,11 +244,11 @@ class TestSolveBcd:
 
 
 def archived(points, profits=tuple):
-    """The items multiplex._Archive keeps of points added in order, each
-    with the objective vector profits(point)."""
+    """The items multiplex._Archive keeps of points given in order, each
+    with the objective vector profits(point), in one batch."""
     archive = multiplex._Archive(len(profits(points[0])) if points else 0)
-    for point in points:
-        archive.add(point, np.array(profits(point), dtype=float))
+    rows = np.array([profits(point) for point in points], dtype=float)
+    archive.extend(points, rows.reshape(len(points), archive.cols.shape[0]))
     return archive.items
 
 
@@ -518,7 +519,7 @@ class TestSolveGa:
             raise RuntimeError("the run started")
 
         monkeypatch.setattr(multiplex, "_sharing_masks", no_run)
-        monkeypatch.setattr(multiplex, "_Streams", no_run)
+        monkeypatch.setattr(multiplex, "_stream_words", no_run)
         with pytest.raises(BudgetExceededError) as info:
             solve_ga(s2m, GaParams(population=500, generations=500))
         assert (info.value.required, info.value.budget) == (250_500, 250_000)
@@ -533,7 +534,7 @@ class TestSolveGa:
             raise RuntimeError("the run started")
 
         monkeypatch.setattr(multiplex, "_sharing_masks", no_run)
-        monkeypatch.setattr(multiplex, "_Streams", no_run)
+        monkeypatch.setattr(multiplex, "_stream_words", no_run)
         with pytest.raises(BudgetExceededError) as info:
             solve_ga(s2m, GaParams(population=1002, generations=0))
         assert (info.value.required, info.value.budget) == (1002, 1000)
@@ -567,6 +568,63 @@ class TestSolveGa:
         assert front_bytes(solve_ga(scenario, params)) == front_bytes(
             solve_ga_loop(scenario, params))
 
+    @pytest.mark.parametrize("generations, words", [
+        (0, 10), (1, 10), (100, 400), (7, 2**16), (9, 2**16 + 1), (249, 22_000)])
+    def test_blocks_cover_every_generation_once(self, generations, words):
+        blocks = multiplex._generation_blocks(generations, words)
+        assert [g for block in blocks for g in block] == list(range(1, generations + 1))
+        per = max(1, multiplex._BLOCK_WORDS // words)
+        assert all(0 < len(block) <= per for block in blocks)
+        assert all(len(block) * words <= multiplex._BLOCK_WORDS
+                   for block in blocks if len(block) > 1)
+
+    def test_zero_generations_draw_no_offspring(self, s2m, monkeypatch):
+        def no_draws(*args):
+            raise RuntimeError("drew offspring")
+
+        monkeypatch.setattr(multiplex, "_offspring_draws", no_draws)
+        front = solve_ga(s2m, GaParams(population=8, generations=0))
+        assert front.meta["evaluations"] == 8
+
+    @pytest.mark.parametrize("rates", [(0.9, 0.1), (1.0, 1.0), (0.5, 0.5)])
+    def test_block_edges_mid_run_match_loop_reference(self, s2m, rates, monkeypatch):
+        # a budget of three generations' words: blocks 1-3, 4-6 and 7
+        pop, m = 8, len(s2m.specs)
+        monkeypatch.setattr(multiplex, "_BLOCK_WORDS", 3 * pop * (2 * m + 6))
+        blocks = []
+        draws = multiplex._offspring_draws
+
+        def spy(params, gens, *args):
+            blocks.append(list(gens))
+            return draws(params, gens, *args)
+
+        monkeypatch.setattr(multiplex, "_offspring_draws", spy)
+        params = GaParams(population=pop, generations=7, crossover=rates[0],
+                          mutation=rates[1], seed=5)
+        front = solve_ga(s2m, params)
+        assert blocks == [[1, 2, 3], [4, 5, 6], [7]]
+        assert front_bytes(front) == front_bytes(solve_ga_loop(s2m, params))
+
+    def test_run_counts_repeat(self, s2m, monkeypatch):
+        params = GaParams(population=12, generations=9, mutation=0.5, seed=3)
+        front = solve_ga(s2m, params)
+        infeasible = []
+        repair = multiplex._repair
+
+        def spy(model, lo, shared, sizes):
+            infeasible.append(int((~model.feasible(sizes, shared)).sum()))
+            return repair(model, lo, shared, sizes)
+
+        monkeypatch.setattr(multiplex, "_repair", spy)
+        assert front.meta == solve_ga(s2m, params).meta
+        assert set(front.meta) == {"evaluations", "repaired", "noise_rows", "replayed"}
+        assert front.meta["evaluations"] == 12 * (9 + 1)
+        assert front.meta["repaired"] == sum(infeasible) > 0
+        assert 0 < front.meta["noise_rows"] <= 12 * 9
+        assert front.meta["replayed"] == 0  # Lemire's rule rejects 4 in 2^32 draws at P = 12
+        # the counts stay out of repr, which the golden digests hash
+        assert "meta" not in repr(front)
+
     def test_infeasible_scenario_raises(self):
         doc = scenario_to_dict(make_scenario())
         doc["slices"][0]["min_resources"] = [0, 7]
@@ -585,22 +643,25 @@ STREAM_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**130))
 
 class TestStreams:
     @settings(max_examples=40, deadline=None)
-    @given(STREAM_SEEDS, st.integers(0, 250_000), st.integers(1, 12))
-    @example(2**64 + 3, 7, 4)
-    def test_numpy_seeding_contract(self, seed, gen, count):
-        # the hash, the PCG64 seeding and the raw words are numpy's: a numpy
-        # that changes any of them fails here by name
-        words = multiplex._seed_words(seed, gen, count)
-        streams = multiplex._Streams(seed, gen, count)
-        raw = streams.words(5)
-        for j in range(count):
+    @given(STREAM_SEEDS, st.lists(st.integers(0, 250_000), min_size=1, max_size=3),
+           st.integers(1, 12))
+    @example(2**64 + 3, [7], 4)
+    @example(0, [0, 62_499], 3)
+    def test_numpy_seeding_contract(self, seed, gens, count):
+        # the hash, the PCG64 seeding, the LCG steps and the XSL-RR fold are
+        # numpy's: a numpy that changes any of them fails here by name
+        raw, words = multiplex._stream_words(seed, gens, count, 5)
+        assert words.tolist() == multiplex._seed_words(seed, gens, count).tolist()
+        rng = np.random.Generator(np.random.PCG64(1))
+        for row, (gen, j) in enumerate((g, j) for g in gens for j in range(count)):
             seq = np.random.SeedSequence([seed, gen, j])
-            assert words[:, j].tolist() == seq.generate_state(4, np.uint64).tolist()
+            assert words[:, row].tolist() == seq.generate_state(4, np.uint64).tolist()
             bits = np.random.PCG64(seq)
-            state = bits.state["state"]
-            assert streams.states[j] == (state["state"], state["inc"])
-            assert raw[j].tolist() == bits.random_raw(5).tolist()
-            assert streams.generator(j, 5).random() == np.random.Generator(bits).random()
+            multiplex._seek(rng, words[:, row].tolist())
+            assert rng.bit_generator.state == bits.state
+            assert raw[row].tolist() == bits.random_raw(5).tolist()
+            after = multiplex._seek(rng, words[:, row].tolist(), 5).random()
+            assert after == np.random.Generator(bits).random()
 
     @pytest.mark.parametrize("rate", [0, 1, 0.5, 0.1, 1e-300, Fraction(2, 3), np.float64(0.7)])
     def test_coin_is_the_exact_comparison(self, rate):
@@ -621,25 +682,37 @@ class TestStreams:
         bits = np.random.PCG64(np.random.SeedSequence([0, gen, j]))
         np.random.Generator(bits).integers(962, size=(2, 2))
         assert bits.state["has_uint32"] == 1
-        _, rejected = multiplex._tournament_picks(multiplex._Streams(0, gen, 962).words(2), 962)
+        words, _ = multiplex._stream_words(0, [gen], 962, 2)
+        _, rejected = multiplex._tournament_picks(words, 962)
         assert np.flatnonzero(rejected).tolist() == [j]
+        counts = {"replayed": 0, "noise_rows": 0}
+        multiplex._offspring_draws(GaParams(population=962), [gen], 962, 2, 2, counts)
+        assert counts["replayed"] == 1
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 32), st.integers(1, 6), st.integers(0, 250_000), STREAM_SEEDS,
-           DRAW_RATES, DRAW_RATES, st.integers(0, 12), st.integers(0, 2**32 - 1))
-    @example(481, 2, 208, 0, 0.9, 0.1, 1, 0)   # offspring 30's third pick is rejected
-    @example(481, 3, 1677, 0, 0.9, 0.5, 3, 1)  # offspring 395's first pick is rejected
-    def test_decoded_draws_match_the_generator_loop(self, half, m, gen, seed, crossover,
-                                                    mutation, e, layout):
+    @given(st.integers(2, 32), st.integers(1, 6), st.integers(0, 250_000), st.integers(1, 3),
+           STREAM_SEEDS, DRAW_RATES, DRAW_RATES, st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @example(481, 2, 207, 2, 0, 0.9, 0.1, 1, 0)  # 208: offspring 30's third pick is rejected
+    @example(481, 3, 1677, 1, 0, 0.9, 0.5, 3, 1)  # offspring 395's first pick is rejected
+    def test_decoded_draws_match_the_generator_loop(self, half, m, first, length, seed,
+                                                    crossover, mutation, e, layout):
+        # every generation of one block of draws builds the offspring that
+        # one Generator per offspring builds, whatever the population
         pop, n_schemes = 2 * half, 2 ** e  # integers(1) draws nothing
+        params = GaParams(population=pop, crossover=crossover, mutation=mutation, seed=seed)
+        gens = range(first, first + length)
+        counts = {"replayed": 0, "noise_rows": 0}
+        block = multiplex._offspring_draws(params, gens, pop, m, n_schemes, counts)
+        assert counts["noise_rows"] + counts["replayed"] <= pop * length
         rng = np.random.default_rng(layout)
-        args = (GaParams(population=pop, crossover=crossover, mutation=mutation, seed=seed),
-                gen, rng.permutation(pop), rng.integers(n_schemes, size=pop),
-                rng.normal(size=(pop, m)), rng.random(m), n_schemes)
-        kid_schemes, kids = multiplex._offspring(*args)
-        want_schemes, want_kids = offspring_loop(*args)
-        assert kid_schemes.tobytes() == want_schemes.tobytes()
-        assert kids.tobytes() == want_kids.tobytes()
+        for i, gen in enumerate(gens):
+            args = (rng.permutation(pop), rng.integers(n_schemes, size=pop),
+                    rng.normal(size=(pop, m)), rng.random(m))
+            draws = multiplex._Draws(*(a[i] for a in block))
+            kid_schemes, kids = multiplex._offspring(draws, *args)
+            want_schemes, want_kids = offspring_loop(params, gen, *args, n_schemes)
+            assert kid_schemes.tobytes() == want_schemes.tobytes()
+            assert kids.tobytes() == want_kids.tobytes()
 
 
 TOP = multiplex._REPAIR_TOP
@@ -753,8 +826,9 @@ class TestBatchedRepair:
             preds[s](row) for s, row in zip(schemes.tolist(), sizes)]
         sizes = np.clip(sizes, lo, hi)
         expected = repaired_by_bisection(preds, lo, schemes, sizes)
-        repaired = multiplex._repair(model, lo, masks[schemes], sizes.copy())
+        repaired, pulled = multiplex._repair(model, lo, masks[schemes], sizes.copy())
         assert repaired.tobytes() == expected.tobytes()
+        assert pulled == (~model.feasible(sizes, masks[schemes])).sum()
 
     def test_named_cases(self, monkeypatch):
         # r0 sharing-eligible. A has no reservation and an overhead above r1's
@@ -782,9 +856,10 @@ class TestBatchedRepair:
         assert not model.feasible(sizes[:3], masks[schemes[:3]]).any()
         t_zero = multiplex._estimate(model, lo, masks[schemes[:1]], sizes[:1])
         assert t_zero.tolist() == [0]
-        repaired = multiplex._repair(model, lo, masks[schemes], sizes.copy())
+        repaired, pulled = multiplex._repair(model, lo, masks[schemes], sizes.copy())
         assert repaired.tobytes() == repaired_by_bisection(preds, lo, schemes, sizes).tobytes()
         assert repaired[0].tobytes() == lo.tobytes()
+        assert pulled == 3
 
         # a batch with nothing to repair is returned as it came, unsearched
         def no_search(*args):
@@ -792,7 +867,8 @@ class TestBatchedRepair:
 
         monkeypatch.setattr(multiplex, "_largest_feasible", no_search)
         feasible = sizes[3:].copy()
-        assert multiplex._repair(model, lo, masks[schemes[3:]], feasible) is feasible
+        out, pulled = multiplex._repair(model, lo, masks[schemes[3:]], feasible)
+        assert out is feasible and pulled == 0
         assert feasible.tobytes() == sizes[3:].tobytes()
 
     def test_estimate_at_or_past_one(self):
@@ -804,8 +880,9 @@ class TestBatchedRepair:
         sizes = np.array([past_the_edge(preds[s], lo, hi) for s in schemes])
         assert not model.feasible(sizes[:2], masks[schemes[:2]]).any()
         assert multiplex._estimate(model, lo, masks[schemes[:2]], sizes[:2]).tolist() == [TOP, TOP]
-        repaired = multiplex._repair(model, lo, masks[schemes], sizes.copy())
+        repaired, pulled = multiplex._repair(model, lo, masks[schemes], sizes.copy())
         assert repaired.tobytes() == repaired_by_bisection(preds, lo, schemes, sizes).tobytes()
+        assert pulled == (~model.feasible(sizes, masks[schemes])).sum()
 
 
 ARCHIVE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf])
@@ -825,6 +902,38 @@ def archive_batches(draw):
     return k, earlier, np.array(batch, dtype=float).reshape(len(batch), k)
 
 
+@st.composite
+def archive_runs(draw):
+    """Batches of one width: drawn from few values (equal vectors and
+    dominance chains), empty, or a repeat of every earlier vector, which
+    the archive covers unless a NaN keeps it incomparable."""
+    k = draw(st.integers(1, 3))
+    batches, seen = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        if seen and draw(st.booleans()):
+            batch = list(seen)
+        else:
+            batch = draw(st.lists(st.lists(ARCHIVE_VALUES, min_size=k, max_size=k),
+                                  max_size=12))
+        seen += batch
+        batches.append(np.array(batch, dtype=float).reshape(len(batch), k))
+    return k, batches
+
+
+def archive_pair(k, batches):
+    """multiplex._Archive extended by each batch, less what covered drops,
+    and SequentialArchive given every vector one at a time, in order."""
+    fast, slow = multiplex._Archive(k), SequentialArchive(k)
+    start = 0
+    for batch in batches:
+        fresh = np.flatnonzero(~fast.covered(batch))
+        fast.extend((start + fresh).tolist(), batch[fresh])
+        for i, w in enumerate(batch):
+            slow.add(start + i, w)
+        start += len(batch)
+    return fast, slow
+
+
 class TestArchive:
     @settings(max_examples=200, deadline=None)
     @given(archive_vectors())
@@ -833,7 +942,9 @@ class TestArchive:
         k, vectors = drawn
         fast, slow = multiplex._Archive(k), ArchiveLoop(k)
         for i, v in enumerate(vectors):
-            fast.add(i, np.array(v))
+            w = np.array(v)[None, :]
+            if not fast.covered(w)[0]:
+                fast.extend([i], w)
             slow.add(i, np.array(v))
         assert fast.items == slow.items
         assert fast.cols.T.tobytes() == slow.rows.tobytes()
@@ -841,30 +952,61 @@ class TestArchive:
     @settings(max_examples=200, deadline=None)
     @given(archive_batches())
     def test_prefiltered_batch_matches_every_insert(self, drawn):
-        # _evaluate's path, dropping what the archive covers before the
-        # in-order inserts, keeps what inserting every vector keeps
+        # _evaluate's path, dropping what the archive covers before one
+        # batched insert, keeps what inserting every vector keeps
         k, earlier, batch = drawn
         fast, slow = multiplex._Archive(k), ArchiveLoop(k)
         for i, v in enumerate(earlier):
-            fast.add(i, np.array(v))
+            w = np.array(v)[None, :]
+            if not fast.covered(w)[0]:
+                fast.extend([i], w)
             slow.add(i, np.array(v))
-        for i in np.flatnonzero(~fast.covered(batch)).tolist():
-            fast.add(len(earlier) + i, batch[i])
+        fresh = np.flatnonzero(~fast.covered(batch))
+        fast.extend((len(earlier) + fresh).tolist(), batch[fresh])
         for i, w in enumerate(batch):
             slow.add(len(earlier) + i, w)
         assert fast.items == slow.items
         assert fast.cols.T.tobytes() == slow.rows.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(archive_runs())
+    @example((2, [np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 3.0]])]))  # a chain
+    @example((2, [np.array([[2.0, 2.0], [1.0, 1.0], [2.0, 2.0], [0.0, 2.0]])]))  # covered
+    @example((1, [np.array([[0.0], [-0.0], [0.0]]), np.zeros((0, 1))]))  # equal, then empty
+    @example((2, [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])]))
+    def test_batched_extend_matches_sequential_add(self, drawn):
+        # the same items in the same order, and the same vector bytes
+        fast, slow = archive_pair(*drawn)
+        assert fast.items == slow.items
+        assert fast.cols.tobytes() == slow.cols.tobytes()
+
+    @pytest.mark.parametrize("pairs", [1, 3, 10])
+    def test_comparisons_in_bounded_chunks(self, pairs, monkeypatch):
+        # a pair budget below every batch and archive size splits each of
+        # extend's comparisons into chunks, with the same outcome
+        rng = np.random.default_rng(9)
+        batches = [rng.integers(0, 6, size=(n, 3)).astype(float) for n in (7, 0, 12, 5, 9)]
+        want = archive_pair(3, batches)[1]
+        monkeypatch.setattr(multiplex, "_COVER_PAIRS", pairs)
+        fast, _ = archive_pair(3, batches)
+        assert fast.items == want.items
+        assert fast.cols.tobytes() == want.cols.tobytes()
+
     def test_growing_buffer_keeps_every_column(self):
         # a long front with evictions between: the doubling buffer keeps the
-        # same vectors, in the same order, as a fresh array per insert
+        # same vectors, in the same order, as a fresh array per insert, also
+        # when one batch outgrows it more than twice over
         rng = np.random.default_rng(4)
         fast, slow = multiplex._Archive(2), ArchiveLoop(2)
-        for i in range(300):
-            x = float(rng.integers(0, 120))
-            w = np.array([x, 120.0 - x + float(rng.integers(-2, 3))])
-            fast.add(i, w)
-            slow.add(i, w)
+        start = 0
+        for n in [1, 70] + [5] * 40:
+            x = rng.integers(0, 120, size=n).astype(float)
+            batch = np.stack([x, 120.0 - x + rng.integers(-2, 3, size=n)], axis=1)
+            fresh = np.flatnonzero(~fast.covered(batch))
+            fast.extend((start + fresh).tolist(), batch[fresh])
+            for i, w in enumerate(batch):
+                slow.add(start + i, w)
+            start += n
             assert fast.items == slow.items
             assert fast.cols.T.tobytes() == slow.rows.tobytes()
         assert fast.cols.shape[1] > 16
