@@ -35,17 +35,23 @@ from .orthogonal import SolveResult, solve_sizes
 # branches, so E = 12 is the largest search that runs.
 MAX_SCHEMES = 4096
 
+# Most rounds solve_bcd runs, as game.MAX_ROUNDS and closedloop.MAX_ITER.
+# Each round that moves the scheme raises (shared count, -index), so a run
+# converges within its candidate count, at most MAX_SCHEMES rounds.
+MAX_BCD_ROUNDS = 10_000
+
 # Most GA evaluations a run may take, population x (generations + 1): about
 # 60 times the CLI default of 40 x 101 = 4,040.
 MAX_GA_EVALUATIONS = 250_000
 
-# Largest GA population. Survival ranks n = 2P rows, and nondominated_sort
-# builds the (n, n) dominance matrix one objective plane at a time, so the
-# peak is about 3·n² bytes whatever M: tracemalloc gives 12 MB for P = 1,000
-# at M = 8 (15 MB for a whole three-generation run), where P = 20,000 would
-# need 4.8 GB. The archive's comparisons hold a few 2 MiB planes
-# (_COVER_PAIRS): a 20-generation run whose archive reaches 14,751 points
-# peaks at 24 MB. A block of offspring draws takes about 1 MB (_BLOCK_WORDS).
+# Largest GA population. Survival ranks n = 2P rows from one (n, n) covers
+# matrix, built one objective plane at a time, and the dominance matrix it
+# gives, so the peak is about 3·n² bytes whatever M: tracemalloc gives
+# 12.0 MB for P = 1,000 at M = 8 (15.3 MB for a whole three-generation run),
+# where P = 20,000 would need 4.8 GB. The archive's comparisons hold a few
+# 2 MiB planes (_COVER_PAIRS): a 20-generation run whose archive reaches
+# 14,751 points peaks at 24 MB. A block of offspring draws takes about 1 MB
+# (_BLOCK_WORDS).
 MAX_GA_POPULATION = 1000
 
 
@@ -160,8 +166,8 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     scheme the next round cannot change anything and the loop stops. The
     per-round profit trace is non-decreasing.
     """
-    if as_count(max_rounds, "max_rounds") < 0:
-        raise ConfigurationError("max_rounds must be non-negative")
+    if not 0 <= as_count(max_rounds, "max_rounds") <= MAX_BCD_ROUNDS:
+        raise ConfigurationError(f"max_rounds must be between 0 and {MAX_BCD_ROUNDS}")
     masks = _sharing_masks(scenario)
     scheme_idx, scheme = 0, _with_mask(scenario.scheme, masks[0])
     model = SchemeModel(scenario.specs, scheme, scenario.pool)
@@ -211,34 +217,64 @@ def dominates(a, b) -> np.ndarray:
     return ge & gt
 
 
+def _fronts(dom, count: int) -> np.ndarray:
+    """Front index per row of the dominance matrix dom (dom[a, b]: a
+    dominates b), peeled until at least count rows are ranked. Each pass
+    peels the rows no remaining row dominates; the rows left at the end
+    get len(dom)."""
+    ranks = np.full(len(dom), len(dom))
+    left = np.ones(len(dom), dtype=bool)
+    level = 0
+    while len(dom) - count < left.sum():
+        still = dom[left].any(axis=0)  # a peeled row is dominated by no row left
+        ranks[left & ~still] = level
+        left, level = still, level + 1
+    return ranks
+
+
 def nondominated_sort(objectives: np.ndarray) -> list:
     """Front index per row for a maximisation problem. Each pass peels the
     rows no remaining row dominates; the rest move one front down."""
     objectives = np.asarray(objectives, dtype=float)
     dom = dominates(objectives[:, None, :], objectives[None, :, :])  # dom[a, b]: a dominates b
-    ranks = np.zeros(len(objectives), dtype=int)
-    left = np.ones(len(objectives), dtype=bool)
-    while left.any():
-        left = dom[left].any(axis=0)  # a peeled row is dominated by no row left
-        ranks[left] += 1
-    return ranks.tolist()
+    return _fronts(dom, len(objectives)).tolist()
 
 
-def crowding_distance(objectives) -> np.ndarray:
-    """Crowding distance of each row of one front of finite objectives: per
-    objective of nonzero range, the gap between the row's two neighbours
-    over the range, summed; inf at either end of any objective, and for
-    all of two rows or fewer."""
+def crowding_distance(objectives, fronts=None) -> np.ndarray:
+    """Crowding distance of each row of finite objectives within its front
+    (fronts holds each row's front; None makes all rows one front): per
+    objective of nonzero range over the front, the gap between the row's
+    two neighbours in the front over that range, summed in objective
+    order; inf at either end of any objective, and for all of a front of
+    two rows or fewer.
+
+    Each objective's rows sort by (front, value, index), a stable argsort
+    by value and then by front, so every front is one run of places and
+    all fronts are measured in one pass."""
     objectives = np.asarray(objectives, dtype=float)
-    if len(objectives) <= 2:
-        return np.full(len(objectives), np.inf)
-    order = np.argsort(objectives, axis=0, kind="stable")
-    ranked = np.take_along_axis(objectives, order, axis=0)
-    width = ranked[-1] - ranked[0]
-    dist = np.zeros(len(objectives))
-    for j in np.flatnonzero(width > 0):
-        dist[order[1:-1, j]] += (ranked[2:, j] - ranked[:-2, j]) / width[j]
-    dist[order[[0, -1]]] = np.inf
+    n, k = objectives.shape
+    if n <= 2:
+        return np.full(n, np.inf)
+    fronts = np.zeros(n, dtype=int) if fronts is None else np.asarray(fronts)
+    cols = np.arange(k)
+    order = objectives.argsort(axis=0, kind="stable")
+    order = order[fronts[order].argsort(axis=0, kind="stable"), cols]
+    ranked = objectives[order, cols]
+    # the places where a front starts and where one ends
+    level = fronts[order[:, 0]]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = level[1:] != level[:-1]
+    ends = np.ones(n, dtype=bool)
+    ends[:-1] = starts[1:]
+    first, last = np.flatnonzero(starts), np.flatnonzero(ends)
+    width = np.repeat(ranked[last] - ranked[first], last - first + 1, axis=0)[1:-1]
+    inner = ~(starts | ends)
+    gaps = np.divide(ranked[2:] - ranked[:-2], width, out=np.zeros((n - 2, k)),
+                     where=inner[1:-1, None] & (width > 0))
+    dist = np.zeros(n)
+    for j in range(k):
+        dist[order[1:-1, j]] += gaps[:, j]
+    dist[order[~inner]] = np.inf
     return dist
 
 
@@ -406,19 +442,21 @@ def _covers(a, b) -> np.ndarray:
     return out
 
 
-def _covered_by(a, b, index=None) -> np.ndarray:
+def _covered_by(a, b) -> np.ndarray:
     """Per column of the objective-major b, whether some column of a covers
-    it. With index (np.less, say), a column i of a counts for column k of b
-    only where index(i, k) holds: a and b are then one batch. Compares at
-    most _COVER_PAIRS pairs at a time."""
+    it. Compares at most _COVER_PAIRS pairs at a time."""
     step = max(1, _COVER_PAIRS // max(1, a.shape[1]))
     out = np.zeros(b.shape[1], dtype=bool)
     for i in range(0, b.shape[1], step):
-        hit = _covers(a[:, :, None], b[:, None, i:i + step])
-        if index is not None:
-            hit &= index(np.arange(a.shape[1])[:, None], np.arange(i, i + hit.shape[1]))
-        out[i:i + step] = hit.any(axis=0)
+        out[i:i + step] = _covers(a[:, :, None], b[:, None, i:i + step]).any(axis=0)
     return out
+
+
+def _cover_matrix(rows) -> np.ndarray:
+    """The covers matrix of the (n, M) rows: [a, b] when row a is at least
+    row b on every objective. a dominates b iff [a, b] and not [b, a]."""
+    cols = np.ascontiguousarray(rows.T)
+    return _covers(cols[:, :, None], cols[:, None, :])
 
 
 class _Archive:
@@ -439,26 +477,25 @@ class _Archive:
         since a vector that evicts the covering one covers the row too."""
         return _covered_by(self.cols, profits.T)
 
-    def extend(self, items, rows) -> None:
+    def extend(self, items, rows, covers) -> None:
         """Insert items with their (K, M) objective rows, none of which an
-        archived vector covers, as inserting each in index order would: an
-        insert refuses a row that an equal or dominating vector is archived
-        for, and evicts the vectors the row dominates. So a row goes in when
-        no earlier row covers it (covering is transitive). An archived
-        vector leaves when a row that went in covers it, and so does a row
-        that went in when a later one covers it: neither covers the row
-        that covers it, so covering is dominating there. The rest keep their
-        order."""
+        archived vector covers, as inserting each in index order would;
+        covers is the rows' _cover_matrix. An insert refuses a row that an
+        equal or dominating vector is archived for, and evicts the vectors
+        the row dominates. So a row goes in when no earlier row covers it
+        (covering is transitive). An archived vector leaves when a row that
+        went in covers it, and so does a row that went in when a later one
+        covers it: neither covers the row that covers it, so covering is
+        dominating there. The rest keep their order."""
         if not len(rows):
             return
-        new = rows.T
-        fresh = ~_covered_by(new, new, np.less)
-        new, items = new[:, fresh], [it for it, f in zip(items, fresh) if f]
+        fresh = ~np.triu(covers, 1).any(axis=0)
+        new, items = rows.T[:, fresh], [it for it, f in zip(items, fresh) if f]
         stays = ~_covered_by(new, self.cols)
         if not stays.all():
             self.items = [it for it, s in zip(self.items, stays) if s]
             self._buffer[:, :len(self.items)] = self.cols[:, stays]
-        lasts = ~_covered_by(new, new, np.greater)
+        lasts = ~np.tril(covers[fresh][:, fresh], -1).any(axis=0)
         size, count = len(self.items), int(lasts.sum())
         while size + count > self._buffer.shape[1]:
             self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
@@ -564,32 +601,46 @@ def _repair(model, lo, shared, sizes) -> tuple:
     return sizes, len(bad)
 
 
-def _evaluate(model, masks, lo, hi, schemes, sizes, archive, counts) -> tuple:
+def _evaluate(model, masks, lo, hi, schemes, sizes, counts) -> tuple:
     """Clip and repair drawn individuals, each under the mask of its
-    scheme index, and evaluate them as one batch; then archive those no
-    archived vector covers, as if one at a time in index order. Returns the
-    repaired sizes and the profits, (P, M) each; profit does not depend on
-    the scheme. Counts the evaluations and the rows repaired."""
+    scheme index, and evaluate them as one batch. Returns the repaired
+    sizes and the profits, (P, M) each; profit does not depend on the
+    scheme. Counts the evaluations and the rows repaired."""
     sizes, pulled = _repair(model, lo, masks[schemes], np.clip(sizes, lo, hi))
     revs, exps, _ = model.breakdown(sizes)
-    profits = revs - exps
-    fresh = np.flatnonzero(~archive.covered(profits))
-    archive.extend([FrontPoint(tuple(row), idx, tuple(w))
-                    for idx, row, w in zip(schemes[fresh].tolist(), sizes[fresh].tolist(),
-                                           profits[fresh].tolist())], profits[fresh])
     counts["evaluations"] += len(sizes)
     counts["repaired"] += pulled
-    return sizes, profits
+    return sizes, revs - exps
 
 
-def _best_first(profits) -> np.ndarray:
-    """Row indices best first: lower nondominated front, then larger
-    crowding distance within the front, then lower index."""
-    ranks = np.array(nondominated_sort(profits))
-    crowd = np.zeros(len(ranks))
-    for level in range(ranks.max() + 1):
-        crowd[ranks == level] = crowding_distance(profits[ranks == level])
-    return np.lexsort((-crowd, ranks))
+def _archive(archive, schemes, sizes, profits, covers, rows) -> None:
+    """Archive the evaluated individuals `rows` (indices, ascending) that
+    no archived vector covers, as if one at a time in index order; covers
+    is the _cover_matrix of all the profits."""
+    fresh = rows[~archive.covered(profits[rows])]
+    archive.extend([FrontPoint(tuple(row), idx, tuple(w))
+                    for idx, row, w in zip(schemes[fresh].tolist(), sizes[fresh].tolist(),
+                                           profits[fresh].tolist())],
+                   profits[fresh], covers[fresh][:, fresh])
+
+
+def _best_first(profits, ranks) -> np.ndarray:
+    """Row indices best first: lower nondominated front (ranks), then
+    larger crowding distance within the front, then lower index."""
+    return np.lexsort((-crowding_distance(profits, ranks), ranks))
+
+
+def _survivors(profits, covers, pop: int) -> tuple:
+    """The first pop rows of profits in best-first order, and their fronts,
+    from the rows' _cover_matrix: a dominates b iff a covers b and b does
+    not cover a. The peel stops once pop rows are ranked, as no row of a
+    later front is kept. The kept rows' fronts are their fronts among
+    themselves: a row that dominates a kept row lies in a lower front,
+    which is kept whole."""
+    ranks = _fronts(covers & ~covers.T, pop)
+    ranked = np.flatnonzero(ranks < len(ranks))
+    keep = ranked[_best_first(profits[ranked], ranks[ranked])[:pop]]
+    return keep, ranks[keep]
 
 
 def _draw_tail(rng, mutate, mutation, n_schemes) -> tuple:
@@ -703,13 +754,17 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     and decoded before the block runs. A generation draws all
     offspring from the previous population by binary tournaments on its
     best-first order, then repairs the infeasible ones together by uniform
-    down-scaling toward the reservation floor; the best-first head of parents and
-    offspring survives. Populations over MAX_GA_POPULATION and runs over
-    MAX_GA_EVALUATIONS are refused first.
+    down-scaling toward the reservation floor; the best-first head of
+    parents and offspring survives. One covers matrix over parents and
+    offspring serves the survival sort, the archive's batch and the
+    pre-filter that drops an offspring a parent covers; the survivors carry
+    their fronts into the next generation. Populations over
+    MAX_GA_POPULATION and runs over MAX_GA_EVALUATIONS are refused first.
     Returns the nondominated archive, first objective descending, with the
     run's counts in meta: evaluations, rows repaired, offspring whose
-    noise a Generator drew (noise_rows) and offspring drawn again whole
-    after a rejected pick (replayed).
+    noise a Generator drew (noise_rows), offspring drawn again whole after
+    a rejected pick (replayed) and offspring a parent covers
+    (parent_covered).
     """
     params = params or GaParams()
     pop = params.population
@@ -737,26 +792,36 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     m = len(scenario.specs)
 
     archive = _Archive(m)
-    counts = dict.fromkeys(("evaluations", "repaired", "noise_rows", "replayed"), 0)
+    counts = dict.fromkeys(
+        ("evaluations", "repaired", "noise_rows", "replayed", "parent_covered"), 0)
     # each stream draws a scheme (integers(1) draws nothing), then m doubles
     draws_scheme = len(masks) > 1
     words, _ = _stream_words(params.seed, [0], pop, m + draws_scheme)
     schemes = _bounded(words[:, 0], len(masks))[0] if draws_scheme else np.zeros(pop, dtype=int)
     sizes = lo + _doubles(words[:, draws_scheme:]) * span
-    sizes, profits = _evaluate(model, masks, lo, hi, schemes, sizes, archive, counts)
+    sizes, profits = _evaluate(model, masks, lo, hi, schemes, sizes, counts)
+    _archive(archive, schemes, sizes, profits, _cover_matrix(profits), np.arange(pop))
+    ranks = np.array(nondominated_sort(profits))
 
     for gens in _generation_blocks(params.generations, pop * (2 * m + 6)):
         block = _offspring_draws(params, gens, pop, m, len(masks), counts)
         for i in range(len(gens)):
-            place = np.argsort(_best_first(profits))  # each individual's place, best first
+            place = np.argsort(_best_first(profits, ranks))  # each individual's place, best first
             kid_schemes, kids = _offspring(_Draws(*(a[i] for a in block)),
                                            place, schemes, sizes, span)
-            kids, kid_profits = _evaluate(model, masks, lo, hi, kid_schemes, kids,
-                                          archive, counts)
-            keep = _best_first(np.vstack([profits, kid_profits]))[:pop]
+            kids, kid_profits = _evaluate(model, masks, lo, hi, kid_schemes, kids, counts)
+            both = np.vstack([profits, kid_profits])
+            covers = _cover_matrix(both)
+            # every evaluated vector stays covered by an archived one, so
+            # the archive refuses an offspring a parent covers
+            covered = covers[:pop, pop:].any(axis=0)
+            counts["parent_covered"] += int(covered.sum())
+            _archive(archive, kid_schemes, kids, kid_profits, covers[pop:, pop:],
+                     np.flatnonzero(~covered))
+            keep, ranks = _survivors(both, covers, pop)
             schemes = np.concatenate([schemes, kid_schemes])[keep]
             sizes = np.vstack([sizes, kids])[keep]
-            profits = np.vstack([profits, kid_profits])[keep]
+            profits = both[keep]
 
     return ParetoFront(tuple(sorted(archive.items, key=lambda p: (
         tuple(-x for x in p.profits), p.scheme_index, p.sizes))), counts)

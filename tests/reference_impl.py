@@ -549,6 +549,26 @@ def crowding_distance_loop(objectives):
     return dist
 
 
+def crowding_by_front_loop(objectives, fronts):
+    """multiplex.crowding_distance(objectives, fronts), one front at a
+    time, each front's rows in index order."""
+    objectives, fronts = np.asarray(objectives, dtype=float), np.asarray(fronts)
+    dist = np.zeros(len(objectives))
+    for level in np.unique(fronts):
+        members = np.flatnonzero(fronts == level)
+        dist[members] = crowding_distance_loop(objectives[members])
+    return dist
+
+
+def survivors_loop(objectives, count):
+    """multiplex._survivors by a full sort: the first count rows ordered by
+    (front, larger crowding, index), and their fronts."""
+    ranks = np.array(nondominated_sort_loop(objectives))
+    crowd = crowding_by_front_loop(objectives, ranks)
+    order = sorted(range(len(ranks)), key=lambda i: (ranks[i], -crowd[i], i))[:count]
+    return np.array(order, dtype=int), ranks[order]
+
+
 class _Member:
     __slots__ = ("scheme_idx", "sizes", "profits")
 
@@ -678,11 +698,7 @@ def _evaluate_member(scenario, candidates, lo, hi, scheme_idx, sizes):
 def _ranks_and_crowding_loop(pop):
     objs = np.stack([ind.profits for ind in pop])
     ranks = np.array(nondominated_sort_loop(objs))
-    crowd = np.zeros(len(pop))
-    for level in np.unique(ranks):
-        members = np.where(ranks == level)[0]
-        crowd[members] = crowding_distance_loop(objs[members])
-    return ranks, crowd
+    return ranks, crowding_by_front_loop(objs, ranks)
 
 
 def solve_ga_loop(scenario, params=None):

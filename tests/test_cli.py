@@ -173,6 +173,20 @@ class TestSolve:
         assert captured.err.splitlines() == [captured.err.rstrip("\n")]
         assert message in captured.err
 
+    def test_bcd_round_bound(self, scenario_dir, tmp_path, capsys):
+        # s2m converges in 2 rounds, so a run at the bound is quick
+        for rounds, code in ((multiplex.MAX_BCD_ROUNDS, 0), (multiplex.MAX_BCD_ROUNDS + 1, 2)):
+            capsys.readouterr()
+            out = tmp_path / f"{rounds}.csv"
+            assert main(["solve", "--solver", "bcd", "--scenario", str(scenario_dir / "s2m.json"),
+                         "--out", str(out), "--max-rounds", str(rounds)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        assert captured.err.strip().endswith(f"between 0 and {multiplex.MAX_BCD_ROUNDS}")
+        assert (tmp_path / f"{multiplex.MAX_BCD_ROUNDS}.csv").exists()
+        assert not (tmp_path / f"{multiplex.MAX_BCD_ROUNDS + 1}.csv").exists()
+
     def test_infeasible_scenario_exits_one_with_status_row(self, tmp_path):
         path = overbooked_doc(tmp_path)
         out = tmp_path / "inf.csv"

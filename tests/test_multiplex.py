@@ -35,6 +35,7 @@ from conftest import eligible_doc, make_scenario, random_scenario
 from reference_impl import (
     ArchiveLoop,
     SequentialArchive,
+    crowding_by_front_loop,
     crowding_distance_loop,
     dominates_reduce,
     enumerate_candidates_loop,
@@ -45,6 +46,7 @@ from reference_impl import (
     repair_bisect,
     scheme_step_loop,
     solve_ga_loop,
+    survivors_loop,
 )
 
 
@@ -228,6 +230,35 @@ class TestSolveBcd:
         with pytest.raises(ConfigurationError):
             solve_bcd(s2m, max_rounds=-1)
 
+    def test_round_bound(self, s2m):
+        assert multiplex.MAX_BCD_ROUNDS == 10_000
+        assert solve_bcd(s2m, max_rounds=multiplex.MAX_BCD_ROUNDS).meta["rounds"] == 2
+        with pytest.raises(ConfigurationError, match="between 0 and 10000"):
+            solve_bcd(s2m, max_rounds=multiplex.MAX_BCD_ROUNDS + 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_each_move_raises_the_scheme_key(self, seed):
+        # a move goes to more shared resources, or as many at a lower index,
+        # so a run converges within its candidate count
+        scenario = random_scenario(np.random.default_rng(seed), max_eligible=3)
+        masks = multiplex._sharing_masks(scenario)
+        steps = []
+        step = multiplex._scheme_step
+
+        def spy(model, masks, sizes):
+            steps.append(step(model, masks, sizes))
+            return steps[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multiplex, "_scheme_step", spy)
+            res = solve_bcd(scenario, max_rounds=len(masks))
+        assert res.meta["converged"] and res.meta["rounds"] == len(steps) <= len(masks)
+        path = [0] + steps
+        keys = [(int(masks[i].sum()), -i) for i in path]
+        assert all(b > a for a, b in zip(keys[:-2], keys[1:-1]))
+        assert path[-1] == path[-2] == res.meta["scheme_index"]
+
     def test_no_eligible_resources_is_plain_solve(self, s2):
         res = solve_bcd(s2)
         assert res.meta["rounds"] == 1 and res.meta["converged"]
@@ -243,12 +274,18 @@ class TestSolveBcd:
         assert res.outcome.feasible
 
 
+def extend(archive, items, rows):
+    """archive.extend with the rows' covers matrix, as solve_ga passes it."""
+    covers = multiplex._cover_matrix(rows) if len(rows) else np.zeros((0, 0), dtype=bool)
+    archive.extend(items, rows, covers)
+
+
 def archived(points, profits=tuple):
     """The items multiplex._Archive keeps of points given in order, each
     with the objective vector profits(point), in one batch."""
     archive = multiplex._Archive(len(profits(points[0])) if points else 0)
     rows = np.array([profits(point) for point in points], dtype=float)
-    archive.extend(points, rows.reshape(len(points), archive.cols.shape[0]))
+    extend(archive, points, rows.reshape(len(points), archive.cols.shape[0]))
     return archive.items
 
 
@@ -617,8 +654,10 @@ class TestSolveGa:
 
         monkeypatch.setattr(multiplex, "_repair", spy)
         assert front.meta == solve_ga(s2m, params).meta
-        assert set(front.meta) == {"evaluations", "repaired", "noise_rows", "replayed"}
+        assert set(front.meta) == {"evaluations", "repaired", "noise_rows", "replayed",
+                                   "parent_covered"}
         assert front.meta["evaluations"] == 12 * (9 + 1)
+        assert 0 < front.meta["parent_covered"] <= 12 * 9
         assert front.meta["repaired"] == sum(infeasible) > 0
         assert 0 < front.meta["noise_rows"] <= 12 * 9
         assert front.meta["replayed"] == 0  # Lemire's rule rejects 4 in 2^32 draws at P = 12
@@ -927,7 +966,7 @@ def archive_pair(k, batches):
     start = 0
     for batch in batches:
         fresh = np.flatnonzero(~fast.covered(batch))
-        fast.extend((start + fresh).tolist(), batch[fresh])
+        extend(fast, (start + fresh).tolist(), batch[fresh])
         for i, w in enumerate(batch):
             slow.add(start + i, w)
         start += len(batch)
@@ -944,7 +983,7 @@ class TestArchive:
         for i, v in enumerate(vectors):
             w = np.array(v)[None, :]
             if not fast.covered(w)[0]:
-                fast.extend([i], w)
+                extend(fast, [i], w)
             slow.add(i, np.array(v))
         assert fast.items == slow.items
         assert fast.cols.T.tobytes() == slow.rows.tobytes()
@@ -959,10 +998,10 @@ class TestArchive:
         for i, v in enumerate(earlier):
             w = np.array(v)[None, :]
             if not fast.covered(w)[0]:
-                fast.extend([i], w)
+                extend(fast, [i], w)
             slow.add(i, np.array(v))
         fresh = np.flatnonzero(~fast.covered(batch))
-        fast.extend((len(earlier) + fresh).tolist(), batch[fresh])
+        extend(fast, (len(earlier) + fresh).tolist(), batch[fresh])
         for i, w in enumerate(batch):
             slow.add(len(earlier) + i, w)
         assert fast.items == slow.items
@@ -982,8 +1021,8 @@ class TestArchive:
 
     @pytest.mark.parametrize("pairs", [1, 3, 10])
     def test_comparisons_in_bounded_chunks(self, pairs, monkeypatch):
-        # a pair budget below every batch and archive size splits each of
-        # extend's comparisons into chunks, with the same outcome
+        # a pair budget below every batch and archive size splits each
+        # comparison with the archive into chunks, with the same outcome
         rng = np.random.default_rng(9)
         batches = [rng.integers(0, 6, size=(n, 3)).astype(float) for n in (7, 0, 12, 5, 9)]
         want = archive_pair(3, batches)[1]
@@ -1003,13 +1042,131 @@ class TestArchive:
             x = rng.integers(0, 120, size=n).astype(float)
             batch = np.stack([x, 120.0 - x + rng.integers(-2, 3, size=n)], axis=1)
             fresh = np.flatnonzero(~fast.covered(batch))
-            fast.extend((start + fresh).tolist(), batch[fresh])
+            extend(fast, (start + fresh).tolist(), batch[fresh])
             for i, w in enumerate(batch):
                 slow.add(start + i, w)
             start += n
             assert fast.items == slow.items
             assert fast.cols.T.tobytes() == slow.rows.tobytes()
         assert fast.cols.shape[1] > 16
+
+
+# few values, so rows tie on one objective or repeat whole
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.0, 3.5])
+
+
+@st.composite
+def tied_objectives(draw, min_rows=0, max_rows=16):
+    """(n, k) objectives of few values, with repeated rows and, at times, a
+    constant column."""
+    n, k = draw(st.integers(min_rows, max_rows)), draw(st.integers(1, 3))
+    objs = np.array(draw(st.lists(st.lists(TIED_VALUES, min_size=k, max_size=k),
+                                  min_size=n, max_size=n)), dtype=float).reshape(n, k)
+    for _ in range(draw(st.integers(0, n // 2))):
+        objs[draw(st.integers(0, n - 1))] = objs[draw(st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        objs[:, draw(st.integers(0, k - 1))] = draw(TIED_VALUES)
+    return objs
+
+
+class TestOneComparisonPerGeneration:
+    """The survival sort, the carried fronts and the archive pre-filter,
+    all read from one covers matrix per generation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_all_fronts_crowding_matches_each_front(self, data):
+        # fronts of 1 to 3 rows among larger ones, drawn labels or real fronts
+        objs = data.draw(tied_objectives())
+        n = len(objs)
+        if data.draw(st.booleans()):
+            fronts = np.array(nondominated_sort(objs), dtype=int)
+        else:
+            fronts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+                              dtype=int)
+        got = crowding_distance(objs, fronts)
+        assert got.tobytes() == crowding_by_front_loop(objs, fronts).tobytes()
+
+    def test_all_fronts_crowding_named_case(self):
+        # fronts {0, 3, 4}, {1, 2} and {5}: inner rows summed, ends and small fronts inf
+        objs = np.array([[0.0, 4.0], [1.0, 1.0], [2.0, 0.0], [1.0, 2.0], [4.0, 0.0], [9.0, 9.0]])
+        got = crowding_distance(objs, [0, 1, 1, 0, 0, 2])
+        assert got[3] == 1.0 + 1.0
+        assert np.isinf(np.delete(got, 3)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_objectives(min_rows=8, max_rows=24), st.integers(2, 12))
+    def test_survivors_match_the_full_sort(self, objs, pop):
+        pop = min(pop, len(objs) // 2)
+        covers = multiplex._cover_matrix(objs)
+        keep, ranks = multiplex._survivors(objs, covers, pop)
+        want_keep, want_ranks = survivors_loop(objs, pop)
+        assert keep.tolist() == want_keep.tolist()
+        assert ranks.tolist() == want_ranks.tolist()
+        # the carried fronts are the survivors' own fronts
+        assert ranks.tolist() == nondominated_sort(objs[keep])
+        # the early-stopped peel ranks every kept row as the full peel does
+        dom = covers & ~covers.T
+        early, full = multiplex._fronts(dom, pop), multiplex._fronts(dom, len(objs))
+        ranked = early < len(objs)
+        assert ranked.sum() >= pop and ranked[keep].all()
+        assert (early[ranked] == full[ranked]).all()
+        assert (full[~ranked] > early[ranked].max()).all()
+        assert full.tolist() == nondominated_sort(objs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(archive_runs(), st.data())
+    def test_parent_cover_drops_only_what_the_archive_refuses(self, drawn, data):
+        # parents are any evaluated vectors; the offspring come after them
+        k, batches = drawn
+        *history, kids = batches
+        seen = np.vstack([np.zeros((0, k))] + history)
+        parents = seen[data.draw(st.lists(st.integers(0, max(0, len(seen) - 1)),
+                                          max_size=len(seen)))]
+        archive = SequentialArchive(k)
+        for i, w in enumerate(seen):
+            archive.add(i, w)
+        both = np.vstack([parents, kids])
+        dropped = multiplex._cover_matrix(both)[:len(parents), len(parents):].any(axis=0)
+        for i, w in enumerate(kids):
+            refused = bool(multiplex._covers(archive.cols, w).any())
+            assert refused or not dropped[i]
+            archive.add(len(seen) + i, w)
+
+    def test_dropped_offspring_are_covered_in_a_run(self, s2m, monkeypatch):
+        # every offspring a parent covers is one the archive covers too
+        checked = []
+        archive_rows = multiplex._archive
+
+        def spy(archive, schemes, sizes, profits, covers, rows):
+            dropped = np.setdiff1d(np.arange(len(profits)), rows)
+            assert archive.covered(profits[dropped]).all()
+            checked.append(len(dropped))
+            return archive_rows(archive, schemes, sizes, profits, covers, rows)
+
+        monkeypatch.setattr(multiplex, "_archive", spy)
+        front = solve_ga(s2m, GaParams(population=12, generations=15, seed=2))
+        assert sum(checked) == front.meta["parent_covered"] > 0
+
+    def test_no_dominance_sort_of_the_survivors(self, s2m, monkeypatch):
+        # generation 0 sorts its P rows; each generation peels its 2P rows
+        # once, until P are ranked, and carries the survivors' fronts
+        sorts, peels = [], []
+        sort, peel = multiplex.nondominated_sort, multiplex._fronts
+
+        def sort_spy(objectives):
+            sorts.append(len(objectives))
+            return sort(objectives)
+
+        def peel_spy(dom, count):
+            peels.append((len(dom), count))
+            return peel(dom, count)
+
+        monkeypatch.setattr(multiplex, "nondominated_sort", sort_spy)
+        monkeypatch.setattr(multiplex, "_fronts", peel_spy)
+        solve_ga(s2m, GaParams(population=8, generations=5, seed=1))
+        assert sorts == [8]
+        assert peels == [(8, 8)] + [(16, 8)] * 5
 
 
 class TestMultiplexingGain:
