@@ -47,11 +47,11 @@ MAX_GA_EVALUATIONS = 250_000
 # Largest GA population. Survival ranks n = 2P rows from one (n, n) covers
 # matrix, built one objective plane at a time, and the dominance matrix it
 # gives, so the peak is about 3·n² bytes whatever M: tracemalloc gives
-# 12.0 MB for P = 1,000 at M = 8 (15.3 MB for a whole three-generation run),
+# 12.0 MB for P = 1,000 at M = 8 (13.5 MB for a whole three-generation run),
 # where P = 20,000 would need 4.8 GB. The archive's comparisons hold a few
 # 2 MiB planes (_COVER_PAIRS): a 20-generation run whose archive reaches
-# 14,751 points peaks at 24 MB. A block of offspring draws takes about 1 MB
-# (_BLOCK_WORDS).
+# 14,751 points peaks at 23.0 MB. A block of offspring draws takes about
+# 1 MB (_BLOCK_WORDS).
 MAX_GA_POPULATION = 1000
 
 
@@ -200,28 +200,60 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     )
 
 
+# Most (vector, vector) pairs one archive comparison holds, so it needs a
+# few boolean planes of 2 MiB however large the archive grows.
+_COVER_PAIRS = 1 << 21
+
+
+def _covers(a, b) -> np.ndarray:
+    """a >= b on every objective, for objective-major a and b (objective j
+    is a[j] against b[j]; the axes after the first broadcast). The planes
+    are compared one at a time, since numpy reduces a short axis slowly.
+    The one comparison of vectors in this module."""
+    out = a[0] >= b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out &= x >= y
+    return out
+
+
+def _covered_by(a, b) -> np.ndarray:
+    """Per column of the objective-major b, whether some column of a covers
+    it. Compares at most _COVER_PAIRS pairs at a time."""
+    step = max(1, _COVER_PAIRS // max(1, a.shape[1]))
+    out = np.zeros(b.shape[1], dtype=bool)
+    for i in range(0, b.shape[1], step):
+        out[i:i + step] = _covers(a[:, :, None], b[:, None, i:i + step]).any(axis=0)
+    return out
+
+
+def _cover_matrix(rows) -> np.ndarray:
+    """The covers matrix of the (n, M) rows: [a, b] when row a is at least
+    row b on every objective, so every row covers every row when M = 0."""
+    if not rows.shape[1]:
+        return np.ones((len(rows), len(rows)), dtype=bool)
+    cols = np.ascontiguousarray(rows.T)
+    return _covers(cols[:, :, None], cols[:, None, :])
+
+
 def dominates(a, b) -> np.ndarray:
-    """Pareto dominance for maximisation: a >= b everywhere and a > b
-    somewhere. Objectives lie on the last axis; leading axes broadcast.
-    The objective planes are compared one at a time, since numpy reduces
-    a short last axis slowly."""
+    """Pareto dominance for maximisation: a covers b (a >= b everywhere)
+    and b does not cover a. Objectives lie on the last axis; leading axes
+    broadcast."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1:] != b.shape[-1:]:
         a, b = np.broadcast_arrays(a, b)
     if not a.shape[-1]:  # no objective: nothing is better anywhere
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), dtype=bool)
-    ge, gt = a[..., 0] >= b[..., 0], a[..., 0] > b[..., 0]
-    for j in range(1, a.shape[-1]):
-        ge &= a[..., j] >= b[..., j]
-        gt |= a[..., j] > b[..., j]
-    return ge & gt
+    a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    return _covers(a, b) & ~_covers(b, a)
 
 
-def _fronts(dom, count: int) -> np.ndarray:
-    """Front index per row of the dominance matrix dom (dom[a, b]: a
-    dominates b), peeled until at least count rows are ranked. Each pass
-    peels the rows no remaining row dominates; the rows left at the end
-    get len(dom)."""
+def _fronts(covers, count: int) -> np.ndarray:
+    """Front index per row of the covers matrix (_cover_matrix), peeled
+    until at least count rows are ranked: a dominates b iff a covers b and
+    b does not cover a. Each pass peels the rows no remaining row
+    dominates; the rows left at the end get len(covers)."""
+    dom = covers & ~covers.T
     ranks = np.full(len(dom), len(dom))
     left = np.ones(len(dom), dtype=bool)
     level = 0
@@ -236,8 +268,7 @@ def nondominated_sort(objectives: np.ndarray) -> list:
     """Front index per row for a maximisation problem. Each pass peels the
     rows no remaining row dominates; the rest move one front down."""
     objectives = np.asarray(objectives, dtype=float)
-    dom = dominates(objectives[:, None, :], objectives[None, :, :])  # dom[a, b]: a dominates b
-    return _fronts(dom, len(objectives)).tolist()
+    return _fronts(_cover_matrix(objectives), len(objectives)).tolist()
 
 
 def crowding_distance(objectives, fronts=None) -> np.ndarray:
@@ -276,6 +307,45 @@ def crowding_distance(objectives, fronts=None) -> np.ndarray:
         dist[order[1:-1, j]] += gaps[:, j]
     dist[order[~inner]] = np.inf
     return dist
+
+
+class _Archive:
+    """Nondominated set with first-duplicate-kept, insertion-ordered. Each
+    point is one column of a buffer that doubles when full: its M
+    objectives, then its payload. cols is a view of the live columns, so an
+    insert copies no archived point."""
+
+    def __init__(self, width: int):
+        self._buffer = np.empty((width, 16))
+        self.cols = self._buffer[:, :0]
+
+    def extend(self, rows, payload, covers) -> None:
+        """Insert the (K, M) objective rows with their (K, W) payload, as
+        inserting each in index order would; covers is the rows'
+        _cover_matrix. An insert refuses a row that an equal or dominating
+        vector is archived for, and evicts the vectors the row dominates.
+        So a row goes in when no archived vector and no earlier row covers
+        it: covering is transitive, and a row that would evict the covering
+        vector covers the row too. An archived vector leaves when a row that
+        went in covers it, and so does a row that went in when a later one
+        covers it: neither covers the row that covers it, so covering is
+        dominating there. The rest keep their order."""
+        m = rows.shape[1]
+        fresh = ~np.triu(covers, 1).any(axis=0)
+        fresh[fresh] = ~_covered_by(self.cols[:m], rows[fresh].T)
+        if not fresh.any():
+            return
+        new = np.hstack([rows, payload])[fresh].T
+        stays = ~_covered_by(new[:m], self.cols[:m])
+        size = int(stays.sum())
+        if size < self.cols.shape[1]:
+            self._buffer[:, :size] = self.cols[:, stays]
+        lasts = ~np.tril(covers[fresh][:, fresh], -1).any(axis=0)
+        count = int(lasts.sum())
+        while size + count > self._buffer.shape[1]:
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
+        self._buffer[:, size:size + count] = new[:, lasts]
+        self.cols = self._buffer[:, :size + count]
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -428,82 +498,6 @@ def _tournament_picks(words, pop: int) -> tuple:
     return picks, rejected.any(axis=(1, 2))
 
 
-# Most (vector, vector) pairs one archive comparison holds, so it needs a
-# few boolean planes of 2 MiB however large the archive grows.
-_COVER_PAIRS = 1 << 21
-
-
-def _covers(a, b) -> np.ndarray:
-    """a >= b on every objective, for objective-major a and b (objective j
-    is a[j] against b[j]; the axes after the first broadcast)."""
-    out = a[0] >= b[0]
-    for x, y in zip(a[1:], b[1:]):
-        out &= x >= y
-    return out
-
-
-def _covered_by(a, b) -> np.ndarray:
-    """Per column of the objective-major b, whether some column of a covers
-    it. Compares at most _COVER_PAIRS pairs at a time."""
-    step = max(1, _COVER_PAIRS // max(1, a.shape[1]))
-    out = np.zeros(b.shape[1], dtype=bool)
-    for i in range(0, b.shape[1], step):
-        out[i:i + step] = _covers(a[:, :, None], b[:, None, i:i + step]).any(axis=0)
-    return out
-
-
-def _cover_matrix(rows) -> np.ndarray:
-    """The covers matrix of the (n, M) rows: [a, b] when row a is at least
-    row b on every objective. a dominates b iff [a, b] and not [b, a]."""
-    cols = np.ascontiguousarray(rows.T)
-    return _covers(cols[:, :, None], cols[:, None, :])
-
-
-class _Archive:
-    """Nondominated set with first-duplicate-kept, insertion-ordered. The
-    vectors are kept objective-major, one row of cols per objective; cols
-    is a view of the live columns of a buffer that doubles when full, so
-    an insert copies no archived vector."""
-
-    def __init__(self, width: int):
-        self._buffer = np.empty((width, 16))
-        self.cols = self._buffer[:, :0]
-        self.items: list = []
-
-    def covered(self, profits) -> np.ndarray:
-        """Per row of the (P, M) profits, whether some archived vector is at
-        least as large on every objective: inserting the rows one at a time
-        would refuse it, and would still refuse it after any other insert,
-        since a vector that evicts the covering one covers the row too."""
-        return _covered_by(self.cols, profits.T)
-
-    def extend(self, items, rows, covers) -> None:
-        """Insert items with their (K, M) objective rows, none of which an
-        archived vector covers, as inserting each in index order would;
-        covers is the rows' _cover_matrix. An insert refuses a row that an
-        equal or dominating vector is archived for, and evicts the vectors
-        the row dominates. So a row goes in when no earlier row covers it
-        (covering is transitive). An archived vector leaves when a row that
-        went in covers it, and so does a row that went in when a later one
-        covers it: neither covers the row that covers it, so covering is
-        dominating there. The rest keep their order."""
-        if not len(rows):
-            return
-        fresh = ~np.triu(covers, 1).any(axis=0)
-        new, items = rows.T[:, fresh], [it for it, f in zip(items, fresh) if f]
-        stays = ~_covered_by(new, self.cols)
-        if not stays.all():
-            self.items = [it for it, s in zip(self.items, stays) if s]
-            self._buffer[:, :len(self.items)] = self.cols[:, stays]
-        lasts = ~np.tril(covers[fresh][:, fresh], -1).any(axis=0)
-        size, count = len(self.items), int(lasts.sum())
-        while size + count > self._buffer.shape[1]:
-            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
-        self._buffer[:, size:size + count] = new[:, lasts]
-        self.cols = self._buffer[:, :size + count]
-        self.items += [it for it, last in zip(items, lasts) if last]
-
-
 # A repaired size vector lies k·2^-50 of the way from the reservation floor
 # to the drawn sizes, for the integer k the repair searches.
 _REPAIR_BITS = 50
@@ -613,17 +607,6 @@ def _evaluate(model, masks, lo, hi, schemes, sizes, counts) -> tuple:
     return sizes, revs - exps
 
 
-def _archive(archive, schemes, sizes, profits, covers, rows) -> None:
-    """Archive the evaluated individuals `rows` (indices, ascending) that
-    no archived vector covers, as if one at a time in index order; covers
-    is the _cover_matrix of all the profits."""
-    fresh = rows[~archive.covered(profits[rows])]
-    archive.extend([FrontPoint(tuple(row), idx, tuple(w))
-                    for idx, row, w in zip(schemes[fresh].tolist(), sizes[fresh].tolist(),
-                                           profits[fresh].tolist())],
-                   profits[fresh], covers[fresh][:, fresh])
-
-
 def _best_first(profits, ranks) -> np.ndarray:
     """Row indices best first: lower nondominated front (ranks), then
     larger crowding distance within the front, then lower index."""
@@ -632,25 +615,14 @@ def _best_first(profits, ranks) -> np.ndarray:
 
 def _survivors(profits, covers, pop: int) -> tuple:
     """The first pop rows of profits in best-first order, and their fronts,
-    from the rows' _cover_matrix: a dominates b iff a covers b and b does
-    not cover a. The peel stops once pop rows are ranked, as no row of a
-    later front is kept. The kept rows' fronts are their fronts among
-    themselves: a row that dominates a kept row lies in a lower front,
-    which is kept whole."""
-    ranks = _fronts(covers & ~covers.T, pop)
+    from the rows' _cover_matrix. The peel stops once pop rows are ranked,
+    as no row of a later front is kept. The kept rows' fronts are their
+    fronts among themselves: a row that dominates a kept row lies in a
+    lower front, which is kept whole."""
+    ranks = _fronts(covers, pop)
     ranked = np.flatnonzero(ranks < len(ranks))
     keep = ranked[_best_first(profits[ranked], ranks[ranked])[:pop]]
     return keep, ranks[keep]
-
-
-def _draw_tail(rng, mutate, mutation, n_schemes) -> tuple:
-    """An offspring's draws after its mutation mask, from its Generator:
-    noise if any gene mutates, a scheme coin and, if it lands and there is
-    a choice, a new scheme. Returns (noise, resample, scheme)."""
-    noise = rng.normal(0.0, 0.15, size=len(mutate)) if mutate.any() else 0.0
-    if rng.random() < mutation and n_schemes > 1:
-        return noise, True, rng.integers(n_schemes)
-    return noise, False, 0
 
 
 # Most raw words one block of generations draws at once (512 KiB), however
@@ -667,11 +639,10 @@ def _generation_blocks(generations: int, words: int) -> list:
 
 
 class _Draws(NamedTuple):
-    """Offspring draws, one row per offspring: the four tournament picks
-    (2, 2), the crossover coin, gene mask (M,) and scheme coin, the
-    mutation mask (M,) and its unscaled noise (M,), and whether the scheme
-    is drawn again and which. Leading axes (generation, offspring) for a
-    block, (offspring,) for one generation."""
+    """Offspring draws, one row per offspring, generation-major: the four
+    tournament picks (2, 2), the crossover coin, gene mask (M,) and scheme
+    coin, the mutation mask (M,) and its unscaled noise (M,), and whether
+    the scheme is drawn again and which."""
     picks: np.ndarray
     cross: np.ndarray
     genes: np.ndarray
@@ -693,10 +664,10 @@ def _offspring_draws(params, gens, pop, m, n_schemes, counts) -> _Draws:
     The draws are decoded from each stream's first 2M + 6 raw words as
     numpy makes them: the picks from the 32-bit halves of words 0 and 1,
     every coin and mask from one word each at the row's own cursor, and the
-    new scheme from the low half of the next word. A row whose noise the
-    ziggurat draws goes on from its cursor through a Generator, and a row
-    whose picks Lemire's rule rejects is drawn again whole. Counts both
-    kinds of row."""
+    new scheme from the low half of the next word. Two kinds of row go on
+    through a Generator: a row whose picks Lemire's rule rejects is drawn
+    again whole, from its stream's start, and a row whose noise the
+    ziggurat draws goes on from its cursor. Counts both kinds of row."""
     words, seeds = _stream_words(params.seed, gens, pop, 2 * m + 6)
     rows = np.arange(len(words))
     picks, rejected = _tournament_picks(words, pop)
@@ -709,26 +680,27 @@ def _offspring_draws(params, gens, pop, m, n_schemes, counts) -> _Draws:
     resample = _below(words[rows, at], params.mutation) & (n_schemes > 1)
     drawn, _ = _bounded(words[rows, at + 1], n_schemes)
     noise = np.zeros((len(words), m))
-    replayed = np.flatnonzero(rejected)
-    tails = np.flatnonzero(mutate.any(axis=1) & ~rejected)
+    tails = mutate.any(axis=1) & ~rejected
+    counts["replayed"] += int(rejected.sum())
+    counts["noise_rows"] += int(tails.sum())
+    redo = np.flatnonzero(rejected | tails)
+    skips = np.where(rejected, 0, at)[redo]
     rng = np.random.Generator(np.random.PCG64(0))  # any seed: _seek sets each stream
-    for j, key in zip(replayed.tolist(), seeds[:, replayed].T.tolist()):
-        _seek(rng, key)
-        picks[j] = rng.integers(pop, size=(2, 2))
-        cross[j] = rng.random() < params.crossover
-        if cross[j]:
-            genes[j] = rng.random(m) < 0.5
-            coin[j] = rng.random() < 0.5
-        mutate[j] = rng.random(m) < params.mutation
-        noise[j], resample[j], drawn[j] = _draw_tail(rng, mutate[j], params.mutation, n_schemes)
-    for j, key, skip in zip(tails.tolist(), seeds[:, tails].T.tolist(), at[tails].tolist()):
+    for j, key, skip in zip(redo.tolist(), seeds[:, redo].T.tolist(), skips.tolist()):
         _seek(rng, key, skip)
-        noise[j], resample[j], drawn[j] = _draw_tail(rng, mutate[j], params.mutation, n_schemes)
-    counts["replayed"] += len(replayed)
-    counts["noise_rows"] += len(tails)
-    lead = (len(gens), pop)
-    return _Draws(*(a.reshape(lead + a.shape[1:])
-                    for a in (picks, cross, genes, coin, mutate, noise, resample, drawn)))
+        if rejected[j]:
+            picks[j] = rng.integers(pop, size=(2, 2))
+            cross[j] = rng.random() < params.crossover
+            if cross[j]:
+                genes[j] = rng.random(m) < 0.5
+                coin[j] = rng.random() < 0.5
+            mutate[j] = rng.random(m) < params.mutation
+        if mutate[j].any():
+            noise[j] = rng.normal(0.0, 0.15, size=m)
+        resample[j] = rng.random() < params.mutation and n_schemes > 1
+        if resample[j]:
+            drawn[j] = rng.integers(n_schemes)
+    return _Draws(picks, cross, genes, coin, mutate, noise, resample, drawn)
 
 
 def _offspring(draws, place, schemes, sizes, span) -> tuple:
@@ -756,11 +728,13 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     best-first order, then repairs the infeasible ones together by uniform
     down-scaling toward the reservation floor; the best-first head of
     parents and offspring survives. One covers matrix over parents and
-    offspring serves the survival sort, the archive's batch and the
-    pre-filter that drops an offspring a parent covers; the survivors carry
-    their fronts into the next generation. Populations over
-    MAX_GA_POPULATION and runs over MAX_GA_EVALUATIONS are refused first.
-    Returns the nondominated archive, first objective descending, with the
+    offspring serves the survival peel, the pre-filter that drops an
+    offspring a parent covers, and the archive's batch; the survivors carry
+    their fronts into the next generation. The archive keeps each point as
+    one column (profits, scheme index, sizes), and the front points are
+    built once, from its final columns. Populations over MAX_GA_POPULATION
+    and runs over MAX_GA_EVALUATIONS are refused first. Returns the
+    nondominated archive, first objective descending, with the
     run's counts in meta: evaluations, rows repaired, offspring whose
     noise a Generator drew (noise_rows), offspring drawn again whole after
     a rejected pick (replayed) and offspring a parent covers
@@ -791,7 +765,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     span = hi - lo
     m = len(scenario.specs)
 
-    archive = _Archive(m)
+    archive = _Archive(2 * m + 1)  # per point: profits, scheme index, sizes
     counts = dict.fromkeys(
         ("evaluations", "repaired", "noise_rows", "replayed", "parent_covered"), 0)
     # each stream draws a scheme (integers(1) draws nothing), then m doubles
@@ -800,15 +774,15 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
     schemes = _bounded(words[:, 0], len(masks))[0] if draws_scheme else np.zeros(pop, dtype=int)
     sizes = lo + _doubles(words[:, draws_scheme:]) * span
     sizes, profits = _evaluate(model, masks, lo, hi, schemes, sizes, counts)
-    _archive(archive, schemes, sizes, profits, _cover_matrix(profits), np.arange(pop))
+    archive.extend(profits, np.column_stack([schemes, sizes]), _cover_matrix(profits))
     ranks = np.array(nondominated_sort(profits))
 
     for gens in _generation_blocks(params.generations, pop * (2 * m + 6)):
         block = _offspring_draws(params, gens, pop, m, len(masks), counts)
         for i in range(len(gens)):
             place = np.argsort(_best_first(profits, ranks))  # each individual's place, best first
-            kid_schemes, kids = _offspring(_Draws(*(a[i] for a in block)),
-                                           place, schemes, sizes, span)
+            draws = _Draws(*(a[i * pop:(i + 1) * pop] for a in block))
+            kid_schemes, kids = _offspring(draws, place, schemes, sizes, span)
             kids, kid_profits = _evaluate(model, masks, lo, hi, kid_schemes, kids, counts)
             both = np.vstack([profits, kid_profits])
             covers = _cover_matrix(both)
@@ -816,14 +790,18 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
             # the archive refuses an offspring a parent covers
             covered = covers[:pop, pop:].any(axis=0)
             counts["parent_covered"] += int(covered.sum())
-            _archive(archive, kid_schemes, kids, kid_profits, covers[pop:, pop:],
-                     np.flatnonzero(~covered))
+            fresh = pop + np.flatnonzero(~covered)
+            archive.extend(both[fresh], np.column_stack([kid_schemes, kids])[~covered],
+                           covers[np.ix_(fresh, fresh)])
             keep, ranks = _survivors(both, covers, pop)
             schemes = np.concatenate([schemes, kid_schemes])[keep]
             sizes = np.vstack([sizes, kids])[keep]
             profits = both[keep]
 
-    return ParetoFront(tuple(sorted(archive.items, key=lambda p: (
+    cols = archive.cols
+    points = [FrontPoint(tuple(x), int(idx), tuple(w)) for w, idx, x in zip(
+        cols[:m].T.tolist(), cols[m].tolist(), cols[m + 1:].T.tolist())]
+    return ParetoFront(tuple(sorted(points, key=lambda p: (
         tuple(-x for x in p.profits), p.scheme_index, p.sizes))), counts)
 
 

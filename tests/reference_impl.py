@@ -37,9 +37,9 @@ vector and call (``game._LeaseTable``). ``best_response_resolve``,
 re-solve every grid point in every round, at settlement and in the Nash
 check.
 
-``multiplex.dominates`` compares the objective planes one at a time.
-``dominates_reduce`` is the form it replaced, one reduction over the
-objective axis.
+``multiplex.dominates`` is the covers test one way and not the other,
+comparing the objective planes one at a time. ``dominates_reduce`` is the
+form it replaced, one reduction over the objective axis.
 
 ``multiplex.solve_ga`` keeps its population as arrays, draws a
 generation's offspring before it evaluates any of them, and ranks with a
@@ -52,15 +52,16 @@ element-by-element forms of ``nondominated_sort`` and
 bisection that ``multiplex._repair`` computes directly for a
 whole generation, and archives with ``ArchiveLoop``, whose reject rule
 makes the three comparisons that ``multiplex._Archive`` folds into one,
-and which takes every offspring in turn where ``multiplex._evaluate``
-first drops those an archived vector covers.
-
-``multiplex._Archive.extend`` inserts a batch of vectors at once.
-``SequentialArchive.add`` is the one-at-a-time insert it replaced.
+and which takes every offspring in turn where ``multiplex.solve_ga``
+first drops those a parent or an archived vector covers.
 It enumerates, bounds, tests and evaluates with the loop forms above, so
 it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair,
 evaluation or stream code: it builds each individual's
 ``default_rng(SeedSequence([seed, g, j]))`` itself.
+
+``multiplex._Archive.extend`` inserts a batch of vectors at once.
+``SequentialArchive.add`` is the one-at-a-time insert it replaced; it
+calls nothing of ``multiplex``.
 
 ``multiplex._offspring_draws`` decodes a block of generations' draws from
 the raw words of their streams, which ``multiplex._stream_words`` steps
@@ -619,28 +620,28 @@ class ArchiveLoop:
         self.items.append(item)
 
 
-class SequentialArchive(multiplex._Archive):
+class SequentialArchive:
     """multiplex._Archive inserting one vector at a time, the insert that
-    _Archive.extend batches."""
+    _Archive.extend batches, with its rule as plain array comparisons: the
+    kept vectors as (A, M) rows, and their items."""
+
+    def __init__(self, width):
+        self.rows = np.empty((0, width))
+        self.items = []
+
+    def refuses(self, w) -> bool:
+        """Whether a kept vector is at least w on every objective: equal to
+        w or dominating it."""
+        return bool((self.rows >= w).all(axis=1).any())
 
     def add(self, item, w) -> None:
-        """Insert item with objective vector w unless an archived vector
-        equals or dominates w; evict the archived items w dominates."""
-        if self.items:
-            # equal or dominating: no objective of the row falls below w
-            if bool(multiplex._covers(self.cols, w).any()):
-                return
-            beaten = multiplex.dominates(w, self.cols.T)
-            if bool(beaten.any()):
-                keep = ~beaten
-                self.items = [it for it, k in zip(self.items, keep) if k]
-                self._buffer[:, :len(self.items)] = self.cols[:, keep]
-        size = len(self.items)
-        if size == self._buffer.shape[1]:
-            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
-        self._buffer[:, size] = w
-        self.cols = self._buffer[:, :size + 1]
-        self.items.append(item)
+        """Insert item with objective vector w unless refused; evict the
+        kept vectors w dominates."""
+        if self.refuses(w):
+            return
+        beaten = (w >= self.rows).all(axis=1) & (w > self.rows).any(axis=1)
+        self.rows = np.vstack([self.rows[~beaten], w])
+        self.items = [it for it, b in zip(self.items, beaten) if not b] + [item]
 
 
 def feasible_loop(specs, scheme, pool):

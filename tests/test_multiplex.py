@@ -274,19 +274,31 @@ class TestSolveBcd:
         assert res.outcome.feasible
 
 
-def extend(archive, items, rows):
-    """archive.extend with the rows' covers matrix, as solve_ga passes it."""
-    covers = multiplex._cover_matrix(rows) if len(rows) else np.zeros((0, 0), dtype=bool)
-    archive.extend(items, rows, covers)
+def extend(archive, ids, rows):
+    """archive.extend of the (K, M) rows with their ids as the payload and
+    the rows' covers matrix, as solve_ga passes it."""
+    payload = np.asarray(ids, dtype=float).reshape(len(rows), 1)
+    archive.extend(rows, payload, multiplex._cover_matrix(rows))
+
+
+def ids(archive):
+    """The payload ids of an archive of M objectives and one id each."""
+    return archive.cols[-1].astype(int).tolist()
+
+
+def objectives(archive):
+    """The (A, M) objective rows of an archive of one id each."""
+    return archive.cols[:-1].T
 
 
 def archived(points, profits=tuple):
-    """The items multiplex._Archive keeps of points given in order, each
+    """The points multiplex._Archive keeps of points given in order, each
     with the objective vector profits(point), in one batch."""
-    archive = multiplex._Archive(len(profits(points[0])) if points else 0)
+    k = len(profits(points[0])) if points else 0
+    archive = multiplex._Archive(k + 1)
     rows = np.array([profits(point) for point in points], dtype=float)
-    extend(archive, points, rows.reshape(len(points), archive.cols.shape[0]))
-    return archive.items
+    extend(archive, range(len(points)), rows.reshape(len(points), k))
+    return [points[i] for i in ids(archive)]
 
 
 class TestParetoFilter:
@@ -398,7 +410,7 @@ class TestNondominatedSort:
         assert nondominated_sort(np.array([[5.0, 1.0]])) == [0]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 3))
+    @given(st.integers(0, 10_000), st.integers(0, 12), st.integers(0, 3))
     def test_matches_quadratic_reference(self, seed, n, k):
         rng = np.random.default_rng(seed)
         objs = rng.integers(0, 4, size=(n, k)).astype(float)
@@ -747,7 +759,7 @@ class TestStreams:
         for i, gen in enumerate(gens):
             args = (rng.permutation(pop), rng.integers(n_schemes, size=pop),
                     rng.normal(size=(pop, m)), rng.random(m))
-            draws = multiplex._Draws(*(a[i] for a in block))
+            draws = multiplex._Draws(*(a[i * pop:(i + 1) * pop] for a in block))
             kid_schemes, kids = multiplex._offspring(draws, *args)
             want_schemes, want_kids = offspring_loop(params, gen, *args, n_schemes)
             assert kid_schemes.tobytes() == want_schemes.tobytes()
@@ -960,13 +972,12 @@ def archive_runs(draw):
 
 
 def archive_pair(k, batches):
-    """multiplex._Archive extended by each batch, less what covered drops,
-    and SequentialArchive given every vector one at a time, in order."""
-    fast, slow = multiplex._Archive(k), SequentialArchive(k)
+    """multiplex._Archive extended by each batch, and SequentialArchive
+    given every vector one at a time, in order; both keep vector ids."""
+    fast, slow = multiplex._Archive(k + 1), SequentialArchive(k)
     start = 0
     for batch in batches:
-        fresh = np.flatnonzero(~fast.covered(batch))
-        extend(fast, (start + fresh).tolist(), batch[fresh])
+        extend(fast, start + np.arange(len(batch)), batch)
         for i, w in enumerate(batch):
             slow.add(start + i, w)
         start += len(batch)
@@ -979,33 +990,28 @@ class TestArchive:
     def test_one_comparison_reject_matches_three(self, drawn):
         # ties, signed zeros and NaN: "no objective below w" is "equal or dominating"
         k, vectors = drawn
-        fast, slow = multiplex._Archive(k), ArchiveLoop(k)
+        fast, slow = multiplex._Archive(k + 1), ArchiveLoop(k)
         for i, v in enumerate(vectors):
-            w = np.array(v)[None, :]
-            if not fast.covered(w)[0]:
-                extend(fast, [i], w)
+            extend(fast, [i], np.array(v)[None, :])
             slow.add(i, np.array(v))
-        assert fast.items == slow.items
-        assert fast.cols.T.tobytes() == slow.rows.tobytes()
+        assert ids(fast) == slow.items
+        assert objectives(fast).tobytes() == slow.rows.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(archive_batches())
     def test_prefiltered_batch_matches_every_insert(self, drawn):
-        # _evaluate's path, dropping what the archive covers before one
+        # extend's path, dropping what the archive covers before one
         # batched insert, keeps what inserting every vector keeps
         k, earlier, batch = drawn
-        fast, slow = multiplex._Archive(k), ArchiveLoop(k)
+        fast, slow = multiplex._Archive(k + 1), ArchiveLoop(k)
         for i, v in enumerate(earlier):
-            w = np.array(v)[None, :]
-            if not fast.covered(w)[0]:
-                extend(fast, [i], w)
+            extend(fast, [i], np.array(v)[None, :])
             slow.add(i, np.array(v))
-        fresh = np.flatnonzero(~fast.covered(batch))
-        extend(fast, (len(earlier) + fresh).tolist(), batch[fresh])
+        extend(fast, len(earlier) + np.arange(len(batch)), batch)
         for i, w in enumerate(batch):
             slow.add(len(earlier) + i, w)
-        assert fast.items == slow.items
-        assert fast.cols.T.tobytes() == slow.rows.tobytes()
+        assert ids(fast) == slow.items
+        assert objectives(fast).tobytes() == slow.rows.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(archive_runs())
@@ -1016,8 +1022,8 @@ class TestArchive:
     def test_batched_extend_matches_sequential_add(self, drawn):
         # the same items in the same order, and the same vector bytes
         fast, slow = archive_pair(*drawn)
-        assert fast.items == slow.items
-        assert fast.cols.tobytes() == slow.cols.tobytes()
+        assert ids(fast) == slow.items
+        assert objectives(fast).tobytes() == slow.rows.tobytes()
 
     @pytest.mark.parametrize("pairs", [1, 3, 10])
     def test_comparisons_in_bounded_chunks(self, pairs, monkeypatch):
@@ -1028,26 +1034,25 @@ class TestArchive:
         want = archive_pair(3, batches)[1]
         monkeypatch.setattr(multiplex, "_COVER_PAIRS", pairs)
         fast, _ = archive_pair(3, batches)
-        assert fast.items == want.items
-        assert fast.cols.tobytes() == want.cols.tobytes()
+        assert ids(fast) == want.items
+        assert objectives(fast).tobytes() == want.rows.tobytes()
 
     def test_growing_buffer_keeps_every_column(self):
         # a long front with evictions between: the doubling buffer keeps the
         # same vectors, in the same order, as a fresh array per insert, also
         # when one batch outgrows it more than twice over
         rng = np.random.default_rng(4)
-        fast, slow = multiplex._Archive(2), ArchiveLoop(2)
+        fast, slow = multiplex._Archive(3), ArchiveLoop(2)
         start = 0
         for n in [1, 70] + [5] * 40:
             x = rng.integers(0, 120, size=n).astype(float)
             batch = np.stack([x, 120.0 - x + rng.integers(-2, 3, size=n)], axis=1)
-            fresh = np.flatnonzero(~fast.covered(batch))
-            extend(fast, (start + fresh).tolist(), batch[fresh])
+            extend(fast, start + np.arange(n), batch)
             for i, w in enumerate(batch):
                 slow.add(start + i, w)
             start += n
-            assert fast.items == slow.items
-            assert fast.cols.T.tobytes() == slow.rows.tobytes()
+            assert ids(fast) == slow.items
+            assert objectives(fast).tobytes() == slow.rows.tobytes()
         assert fast.cols.shape[1] > 16
 
 
@@ -1106,8 +1111,7 @@ class TestOneComparisonPerGeneration:
         # the carried fronts are the survivors' own fronts
         assert ranks.tolist() == nondominated_sort(objs[keep])
         # the early-stopped peel ranks every kept row as the full peel does
-        dom = covers & ~covers.T
-        early, full = multiplex._fronts(dom, pop), multiplex._fronts(dom, len(objs))
+        early, full = multiplex._fronts(covers, pop), multiplex._fronts(covers, len(objs))
         ranked = early < len(objs)
         assert ranked.sum() >= pop and ranked[keep].all()
         assert (early[ranked] == full[ranked]).all()
@@ -1129,23 +1133,30 @@ class TestOneComparisonPerGeneration:
         both = np.vstack([parents, kids])
         dropped = multiplex._cover_matrix(both)[:len(parents), len(parents):].any(axis=0)
         for i, w in enumerate(kids):
-            refused = bool(multiplex._covers(archive.cols, w).any())
-            assert refused or not dropped[i]
+            assert archive.refuses(w) or not dropped[i]
             archive.add(len(seen) + i, w)
 
     def test_dropped_offspring_are_covered_in_a_run(self, s2m, monkeypatch):
         # every offspring a parent covers is one the archive covers too
-        checked = []
-        archive_rows = multiplex._archive
+        pop, checked, matrices = 12, [], []
+        cover_matrix, extend_rows = multiplex._cover_matrix, multiplex._Archive.extend
 
-        def spy(archive, schemes, sizes, profits, covers, rows):
-            dropped = np.setdiff1d(np.arange(len(profits)), rows)
-            assert archive.covered(profits[dropped]).all()
-            checked.append(len(dropped))
-            return archive_rows(archive, schemes, sizes, profits, covers, rows)
+        def matrix_spy(rows):
+            matrices.append(rows)
+            return cover_matrix(rows)
 
-        monkeypatch.setattr(multiplex, "_archive", spy)
-        front = solve_ga(s2m, GaParams(population=12, generations=15, seed=2))
+        def spy(archive, rows, payload, covers):
+            both = matrices[-1]
+            if len(both) == 2 * pop:  # a generation's parents and offspring
+                dropped = both[pop:][(both[:pop, None] >= both[None, pop:]).all(axis=2).any(axis=0)]
+                archived = archive.cols[:rows.shape[1]].T  # then scheme and sizes
+                assert (archived[:, None] >= dropped[None]).all(axis=2).any(axis=0).all()
+                checked.append(len(dropped))
+            return extend_rows(archive, rows, payload, covers)
+
+        monkeypatch.setattr(multiplex, "_cover_matrix", matrix_spy)
+        monkeypatch.setattr(multiplex._Archive, "extend", spy)
+        front = solve_ga(s2m, GaParams(population=pop, generations=15, seed=2))
         assert sum(checked) == front.meta["parent_covered"] > 0
 
     def test_no_dominance_sort_of_the_survivors(self, s2m, monkeypatch):

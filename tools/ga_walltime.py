@@ -5,10 +5,12 @@ with the benchmark's GA settings: s2m at population 40 and 100
 generations, the seeded documents at 20 and 20. Each round runs one fresh
 process per source tree, alternating which tree goes first. A process
 solves the documents once untimed, so imports and lazy loads are paid
-before the timed pass. Prints one JSON document: per tree and document,
-the sha1 of ``repr(front)``, which must repeat in every round and match
-across trees, and the median and quartiles of the call's time over all
-rounds; and per tree the sum of the documents' medians.
+before it times, then times each document ``CALLS`` times in a row and
+keeps the fastest call, so one slow call does not move the result. Prints
+one JSON document: per tree and document, the sha1 of ``repr(front)``,
+which must repeat in every call and match across trees, and the median
+and quartiles over all rounds of the per-process minima; and per tree the
+sum of the documents' medians.
 
     python tools/ga_walltime.py --seed 1 --rounds 10 --src SRC [--src SRC ...]
 
@@ -27,7 +29,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# argv: src, repository root, seed. Prints {document: [sha1, seconds]}.
+# Timed calls per document in each process, after the untimed pass.
+CALLS = 5
+
+# argv: src, repository root, seed, calls. Prints {document: [[sha1, ...],
+# fastest call's seconds]}.
 CHILD = (
     "import hashlib, json, sys, time\n"
     "sys.path[:0] = sys.argv[1:3]\n"
@@ -43,18 +49,23 @@ CHILD = (
     "    sliceprofit.solve_ga(scenario, params)\n"
     "out = {}\n"
     "for name, (scenario, params) in runs.items():\n"
-    "    t0 = time.perf_counter()\n"
-    "    front = sliceprofit.solve_ga(scenario, params)\n"
-    "    seconds = time.perf_counter() - t0\n"
-    "    out[name] = [hashlib.sha1(repr(front).encode()).hexdigest(), seconds]\n"
+    "    sha1s, seconds = set(), []\n"
+    "    for _ in range(int(sys.argv[4])):\n"
+    "        t0 = time.perf_counter()\n"
+    "        front = sliceprofit.solve_ga(scenario, params)\n"
+    "        seconds.append(time.perf_counter() - t0)\n"
+    "        sha1s.add(hashlib.sha1(repr(front).encode()).hexdigest())\n"
+    "    out[name] = [sorted(sha1s), min(seconds)]\n"
     "print(json.dumps(out))\n"
 )
 
 
 def run_pass(src: Path, seed: int) -> dict:
-    """{document: [sha1 of repr(front), seconds]} of one timed pass."""
+    """{document: [sha1s of repr(front), fastest call's seconds]} of one
+    process."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", CHILD, str(src), str(ROOT), str(seed)],
+    done = subprocess.run([sys.executable, "-c", CHILD, str(src), str(ROOT), str(seed),
+                           str(CALLS)],
                           cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -73,8 +84,8 @@ def main(argv=None) -> int:
     for run in range(args.rounds):
         shift = run % len(trees)
         for src in trees[shift:] + trees[:shift]:
-            for name, (sha1, seconds) in run_pass(Path(src), args.seed).items():
-                digests.setdefault(name, set()).add(sha1)
+            for name, (sha1s, seconds) in run_pass(Path(src), args.seed).items():
+                digests.setdefault(name, set()).update(sha1s)
                 samples[src].setdefault(name, []).append(seconds)
     differ = sorted(name for name, seen in digests.items() if len(seen) != 1)
     if differ:
