@@ -28,15 +28,12 @@ from .orthogonal import (
     solve_weighted_sum,
     validate_weights,
 )
+from .pareto import FrontPoint, ParetoFront, crowding_distance, nondominated_sort
 from .multiplex import (
-    FrontPoint,
     GaParams,
-    ParetoFront,
     candidate_scheme,
-    crowding_distance,
     enumerate_candidates,
     multiplexing_gain,
-    nondominated_sort,
     solve_bcd,
     solve_exhaustive,
     solve_ga,

@@ -5,13 +5,13 @@ the search couples a discrete scheme choice with the continuous size
 problem. Three routes are provided: exhaustive scheme sweep (reference),
 block-coordinate descent alternating sizes and scheme, and a multi-objective
 genetic search over (scheme, sizes) returning a Pareto front of per-slice
-profit vectors.
+profit vectors. The GA ranks and archives with the kernel in `pareto` and
+draws from the numpy streams that `streams` steps as arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Real
 from typing import NamedTuple, Optional
 
@@ -29,6 +29,16 @@ from .model import (
     as_count,
 )
 from .orthogonal import SolveResult, solve_sizes
+from .pareto import (
+    FrontPoint,
+    ParetoFront,
+    _Archive,
+    _cover_matrix,
+    _fronts,
+    crowding_distance,
+    nondominated_sort,
+)
+from .streams import _below, _bounded, _doubles, _seek, _stream_words
 
 # Most sharing schemes a search enumerates. There are 2^E of them for E
 # eligible resources, the same bound as the size solver's activation
@@ -49,24 +59,10 @@ MAX_GA_EVALUATIONS = 250_000
 # gives, so the peak is about 3·n² bytes whatever M: tracemalloc gives
 # 12.0 MB for P = 1,000 at M = 8 (13.5 MB for a whole three-generation run),
 # where P = 20,000 would need 4.8 GB. The archive's comparisons hold a few
-# 2 MiB planes (_COVER_PAIRS): a 20-generation run whose archive reaches
-# 14,751 points peaks at 23.0 MB. A block of offspring draws takes about
-# 1 MB (_BLOCK_WORDS).
+# 2 MiB planes (pareto._COVER_PAIRS): a 20-generation run whose archive
+# reaches 14,751 points peaks at 23.0 MB. A block of offspring draws takes
+# about 1 MB (_BLOCK_WORDS).
 MAX_GA_POPULATION = 1000
-
-
-@dataclass(frozen=True)
-class FrontPoint:
-    sizes: tuple
-    scheme_index: int
-    profits: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class ParetoFront:
-    points: tuple
-    # solve_ga's run counts; left out of repr, which golden digests hash
-    meta: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -198,296 +194,6 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
         {"solver": "bcd", "iterations": nit, "rounds": rounds,
          "converged": converged, "scheme_index": scheme_idx, "trace": trace},
     )
-
-
-# Most (vector, vector) pairs one archive comparison holds, so it needs a
-# few boolean planes of 2 MiB however large the archive grows.
-_COVER_PAIRS = 1 << 21
-
-
-def _covers(a, b) -> np.ndarray:
-    """a >= b on every objective, for objective-major a and b (objective j
-    is a[j] against b[j]; the axes after the first broadcast). The planes
-    are compared one at a time, since numpy reduces a short axis slowly.
-    The one comparison of vectors in this module."""
-    out = a[0] >= b[0]
-    for x, y in zip(a[1:], b[1:]):
-        out &= x >= y
-    return out
-
-
-def _covered_by(a, b) -> np.ndarray:
-    """Per column of the objective-major b, whether some column of a covers
-    it. Compares at most _COVER_PAIRS pairs at a time."""
-    step = max(1, _COVER_PAIRS // max(1, a.shape[1]))
-    out = np.zeros(b.shape[1], dtype=bool)
-    for i in range(0, b.shape[1], step):
-        out[i:i + step] = _covers(a[:, :, None], b[:, None, i:i + step]).any(axis=0)
-    return out
-
-
-def _cover_matrix(rows) -> np.ndarray:
-    """The covers matrix of the (n, M) rows: [a, b] when row a is at least
-    row b on every objective, so every row covers every row when M = 0."""
-    if not rows.shape[1]:
-        return np.ones((len(rows), len(rows)), dtype=bool)
-    cols = np.ascontiguousarray(rows.T)
-    return _covers(cols[:, :, None], cols[:, None, :])
-
-
-def dominates(a, b) -> np.ndarray:
-    """Pareto dominance for maximisation: a covers b (a >= b everywhere)
-    and b does not cover a. Objectives lie on the last axis; leading axes
-    broadcast."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-1:] != b.shape[-1:]:
-        a, b = np.broadcast_arrays(a, b)
-    if not a.shape[-1]:  # no objective: nothing is better anywhere
-        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), dtype=bool)
-    a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
-    return _covers(a, b) & ~_covers(b, a)
-
-
-def _fronts(covers, count: int) -> np.ndarray:
-    """Front index per row of the covers matrix (_cover_matrix), peeled
-    until at least count rows are ranked: a dominates b iff a covers b and
-    b does not cover a. Each pass peels the rows no remaining row
-    dominates; the rows left at the end get len(covers)."""
-    dom = covers & ~covers.T
-    ranks = np.full(len(dom), len(dom))
-    left = np.ones(len(dom), dtype=bool)
-    level = 0
-    while len(dom) - count < left.sum():
-        still = dom[left].any(axis=0)  # a peeled row is dominated by no row left
-        ranks[left & ~still] = level
-        left, level = still, level + 1
-    return ranks
-
-
-def nondominated_sort(objectives: np.ndarray) -> list:
-    """Front index per row for a maximisation problem. Each pass peels the
-    rows no remaining row dominates; the rest move one front down."""
-    objectives = np.asarray(objectives, dtype=float)
-    return _fronts(_cover_matrix(objectives), len(objectives)).tolist()
-
-
-def crowding_distance(objectives, fronts=None) -> np.ndarray:
-    """Crowding distance of each row of finite objectives within its front
-    (fronts holds each row's front; None makes all rows one front): per
-    objective of nonzero range over the front, the gap between the row's
-    two neighbours in the front over that range, summed in objective
-    order; inf at either end of any objective, and for all of a front of
-    two rows or fewer.
-
-    Each objective's rows sort by (front, value, index), a stable argsort
-    by value and then by front, so every front is one run of places and
-    all fronts are measured in one pass."""
-    objectives = np.asarray(objectives, dtype=float)
-    n, k = objectives.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    fronts = np.zeros(n, dtype=int) if fronts is None else np.asarray(fronts)
-    cols = np.arange(k)
-    order = objectives.argsort(axis=0, kind="stable")
-    order = order[fronts[order].argsort(axis=0, kind="stable"), cols]
-    ranked = objectives[order, cols]
-    # the places where a front starts and where one ends
-    level = fronts[order[:, 0]]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = level[1:] != level[:-1]
-    ends = np.ones(n, dtype=bool)
-    ends[:-1] = starts[1:]
-    first, last = np.flatnonzero(starts), np.flatnonzero(ends)
-    width = np.repeat(ranked[last] - ranked[first], last - first + 1, axis=0)[1:-1]
-    inner = ~(starts | ends)
-    gaps = np.divide(ranked[2:] - ranked[:-2], width, out=np.zeros((n - 2, k)),
-                     where=inner[1:-1, None] & (width > 0))
-    dist = np.zeros(n)
-    for j in range(k):
-        dist[order[1:-1, j]] += gaps[:, j]
-    dist[order[~inner]] = np.inf
-    return dist
-
-
-class _Archive:
-    """Nondominated set with first-duplicate-kept, insertion-ordered. Each
-    point is one column of a buffer that doubles when full: its M
-    objectives, then its payload. cols is a view of the live columns, so an
-    insert copies no archived point."""
-
-    def __init__(self, width: int):
-        self._buffer = np.empty((width, 16))
-        self.cols = self._buffer[:, :0]
-
-    def extend(self, rows, payload, covers) -> None:
-        """Insert the (K, M) objective rows with their (K, W) payload, as
-        inserting each in index order would; covers is the rows'
-        _cover_matrix. An insert refuses a row that an equal or dominating
-        vector is archived for, and evicts the vectors the row dominates.
-        So a row goes in when no archived vector and no earlier row covers
-        it: covering is transitive, and a row that would evict the covering
-        vector covers the row too. An archived vector leaves when a row that
-        went in covers it, and so does a row that went in when a later one
-        covers it: neither covers the row that covers it, so covering is
-        dominating there. The rest keep their order."""
-        m = rows.shape[1]
-        fresh = ~np.triu(covers, 1).any(axis=0)
-        fresh[fresh] = ~_covered_by(self.cols[:m], rows[fresh].T)
-        if not fresh.any():
-            return
-        new = np.hstack([rows, payload])[fresh].T
-        stays = ~_covered_by(new[:m], self.cols[:m])
-        size = int(stays.sum())
-        if size < self.cols.shape[1]:
-            self._buffer[:, :size] = self.cols[:, stays]
-        lasts = ~np.tril(covers[fresh][:, fresh], -1).any(axis=0)
-        count = int(lasts.sum())
-        while size + count > self._buffer.shape[1]:
-            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
-        self._buffer[:, size:size + count] = new[:, lasts]
-        self.cols = self._buffer[:, :size + count]
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _entropy_words(n: int) -> list:
-    """n as SeedSequence reads an entropy int: 32-bit words, least
-    significant first, [0] for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant before each of count SeedSequence hash steps and
-    after the last: init·mult^k mod 2^32."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _seed_words(seed: int, gens, count: int) -> np.ndarray:
-    """SeedSequence([seed, g, j]).generate_state(4, np.uint64) for every g
-    in gens and j < count, g-major, as a (4, len(gens)·count) array: the
-    seed sequence hashes the entropy words into a pool of four 32-bit words
-    and draws eight words from the pool. Each hash step takes the next
-    constant of a fixed sequence, so the steps of one source word run at
-    once over the pool words, and over every (g, j). g and j are one word
-    each: solve_ga's g stays under MAX_GA_EVALUATIONS and its j under
-    MAX_GA_POPULATION."""
-    key = _entropy_words(seed)
-    columns = len(gens) * count
-    # the seed's words, g's, j's, and zero words up to the pool's four
-    entropy = np.zeros((max(len(key) + 2, 4), columns), dtype=np.uint32)
-    entropy[:len(key)] = np.array(key, dtype=np.uint32)[:, None]
-    entropy[len(key)] = np.repeat(np.asarray(gens, dtype=np.uint32), count)
-    entropy[len(key) + 1] = np.tile(np.arange(count, dtype=np.uint32), len(gens))
-    const = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
-    used = 0
-
-    def hashmix(values, n):
-        nonlocal used
-        values = (values ^ const[used:used + n]) * const[used + 1:used + n + 1]
-        used += n
-        return values ^ values >> 16
-
-    def mix(x, y):
-        out = x * _MIX_L - y * _MIX_R
-        return out ^ out >> 16
-
-    pool = hashmix(entropy[:4], 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
-    for word in entropy[4:]:
-        pool = mix(pool, hashmix(word, 4))
-    const = _hash_consts(_INIT_B, _MULT_B, 8)
-    state = (pool[[0, 1, 2, 3] * 2] ^ const[:-1]) * const[1:]
-    state = (state ^ state >> 16).astype(np.uint64)
-    return state[0::2] | state[1::2] << 32
-
-
-# the 64-bit halves of PCG64's multiplier, and the 32-bit halves of its low one
-_MUL_HI, _MUL_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
-_MUL_L0, _MUL_L1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple:
-    """PCG64's LCG step, state·mult + inc mod 2^128, over uint64 arrays of
-    the 64-bit halves of states and increments. uint64 products wrap mod
-    2^64, which gives the low half of lo·mult_lo and both cross terms; the
-    high half of lo·mult_lo is summed from the 32-bit limbs' products, each
-    exact in 64 bits."""
-    l0, l1 = lo & _MASK32, lo >> 32
-    p01, p10 = l0 * _MUL_L1, l1 * _MUL_L0
-    mid = (l0 * _MUL_L0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = l1 * _MUL_L1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_lo = lo * _MUL_LO + inc_lo
-    new_hi = carry + hi * _MUL_LO + lo * _MUL_HI + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
-
-
-def _stream_words(seed: int, gens, count: int, n: int) -> tuple:
-    """The first n raw 64-bit words of every stream (seed, g, j), numpy's
-    PCG64(SeedSequence([seed, g, j])).random_raw(n), for g in gens and
-    j < count, g-major: (len(gens)·count, n). Also returns the streams'
-    seed words (_seed_words), which _seek takes.
-
-    PCG64 seeded from words w0..w3 has increment (w2·2^64 + w3)·2 + 1 and
-    the state of two LCG steps from 0 with w0·2^64 + w1 added between. A
-    raw word steps the LCG, then folds the state by XSL-RR: the halves'
-    xor rotated right by the state's top six bits. Every stream steps at
-    once, as arrays."""
-    seeds = _seed_words(seed, gens, count)
-    w0, w1, w2, w3 = seeds
-    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
-    lo = inc_lo + w1
-    hi, lo = _lcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
-    words = np.empty((len(lo), n), dtype=np.uint64)
-    for k in range(n):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        folded, rot = hi ^ lo, hi >> 58
-        words[:, k] = folded >> rot | folded << (64 - rot & 63)
-    return words, seeds
-
-
-def _seek(rng, seed_words, skip: int = 0) -> np.random.Generator:
-    """rng, a Generator on PCG64, set to the stream whose seed words are
-    seed_words (four ints) and moved past its first skip raw words."""
-    w0, w1, w2, w3 = seed_words
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": state, "inc": inc}}
-    rng.bit_generator.advance(skip)
-    return rng
-
-
-def _doubles(words) -> np.ndarray:
-    """Generator.random() of each raw word: its top 53 bits times 2^-53."""
-    return (words >> 11).astype(float) * 2.0 ** -53
-
-
-def _below(words, rate) -> np.ndarray:
-    """Generator.random() < rate of each raw word, as an exact integer
-    test for any real rate: k·2^-53 < rate iff k < ceil(rate·2^53)."""
-    return words >> 11 < math.ceil(rate * 2 ** 53)
-
-
-def _bounded(words, bound: int) -> tuple:
-    """Generator.integers(bound) of each word's low 32 bits by numpy's
-    Lemire rule, and whether the rule would reject it and draw again. A
-    power-of-two bound is never rejected."""
-    scaled = (words & _MASK32) * bound
-    return (scaled >> 32).astype(np.int64), scaled & _MASK32 < (1 << 32) % bound
 
 
 def _tournament_picks(words, pop: int) -> tuple:
@@ -667,8 +373,9 @@ def _offspring_draws(params, gens, pop, m, n_schemes, counts) -> _Draws:
     new scheme from the low half of the next word. Two kinds of row go on
     through a Generator: a row whose picks Lemire's rule rejects is drawn
     again whole, from its stream's start, and a row whose noise the
-    ziggurat draws goes on from its cursor. Counts both kinds of row."""
-    words, seeds = _stream_words(params.seed, gens, pop, 2 * m + 6)
+    ziggurat draws goes on from its cursor. Counts both kinds of row. The
+    run budgets keep g and j below 2^32, one entropy word each."""
+    words, seeded = _stream_words(params.seed, gens, pop, 2 * m + 6)
     rows = np.arange(len(words))
     picks, rejected = _tournament_picks(words, pop)
     cross = _below(words[:, 2], params.crossover)
@@ -686,7 +393,7 @@ def _offspring_draws(params, gens, pop, m, n_schemes, counts) -> _Draws:
     redo = np.flatnonzero(rejected | tails)
     skips = np.where(rejected, 0, at)[redo]
     rng = np.random.Generator(np.random.PCG64(0))  # any seed: _seek sets each stream
-    for j, key, skip in zip(redo.tolist(), seeds[:, redo].T.tolist(), skips.tolist()):
+    for j, key, skip in zip(redo.tolist(), seeded[:, redo].T.tolist(), skips.tolist()):
         _seek(rng, key, skip)
         if rejected[j]:
             picks[j] = rng.integers(pop, size=(2, 2))

@@ -1,8 +1,8 @@
 """Slow reference forms of rules the library computes faster.
 
 The library computes the feasibility and dominance rules vectorised
-(``model.check_feasible``, ``model.SchemeModel``, ``multiplex.dominates``
-and its callers). The loops here are the element-by-element forms they
+(``model.check_feasible``, ``model.SchemeModel``, ``pareto._covers`` and
+its callers). The loops here are the element-by-element forms they
 replaced.
 
 ``model.SchemeModel`` also turns a whole size vector into resource rows,
@@ -37,9 +37,11 @@ vector and call (``game._LeaseTable``). ``best_response_resolve``,
 re-solve every grid point in every round, at settlement and in the Nash
 check.
 
-``multiplex.dominates`` is the covers test one way and not the other,
-comparing the objective planes one at a time. ``dominates_reduce`` is the
-form it replaced, one reduction over the objective axis.
+The library reads dominance from ``pareto._covers``, one way and not the
+other, and has no function for the pair test itself. ``dominates_reduce``
+is that test as one reduction over the objective axis. The tests that
+compare profit vectors call it, and so does ``nondominated_sort_loop``,
+which therefore shares no code with the kernel it is compared against.
 
 ``multiplex.solve_ga`` keeps its population as arrays, draws a
 generation's offspring before it evaluates any of them, and ranks with a
@@ -51,20 +53,21 @@ element-by-element forms of ``nondominated_sort`` and
 ``crowding_distance``. It repairs with ``repair_bisect``, the 50-step
 bisection that ``multiplex._repair`` computes directly for a
 whole generation, and archives with ``ArchiveLoop``, whose reject rule
-makes the three comparisons that ``multiplex._Archive`` folds into one,
+makes the three comparisons that ``pareto._Archive`` folds into one,
 and which takes every offspring in turn where ``multiplex.solve_ga``
 first drops those a parent or an archived vector covers.
 It enumerates, bounds, tests and evaluates with the loop forms above, so
-it calls no ``SchemeModel`` and none of ``multiplex``'s candidate, repair,
-evaluation or stream code: it builds each individual's
+it calls no ``SchemeModel``, none of ``multiplex``'s candidate, repair or
+evaluation code, none of ``pareto``'s ranking or archive code and nothing
+of ``streams``: it builds each individual's
 ``default_rng(SeedSequence([seed, g, j]))`` itself.
 
-``multiplex._Archive.extend`` inserts a batch of vectors at once.
+``pareto._Archive.extend`` inserts a batch of vectors at once.
 ``SequentialArchive.add`` is the one-at-a-time insert it replaced; it
-calls nothing of ``multiplex``.
+calls nothing of ``pareto``.
 
 ``multiplex._offspring_draws`` decodes a block of generations' draws from
-the raw words of their streams, which ``multiplex._stream_words`` steps
+the raw words of their streams, which ``streams._stream_words`` steps
 as arrays, and ``multiplex._offspring`` builds one generation from them.
 ``offspring_loop`` is the per-individual form they replaced, which builds
 each stream's Generator and calls it.
@@ -100,7 +103,8 @@ from sliceprofit.model import (
     Violation,
     _TINY_SIZE,
 )
-from sliceprofit.multiplex import FrontPoint, GaParams, ParetoFront
+from sliceprofit.multiplex import GaParams
+from sliceprofit.pareto import FrontPoint, ParetoFront
 from sliceprofit.orthogonal import _MAX_ACTIVATION_BRANCHES, solve_sizes
 
 
@@ -503,18 +507,20 @@ def verify_nash_resolve(operators, outcome, market, tolerance=1e-9, budget=100_0
 
 
 def dominates_reduce(a, b):
-    """multiplex.dominates as one reduction over the last axis."""
+    """Pareto dominance for maximisation, objectives on the last axis and
+    leading axes broadcast: a is at least b everywhere and above it
+    somewhere, as one reduction over the last axis."""
     a, b = np.asarray(a), np.asarray(b)
     return (a >= b).all(axis=-1) & (a > b).any(axis=-1)
 
 
 def nondominated_sort_loop(objectives):
-    """multiplex.nondominated_sort by domination counts: each front lowers
+    """pareto.nondominated_sort by domination counts: each front lowers
     the counts of the rows it dominates, and rows reaching zero form the
     next front."""
     objectives = np.asarray(objectives, dtype=float)
     n = objectives.shape[0]
-    dom = multiplex.dominates(objectives[:, None, :], objectives[None, :, :])
+    dom = dominates_reduce(objectives[:, None, :], objectives[None, :, :])
     counts = dom.sum(axis=0)
     ranks = np.zeros(n, dtype=int)
     front = [i for i in range(n) if counts[i] == 0]
@@ -533,7 +539,7 @@ def nondominated_sort_loop(objectives):
 
 
 def crowding_distance_loop(objectives):
-    """multiplex.crowding_distance, one objective and one row at a time."""
+    """pareto.crowding_distance, one objective and one row at a time."""
     n, k = objectives.shape
     dist = np.zeros(n)
     if n <= 2:
@@ -551,7 +557,7 @@ def crowding_distance_loop(objectives):
 
 
 def crowding_by_front_loop(objectives, fronts):
-    """multiplex.crowding_distance(objectives, fronts), one front at a
+    """pareto.crowding_distance(objectives, fronts), one front at a
     time, each front's rows in index order."""
     objectives, fronts = np.asarray(objectives, dtype=float), np.asarray(fronts)
     dist = np.zeros(len(objectives))
@@ -597,7 +603,7 @@ def repair_bisect(feasible, lo, sizes):
 
 
 class ArchiveLoop:
-    """multiplex._Archive with its reject rule as three comparisons: an
+    """pareto._Archive with its reject rule as three comparisons: an
     archived vector equal to w, or one dominating it."""
 
     def __init__(self, width):
@@ -621,7 +627,7 @@ class ArchiveLoop:
 
 
 class SequentialArchive:
-    """multiplex._Archive inserting one vector at a time, the insert that
+    """pareto._Archive inserting one vector at a time, the insert that
     _Archive.extend batches, with its rule as plain array comparisons: the
     kept vectors as (A, M) rows, and their items."""
 

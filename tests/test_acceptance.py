@@ -39,10 +39,10 @@ from sliceprofit import (
 from sliceprofit import game
 from sliceprofit.closedloop import EnvironmentModel
 from sliceprofit.longterm import DemandTrace
-from sliceprofit.multiplex import dominates
 from sliceprofit.cli import main as cli_main
 
 from conftest import random_scenario
+from reference_impl import dominates_reduce
 
 
 def best_of(fn, repeats=5):
@@ -133,10 +133,10 @@ def test_06_ga_quality_and_determinism(s2m):
             out = evaluate(s2m, p.sizes, schemes[p.scheme_index])
             assert out.feasible
             assert out.profits == pytest.approx(p.profits, abs=1e-9)
-        # no point dominates another under multiplex.dominates,
-        # over all pairs at once (a point never dominates itself)
+        # no point dominates another, over all pairs at once (a point
+        # never dominates itself)
         objs = np.array([p.profits for p in front.points])
-        assert not dominates(objs[:, None, :], objs[None, :, :]).any()
+        assert not dominates_reduce(objs[:, None, :], objs[None, :, :]).any()
 
 
 def test_07_feedback_fixed_point(s2_closedloop):
@@ -265,8 +265,8 @@ def test_09_market_equilibrium_and_cooperative_gap(g1, nash_gap):
     order = [op.id for op in rivals]
     coop_profits = [coop.split[o] for o in order]
     nash_profits = [standoff.profits[o] for o in order]
-    assert dominates(coop_profits, nash_profits)
-    assert not dominates(nash_profits, coop_profits)
+    assert dominates_reduce(coop_profits, nash_profits)
+    assert not dominates_reduce(nash_profits, coop_profits)
     assert time.perf_counter() - t0 < 20.0
 
 

@@ -27,9 +27,13 @@ from sliceprofit import (
 from sliceprofit import game
 from sliceprofit.cli import main as cli_main
 from sliceprofit.model import SchemeModel
-from sliceprofit.multiplex import dominates
 
-from reference_impl import best_response_resolve, run_market_resolve, verify_nash_resolve
+from reference_impl import (
+    best_response_resolve,
+    dominates_reduce,
+    run_market_resolve,
+    verify_nash_resolve,
+)
 
 
 def saturated_operator(op_id: str) -> Operator:
@@ -342,11 +346,11 @@ class TestLeaseGridBudget:
 
 class TestParetoDominates:
     def test_truth_table(self):
-        assert dominates((2, 1), (1, 1))
-        assert dominates((2, 2), (1, 1))
-        assert not dominates((1, 1), (1, 1))
-        assert not dominates((2, 0), (1, 1))
-        assert not dominates((1, 1), (2, 2))
+        assert dominates_reduce((2, 1), (1, 1))
+        assert dominates_reduce((2, 2), (1, 1))
+        assert not dominates_reduce((1, 1), (1, 1))
+        assert not dominates_reduce((2, 0), (1, 1))
+        assert not dominates_reduce((1, 1), (2, 2))
 
 
 class TestSolveSuboperator:
@@ -373,7 +377,7 @@ class TestSolveSuboperator:
         order = sorted(out.profits)
         market_vec = [out.profits[o] for o in order]
         coop_vec = [coop.split[o] for o in order]
-        assert dominates(coop_vec, market_vec)
+        assert dominates_reduce(coop_vec, market_vec)
         assert coop.result.scheme.sharing[0] == "shared"
 
     def test_portfolio_specs_match_scheme_rows_by_id(self, g1):

@@ -1,8 +1,9 @@
 """Package layering: every import between sliceprofit modules runs at
 module level, those imports form no cycle, only the CLI and the package
-root import the scenario file format, and only orthogonal reaches the LP
-engine. Small tolerances are named, every command-line option is read by
-the CLI, and every function the benchmark's tracer wraps still exists.
+root import the scenario file format, only orthogonal reaches the LP
+engine, and the stream and Pareto modules sit below multiplex. Small
+tolerances are named, every command-line option is read by the CLI, and
+every function the benchmark's tracer wraps still exists.
 Every defaulted parameter of a public function is passed by some call in
 the package, and every public name is used by some package module or
 kept on purpose."""
@@ -71,6 +72,21 @@ def test_module_imports_form_no_cycle():
     assert {"model", "scenario", "game", "cli"} <= graph.keys()
     order = list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
     assert order.index("model") < order.index("game") < order.index("scenario")
+
+
+def test_streams_and_pareto_sit_below_multiplex():
+    # numpy's stream copy stands on numpy alone and the Pareto kernel on the
+    # model's errors alone, so neither reaches the GA that uses them
+    graph = module_level_graph()
+    assert graph["streams"] == set()
+    assert graph["pareto"] <= {"model"}
+    assert {"pareto", "streams"} <= graph["multiplex"]
+    imported = {
+        (alias.name if isinstance(node, ast.Import) else node.module or "").split(".")[0]
+        for node in ast.walk(TREES["streams"]) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported - {"numpy"} <= sys.stdlib_module_names | {"__future__"}
 
 
 def test_only_cli_and_package_root_read_the_file_format():
@@ -167,6 +183,10 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(f"sliceprofit.{module}"), attr, None))
     ]
     assert tracing.WRAPPED and missing == []
+    # the tracer wraps one object in every module that binds it, so a local
+    # wrapper in multiplex would still resolve but change what it counts
+    assert sliceprofit.multiplex.nondominated_sort is sliceprofit.pareto.nondominated_sort
+    assert sliceprofit.multiplex.crowding_distance is sliceprofit.pareto.crowding_distance
     # the tracer reads the first three arguments of solve_sizes by position
     params = list(inspect.signature(sliceprofit.orthogonal.solve_sizes).parameters.values())
     assert [p.name for p in params[:3]] == ["specs", "scheme", "pool"]

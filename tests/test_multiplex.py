@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from sliceprofit import (
     BudgetExceededError,
@@ -28,7 +27,7 @@ from sliceprofit import (
     solve_objective_sum,
 )
 
-from sliceprofit import multiplex
+from sliceprofit import multiplex, pareto, streams
 from sliceprofit.model import SchemeModel
 
 from conftest import eligible_doc, make_scenario, random_scenario
@@ -37,7 +36,6 @@ from reference_impl import (
     SequentialArchive,
     crowding_by_front_loop,
     crowding_distance_loop,
-    dominates_reduce,
     enumerate_candidates_loop,
     feasible_loop,
     nondominated_sort_loop,
@@ -278,7 +276,7 @@ def extend(archive, ids, rows):
     """archive.extend of the (K, M) rows with their ids as the payload and
     the rows' covers matrix, as solve_ga passes it."""
     payload = np.asarray(ids, dtype=float).reshape(len(rows), 1)
-    archive.extend(rows, payload, multiplex._cover_matrix(rows))
+    archive.extend(rows, payload, pareto._cover_matrix(rows))
 
 
 def ids(archive):
@@ -292,17 +290,17 @@ def objectives(archive):
 
 
 def archived(points, profits=tuple):
-    """The points multiplex._Archive keeps of points given in order, each
+    """The points pareto._Archive keeps of points given in order, each
     with the objective vector profits(point), in one batch."""
     k = len(profits(points[0])) if points else 0
-    archive = multiplex._Archive(k + 1)
+    archive = pareto._Archive(k + 1)
     rows = np.array([profits(point) for point in points], dtype=float)
     extend(archive, range(len(points)), rows.reshape(len(points), k))
     return [points[i] for i in ids(archive)]
 
 
 class TestParetoFilter:
-    """multiplex._Archive, the one nondominated filter (the GA's archive)."""
+    """pareto._Archive, the one nondominated filter (the GA's archive)."""
 
     def test_drops_dominated(self):
         kept = archived([(1, 2), (2, 1), (1, 1)])
@@ -345,33 +343,6 @@ class TestParetoFilter:
         assert [id(p) for p in kept] == [id(p) for p in expected]
 
 
-DOMINANCE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf, -np.inf])
-
-
-@st.composite
-def dominance_pairs(draw):
-    """Two arrays whose leading axes broadcast, with M = 0 to 4 objectives
-    on the last axis, where either may hold 1 and broadcast too."""
-    m = draw(st.integers(0, 4))
-    lead = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3))
-    return [draw(hnp.arrays(float, shape + (draw(st.sampled_from([m, 1])),),
-                            elements=DOMINANCE_VALUES))
-            for shape in lead.input_shapes]
-
-
-class TestDominates:
-    @settings(max_examples=300, deadline=None)
-    @given(dominance_pairs())
-    @example([np.zeros(0), np.zeros(0)])  # no objective: never dominance
-    @example([np.zeros((3, 0)), np.zeros((2, 1, 0))])
-    def test_matches_the_reduction(self, pair):
-        # ties, signed zeros, NaN and infinities, over broadcast shapes
-        got, want = multiplex.dominates(*pair), dominates_reduce(*pair)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).dtype == bool
-        assert np.array_equal(got, want)
-
-
 def brute_ranks(objectives):
     """Quadratic reference ranking, peeled front by front."""
     objectives = [tuple(row) for row in objectives]
@@ -411,6 +382,7 @@ class TestNondominatedSort:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 12), st.integers(0, 3))
+    @example(0, 0, 2)  # no rows: an empty ranking
     def test_matches_quadratic_reference(self, seed, n, k):
         rng = np.random.default_rng(seed)
         objs = rng.integers(0, 4, size=(n, k)).astype(float)
@@ -434,6 +406,28 @@ class TestCrowdingDistance:
         dist = crowding_distance(np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         assert np.isfinite(dist[1]) and dist[1] == pytest.approx(1.0)
         assert not np.any(np.isnan(dist))
+
+
+# What the Pareto kernel refuses: anything but an (n, M) matrix of finite numbers
+MALFORMED_OBJECTIVES = {
+    "empty-list": [],
+    "vector": [1, 2, 3],
+    "scalar": 5.0,
+    "three-axes": [[[1.0, 2.0]]],
+    "ragged": [[1.0], [2.0, 3.0]],
+    "text": "ab",
+    "nan": [[np.nan, 1.0], [0.0, 0.0]],
+    "inf": [[np.inf, 1.0], [0.0, 0.0], [1.0, 1.0]],
+}
+
+
+class TestKernelInput:
+    @pytest.mark.parametrize("kernel", [nondominated_sort, crowding_distance])
+    @pytest.mark.parametrize("objectives", MALFORMED_OBJECTIVES.values(),
+                             ids=MALFORMED_OBJECTIVES.keys())
+    def test_malformed_objectives_are_refused(self, kernel, objectives):
+        with pytest.raises(ConfigurationError, match=r"\(n, M\) array of finite numbers"):
+            kernel(objectives)
 
 
 # Values with exact duplicates, signed zeros and ties, plus arbitrary floats.
@@ -461,6 +455,7 @@ def objective_matrices(draw):
 class TestRankingMatchesLoopReference:
     @settings(max_examples=150, deadline=None)
     @given(objective_matrices())
+    @example(np.zeros((0, 2)))  # no rows: empty ranks and distances
     def test_ranks_and_distances_bytes(self, objs):
         ranks = nondominated_sort(objs)
         expected = nondominated_sort_loop(objs)
@@ -701,17 +696,19 @@ class TestStreams:
     def test_numpy_seeding_contract(self, seed, gens, count):
         # the hash, the PCG64 seeding, the LCG steps and the XSL-RR fold are
         # numpy's: a numpy that changes any of them fails here by name
-        raw, words = multiplex._stream_words(seed, gens, count, 5)
-        assert words.tolist() == multiplex._seed_words(seed, gens, count).tolist()
+        raw, seeded = streams._stream_words(seed, gens, count, 5)
+        words = streams._seed_words(seed, gens, count)
         rng = np.random.Generator(np.random.PCG64(1))
         for row, (gen, j) in enumerate((g, j) for g in gens for j in range(count)):
             seq = np.random.SeedSequence([seed, gen, j])
             assert words[:, row].tolist() == seq.generate_state(4, np.uint64).tolist()
             bits = np.random.PCG64(seq)
-            multiplex._seek(rng, words[:, row].tolist())
+            hi, lo, inc_hi, inc_lo = seeded[:, row].tolist()
+            assert bits.state["state"] == {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+            streams._seek(rng, seeded[:, row].tolist())
             assert rng.bit_generator.state == bits.state
             assert raw[row].tolist() == bits.random_raw(5).tolist()
-            after = multiplex._seek(rng, words[:, row].tolist(), 5).random()
+            after = streams._seek(rng, seeded[:, row].tolist(), 5).random()
             assert after == np.random.Generator(bits).random()
 
     @pytest.mark.parametrize("rate", [0, 1, 0.5, 0.1, 1e-300, Fraction(2, 3), np.float64(0.7)])
@@ -723,8 +720,8 @@ class TestStreams:
         ks = [0, edge - 1, edge, edge + 1, 2**53 - 1]
         words = np.array([k << 11 | 0x7FF for k in ks], dtype=np.uint64)
         want = [k * 2.0**-53 < rate for k in ks]
-        assert multiplex._below(words, rate).tolist() == want
-        assert (multiplex._doubles(words) == [k * 2.0**-53 for k in ks]).all()
+        assert streams._below(words, rate).tolist() == want
+        assert (streams._doubles(words) == [k * 2.0**-53 for k in ks]).all()
 
     @pytest.mark.parametrize("gen, j", [(208, 30), (1677, 395)])
     def test_pinned_streams_reject_a_pick(self, gen, j):
@@ -733,7 +730,7 @@ class TestStreams:
         bits = np.random.PCG64(np.random.SeedSequence([0, gen, j]))
         np.random.Generator(bits).integers(962, size=(2, 2))
         assert bits.state["has_uint32"] == 1
-        words, _ = multiplex._stream_words(0, [gen], 962, 2)
+        words, _ = streams._stream_words(0, [gen], 962, 2)
         _, rejected = multiplex._tournament_picks(words, 962)
         assert np.flatnonzero(rejected).tolist() == [j]
         counts = {"replayed": 0, "noise_rows": 0}
@@ -972,9 +969,9 @@ def archive_runs(draw):
 
 
 def archive_pair(k, batches):
-    """multiplex._Archive extended by each batch, and SequentialArchive
+    """pareto._Archive extended by each batch, and SequentialArchive
     given every vector one at a time, in order; both keep vector ids."""
-    fast, slow = multiplex._Archive(k + 1), SequentialArchive(k)
+    fast, slow = pareto._Archive(k + 1), SequentialArchive(k)
     start = 0
     for batch in batches:
         extend(fast, start + np.arange(len(batch)), batch)
@@ -990,7 +987,7 @@ class TestArchive:
     def test_one_comparison_reject_matches_three(self, drawn):
         # ties, signed zeros and NaN: "no objective below w" is "equal or dominating"
         k, vectors = drawn
-        fast, slow = multiplex._Archive(k + 1), ArchiveLoop(k)
+        fast, slow = pareto._Archive(k + 1), ArchiveLoop(k)
         for i, v in enumerate(vectors):
             extend(fast, [i], np.array(v)[None, :])
             slow.add(i, np.array(v))
@@ -1003,7 +1000,7 @@ class TestArchive:
         # extend's path, dropping what the archive covers before one
         # batched insert, keeps what inserting every vector keeps
         k, earlier, batch = drawn
-        fast, slow = multiplex._Archive(k + 1), ArchiveLoop(k)
+        fast, slow = pareto._Archive(k + 1), ArchiveLoop(k)
         for i, v in enumerate(earlier):
             extend(fast, [i], np.array(v)[None, :])
             slow.add(i, np.array(v))
@@ -1032,7 +1029,7 @@ class TestArchive:
         rng = np.random.default_rng(9)
         batches = [rng.integers(0, 6, size=(n, 3)).astype(float) for n in (7, 0, 12, 5, 9)]
         want = archive_pair(3, batches)[1]
-        monkeypatch.setattr(multiplex, "_COVER_PAIRS", pairs)
+        monkeypatch.setattr(pareto, "_COVER_PAIRS", pairs)
         fast, _ = archive_pair(3, batches)
         assert ids(fast) == want.items
         assert objectives(fast).tobytes() == want.rows.tobytes()
@@ -1042,7 +1039,7 @@ class TestArchive:
         # same vectors, in the same order, as a fresh array per insert, also
         # when one batch outgrows it more than twice over
         rng = np.random.default_rng(4)
-        fast, slow = multiplex._Archive(3), ArchiveLoop(2)
+        fast, slow = pareto._Archive(3), ArchiveLoop(2)
         start = 0
         for n in [1, 70] + [5] * 40:
             x = rng.integers(0, 120, size=n).astype(float)
@@ -1103,7 +1100,7 @@ class TestOneComparisonPerGeneration:
     @given(tied_objectives(min_rows=8, max_rows=24), st.integers(2, 12))
     def test_survivors_match_the_full_sort(self, objs, pop):
         pop = min(pop, len(objs) // 2)
-        covers = multiplex._cover_matrix(objs)
+        covers = pareto._cover_matrix(objs)
         keep, ranks = multiplex._survivors(objs, covers, pop)
         want_keep, want_ranks = survivors_loop(objs, pop)
         assert keep.tolist() == want_keep.tolist()
@@ -1111,7 +1108,7 @@ class TestOneComparisonPerGeneration:
         # the carried fronts are the survivors' own fronts
         assert ranks.tolist() == nondominated_sort(objs[keep])
         # the early-stopped peel ranks every kept row as the full peel does
-        early, full = multiplex._fronts(covers, pop), multiplex._fronts(covers, len(objs))
+        early, full = pareto._fronts(covers, pop), pareto._fronts(covers, len(objs))
         ranked = early < len(objs)
         assert ranked.sum() >= pop and ranked[keep].all()
         assert (early[ranked] == full[ranked]).all()
@@ -1131,7 +1128,7 @@ class TestOneComparisonPerGeneration:
         for i, w in enumerate(seen):
             archive.add(i, w)
         both = np.vstack([parents, kids])
-        dropped = multiplex._cover_matrix(both)[:len(parents), len(parents):].any(axis=0)
+        dropped = pareto._cover_matrix(both)[:len(parents), len(parents):].any(axis=0)
         for i, w in enumerate(kids):
             assert archive.refuses(w) or not dropped[i]
             archive.add(len(seen) + i, w)
@@ -1139,7 +1136,7 @@ class TestOneComparisonPerGeneration:
     def test_dropped_offspring_are_covered_in_a_run(self, s2m, monkeypatch):
         # every offspring a parent covers is one the archive covers too
         pop, checked, matrices = 12, [], []
-        cover_matrix, extend_rows = multiplex._cover_matrix, multiplex._Archive.extend
+        cover_matrix, extend_rows = multiplex._cover_matrix, pareto._Archive.extend
 
         def matrix_spy(rows):
             matrices.append(rows)
@@ -1154,8 +1151,9 @@ class TestOneComparisonPerGeneration:
                 checked.append(len(dropped))
             return extend_rows(archive, rows, payload, covers)
 
+        # solve_ga reads multiplex's binding of _cover_matrix
         monkeypatch.setattr(multiplex, "_cover_matrix", matrix_spy)
-        monkeypatch.setattr(multiplex._Archive, "extend", spy)
+        monkeypatch.setattr(pareto._Archive, "extend", spy)
         front = solve_ga(s2m, GaParams(population=pop, generations=15, seed=2))
         assert sum(checked) == front.meta["parent_covered"] > 0
 
@@ -1163,7 +1161,7 @@ class TestOneComparisonPerGeneration:
         # generation 0 sorts its P rows; each generation peels its 2P rows
         # once, until P are ranked, and carries the survivors' fronts
         sorts, peels = [], []
-        sort, peel = multiplex.nondominated_sort, multiplex._fronts
+        sort, peel = multiplex.nondominated_sort, pareto._fronts
 
         def sort_spy(objectives):
             sorts.append(len(objectives))
@@ -1173,7 +1171,10 @@ class TestOneComparisonPerGeneration:
             peels.append((len(dom), count))
             return peel(dom, count)
 
+        # nondominated_sort peels through pareto's binding, _survivors
+        # through multiplex's
         monkeypatch.setattr(multiplex, "nondominated_sort", sort_spy)
+        monkeypatch.setattr(pareto, "_fronts", peel_spy)
         monkeypatch.setattr(multiplex, "_fronts", peel_spy)
         solve_ga(s2m, GaParams(population=8, generations=5, seed=1))
         assert sorts == [8]
