@@ -66,9 +66,7 @@ from .scenario import (
     ScenarioParseError,
     ScenarioValidationError,
     load_scenario,
-    result_fieldnames,
-    result_row,
-    save_outcome,
+    result_columns,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,

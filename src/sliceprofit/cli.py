@@ -139,13 +139,12 @@ def _ga_params(args):
 
 
 def _write_infeasible(args, scenario, manifest, exc) -> int:
-    names = scn.result_fieldnames(scenario)
-    row = {name: "" for name in names}
-    row.update(
-        scenario=scenario.name, solver=getattr(args, "solver", args.command),
-        seed=args.seed, status="infeasible", feasible=False, iterations=0,
+    columns = {name: [""] for name in scn.result_columns(scenario, (), args.seed)}
+    columns.update(
+        scenario=[scenario.name], solver=[getattr(args, "solver", args.command)],
+        seed=[args.seed], status=["infeasible"], feasible=[False], iterations=[0],
     )
-    scn.write_csv(args.out, names, [row], manifest)
+    scn.write_csv(args.out, columns, manifest)
     _log(f"infeasible: {exc}")
     return 1
 
@@ -166,35 +165,29 @@ def _cmd_solve(args, scenario, manifest) -> int:
         scheme = multiplex.candidate_scheme(scenario, best.scheme_index)
         result = orthogonal.SolveResult(
             best.sizes, evaluate(scenario, best.sizes, scheme), scheme,
-            {"solver": "ga", "iterations": args.ga_pop * (args.ga_gens + 1)},
+            {"solver": "ga", "iterations": front.meta["evaluations"]},
         )
-    scn.save_outcome(scenario, [result], args.out, args.seed, manifest)
+    scn.write_csv(args.out, scn.result_columns(scenario, [result], args.seed), manifest)
     _log(f"solved {scenario.name}: total profit {result.outcome.total_profit:.6g}")
     return 0
 
 
 def _cmd_pareto(args, scenario, manifest) -> int:
     front = multiplex.solve_ga(scenario, _ga_params(args))
-    names = ["scenario", "solver", "seed", "point", "scheme_index"]
-    names += [f"size_{s.id}" for s in scenario.specs]
-    names += [f"profit_{s.id}" for s in scenario.specs]
-    rows = []
-    for k, p in enumerate(front.points):
-        row = {"scenario": scenario.name, "solver": "ga", "seed": args.seed,
-               "point": k, "scheme_index": p.scheme_index}
-        for spec, s in zip(scenario.specs, p.sizes):
-            row[f"size_{spec.id}"] = float(s)
-        for spec, w in zip(scenario.specs, p.profits):
-            row[f"profit_{spec.id}"] = float(w)
-        rows.append(row)
-    scn.write_csv(args.out, names, rows, manifest)
-    _log(f"pareto front of {scenario.name}: {len(front.points)} points")
+    points = front.points
+    n = len(points)
+    columns = {"scenario": [scenario.name] * n, "solver": ["ga"] * n, "seed": [args.seed] * n,
+               "point": list(range(n)), "scheme_index": [p.scheme_index for p in points]}
+    columns.update(scn.slice_columns(scenario, [p.sizes for p in points],
+                                     [p.profits for p in points]))
+    scn.write_csv(args.out, columns, manifest)
+    _log(f"pareto front of {scenario.name}: {n} points")
     return 0
 
 
 def _cmd_oracle(args, scenario, manifest) -> int:
     result = orthogonal.brute_force_oracle(scenario, args.grid_step, budget=args.budget)
-    scn.save_outcome(scenario, [result], args.out, args.seed, manifest)
+    scn.write_csv(args.out, scn.result_columns(scenario, [result], args.seed), manifest)
     _log(f"oracle {scenario.name}: total profit {result.outcome.total_profit:.6g}")
     return 0
 
@@ -203,17 +196,14 @@ def _cmd_closed_loop(args, scenario, manifest) -> int:
     result = closedloop.solve_closed_loop(scenario, _INNER[args.inner])
     converged = result.meta["converged"]
     status = "ok" if converged else "not-converged"
-    names = scn.result_fieldnames(scenario) + ["converged", "residual"]
-    row = scn.result_row(scenario, result, args.seed, status)
-    row["converged"] = converged
-    row["residual"] = result.meta["residuals"][-1]
-    scn.write_csv(args.out, names, [row], manifest)
+    residuals = result.meta["residuals"]
+    columns = scn.result_columns(scenario, [result], args.seed, status)
+    columns.update(converged=[converged], residual=[residuals[-1]])
+    scn.write_csv(args.out, columns, manifest)
     if args.trace_out:
-        trace_rows = [
-            {"iteration": i + 1, "residual": float(r)}
-            for i, r in enumerate(result.meta["residuals"])
-        ]
-        scn.write_csv(args.trace_out, ["iteration", "residual"], trace_rows, manifest)
+        trace = {"iteration": list(range(1, len(residuals) + 1)),
+                 "residual": [float(r) for r in residuals]}
+        scn.write_csv(args.trace_out, trace, manifest)
     _log(f"closed loop {scenario.name}: converged={converged} "
          f"after {result.meta['iterations']} iterations")
     return 0 if converged else 1
@@ -228,14 +218,11 @@ def _cmd_longterm(args, scenario, manifest) -> int:
                else list(range(1, trace.horizon + 1)))
     cost = longterm.ReconfigCostModel(args.reconfig_cost)
     best, table = longterm.optimize_period(scenario, trace, periods, cost)
-    names = ["scenario", "period", "realized_total", "update_count", "net_total", "selected"]
-    rows = []
-    for entry in table:
-        row = dict(entry)
-        row["scenario"] = scenario.name
-        row["selected"] = entry["period"] == best
-        rows.append(row)
-    scn.write_csv(args.out, names, rows, manifest)
+    columns = {"scenario": [scenario.name] * len(table)}
+    for key in ("period", "realized_total", "update_count", "net_total"):
+        columns[key] = [entry[key] for entry in table]
+    columns["selected"] = [period == best for period in columns["period"]]
+    scn.write_csv(args.out, columns, manifest)
     _log(f"longterm {scenario.name}: best period {best}")
     return 0
 
@@ -243,14 +230,13 @@ def _cmd_longterm(args, scenario, manifest) -> int:
 def _cmd_game(args, scenario, manifest) -> int:
     if args.mode == "suboperator":
         sub = game.solve_suboperator(scenario)
-        names = ["scenario", "mode", "operator", "profit", "total_profit"]
         total = sub.result.outcome.total_profit
-        rows = [
-            {"scenario": scenario.name, "mode": "suboperator", "operator": oid,
-             "profit": split, "total_profit": total}
-            for oid, split in sorted(sub.split.items())
-        ]
-        scn.write_csv(args.out, names, rows, manifest)
+        ids = sorted(sub.split)
+        n = len(ids)
+        scn.write_csv(args.out, {
+            "scenario": [scenario.name] * n, "mode": ["suboperator"] * n, "operator": ids,
+            "profit": [sub.split[oid] for oid in ids], "total_profit": [total] * n,
+        }, manifest)
         _log(f"suboperator {scenario.name}: total profit {total:.6g}")
         return 0
 
@@ -261,25 +247,23 @@ def _cmd_game(args, scenario, manifest) -> int:
         return 2
     outcome = game.run_market(operators, market)
     status = "ok" if outcome.converged else "not-converged"
-    names = ["scenario", "mode", "operator", "status"]
-    names += [f"price_{scenario.resource_names[j]}" for j in market.traded]
-    names += [f"net_{scenario.resource_names[j]}" for j in market.traded]
-    names += ["internal_profit", "lease_income", "lease_payment", "total_profit",
-              "no_trade_profit", "rounds", "converged"]
-    rows = []
-    for oid in sorted(outcome.profits):
-        row = {"scenario": scenario.name, "mode": "market", "operator": oid,
-               "status": status, "internal_profit": outcome.internal[oid],
-               "lease_income": outcome.income[oid],
-               "lease_payment": outcome.payment[oid],
-               "total_profit": outcome.profits[oid],
-               "no_trade_profit": outcome.no_trade[oid],
-               "rounds": outcome.rounds, "converged": outcome.converged}
-        for pos, j in enumerate(market.traded):
-            row[f"price_{scenario.resource_names[j]}"] = float(outcome.prices[pos])
-            row[f"net_{scenario.resource_names[j]}"] = float(outcome.net_lease[oid][pos])
-        rows.append(row)
-    scn.write_csv(args.out, names, rows, manifest)
+    ids = sorted(outcome.profits)
+    n = len(ids)
+    traded = [scenario.resource_names[j] for j in market.traded]
+    columns = {"scenario": [scenario.name] * n, "mode": ["market"] * n, "operator": ids,
+               "status": [status] * n}
+    for pos, name in enumerate(traded):
+        columns[f"price_{name}"] = [float(outcome.prices[pos])] * n
+    for pos, name in enumerate(traded):
+        columns[f"net_{name}"] = [float(outcome.net_lease[oid][pos]) for oid in ids]
+    for key, by_operator in (("internal_profit", outcome.internal),
+                             ("lease_income", outcome.income),
+                             ("lease_payment", outcome.payment),
+                             ("total_profit", outcome.profits),
+                             ("no_trade_profit", outcome.no_trade)):
+        columns[key] = [by_operator[oid] for oid in ids]
+    columns.update(rounds=[outcome.rounds] * n, converged=[outcome.converged] * n)
+    scn.write_csv(args.out, columns, manifest)
     _log(f"market {scenario.name}: converged={outcome.converged} "
          f"in {outcome.rounds} rounds")
     return 0 if outcome.converged else 1

@@ -93,6 +93,15 @@ def _objective_rows(objectives) -> np.ndarray:
     return rows
 
 
+def _front_labels(fronts, n: int) -> np.ndarray:
+    """fronts as an (n,) integer array (an empty one when n is 0); any
+    other shape or dtype is refused."""
+    labels = np.asarray(fronts)
+    if labels.shape != (n,) or (n and labels.dtype.kind not in "iu"):
+        raise ConfigurationError(f"fronts must be an ({n},) array of integers")
+    return labels
+
+
 def nondominated_sort(objectives: np.ndarray) -> list:
     """Front index per row for a maximisation problem. Each pass peels the
     rows no remaining row dominates; the rest move one front down."""
@@ -102,20 +111,20 @@ def nondominated_sort(objectives: np.ndarray) -> list:
 
 def crowding_distance(objectives, fronts=None) -> np.ndarray:
     """Crowding distance of each row of finite objectives within its front
-    (fronts holds each row's front; None makes all rows one front): per
-    objective of nonzero range over the front, the gap between the row's
-    two neighbours in the front over that range, summed in objective
-    order; inf at either end of any objective, and for all of a front of
-    two rows or fewer.
+    (fronts holds each row's front as an integer; None makes all rows one
+    front): per objective of nonzero range over the front, the gap between
+    the row's two neighbours in the front over that range, summed in
+    objective order; inf at either end of any objective, and for all of a
+    front of two rows or fewer.
 
     Each objective's rows sort by (front, value, index), a stable argsort
     by value and then by front, so every front is one run of places and
     all fronts are measured in one pass."""
     objectives = _objective_rows(objectives)
     n, k = objectives.shape
+    fronts = np.zeros(n, dtype=int) if fronts is None else _front_labels(fronts, n)
     if n <= 2:
         return np.full(n, np.inf)
-    fronts = np.zeros(n, dtype=int) if fronts is None else np.asarray(fronts)
     cols = np.arange(k)
     order = objectives.argsort(axis=0, kind="stable")
     order = order[fronts[order].argsort(axis=0, kind="stable"), cols]

@@ -456,51 +456,54 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, fieldnames: Sequence[str], rows: Sequence[dict],
-              manifest: Optional[dict] = None) -> None:
-    """Deterministic CSV writer: optional manifest comment line, fixed
-    column order, LF endings, round-trippable float formatting."""
+def write_csv(path, columns: dict, manifest: Optional[dict] = None) -> None:
+    """Deterministic CSV writer: optional manifest comment line, then the
+    header and the rows of columns, which maps each header, in order, to
+    its whole column. LF endings, round-trippable float formatting.
+    Columns of unequal length are refused."""
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns must have equal lengths, got {sorted(lengths)}")
     buf = io.StringIO()
     if manifest is not None:
         buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(name, "")) for name in fieldnames])
+    writer.writerow(columns)
+    writer.writerows(zip(*(map(_format_cell, column) for column in columns.values())))
     data = buf.getvalue()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
 
 
-def result_fieldnames(scenario: Scenario) -> list:
-    names = ["scenario", "solver", "seed"]
-    names += [f"size_{spec.id}" for spec in scenario.specs]
-    names += [f"profit_{spec.id}" for spec in scenario.specs]
+def slice_columns(scenario: Scenario, sizes: Sequence, profits: Sequence) -> dict:
+    """The per-slice columns, size_<id> for every slice and then
+    profit_<id>, from one row of per-slice sizes and one of profits per
+    CSV row."""
+    columns = {}
+    for prefix, rows in (("size", sizes), ("profit", profits)):
+        for i, spec in enumerate(scenario.specs):
+            columns[f"{prefix}_{spec.id}"] = [row[i] for row in rows]
+    return columns
+
+
+def result_columns(scenario: Scenario, results: Sequence, seed: int,
+                   status: str = "ok") -> dict:
+    """The result CSV's columns, one row per solve result."""
+    n = len(results)
+    columns = {
+        "scenario": [scenario.name] * n,
+        "solver": [res.meta.get("solver", "") for res in results],
+        "seed": [seed] * n,
+    }
+    columns.update(slice_columns(
+        scenario,
+        [[float(x) for x in res.sizes] for res in results],
+        [[float(w) for w in res.outcome.profits] for res in results],
+    ))
     # machine-readable run status ("ok", "infeasible", ...) goes last so the
     # leading columns keep a plot-friendly fixed layout
-    names += ["total_profit", "feasible", "iterations", "status"]
-    return names
-
-
-def result_row(scenario: Scenario, result, seed: int, status: str = "ok") -> dict:
-    row = {
-        "scenario": scenario.name,
-        "solver": result.meta.get("solver", ""),
-        "seed": seed,
-        "status": status,
-        "total_profit": float(result.outcome.total_profit),
-        "feasible": bool(result.outcome.feasible),
-        "iterations": int(result.meta.get("iterations", 0)),
-    }
-    for spec, size in zip(scenario.specs, result.sizes):
-        row[f"size_{spec.id}"] = float(size)
-    for spec, w in zip(scenario.specs, result.outcome.profits):
-        row[f"profit_{spec.id}"] = float(w)
-    return row
-
-
-def save_outcome(scenario: Scenario, results: Sequence, path,
-                 seed: int = 0, manifest: Optional[dict] = None) -> None:
-    """Write one row per solve result in the fixed result column order."""
-    rows = [result_row(scenario, res, seed) for res in results]
-    write_csv(path, result_fieldnames(scenario), rows, manifest)
+    columns["total_profit"] = [float(res.outcome.total_profit) for res in results]
+    columns["feasible"] = [bool(res.outcome.feasible) for res in results]
+    columns["iterations"] = [int(res.meta.get("iterations", 0)) for res in results]
+    columns["status"] = [status] * n
+    return columns

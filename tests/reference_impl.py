@@ -81,10 +81,18 @@ reading each slice's demand map from the scheme itself.
 instance, cleared before each model. ``fresh_highs_linprog`` is the driver
 it replaced, which builds and drops a fresh instance per call.
 
+``scenario.write_csv`` writes a table given as columns, formats each
+column in one pass and writes all rows at once. ``write_csv_rows`` is the
+writer it replaced: one dict per row, each cell looked up by name (a
+missing one written empty) and formatted by its own copy of the cell rule.
+
 All serve as references for differential tests.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -834,3 +842,24 @@ def fresh_highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
         message = f"the solution breaks a bound or row by more than {tol:.2E}"
     return orthogonal.LpResult(x=x, status=0 if valid else 4, success=valid, nit=nit,
                                message=message)
+
+
+def _format_cell_rows(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv_rows(path, fieldnames, rows, manifest=None):
+    """scenario.write_csv over row dicts: each cell looked up by name."""
+    buf = io.StringIO()
+    if manifest is not None:
+        buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([_format_cell_rows(row.get(name, "")) for name in fieldnames])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())

@@ -23,9 +23,10 @@ import pytest
 
 import sliceprofit
 from sliceprofit.cli import main
-from sliceprofit import cli, game, multiplex, scenario_to_dict
+from sliceprofit import cli, closedloop, game, multiplex, orthogonal, scenario_to_dict
 
 from conftest import eligible_doc, make_scenario
+from reference_impl import write_csv_rows
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 # directory holding the imported package, so subprocesses import the same code
@@ -513,6 +514,90 @@ class TestGame:
         rc = main(["game", "--scenario", str(scenario_dir / "s2.json"),
                    "--out", str(tmp_path / "g.csv")])
         assert rc == 2
+
+
+def body(path):
+    """A CLI output file's bytes after its manifest line."""
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
+def rows_body(tmp_path, fieldnames, rows):
+    """The bytes the row writer the column writer replaced makes of rows."""
+    path = tmp_path / "rows.csv"
+    write_csv_rows(path, fieldnames, rows)
+    return path.read_bytes()
+
+
+RESULT_NAMES = ["scenario", "solver", "seed", "size_A", "size_B", "profit_A", "profit_B",
+                "total_profit", "feasible", "iterations", "status"]
+
+
+class TestCsvBytes:
+    """Outputs no golden file pins, against the row writer the column writer
+    replaced, fed the row dicts the commands used to build."""
+
+    def test_market_with_two_traded_resources(self, scenario_dir, tmp_path):
+        doc = json.loads((scenario_dir / "g1.json").read_text())
+        doc["market"].update(traded=["bandwidth", "compute"],
+                             price0={"bandwidth": 0.2, "compute": 0.3})
+        for grids in doc["market"]["grids"].values():
+            grids["compute"] = {"lo": -4, "hi": 4, "points": 9}
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "market.csv"
+        assert main(["game", "--scenario", str(path), "--out", str(out)]) == 0
+        scenario = sliceprofit.load_scenario(path)
+        outcome = game.run_market(game.build_operators(scenario), scenario.market)
+        assert outcome.converged and outcome.net_lease["alpha"][0] != 0
+        names = ["scenario", "mode", "operator", "status",
+                 "price_bandwidth", "price_compute", "net_bandwidth", "net_compute",
+                 "internal_profit", "lease_income", "lease_payment", "total_profit",
+                 "no_trade_profit", "rounds", "converged"]
+        rows = []
+        for oid in ("alpha", "beta"):
+            row = {"scenario": "g1", "mode": "market", "operator": oid, "status": "ok",
+                   "internal_profit": outcome.internal[oid],
+                   "lease_income": outcome.income[oid],
+                   "lease_payment": outcome.payment[oid],
+                   "total_profit": outcome.profits[oid],
+                   "no_trade_profit": outcome.no_trade[oid],
+                   "rounds": outcome.rounds, "converged": outcome.converged}
+            for pos, name in enumerate(["bandwidth", "compute"]):
+                row[f"price_{name}"] = float(outcome.prices[pos])
+                row[f"net_{name}"] = float(outcome.net_lease[oid][pos])
+            rows.append(row)
+        assert body(out) == rows_body(tmp_path, names, rows)
+
+    def test_infeasible_solve_row(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        assert main(["solve", "--scenario", str(overbooked_doc(tmp_path)), "--out", str(out),
+                     "--seed", "5"]) == 1
+        row = {"scenario": "test", "solver": "objective-sum", "seed": 5,
+               "status": "infeasible", "feasible": False, "iterations": 0}
+        assert body(out) == rows_body(tmp_path, RESULT_NAMES, [row])
+
+    def test_closed_loop_trace_file(self, scenario_dir, tmp_path):
+        # half damping takes 16 steps to the fixed point
+        doc = json.loads((scenario_dir / "s2_closedloop.json").read_text())
+        doc["environment"]["damping"] = 0.5
+        path = write_doc(tmp_path, doc)
+        out, trace = tmp_path / "cl.csv", tmp_path / "trace.csv"
+        assert main(["closed-loop", "--scenario", str(path), "--out", str(out),
+                     "--trace-out", str(trace)]) == 0
+        result = closedloop.solve_closed_loop(sliceprofit.load_scenario(path),
+                                              orthogonal.solve_objective_sum)
+        residuals = result.meta["residuals"]
+        assert len(residuals) == 16
+        row = {"scenario": "s2_closedloop", "solver": "closed-loop", "seed": 0,
+               "status": "ok", "total_profit": float(result.outcome.total_profit),
+               "feasible": bool(result.outcome.feasible),
+               "iterations": int(result.meta["iterations"]),
+               "converged": True, "residual": residuals[-1]}
+        for i, sid in enumerate("AB"):
+            row[f"size_{sid}"] = float(result.sizes[i])
+            row[f"profit_{sid}"] = float(result.outcome.profits[i])
+        assert body(out) == rows_body(tmp_path, RESULT_NAMES + ["converged", "residual"], [row])
+        steps = [{"iteration": i + 1, "residual": float(r)} for i, r in enumerate(residuals)]
+        assert body(trace) == rows_body(tmp_path, ["iteration", "residual"], steps)
 
 
 class TestSuccessiveCalls:

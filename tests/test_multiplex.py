@@ -429,6 +429,19 @@ class TestKernelInput:
         with pytest.raises(ConfigurationError, match=r"\(n, M\) array of finite numbers"):
             kernel(objectives)
 
+    # each once gave a wrong result on 4 rows: an IndexError, six labels
+    # taken silently, all-inf distances and a broadcast error
+    @pytest.mark.parametrize("fronts", [[0], [0, 0, 1, 1, 2, 2], [0.5, 0, 1, 1],
+                                        np.zeros((4, 1), dtype=int)],
+                             ids=["one-label", "six-labels", "float-labels", "column"])
+    def test_malformed_fronts_are_refused(self, fronts):
+        objectives = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
+        with pytest.raises(ConfigurationError, match=r"\(4,\) array of integers"):
+            crowding_distance(objectives, fronts)
+
+    def test_labels_for_no_rows(self):
+        assert crowding_distance(np.zeros((0, 2)), []).shape == (0,)
+
 
 # Values with exact duplicates, signed zeros and ties, plus arbitrary floats.
 OBJECTIVE_VALUES = st.one_of(

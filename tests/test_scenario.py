@@ -4,9 +4,12 @@ import copy
 import dataclasses
 import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceprofit import (
     ConfigurationError,
@@ -18,8 +21,7 @@ from sliceprofit import (
     SolveResult,
     evaluate,
     load_scenario,
-    result_fieldnames,
-    save_outcome,
+    result_columns,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -28,6 +30,7 @@ from sliceprofit import (
 from sliceprofit.cli import main as cli_main
 
 from conftest import make_scenario
+from reference_impl import write_csv_rows
 
 
 def base_doc():
@@ -388,10 +391,35 @@ class TestMarketBlock:
         assert (market.tol, market.max_rounds) == (defaults.tol, defaults.max_rounds)
 
 
+def cells():
+    """Cells of every kind a result column holds, and text the CSV must quote."""
+    floats = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                            1e-05, 1e+16, 0.1 + 0.2])
+    return st.one_of(
+        floats,
+        floats.map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.integers(),
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans(),
+        st.text(st.sampled_from(["a", "1", " ", ",", '"', "\n", "\r", "#", "é"]), max_size=6),
+        st.text(max_size=6),
+    )
+
+
+@st.composite
+def tables(draw):
+    """(headers, columns): 1 to 4 named columns of 0 to 5 cells each."""
+    headers = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(0, 5))
+    columns = [draw(st.lists(cells(), min_size=count, max_size=count)) for _ in headers]
+    return headers, columns
+
+
 class TestCsvOutput:
     def test_manifest_comment_first_line(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, ["a", "b"], [{"a": 1, "b": 2.5}], manifest={"x": 1, "y": "z"})
+        write_csv(path, {"a": [1], "b": [2.5]}, manifest={"x": 1, "y": "z"})
         lines = path.read_text().splitlines()
         assert lines[0] == '# manifest: {"x": 1, "y": "z"}'
         assert lines[1] == "a,b"
@@ -399,50 +427,75 @@ class TestCsvOutput:
 
     def test_no_manifest_header_first(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, ["a"], [{"a": True}, {"a": False}])
+        write_csv(path, {"a": [True, False]})
         assert path.read_text() == "a\ntrue\nfalse\n"
 
     def test_float_cells_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
         # numpy scalars are written as plain numbers, not as their repr
         for value in (1 / 3, np.float64(1 / 3), np.float32(1 / 3)):
-            write_csv(path, ["v"], [{"v": value}])
+            write_csv(path, {"v": [value]})
             text = path.read_text().splitlines()[1]
             assert float(text) == value
 
-    def test_missing_keys_render_empty(self, tmp_path):
+    def test_empty_string_cells_render_empty(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, ["a", "b"], [{"a": 1}])
+        write_csv(path, {"a": [1], "b": [""]})
         assert path.read_text().splitlines()[1] == "1,"
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, ["a"], [{"a": 1}])
+        write_csv(path, {"a": [1]})
         raw = path.read_bytes()
         assert b"\r" not in raw
 
     def test_deterministic_bytes(self, tmp_path):
-        rows = [{"a": 0.1 + 0.2, "b": "x"}]
+        columns = {"a": [0.1 + 0.2], "b": ["x"]}
         p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-        write_csv(p1, ["a", "b"], rows, manifest={"k": [1, 2]})
-        write_csv(p2, ["a", "b"], rows, manifest={"k": [1, 2]})
+        write_csv(p1, columns, manifest={"k": [1, 2]})
+        write_csv(p2, columns, manifest={"k": [1, 2]})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_zero_rows_write_the_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, {"a": [], "b": ()})
+        assert path.read_text() == "a,b\n"
+
+    @pytest.mark.parametrize("columns", [{"a": [1, 2], "b": [3]}, {"a": [], "b": [""]}],
+                             ids=["short", "empty"])
+    def test_unequal_columns_are_refused(self, tmp_path, columns):
+        # zip would drop the rows past the shortest column
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="equal lengths"):
+            write_csv(path, columns)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), st.none() | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    def test_columns_write_the_bytes_of_the_row_writer(self, table, manifest):
+        headers, columns = table
+        rows = [dict(zip(headers, row)) for row in zip(*columns)]
+        with tempfile.TemporaryDirectory() as tmp:
+            by_columns, by_rows = pathlib.Path(tmp, "columns.csv"), pathlib.Path(tmp, "rows.csv")
+            write_csv(by_columns, dict(zip(headers, columns)), manifest)
+            write_csv_rows(by_rows, headers, rows, manifest)
+            assert by_columns.read_bytes() == by_rows.read_bytes()
 
 
 class TestResultRows:
     def test_fieldname_order(self, s2):
-        assert result_fieldnames(s2) == [
+        assert list(result_columns(s2, [], 0)) == [
             "scenario", "solver", "seed",
             "size_A", "size_B", "profit_A", "profit_B",
             "total_profit", "feasible", "iterations", "status",
         ]
 
-    def test_save_outcome(self, s2, tmp_path):
+    def test_result_columns_written(self, s2, tmp_path):
         sizes = (4.0, 2.0)
         result = SolveResult(sizes, evaluate(s2, sizes), s2.scheme,
                              {"solver": "fixed", "iterations": 7})
         path = tmp_path / "res.csv"
-        save_outcome(s2, [result], path, seed=3)
+        write_csv(path, result_columns(s2, [result], 3))
         header, row = path.read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["scenario"] == "s2"
