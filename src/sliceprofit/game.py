@@ -26,14 +26,15 @@ from .model import (
     VnfScheme,
     as_count,
 )
-from .orthogonal import solve_sizes
+from .orthogonal import _SizeLps
 from . import multiplex
 
 # A lease grid point within this distance of 0 is the no-trade point.
 LEASE_ZERO_TOL = 1e-12
 # Idle capacity below this share of the pool is solver noise, not a sliver to trade.
 _IDLE_SLIVER_TOL = 1e-6
-# A fully leased-out resource keeps this much: ResourcePool needs capacity > 0.
+# A fully leased-out resource keeps this much, the least a ResourcePool may
+# hold, so the LPs of such a lease keep the bytes the LP digests pin.
 _CAPACITY_FLOOR = 1e-12
 # Points per traded resource of a lease grid that does not give its own count.
 GRID_POINTS = 11
@@ -151,18 +152,6 @@ class SubOperatorResult:
     split: dict           # sub id -> summed profit of its slices
 
 
-def _internal(operator: Operator, capacity) -> Optional[tuple]:
-    """Operator's optimal internal allocation on its pool resized to the
-    non-negative `capacity`. Returns (total, sizes) or None."""
-    capacity = np.maximum(capacity, _CAPACITY_FLOOR)
-    pool = ResourcePool(capacity, operator.pool.unit_cost)
-    try:
-        res = solve_sizes(operator.specs, operator.scheme, pool)
-    except InfeasibleScenarioError:
-        return None
-    return float(np.sum(res.outcome.profits)), res.sizes
-
-
 def _snap_zero(axis: np.ndarray) -> np.ndarray:
     """axis with the points within LEASE_ZERO_TOL · max(1, largest |point|)
     of 0 set to 0, in place: rounding grows with the end points."""
@@ -175,18 +164,19 @@ def lease_axis(lo: float, hi: float, points: int) -> np.ndarray:
     return _snap_zero(np.linspace(lo, hi, points))
 
 
-def _idle_grid(operator: Operator, traded, base) -> dict:
-    """Fallback lease grid: +-idle capacity at the standalone optimum `base`
-    (total, sizes), or no trade when the operator has none."""
+def _idle_grid(model: SchemeModel, traded, base) -> dict:
+    """Fallback lease grid: +-idle capacity of the model's pool at the
+    standalone optimum `base` (total, sizes), or no trade when the operator
+    has none."""
     if base is None:
         return {j: np.array([0.0]) for j in traded}
     _, sizes = base
-    model = SchemeModel(operator.specs, operator.scheme, operator.pool)
     usage = model.usage(model.breakdown(sizes)[2].resources)
+    capacity = model.pool.capacity
     grids = {}
     for j in traded:
-        idle = max(float(operator.pool.capacity[j] - usage[j]), 0.0)
-        if idle < _IDLE_SLIVER_TOL * max(1.0, float(operator.pool.capacity[j])):
+        idle = max(float(capacity[j] - usage[j]), 0.0)
+        if idle < _IDLE_SLIVER_TOL * max(1.0, float(capacity[j])):
             idle = 0.0
         grids[j] = lease_axis(-idle, idle, GRID_POINTS) if idle > 0 else np.array([0.0])
     return grids
@@ -197,20 +187,25 @@ class _LeaseTable:
 
     An operator's internal optimum at a lease vector does not depend on
     prices, which only subtract p·d, so each lease is solved once, on first
-    use. Tables come from _lease_tables and live for one run_market,
-    verify_nash or best_response call (and on the TradeOutcome it produced).
+    use. The operator's SchemeModel and size LPs (_SizeLps) are built on the
+    first lease solved; each lease is then one solve at its capacity.
+    Tables come from _lease_tables and live for one run_market, verify_nash
+    or best_response call (and on the TradeOutcome it produced); a table
+    made from a prior one starts with its solved leases and its size LPs.
     """
 
-    def __init__(self, operator: Operator, market: MarketConfig, solved: dict):
+    def __init__(self, operator: Operator, market: MarketConfig, prior=None):
         self.operator = operator
         self.traded = market.traded
         # net lease tuple (aligned with traded) -> (total, sizes), or None
         # when the lease leaves the operator infeasible
-        self.solved = solved
+        self.solved = dict(prior.solved) if prior else {}
+        self.model = prior.model if prior else None
+        self.lps = prior.lps if prior else None
         grids = market.grids.get(operator.id)
         if grids is None:
             base = self.internal(np.zeros(len(self.traded)))
-            grids = _idle_grid(operator, self.traded, base)
+            grids = _idle_grid(self.model, self.traded, base)
         self.axes = [grids[j] for j in self.traded]
 
     def internal(self, d) -> Optional[tuple]:
@@ -221,8 +216,26 @@ class _LeaseTable:
             capacity[list(self.traded)] += d
             # cannot lease out more than the pool holds
             infeasible = bool(np.any(capacity < 0))
-            self.solved[key] = None if infeasible else _internal(self.operator, capacity)
+            self.solved[key] = None if infeasible else self._solve(capacity)
         return self.solved[key]
+
+    def _solve(self, capacity) -> Optional[tuple]:
+        """(total, sizes) of the operator's optimum on the non-negative
+        `capacity`, or None."""
+        op = self.operator
+        if self.model is None:
+            self.model = SchemeModel(op.specs, op.scheme, op.pool)
+        try:
+            if self.lps is None:
+                self.lps = _SizeLps(self.model, np.ones(len(op.specs)))
+        except InfeasibleScenarioError:  # a reservation no size meets
+            return None
+        solved = self.lps.solve(np.maximum(capacity, _CAPACITY_FLOOR))
+        if solved is None:
+            return None
+        sizes = solved[0]
+        revs, exps, _ = self.model.breakdown(sizes)
+        return float(np.sum(revs - exps)), tuple(float(s) for s in sizes)
 
     def feasible(self):
         """(d, total, sizes) for each grid point the operator can serve, in
@@ -240,12 +253,13 @@ def _lease_tables(ops, market: MarketConfig, prior=None) -> dict:
     is solved, bar the no-trade point an undeclared grid is derived from.
 
     A prior table (op id -> table) of the same Operator object and the same
-    traded resources lends a copy of its solved leases; it is left as it was."""
+    traded resources lends its solved leases (a copy) and its size LPs; it
+    is left as it was."""
     tables = {}
     for o in ops:
         old = (prior or {}).get(o.id)
         reuse = old is not None and old.operator is o and old.traded == market.traded
-        tables[o.id] = _LeaseTable(o, market, dict(old.solved) if reuse else {})
+        tables[o.id] = _LeaseTable(o, market, old if reuse else None)
     required = sum(math.prod(map(len, t.axes)) for t in tables.values())
     if required > LEASE_GRID_BUDGET:
         raise BudgetExceededError(f"lease grids hold {required} points, budget is "

@@ -271,6 +271,8 @@ def _scheme_rows(specs: Sequence[SliceSpec], scheme: VnfScheme) -> tuple:
     """(unit demand, overhead) matrices, one row per spec in spec order.
     Each slice finds its rows in the scheme by id, and its unit demand (per
     size unit) is its demand map applied to its KPIs."""
+    if not specs:
+        raise ConfigurationError("scenario must contain at least one slice")
     unit, index = [], []
     for spec in specs:
         i = scheme.index_of(spec.id)
@@ -307,6 +309,12 @@ def _usage(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return np.where(shared, rows.max(axis=-2), total)
 
 
+def _capacity_limit(capacity: np.ndarray) -> np.ndarray:
+    """The most usage each capacity admits: widened by FEASIBILITY_TOL ·
+    max(1, capacity)."""
+    return capacity + FEASIBILITY_TOL * np.maximum(1.0, capacity)
+
+
 def _limits(pool: ResourcePool, specs: Sequence[SliceSpec]) -> tuple:
     """(capacity limit, reservation floor matrix, floor limit): the bounds
     widened by FEASIBILITY_TOL · max(1, bound)."""
@@ -314,9 +322,8 @@ def _limits(pool: ResourcePool, specs: Sequence[SliceSpec]) -> tuple:
         if spec.min_resources.shape[0] != pool.n_resources:
             raise ConfigurationError(f"slice {spec.id} min_resources length mismatch")
     floors = np.array([spec.min_resources for spec in specs])
-    cap_limit = pool.capacity + FEASIBILITY_TOL * np.maximum(1.0, pool.capacity)
     floor_limit = floors - FEASIBILITY_TOL * np.maximum(1.0, floors)
-    return cap_limit, floors, floor_limit
+    return _capacity_limit(pool.capacity), floors, floor_limit
 
 
 def check_feasible(

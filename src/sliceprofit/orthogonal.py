@@ -6,16 +6,25 @@ constraints reduce to per-slice rows (max <= cap is row-wise cap). The size
 step is therefore solved exactly as one linear program per activation
 branch, a choice of which overhead-carrying slices are on, each followed by
 a lexicographic polish so ties always resolve to the smallest size vector.
-``_branches`` is the one enumerator of those branches and their LP rows.
-brute_force_oracle is an independent dense-grid enumerator kept free of any
-LP machinery; tests cross-check the two routes.
+``_SizeLps`` holds those LPs for one model and weight vector. It builds
+what does not depend on the capacity once: the size box, the objective and
+each branch from ``_branches``, the one enumerator of the branches, with
+the branch's rows and polish rows as ``_Rows``. Its ``solve`` then runs
+every branch at one capacity vector, which sets only the right-hand sides
+and which branches the overhead skip drops. ``solve_sizes`` is that solve
+at a pool's capacity; a market lease table solves its whole lease grid on
+one ``_SizeLps`` per operator. brute_force_oracle is an independent
+dense-grid enumerator kept free of any LP machinery; tests cross-check the
+two routes.
 
 Every LP goes through the module's one entry point, ``linprog``. When
 scipy's private HiGHS bindings import, it is a direct driver that gives
 the same results as ``scipy.optimize.linprog(method="highs")`` without
 scipy's per-call input parsing, sparse conversion and option checks, and
-on one HiGHS instance per thread instead of a new one per LP.
-Otherwise it is scipy's ``linprog`` itself.
+on one HiGHS instance per thread instead of a new one per LP. It takes
+the rows as ``_Rows``, already in HiGHS's column-wise form, or dense and
+turns them into one. Otherwise it is scipy's ``linprog`` itself, which
+reads a ``_Rows`` as its dense matrix.
 
 The bindings are scipy's extension file ``optimize/_highspy/_core<suffix>``,
 with the suffix from ``importlib.machinery.EXTENSION_SUFFIXES``. They are
@@ -39,7 +48,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -55,6 +64,7 @@ from .model import (
     VnfScheme,
     FEASIBILITY_TOL,
     SHARED,
+    _capacity_limit,
 )
 
 # Activation overhead makes profit discontinuous at size 0; solvers branch
@@ -147,31 +157,58 @@ def _thread_highs():
     return highs
 
 
+class _Rows:
+    """An LP's constraint rows, held dense and in HiGHS's column-wise form
+    (start, index and value in the order np.nonzero of the transpose gives:
+    by column, rows ascending), built and checked finite once and read-only.
+    np.asarray gives the dense matrix, so scipy's linprog and any recorder
+    of LP inputs read the same numbers HiGHS gets."""
+
+    __slots__ = ("dense", "start", "index", "value")
+
+    def __init__(self, dense):
+        dense = np.array(dense, dtype=float)
+        if not np.isfinite(dense).all():
+            raise ValueError("LP data must be finite")
+        dense.flags.writeable = False
+        cols, rows = np.nonzero(dense.T)
+        self.dense = dense
+        self.start = np.searchsorted(cols, np.arange(dense.shape[1] + 1)).astype(np.int32)
+        self.index = rows.astype(np.int32)
+        self.value = dense.T[cols, rows]
+
+    @property
+    def shape(self) -> tuple:
+        return self.dense.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.dense, dtype=dtype, copy=copy)
+
+
 def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
-    """linprog(c, A_ub=, b_ub=, bounds=, method="highs") for dense rows and
-    finite data, solved by this thread's one HiGHS instance (threads never
-    share one). clearModel first drops the previous LP's model, basis,
-    solution and info and keeps only the options, so every LP starts cold,
-    as on a fresh instance, with no warm start. Model, options, iteration
-    count and the post-solve check are linprog's, so x comes back
-    bit-identical, and so are the status codes a bounded LP run without
-    limits can get. Only the fields the size solver reads are returned;
-    method is taken for linprog's call shape."""
+    """linprog(c, A_ub=, b_ub=, bounds=, method="highs") for finite data,
+    with the rows dense or as _Rows, solved by this thread's one HiGHS
+    instance (threads never share one). clearModel first drops the previous
+    LP's model, basis, solution and info and keeps only the options, so
+    every LP starts cold, as on a fresh instance, with no warm start. Model,
+    options, iteration count and the post-solve check are linprog's, so x
+    comes back bit-identical, and so are the status codes a bounded LP run
+    without limits can get. Only the fields the size solver reads are
+    returned; method is taken for linprog's call shape."""
+    rows = A_ub if isinstance(A_ub, _Rows) else _Rows(A_ub)
     c = np.asarray(c, dtype=float)
-    a = np.asarray(A_ub, dtype=float)
     b = np.asarray(b_ub, dtype=float)
     lb, ub = np.array(bounds, dtype=float).T
-    if not all(np.isfinite(v).all() for v in (c, a, b, lb, ub)):
+    if not all(np.isfinite(v).all() for v in (c, b, lb, ub)):
         raise ValueError("LP data must be finite")
-    n_row, n_col = a.shape
-    cols, rows = np.nonzero(a.T)  # CSC order: by column, rows ascending
+    n_row, n_col = rows.shape
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n_col
     lp.num_row_ = lp.a_matrix_.num_row_ = n_row
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n_col + 1)).astype(np.int32)
-    lp.a_matrix_.index_ = rows.astype(np.int32)
-    lp.a_matrix_.value_ = a.T[cols, rows]
+    lp.a_matrix_.start_ = rows.start
+    lp.a_matrix_.index_ = rows.index
+    lp.a_matrix_.value_ = rows.value
     lp.col_cost_ = c
     lp.col_lower_ = lb
     lp.col_upper_ = ub
@@ -240,17 +277,31 @@ def validate_weights(weights, n_slices: int) -> np.ndarray:
     return arr
 
 
-def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray):
-    """(a_ub, b_ub, bounds) of the size LP in each activation branch, in
-    itertools.product((True, False), ...) order over the slices that may
-    stay off (lo = 0) and carry overhead; bounds is (M, 2), (0, 0) for an
-    inactive slice. Rows go by resource: on a shared one, one per active
-    slice with a positive unit demand, in slice order; on a dedicated one,
-    one for the active slices' summed demand unless it is all 0. Branches
-    whose overhead alone breaks a capacity limit are skipped. Raises
+class _Branch(NamedTuple):
+    """One activation branch of the size LP, with nothing that depends on
+    the capacity: its rows, its polish rows (the rows plus the objective
+    row -obj), its bounds ((M, 2), (0, 0) for an inactive slice), and per
+    row the resource js and the overhead sub its right-hand side takes
+    from that resource's capacity. need is the overhead alone on each
+    resource: the largest of the active slices' on a shared one, their sum
+    on a dedicated one."""
+
+    rows: _Rows
+    polish: _Rows
+    bounds: np.ndarray
+    js: np.ndarray
+    sub: np.ndarray
+    need: np.ndarray
+
+
+def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray, obj: np.ndarray) -> list:
+    """The size LP's activation branches, in itertools.product((True,
+    False), ...) order over the slices that may stay off (lo = 0) and carry
+    overhead. Rows go by resource: on a shared one, one per active slice
+    with a positive unit demand, in slice order; on a dedicated one, one
+    for the active slices' summed demand unless it is all 0. Raises
     BudgetExceededError before the first branch when there are too many."""
     unit, overhead, shared = model.unit, model.overhead, model.shared
-    capacity, cap_limit = model.pool.capacity, model.limits[0]
     m = len(lo)
     free = np.flatnonzero((lo == 0) & overhead.any(axis=1))
     if 2 ** len(free) > _MAX_ACTIVATION_BRANCHES:
@@ -259,6 +310,7 @@ def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray):
         )
     box = np.stack([lo, hi], axis=1)
     first = np.arange(m) == 0
+    branches = []
     for pattern in itertools.product((True, False), repeat=len(free)):
         active = np.ones(m, dtype=bool)
         active[free] = pattern
@@ -266,8 +318,6 @@ def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray):
         # each resource's overhead summed as one contiguous 1-D run: numpy's
         # pairwise order, which a sum over axis 0 would not keep past 7 rows
         used = np.ascontiguousarray(over.T).sum(axis=1)
-        if ((over > cap_limit) & shared).any() or ((used > cap_limit) & ~shared).any():
-            continue
         # row (j, k): slice k's row on shared resource j; k = 0 holds the
         # summed row of dedicated resource j
         positive = (active[:, None] & (unit > 0)).T
@@ -277,53 +327,115 @@ def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray):
         per_slice = shared[js]
         a_ub[per_slice, ks[per_slice]] = unit[ks[per_slice], js[per_slice]]
         a_ub[~per_slice] = np.where(active, unit.T[js[~per_slice]], 0.0)
-        b_ub = (capacity[:, None] - np.where(shared[:, None], overhead.T, used[:, None]))[js, ks]
-        yield a_ub, b_ub, np.where(active[:, None], box, 0.0)
+        branches.append(_Branch(
+            _Rows(a_ub), _Rows(np.vstack([a_ub, -obj])), np.where(active[:, None], box, 0.0),
+            js, np.where(shared[:, None], overhead.T, used[:, None])[js, ks],
+            np.where(shared, over.max(axis=0, initial=0.0), used),
+        ))
+    return branches
 
 
-def _lex_polish(obj: np.ndarray, a_ub, b_ub, bounds, best_x, best_val):
-    """Among optima of obj, pick the lexicographically smallest point by
-    minimising one coordinate at a time subject to near-optimality."""
-    m = len(best_x)
-    slack = _POLISH_SLACK * max(1.0, abs(best_val))
-    a_opt = np.vstack([a_ub, -obj]) if a_ub.size else (-obj).reshape(1, -1)
-    b_opt = np.append(b_ub, -(best_val - slack))
-    x = np.array(best_x, dtype=float)
-    fixed = bounds.copy()
-    nit = 0
-    for i in range(m):
-        c = np.zeros(m)
-        c[i] = 1.0
-        res = linprog(c, A_ub=a_opt, b_ub=b_opt, bounds=fixed, method="highs")
-        if not res.success:
-            break  # keep the unpolished optimum rather than fail
-        nit += int(res.nit)
-        x = res.x
-        fixed[i] = x[i]
-    return x, nit
+def _at_capacity(branches, capacity: np.ndarray):
+    """(branch, b_ub) for each branch at one capacity vector, skipping the
+    branches whose overhead alone breaks a capacity limit."""
+    cap_limit = _capacity_limit(capacity)
+    for branch in branches:
+        if not (branch.need > cap_limit).any():
+            yield branch, capacity[branch.js] - branch.sub
 
 
 def _pull_inside(a_ub, b_ub, floor, x):
     """HiGHS accepts rows violated by up to its primal tolerance (1e-7),
     more than the model's feasibility slack. Scale x toward the branch's
     lower bounds, which meet every row because a_ub >= 0, by the largest
-    factor that meets each violated row."""
+    factor that meets each violated row. A row the lower bounds break too,
+    by an overhead inside the capacity slack, gives a factor of -inf: x
+    falls back to its lower bounds."""
     load = a_ub @ x
     over = load > b_ub
     if not over.any():
         return x
     base = a_ub[over] @ floor
-    t = np.min((b_ub[over] - base) / (load[over] - base))
+    with np.errstate(divide="ignore"):
+        t = np.min((b_ub[over] - base) / (load[over] - base))
     return floor + max(t, 0.0) * (x - floor)
+
+
+class _SizeLps:
+    """The size LPs of one model and weight vector w (max-normalised), at
+    any capacity vector. Everything that does not depend on the capacity
+    is built once: the size box, the objective w · margin and each
+    activation branch (see _branches). Raises SolverError for a unit demand
+    HiGHS would reject, InfeasibleScenarioError for a reservation no size
+    meets and BudgetExceededError for too many branches."""
+
+    def __init__(self, model: SchemeModel, w: np.ndarray):
+        unit = model.unit
+        if (unit >= _MAX_UNIT_DEMAND).any():
+            raise SolverError(f"size LP failed: a unit demand reaches {_MAX_UNIT_DEMAND:g}, "
+                              "a matrix value HiGHS rejects")
+        self.model, self.w = model, w
+        self.lo, hi = model.size_bounds()
+        margins = np.array([spec.price - float(np.dot(unit[i], model.pool.unit_cost))
+                            for i, spec in enumerate(model.specs)])
+        self.obj = w * margins
+        self.branches = _branches(model, self.lo, hi, self.obj)
+
+    def solve(self, capacity: np.ndarray) -> Optional[tuple]:
+        """(sizes, LP iterations) of the best branch at `capacity`, or None
+        when no branch is feasible. Each branch runs its main LP and then
+        the lexicographic polish: among its near-optima (within
+        _POLISH_SLACK · max(1, |optimum|)), minimise one coordinate at a
+        time, fixing each as it is found, so ties resolve to the smallest
+        size vector; a polish LP that fails keeps the point so far. Branches
+        rank by the true (step-function) weighted profit, a later one
+        winning only by more than _BRANCH_TIE. Raises SolverError when a
+        main LP fails other than as infeasible."""
+        obj, m = self.obj, len(self.obj)
+        found, nit = [], 0
+        for branch, b_ub in _at_capacity(self.branches, capacity):
+            res = linprog(-obj, A_ub=branch.rows, b_ub=b_ub, bounds=branch.bounds, method="highs")
+            if res.status == 2:
+                continue
+            if not res.success:
+                raise SolverError(f"size LP failed: {res.message}")
+            nit += int(res.nit)
+            x = res.x
+            best_val = float(obj @ x)
+            b_opt = np.append(b_ub, -(best_val - _POLISH_SLACK * max(1.0, abs(best_val))))
+            fixed = branch.bounds.copy()
+            for i in range(m):
+                c = np.zeros(m)
+                c[i] = 1.0
+                res = linprog(c, A_ub=branch.polish, b_ub=b_opt, bounds=fixed, method="highs")
+                if not res.success:
+                    break
+                nit += int(res.nit)
+                x = res.x
+                fixed[i] = x[i]
+            x = np.clip(x, branch.bounds[:, 0], branch.bounds[:, 1])
+            x[np.abs(x) < _ZERO_CLIP] = 0.0
+            found.append(_pull_inside(branch.rows.dense, b_ub, branch.bounds[:, 0], x))
+        if not found:
+            return None
+        best = 0
+        if len(found) > 1:
+            values = [float(np.dot(self.w, revs - exps))
+                      for revs, exps, _ in map(self.model.breakdown, found)]
+            for k in range(1, len(found)):
+                if values[k] > values[best] + _BRANCH_TIE:
+                    best = k
+        return found[best], nit
 
 
 def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool,
                 weights=None) -> SolveResult:
     """Exact size vector maximising the (weighted) profit sum for a fixed
-    scheme. Slices are matched to scheme rows by id, so the specs may come
-    in any order; sizes follow spec order. Returns the sizes with their
-    outcome on the scheme's model; meta names the solver (objective-sum,
-    or weighted-sum when weights are given) and the LP iterations. Raises
+    scheme: the size LPs of its model at the pool's capacity. Slices are
+    matched to scheme rows by id, so the specs may come in any order; sizes
+    follow spec order. Returns the sizes with their outcome on the scheme's
+    model; meta names the solver (objective-sum, or weighted-sum when
+    weights are given) and the LP iterations. Raises
     InfeasibleScenarioError when reservations cannot be met inside the
     pool, and SolverError when an LP fails or HiGHS would reject one."""
     m = len(specs)
@@ -338,44 +450,17 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
     w = w / w.max()
 
     model = SchemeModel(specs, scheme, pool)
-    unit = model.unit
-    if (unit >= _MAX_UNIT_DEMAND).any():
-        raise SolverError(f"size LP failed: a unit demand reaches {_MAX_UNIT_DEMAND:g}, "
-                          "a matrix value HiGHS rejects")
-    lo, hi = model.size_bounds()
-    margins = np.array(
-        [spec.price - float(np.dot(unit[i], pool.unit_cost)) for i, spec in enumerate(specs)]
-    )
-    obj = w * margins
-
-    best = None
-    nit_total = 0
-    for a_ub, b_ub, bounds in _branches(model, lo, hi):
-        res = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if res.status == 2:
-            continue
-        if not res.success:
-            raise SolverError(f"size LP failed: {res.message}")
-        nit_total += int(res.nit)
-        x, nit = _lex_polish(obj, a_ub, b_ub, bounds, res.x, float(obj @ res.x))
-        nit_total += nit
-        x = np.clip(x, bounds[:, 0], bounds[:, 1])
-        x[np.abs(x) < _ZERO_CLIP] = 0.0
-        x = _pull_inside(a_ub, b_ub, bounds[:, 0], x)
-        # Rank branches by the true (step-function) weighted profit.
-        revs, exps, _ = model.breakdown(x)
-        true_val = float(np.dot(w, revs - exps))
-        if best is None or true_val > best[0] + _BRANCH_TIE:
-            best = (true_val, x)
-    if best is None:
+    lps = _SizeLps(model, w)
+    solved = lps.solve(pool.capacity)
+    if solved is None:
         raise InfeasibleScenarioError(
-            "minimum reservations exceed the pool capacity", model.outcome(lo).violations
+            "minimum reservations exceed the pool capacity", model.outcome(lps.lo).violations
         )
-    sizes = best[1]
+    sizes, nit = solved
     return SolveResult(
         tuple(float(s) for s in sizes), model.outcome(sizes), scheme,
         {"solver": "objective-sum" if weights is None else "weighted-sum",
-         "iterations": nit_total},
+         "iterations": nit},
     )
 
 

@@ -26,16 +26,22 @@ makes it one batched verdict, since profit does not depend on sharing.
 ``size_bounds_loop`` is the slice-by-slice, resource-by-resource form, and
 it reads each slice's rows from the scheme itself.
 
-``orthogonal._branches`` enumerates the size LP's activation branches and
-builds each branch's rows as array code. ``branches_loop`` is the inline
-loop of ``solve_sizes`` it replaced, over ``lp_rows_loop``, which builds
-the rows one resource and one active slice at a time.
+``orthogonal._branches`` builds the size LP's activation branches once
+per model as array code, with no capacity in them; ``_at_capacity`` fits
+them to one capacity vector. ``branches_loop`` is the inline loop of
+``solve_sizes`` they replaced, over ``lp_rows_loop``, which builds the
+rows at the model's capacity one resource and one active slice at a time.
+``orthogonal._SizeLps`` solves those branches at any capacity with rows
+and polish rows built once; ``solve_sizes_loop`` is the route it replaced,
+which builds a model, each branch's dense rows and, in
+``lex_polish_loop``, its polish rows again for every solve.
 
 The lease market solves each operator's internal optimum once per lease
-vector and call (``game._LeaseTable``). ``best_response_resolve``,
-``run_market_resolve`` and ``verify_nash_resolve`` are the forms that
-re-solve every grid point in every round, at settlement and in the Nash
-check.
+vector and call (``game._LeaseTable``), on one model and one ``_SizeLps``
+per operator. ``best_response_resolve``, ``run_market_resolve`` and
+``verify_nash_resolve`` are the forms that re-solve every grid point in
+every round, at settlement and in the Nash check, each with its own pool
+and ``solve_sizes_loop``.
 
 The library reads dominance from ``pareto._covers``, one way and not the
 other, and has no function for the pair test itself. ``dominates_reduce``
@@ -108,12 +114,14 @@ from sliceprofit.model import (
     InfeasibleScenarioError,
     Outcome,
     ResourcePool,
+    SchemeModel,
+    SolverError,
     Violation,
     _TINY_SIZE,
 )
 from sliceprofit.multiplex import GaParams
 from sliceprofit.pareto import FrontPoint, ParetoFront
-from sliceprofit.orthogonal import _MAX_ACTIVATION_BRANCHES, solve_sizes
+from sliceprofit.orthogonal import _MAX_ACTIVATION_BRANCHES, SolveResult
 
 
 def check_feasible_loop(alloc, scheme, pool, specs):
@@ -248,6 +256,79 @@ def branches_loop(model, lo, hi):
         yield (*built, bounds)
 
 
+def lex_polish_loop(obj, a_ub, b_ub, bounds, best_x, best_val):
+    """Among optima of obj, pick the lexicographically smallest point by
+    minimising one coordinate at a time subject to near-optimality, on
+    dense rows stacked afresh for the branch."""
+    m = len(best_x)
+    slack = orthogonal._POLISH_SLACK * max(1.0, abs(best_val))
+    a_opt = np.vstack([a_ub, -obj]) if a_ub.size else (-obj).reshape(1, -1)
+    b_opt = np.append(b_ub, -(best_val - slack))
+    x = np.array(best_x, dtype=float)
+    fixed = bounds.copy()
+    nit = 0
+    for i in range(m):
+        c = np.zeros(m)
+        c[i] = 1.0
+        res = orthogonal.linprog(c, A_ub=a_opt, b_ub=b_opt, bounds=fixed, method="highs")
+        if not res.success:
+            break  # keep the unpolished optimum rather than fail
+        nit += int(res.nit)
+        x = res.x
+        fixed[i] = x[i]
+    return x, nit
+
+
+def solve_sizes_loop(specs, scheme, pool, weights=None):
+    """orthogonal.solve_sizes as one pass over branches_loop on a model of
+    `pool`: each branch's dense rows, built at that capacity, go to a main
+    LP and a lex_polish_loop. Every LP goes through orthogonal.linprog."""
+    m = len(specs)
+    if m == 0:
+        raise ConfigurationError("scenario must contain at least one slice")
+    w = np.ones(m) if weights is None else orthogonal.validate_weights(weights, m)
+    w = w / w.max()
+    model = SchemeModel(specs, scheme, pool)
+    unit = model.unit
+    if (unit >= orthogonal._MAX_UNIT_DEMAND).any():
+        raise SolverError(f"size LP failed: a unit demand reaches "
+                          f"{orthogonal._MAX_UNIT_DEMAND:g}, a matrix value HiGHS rejects")
+    lo, hi = model.size_bounds()
+    margins = np.array(
+        [spec.price - float(np.dot(unit[i], pool.unit_cost)) for i, spec in enumerate(specs)]
+    )
+    obj = w * margins
+    best = None
+    nit_total = 0
+    for a_ub, b_ub, bounds in branches_loop(model, lo, hi):
+        bounds = np.array(bounds, dtype=float)
+        res = orthogonal.linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        if res.status == 2:
+            continue
+        if not res.success:
+            raise SolverError(f"size LP failed: {res.message}")
+        nit_total += int(res.nit)
+        x, nit = lex_polish_loop(obj, a_ub, b_ub, bounds, res.x, float(obj @ res.x))
+        nit_total += nit
+        x = np.clip(x, bounds[:, 0], bounds[:, 1])
+        x[np.abs(x) < orthogonal._ZERO_CLIP] = 0.0
+        x = orthogonal._pull_inside(a_ub, b_ub, bounds[:, 0], x)
+        revs, exps, _ = model.breakdown(x)
+        true_val = float(np.dot(w, revs - exps))
+        if best is None or true_val > best[0] + orthogonal._BRANCH_TIE:
+            best = (true_val, x)
+    if best is None:
+        raise InfeasibleScenarioError(
+            "minimum reservations exceed the pool capacity", model.outcome(lo).violations
+        )
+    sizes = best[1]
+    return SolveResult(
+        tuple(float(s) for s in sizes), model.outcome(sizes), scheme,
+        {"solver": "objective-sum" if weights is None else "weighted-sum",
+         "iterations": nit_total},
+    )
+
+
 def build_allocation_loop(specs, scheme, sizes):
     """model.build_allocation, one slice at a time."""
     sizes = np.asarray(sizes, dtype=float)
@@ -341,7 +422,7 @@ def pareto_filter_loop(vectors):
     return kept
 
 
-def _internal_resolve(operator, extra):
+def internal_resolve(operator, extra):
     """(total, sizes) of the operator's optimum with `extra` added to its
     capacity, or None when a capacity goes negative or the solve fails."""
     capacity = operator.pool.capacity + extra
@@ -350,7 +431,7 @@ def _internal_resolve(operator, extra):
     capacity = np.maximum(capacity, 1e-12)
     pool = ResourcePool(capacity, operator.pool.unit_cost)
     try:
-        sizes = solve_sizes(operator.specs, operator.scheme, pool).sizes
+        sizes = solve_sizes_loop(operator.specs, operator.scheme, pool).sizes
     except InfeasibleScenarioError:
         return None
     r, e, _ = slice_breakdown_loop(operator.specs, operator.scheme, pool, sizes)
@@ -358,7 +439,7 @@ def _internal_resolve(operator, extra):
 
 
 def _default_grid_resolve(operator, market, points=11):
-    base = _internal_resolve(operator, np.zeros(operator.pool.n_resources))
+    base = internal_resolve(operator, np.zeros(operator.pool.n_resources))
     if base is None:
         return {j: np.array([0.0]) for j in market.traded}
     _, sizes = base
@@ -405,7 +486,7 @@ def best_response_resolve(operator, prices, market):
         extra[list(market.traded)] = d
         if np.any(operator.pool.capacity + extra < -1e-12):
             continue
-        solved = _internal_resolve(operator, extra)
+        solved = internal_resolve(operator, extra)
         if solved is None:
             continue
         total, sizes = solved
@@ -450,11 +531,11 @@ def run_market_resolve(operators, market):
         d = executed[o.id]
         extra = np.zeros(o.pool.n_resources)
         extra[list(market.traded)] = d
-        solved = _internal_resolve(o, extra)
+        solved = internal_resolve(o, extra)
         internal[o.id] = solved[0] if solved else 0.0
         payment[o.id] = float(np.dot(prices, np.maximum(d, 0.0)))
         payments_total += prices * np.maximum(d, 0.0)
-        base = _internal_resolve(o, np.zeros(o.pool.n_resources))
+        base = internal_resolve(o, np.zeros(o.pool.n_resources))
         no_trade[o.id] = base[0] if base else 0.0
     incomes_assigned = np.zeros(len(market.traded))
     for o in ops:
@@ -504,7 +585,7 @@ def verify_nash_resolve(operators, outcome, market, tolerance=1e-9, budget=100_0
             extra[list(market.traded)] = d
             if np.any(o.pool.capacity + extra < -1e-12):
                 continue
-            solved = _internal_resolve(o, extra)
+            solved = internal_resolve(o, extra)
             if solved is None:
                 continue
             payoff = solved[0] - float(np.dot(outcome.prices, d))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sliceprofit import (
     BudgetExceededError,
     ConfigurationError,
+    InfeasibleScenarioError,
     MarketConfig,
     Operator,
     ResourcePool,
@@ -24,14 +25,16 @@ from sliceprofit import (
     solve_suboperator,
     verify_nash,
 )
-from sliceprofit import game
+from sliceprofit import game, orthogonal
 from sliceprofit.cli import main as cli_main
 from sliceprofit.model import SchemeModel
 
 from reference_impl import (
     best_response_resolve,
     dominates_reduce,
+    internal_resolve,
     run_market_resolve,
+    solve_sizes_loop,
     verify_nash_resolve,
 )
 
@@ -183,6 +186,14 @@ class TestBestResponse:
         assert resp.net_lease == pytest.approx([0.0])
         assert resp.internal_profit == -np.inf
 
+    def test_operator_without_slices_is_refused(self):
+        scheme = VnfScheme(("x",), np.ones((1, 1, 1)), np.zeros((1, 1)), ("dedicated",))
+        op = Operator("empty", ResourcePool(np.array([5.0]), np.array([0.5])), (), scheme)
+        market = MarketConfig(traded=(0,), eta=0.1, price0=np.array([0.2]),
+                              grids={"empty": {0: np.array([-1.0, 0.0])}})
+        with pytest.raises(ConfigurationError, match="at least one slice"):
+            best_response(op, [0.2], market)
+
 
 class TestRunMarket:
     def test_g1_clears_and_trades(self, g1, g1_ops):
@@ -307,15 +318,24 @@ class TestLeaseGridBudget:
     """Every market entry point counts its lease grids before solving any."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
+    def solves(self, g1, g1_ops, monkeypatch):
+        """Capacities the size LPs are solved at. The count is first seen to
+        be non-zero on g1's own market; after that the first solve raises,
+        since an unchecked grid would take minutes."""
+        calls, armed = [], []
+        solve = orthogonal._SizeLps.solve
 
-        def counting(*args, **kwargs):
-            # stop at the first solve: an unchecked grid would take minutes
-            calls.append(args)
-            raise AssertionError("a lease was solved before the grid budget was checked")
+        def counting(lps, capacity):
+            calls.append(capacity)
+            if armed:
+                raise AssertionError("a lease was solved before the grid budget was checked")
+            return solve(lps, capacity)
 
-        monkeypatch.setattr(game, "solve_sizes", counting)
+        monkeypatch.setattr(orthogonal._SizeLps, "solve", counting)
+        run_market(g1_ops, g1.market)
+        assert len(calls) > 0
+        calls.clear()
+        armed.append(True)
         return calls
 
     def test_run_market_refuses_before_any_solve(self, g1, g1_ops, solves):
@@ -543,13 +563,13 @@ class TestLeaseTableMatchesResolvingReference:
 
     def test_solves_do_not_grow_with_rounds(self, g1, g1_ops, monkeypatch):
         calls = []
-        solve = game.solve_sizes
+        solve = orthogonal._SizeLps.solve
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counting(lps, capacity):
+            calls.append(capacity)
+            return solve(lps, capacity)
 
-        monkeypatch.setattr(game, "solve_sizes", counting)
+        monkeypatch.setattr(orthogonal._SizeLps, "solve", counting)
         counts = {}
         for max_rounds in (20, 200):
             market = dataclasses.replace(g1.market, eta=0.01, max_rounds=max_rounds)
@@ -557,6 +577,7 @@ class TestLeaseTableMatchesResolvingReference:
             out = run_market(g1_ops, market)
             assert not out.converged and out.rounds == max_rounds
             market_solves = len(calls)
+            assert market_solves > 0
             verify_nash(g1_ops, out, market)
             # every grid point was solved during the market
             assert len(calls) == market_solves
@@ -591,3 +612,131 @@ class TestLeaseTableMatchesResolvingReference:
         )
         verdict = verify_nash(g1_ops, out, compute)
         assert _result_bits(verdict) == _result_bits(verify_nash_resolve(g1_ops, out, compute))
+
+
+@st.composite
+def lease_operators(draw):
+    """(operator, reserved): an Operator of 2-4 slices with one KPI on 1-3
+    resources. Slice 0 carries overhead on every resource and reserves
+    nothing, so it may stay off; when reserved, slice 1 reserves more of
+    resource 0 than its overhead there and is always on."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def mask():
+        return np.array(draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                      min_size=m, max_size=m)))
+
+    unit = mask() * rng.uniform(0.1, 2.0, (m, n))
+    overhead = mask() * rng.uniform(0.2, 3.0, (m, n))
+    overhead[0] = rng.uniform(0.2, 3.0, n)
+    floors = np.zeros((m, n))
+    reserved = draw(st.booleans())
+    if reserved:
+        unit[1, 0] = rng.uniform(0.1, 2.0)
+        floors[1, 0] = overhead[1, 0] + rng.uniform(0.5, 3.0)
+    unit_cost = rng.uniform(0.1, 1.0, n)
+    price = unit @ unit_cost * rng.uniform(0.5, 2.0, m) + rng.uniform(0.0, 0.5, m)
+    sharing = draw(st.lists(st.sampled_from(["shared", "dedicated"]), min_size=n, max_size=n))
+    ids = tuple(f"s{i}" for i in range(m))
+    specs = tuple(SliceSpec(ids[i], np.ones(1), float(rng.uniform(0.5, 6.0)), float(price[i]),
+                            floors[i]) for i in range(m))
+    scheme = VnfScheme(ids, unit[:, :, None], overhead, tuple(sharing))
+    pool = ResourcePool(rng.uniform(2.0, 12.0, n), unit_cost)
+    return Operator("op", pool, specs, scheme), reserved
+
+
+def lease_targets(op, rng) -> dict:
+    """Capacity vectors to lease the operator to, by name: its own pool;
+    every resource exactly at, and just below, the overhead of all slices
+    on, where the all-on branch's overhead skip flips; fully leased out
+    (the capacity floor); resource 0 halfway from slice 1's overhead to
+    its reservation with the rest ample, where every branch that fits is
+    infeasible; and a random draw."""
+    capacity, overhead = op.pool.capacity, op.scheme.overhead
+    need = np.where(op.scheme.shared_mask(), overhead.max(axis=0), overhead.sum(axis=0))
+    short = capacity + 100.0
+    short[0] = overhead[1, 0] + (op.specs[1].min_resources[0] - overhead[1, 0]) / 2
+    return {"own": capacity, "at-need": need, "below-need": need * (1.0 - 1e-8),
+            "leased-out": np.zeros_like(capacity), "short": short,
+            "random": rng.uniform(0.0, 2.0 * capacity)}
+
+
+def recorded_solves(solve, leases) -> list:
+    """(result bits, LP input and result bytes) of solve(d) for each lease
+    d, with every LP recorded at orthogonal.linprog through np.asarray."""
+    driver, lps = orthogonal.linprog, []
+
+    def record(c, A_ub, b_ub, bounds, method):
+        res = driver(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+        inputs = [np.asarray(v, dtype=float) for v in (c, A_ub, b_ub, bounds)]
+        lps.append(tuple((v.shape, v.tobytes()) for v in inputs)
+                   + ((res.status, res.nit), None if res.x is None else res.x.tobytes()))
+        return res
+
+    out = []
+    orthogonal.linprog = record
+    try:
+        for d in leases:
+            result = solve(d)
+            out.append((_bits(result), tuple(lps)))
+            lps.clear()
+    finally:
+        orthogonal.linprog = driver
+    return out
+
+
+class TestLeaseSolvesMatchTheLoop:
+    """A lease table solves each lease on its operator's one model and size
+    LPs; internal_resolve builds a pool, a model, each branch's rows and
+    its polish rows for every lease (solve_sizes_loop). Both raise the same
+    LPs and give the same (total, sizes) bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=lease_operators(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_table_matches_the_loop(self, drawn, seed):
+        op, reserved = drawn
+        n = op.pool.n_resources
+        targets = lease_targets(op, np.random.default_rng(seed))
+        named = [(name, target - op.pool.capacity) for name, target in targets.items()]
+        named.append(("negative", -op.pool.capacity - 1.0))
+        # the table solves a lease once, so each lease key comes once
+        leases = {}
+        for name, d in named:
+            if all(tuple(d) != tuple(e) for e in leases.values()):
+                leases[name] = d
+        market = MarketConfig(traded=tuple(range(n)), eta=0.1, price0=np.zeros(n),
+                              grids={op.id: {j: np.array([0.0]) for j in range(n)}})
+        table = game._lease_tables([op], market)[op.id]
+        fast = recorded_solves(table.internal, leases.values())
+        slow = recorded_solves(lambda d: internal_resolve(op, d), leases.values())
+        assert fast == slow
+        # the draws reach the overhead skip's flip and an all-infeasible lease
+        fits = {name: len(list(orthogonal._at_capacity(table.lps.branches, targets[name])))
+                for name in ("at-need", "below-need")}
+        assert fits["at-need"] > fits["below-need"]
+        got = dict(zip(leases, fast))
+        if reserved and "short" in got:
+            result, lps = got["short"]
+            statuses = [status for *_, (status, _), _ in lps]
+            assert result == _bits(None) and statuses and set(statuses) == {2}
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=lease_operators(), seed=st.integers(0, 2 ** 32 - 1),
+           weighted=st.booleans())
+    def test_solve_sizes_matches_the_loop(self, drawn, seed, weighted):
+        op, _ = drawn
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 2.0, len(op.specs)) if weighted else None
+        for capacity in lease_targets(op, rng).values():
+            pool = ResourcePool(np.maximum(capacity, 1.0), op.pool.unit_cost)
+            results = []
+            for solve in (orthogonal.solve_sizes, solve_sizes_loop):
+                try:
+                    res = solve(op.specs, op.scheme, pool, weights)
+                except InfeasibleScenarioError as exc:
+                    results.append(("infeasible", str(exc), exc.violations))
+                else:
+                    results.append(_bits((res.sizes, res.outcome.profits,
+                                          res.outcome.violations, res.meta)))
+            assert results[0] == results[1]

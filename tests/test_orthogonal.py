@@ -40,6 +40,7 @@ from sliceprofit import (
     solve_sizes,
     solve_weighted_sum,
     validate_weights,
+    verify_nash,
 )
 from sliceprofit import game, orthogonal
 from sliceprofit.cli import main
@@ -208,20 +209,42 @@ def branch_model(unit, overhead, shared, capacity):
     return SchemeModel(specs, scheme, ResourcePool(capacity, np.ones(n)))
 
 
-def branches_as_loop(model, lo, hi) -> list:
-    """orthogonal._branches and branches_loop yield the same branches in the
-    same order, byte for byte; the branches as (a_ub, b_ub, bounds)."""
-    ours = list(orthogonal._branches(model, lo, hi))
-    ref = list(branches_loop(model, lo, hi))
-    assert len(ours) == len(ref)
-    for branch, (a, b, bounds) in zip(ours, ref):
-        for got, want in zip(branch, (a, b, np.array(bounds, dtype=float))):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    return ours
+def branches_as_loop(unit, overhead, shared, capacities, lo, hi) -> list:
+    """orthogonal._branches, built once, and branches_loop on the model at
+    each of the capacities yield the same branches at that capacity in the
+    same order, byte for byte, and each branch's polish rows are its rows
+    plus the objective row. The branches at the first capacity as (a_ub,
+    b_ub, bounds)."""
+    obj = np.linspace(-1.0, 2.0, len(lo))
+    branches = orthogonal._branches(branch_model(unit, overhead, shared, capacities[0]),
+                                    lo, hi, obj)
+    for capacity in capacities:
+        ours = list(orthogonal._at_capacity(branches, capacity))
+        ref = list(branches_loop(branch_model(unit, overhead, shared, capacity), lo, hi))
+        assert len(ours) == len(ref)
+        for (branch, b_ub), (a, b, bounds) in zip(ours, ref):
+            got = (np.asarray(branch.rows), b_ub, branch.bounds, np.asarray(branch.polish))
+            want = (a, b, np.array(bounds, dtype=float), np.vstack([a, -obj]))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    return [(np.asarray(branch.rows), b_ub, branch.bounds)
+            for branch, b_ub in orthogonal._at_capacity(branches, capacities[0])]
+
+
+def flip_capacities(capacity, overhead) -> list:
+    """capacity, then capacities at which the overhead skip of some branch
+    flips: each resource exactly at, and just below, its summed overhead
+    and its largest overhead where there is one."""
+    out = [capacity]
+    for need in (overhead.sum(axis=0), overhead.max(axis=0)):
+        for scale in (1.0, 1.0 - 1e-8):
+            out.append(np.where(need > 0, need * scale, capacity))
+    return out
 
 
 class TestBranches:
-    """orthogonal._branches against the loop it replaced."""
+    """orthogonal._branches at several capacities against the loop it
+    replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(1, 10), n=st.integers(1, 4), data=st.data())
@@ -246,16 +269,16 @@ class TestBranches:
         # at most 16 branches: the loop form is slow
         lo[np.flatnonzero((lo == 0) & overhead.any(axis=1))[4:]] = 0.5
         hi = lo + vector(st.floats(0.0, 10.0), m)
-        branches_as_loop(branch_model(unit, overhead, shared, capacity), lo, hi)
+        branches_as_loop(unit, overhead, shared, flip_capacities(capacity, overhead), lo, hi)
 
     def test_overhead_past_a_capacity_skips_the_branch(self):
         # both free slices on together need 12 of the dedicated 10; alone
         # each fits, and the reserved third slice is always on
         unit = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 0.5]])
         overhead = np.array([[6.0, 0.0], [6.0, 0.0], [0.0, 1.0]])
-        model = branch_model(unit, overhead, np.array([False, True]), np.array([10.0, 4.0]))
         lo, hi = np.array([0.0, 0.0, 1.0]), np.array([5.0, 5.0, 2.0])
-        branches = branches_as_loop(model, lo, hi)
+        branches = branches_as_loop(unit, overhead, np.array([False, True]),
+                                    [np.array([10.0, 4.0]), np.array([12.0, 4.0])], lo, hi)
         assert [bounds.tolist() for *_, bounds in branches] == [
             [[0.0, 5.0], [0.0, 0.0], [1.0, 2.0]],
             [[0.0, 0.0], [0.0, 5.0], [1.0, 2.0]],
@@ -272,10 +295,11 @@ class TestBranches:
         rng = np.random.default_rng(21)
         for m in (8, 9, 10):
             for _ in range(100):
-                model = branch_model(rng.uniform(0.0, 1.0, (m, 2)), rng.uniform(0.0, 1.0, (m, 2)),
-                                     np.array([False, True]), np.array([2.0 * m, 2.0]))
                 lo = np.where(np.arange(m) < 2, 0.0, 0.5)
-                assert len(branches_as_loop(model, lo, lo + 1.0)) == 4
+                branches = branches_as_loop(
+                    rng.uniform(0.0, 1.0, (m, 2)), rng.uniform(0.0, 1.0, (m, 2)),
+                    np.array([False, True]), [np.array([2.0 * m, 2.0])], lo, lo + 1.0)
+                assert len(branches) == 4
 
 
 class TestOracle:
@@ -563,17 +587,34 @@ class TestOneModelPerSolve:
         # the loaded base scheme, candidate 0 inside solve_ga, the winner
         assert rc == 0 and len(schemes) == 3
 
-    def test_market_builds_one_per_lease_solve(self, g1, built, monkeypatch):
-        solves = []
-        solve = game.solve_sizes
+    def test_market_builds_one_per_operator(self, g1, built, monkeypatch):
+        # each operator's lease table builds its model and size LPs on its
+        # first lease and solves every other lease on them; the Nash check
+        # borrows them, even for leases the market never solved
+        engines, solves = [], []
+        init, solve = orthogonal._SizeLps.__init__, orthogonal._SizeLps.solve
 
-        def counting(*args, **kwargs):
-            solves.append(args)
-            return solve(*args, **kwargs)
+        def counting_init(lps, *args):
+            engines.append(args)
+            init(lps, *args)
 
-        monkeypatch.setattr(game, "solve_sizes", counting)
-        run_market(build_operators(g1), g1.market)
-        assert solves and len(built) == len(solves)
+        def counting_solve(lps, capacity):
+            solves.append(capacity)
+            return solve(lps, capacity)
+
+        monkeypatch.setattr(orthogonal._SizeLps, "__init__", counting_init)
+        monkeypatch.setattr(orthogonal._SizeLps, "solve", counting_solve)
+        ops = build_operators(g1)
+        out = run_market(ops, g1.market)
+        assert len(solves) > len(ops)
+        assert len(built) == len(engines) == len(ops)
+        for calls in (built, engines, solves):
+            calls.clear()
+        halves = {op_id: {0: np.union1d(grids[0], grids[0] / 2)}
+                  for op_id, grids in g1.market.grids.items()}
+        verify_nash(ops, out, replace(g1.market, grids=halves))
+        assert len(solves) > 0
+        assert built == [] and engines == []
 
 
 def same_lp_result(got, want) -> bool:
