@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,8 +30,10 @@ from .orthogonal import solve_objective_sum
 _IN_USE_TOL = 1e-9
 
 # Longest trace. The longterm command's default sweep simulates every period
-# from 1 to H, H² epochs of about 80 µs each on the shipped 2-slice document
-# plus one 1 ms solve per epoch: H = 1,000 takes about 80 s there. Shipped
+# from 1 to H. It builds and solves each epoch once and evaluates each
+# distinct (update epoch, epoch) pair once, about H²/4 of them over all
+# periods, at about 30 µs each on the shipped 2-slice document: H = 1,000
+# takes about 8 s there on a 2-vCPU container (251,000 evaluations). Shipped
 # and benchmark traces run up to 8 epochs.
 MAX_HORIZON = 1_000
 
@@ -97,11 +100,11 @@ def epoch_scenario(scenario, trace: DemandTrace, t: int):
     return scenario.with_specs(tuple(new_specs))
 
 
-def _realized(scenario_t, sizes) -> tuple:
-    """(epoch profit, feasible) of a held size vector. Violating slices earn
-    nothing but still pay for what they consume; a slice violates by sitting
-    on an over-capacity resource or missing its own reservation."""
-    model = SchemeModel(scenario_t.specs, scenario_t.scheme, scenario_t.pool)
+def _realized(model: SchemeModel, sizes) -> tuple:
+    """(epoch profit, feasible) of a held size vector on the epoch's model.
+    Violating slices earn nothing but still pay for what they consume; a
+    slice violates by sitting on an over-capacity resource or missing its
+    own reservation."""
     revs, exps, alloc = model.breakdown(sizes)
     feasible, violations = model.verdict(alloc.resources)
     if feasible:
@@ -117,15 +120,39 @@ def _realized(scenario_t, sizes) -> tuple:
     return float(np.sum(revs - exps)), False
 
 
+class _Epoch:
+    """One epoch of a trace, as a sweep keeps it: its scenario and model,
+    the sizes a re-solve there returns (solved on first use) and the
+    realized (profit, feasible) of each held size vector, keyed by the
+    update epoch that solved it."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.model = SchemeModel(scenario.specs, scenario.scheme, scenario.pool)
+        self.realized = {}
+
+    @cached_property
+    def sizes(self):
+        """solve_objective_sum's sizes, or None when it raises
+        InfeasibleScenarioError."""
+        try:
+            return solve_objective_sum(self.scenario).sizes
+        except InfeasibleScenarioError:
+            return None
+
+
 def simulate_horizon(scenario, trace: DemandTrace, period: int, *,
                      solved: Optional[dict] = None) -> HorizonResult:
     """Re-solve (solve_objective_sum) at epochs 0, period, 2*period, ...
     and hold in between.
 
-    `solved` maps an update epoch to the sizes the re-solve returned there,
-    or None when it raised InfeasibleScenarioError. Epochs missing from it
-    are solved and added, so a caller that simulates several periods of one
-    trace can pass the same dict to each and solve every epoch once.
+    `solved` is a sweep's cache: it maps each epoch to what the sweep has
+    built for it, its scenario and model, the sizes a re-solve there
+    returned and the realized value of each held size vector. Epochs
+    missing from it are built and added, so a caller that simulates several
+    periods of one trace can pass the same dict to each and build every
+    epoch, solve every update epoch and evaluate every (update, epoch) pair
+    once; a realized value does not depend on the period.
     """
     if as_count(period, "period") < 1 or period > trace.horizon:
         raise ConfigurationError("period must lie in [1, horizon]")
@@ -135,24 +162,21 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int, *,
     updates = []
     failed = []
     violating = []
-    sizes = None
-    solve_ok = False
+    update = sizes = None
     for t in range(trace.horizon):
-        scn_t = epoch_scenario(scenario, trace, t)
+        epoch = solved.get(t)
+        if epoch is None:
+            epoch = solved[t] = _Epoch(epoch_scenario(scenario, trace, t))
         if t % period == 0:
             updates.append(t)
-            if t not in solved:
-                try:
-                    solved[t] = solve_objective_sum(scn_t).sizes
-                except InfeasibleScenarioError:
-                    solved[t] = None
-            sizes = solved[t]
-            solve_ok = sizes is not None
-        if not solve_ok:
+            update, sizes = t, epoch.sizes
+        if sizes is None:
             failed.append(t)
             profits.append(0.0)
             continue
-        value, feas = _realized(scn_t, sizes)
+        if update not in epoch.realized:
+            epoch.realized[update] = _realized(epoch.model, sizes)
+        value, feas = epoch.realized[update]
         if not feas:
             violating.append(t)
         profits.append(value)
@@ -168,8 +192,10 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int, *,
 def optimize_period(scenario, trace: DemandTrace, candidates: Sequence[int],
                     cost: ReconfigCostModel):
     """Best update period among the candidates (ties to the smallest) plus
-    the full evaluation table. Each update epoch is solved at most once
-    over all candidates (see simulate_horizon)."""
+    the full evaluation table. Every candidate shares one sweep cache, so
+    each epoch is built, each update epoch solved and each (update, epoch)
+    pair evaluated at most once over all candidates (see
+    simulate_horizon)."""
     periods = sorted(set(int(as_count(p, "candidate period")) for p in candidates))
     if not periods:
         raise ConfigurationError("candidate period list must not be empty")

@@ -20,10 +20,11 @@ two routes.
 Every LP goes through the module's one entry point, ``linprog``. When
 scipy's private HiGHS bindings import, it is a direct driver that gives
 the same results as ``scipy.optimize.linprog(method="highs")`` without
-scipy's per-call input parsing, sparse conversion and option checks, and
-on one HiGHS instance per thread instead of a new one per LP. It takes
-the rows as ``_Rows``, already in HiGHS's column-wise form, or dense and
-turns them into one. Otherwise it is scipy's ``linprog`` itself, which
+scipy's per-call input parsing, sparse conversion and option checks, on
+one HiGHS instance per thread instead of a new one per LP, and from one
+HiGHS model per ``_Rows`` whose matrix is loaded once. It takes the rows
+as ``_Rows``, already in HiGHS's column-wise form, or dense and turns
+them into one. Otherwise it is scipy's ``linprog`` itself, which
 reads a ``_Rows`` as its dense matrix.
 
 The bindings are scipy's extension file ``optimize/_highspy/_core<suffix>``,
@@ -40,6 +41,7 @@ solver reads.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -162,9 +164,16 @@ class _Rows:
     (start, index and value in the order np.nonzero of the transpose gives:
     by column, rows ascending), built and checked finite once and read-only.
     np.asarray gives the dense matrix, so scipy's linprog and any recorder
-    of LP inputs read the same numbers HiGHS gets."""
+    of LP inputs read the same numbers HiGHS gets.
 
-    __slots__ = ("dense", "start", "index", "value")
+    The direct driver loads the rows into one HighsLp on their first LP:
+    the matrix and a row lower limit of -inf on every row. Each LP then
+    sets only the cost, the column bounds and the row upper limits, and
+    passModel copies the whole model into the solver. Threads share the
+    rows, so the lock is held from the first of those sets through
+    passModel."""
+
+    __slots__ = ("dense", "start", "index", "value", "lock", "_lp")
 
     def __init__(self, dense):
         dense = np.array(dense, dtype=float)
@@ -176,6 +185,8 @@ class _Rows:
         self.start = np.searchsorted(cols, np.arange(dense.shape[1] + 1)).astype(np.int32)
         self.index = rows.astype(np.int32)
         self.value = dense.T[cols, rows]
+        self.lock = threading.Lock()
+        self._lp = None
 
     @property
     def shape(self) -> tuple:
@@ -184,63 +195,88 @@ class _Rows:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.dense, dtype=dtype, copy=copy)
 
+    def highs_lp(self):
+        """The HighsLp that holds these rows, built on the first call; take
+        the lock before filling it."""
+        if self._lp is None:
+            n_row, n_col = self.dense.shape
+            lp = _highs.HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+            lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+            lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+            lp.a_matrix_.start_ = self.start
+            lp.a_matrix_.index_ = self.index
+            lp.a_matrix_.value_ = self.value
+            lp.row_lower_ = np.full(n_row, -np.inf)
+            self._lp = lp
+        return self._lp
+
 
 def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
     """linprog(c, A_ub=, b_ub=, bounds=, method="highs") for finite data,
-    with the rows dense or as _Rows, solved by this thread's one HiGHS
-    instance (threads never share one). clearModel first drops the previous
-    LP's model, basis, solution and info and keeps only the options, so
-    every LP starts cold, as on a fresh instance, with no warm start. Model,
-    options, iteration count and the post-solve check are linprog's, so x
-    comes back bit-identical, and so are the status codes a bounded LP run
-    without limits can get. Only the fields the size solver reads are
-    returned; method is taken for linprog's call shape."""
+    with the rows dense or as _Rows, passed from the rows' one HighsLp and
+    solved by this thread's one HiGHS instance (threads never share one).
+    Only the iteration counts and the objective are read of HiGHS's info,
+    and the status message is built only for a failed LP. clearModel first
+    drops the previous LP's model, basis, solution and info and keeps only
+    the options, so every LP starts cold, as on a fresh instance, with no
+    warm start. Model, options, iteration count and the post-solve check
+    are linprog's, so x comes back bit-identical, and so are the status
+    codes a bounded LP run without limits can get. Only the fields the size
+    solver reads are returned; method is taken for linprog's call shape."""
     rows = A_ub if isinstance(A_ub, _Rows) else _Rows(A_ub)
     c = np.asarray(c, dtype=float)
     b = np.asarray(b_ub, dtype=float)
-    lb, ub = np.array(bounds, dtype=float).T
-    if not all(np.isfinite(v).all() for v in (c, b, lb, ub)):
+    box = np.array(bounds, dtype=float)
+    lb, ub = box.T
+    if not np.isfinite(np.concatenate((c, b, box.ravel()))).all():
         raise ValueError("LP data must be finite")
-    n_row, n_col = rows.shape
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = rows.start
-    lp.a_matrix_.index_ = rows.index
-    lp.a_matrix_.value_ = rows.value
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = np.full(n_row, -np.inf)
-    lp.row_upper_ = b
     highs = _thread_highs()
     highs.clearModel()
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        status, info = _highs.HighsModelStatus.kModelError, None
-    elif highs.run() == _highs.HighsStatus.kError:
-        status, info = highs.getModelStatus(), None
+    with rows.lock:
+        lp = rows.highs_lp()
+        lp.col_cost_ = c
+        lp.col_lower_ = lb
+        lp.col_upper_ = ub
+        lp.row_upper_ = b
+        passed = highs.passModel(lp)
+    if passed == _highs.HighsStatus.kError:
+        status, ran = _highs.HighsModelStatus.kModelError, False
     else:
-        status, info = highs.getModelStatus(), highs.getInfo()
-    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if info else 0
-    message = f"HiGHS model status is {highs.modelStatusToString(status)}"
-    if info is None or status != _highs.HighsModelStatus.kOptimal:
+        ran = highs.run() != _highs.HighsStatus.kError
+        status = highs.getModelStatus()
+    nit = 0
+    if ran:
+        nit = (highs.getInfoValue("simplex_iteration_count")[1]
+               or highs.getInfoValue("ipm_iteration_count")[1])
+    if not ran or status != _highs.HighsModelStatus.kOptimal:
         # linprog's codes: 2 for infeasible (a model HiGHS rejects counts as
         # one), and 4 here for any other failure, since these LPs are bounded
         # and run without limits
         failed = (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError)
         return LpResult(x=None, status=2 if status in failed else 4,
-                        success=False, nit=nit, message=message)
+                        success=False, nit=nit, message=_status_message(highs, status))
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     slack = b - np.array(solution.row_value)
     tol = _LINPROG_CHECK_TOL
     # a NaN in x, the slack or the objective fails a comparison, as in linprog
     valid = bool(((x >= lb - tol) & (x <= ub + tol)).all() and (slack >= -tol).all()
-                 and not math.isnan(info.objective_function_value))
+                 and not math.isnan(highs.getObjectiveValue()))
     if not valid:
-        message = f"the solution breaks a bound or row by more than {tol:.2E}"
-    return LpResult(x=x, status=0 if valid else 4, success=valid, nit=nit, message=message)
+        return LpResult(x=x, status=4, success=False, nit=nit,
+                        message=f"the solution breaks a bound or row by more than {tol:.2E}")
+    return LpResult(x=x, status=0, success=True, nit=nit, message=_optimal_message())
+
+
+def _status_message(highs, status) -> str:
+    return f"HiGHS model status is {highs.modelStatusToString(status)}"
+
+
+@functools.cache
+def _optimal_message() -> str:
+    """The message of every solved LP, read from HiGHS once."""
+    return _status_message(_thread_highs(), _highs.HighsModelStatus.kOptimal)
 
 
 try:
@@ -380,6 +416,10 @@ class _SizeLps:
                             for i, spec in enumerate(model.specs)])
         self.obj = w * margins
         self.branches = _branches(model, self.lo, hi, self.obj)
+        # polish LP i minimises size i: its cost is the unit vector e_i
+        units = np.eye(len(margins))
+        units.flags.writeable = False
+        self.units = tuple(units)
 
     def solve(self, capacity: np.ndarray) -> Optional[tuple]:
         """(sizes, LP iterations) of the best branch at `capacity`, or None
@@ -391,7 +431,7 @@ class _SizeLps:
         rank by the true (step-function) weighted profit, a later one
         winning only by more than _BRANCH_TIE. Raises SolverError when a
         main LP fails other than as infeasible."""
-        obj, m = self.obj, len(self.obj)
+        obj = self.obj
         found, nit = [], 0
         for branch, b_ub in _at_capacity(self.branches, capacity):
             res = linprog(-obj, A_ub=branch.rows, b_ub=b_ub, bounds=branch.bounds, method="highs")
@@ -404,9 +444,7 @@ class _SizeLps:
             best_val = float(obj @ x)
             b_opt = np.append(b_ub, -(best_val - _POLISH_SLACK * max(1.0, abs(best_val))))
             fixed = branch.bounds.copy()
-            for i in range(m):
-                c = np.zeros(m)
-                c[i] = 1.0
+            for i, c in enumerate(self.units):
                 res = linprog(c, A_ub=branch.polish, b_ub=b_opt, bounds=fixed, method="highs")
                 if not res.success:
                     break

@@ -84,8 +84,16 @@ each stream's Generator and calls it.
 reading each slice's demand map from the scheme itself.
 
 ``orthogonal._highs_linprog`` solves every LP on its thread's one HiGHS
-instance, cleared before each model. ``fresh_highs_linprog`` is the driver
-it replaced, which builds and drops a fresh instance per call.
+instance, cleared before each model, from the one ``HighsLp`` its rows
+hold. ``fresh_highs_linprog`` is the driver it replaced, which builds and
+drops a fresh instance and a fresh ``HighsLp`` per call and reads the
+whole info.
+
+``longterm.optimize_period`` shares one sweep cache over its candidate
+periods: each epoch's scenario and model are built once, and each (update
+epoch, epoch) pair is evaluated once. ``optimize_period_loop`` is the sweep
+it replaced, which rebuilt every epoch's scenario and model, and evaluated
+every held epoch again, for each period; only update epochs were shared.
 
 ``scenario.write_csv`` writes a table given as columns, formats each
 column in one pass and writes all rows at once. ``write_csv_rows`` is the
@@ -103,7 +111,7 @@ import math
 
 import numpy as np
 
-from sliceprofit import game, multiplex, orthogonal
+from sliceprofit import game, longterm, multiplex, orthogonal
 from sliceprofit.model import (
     DEDICATED,
     FEASIBILITY_TOL,
@@ -944,3 +952,70 @@ def write_csv_rows(path, fieldnames, rows, manifest=None):
         writer.writerow([_format_cell_rows(row.get(name, "")) for name in fieldnames])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
+
+
+def _realized_loop(scenario_t, sizes) -> tuple:
+    """longterm._realized on a model built from the epoch's scenario."""
+    model = SchemeModel(scenario_t.specs, scenario_t.scheme, scenario_t.pool)
+    revs, exps, alloc = model.breakdown(sizes)
+    feasible, violations = model.verdict(alloc.resources)
+    if feasible:
+        return float(np.sum(revs - exps)), True
+    over = {v.resource for v in violations if v.kind == "pool"}
+    violators = {v.slice for v in violations if v.kind == "minimum"}
+    for i in range(len(model.specs)):
+        if any(alloc.resources[i, j] > longterm._IN_USE_TOL for j in over):
+            violators.add(i)
+    revs = revs.copy()
+    for i in violators:
+        revs[i] = 0.0
+    return float(np.sum(revs - exps)), False
+
+
+def simulate_horizon_loop(scenario, trace, period, solved):
+    """longterm.simulate_horizon with `solved` mapping an update epoch to
+    its sizes (None for an infeasible re-solve) and nothing else."""
+    profits, updates, failed, violating = [], [], [], []
+    sizes = None
+    solve_ok = False
+    for t in range(trace.horizon):
+        scn_t = longterm.epoch_scenario(scenario, trace, t)
+        if t % period == 0:
+            updates.append(t)
+            if t not in solved:
+                try:
+                    solved[t] = longterm.solve_objective_sum(scn_t).sizes
+                except InfeasibleScenarioError:
+                    solved[t] = None
+            sizes = solved[t]
+            solve_ok = sizes is not None
+        if not solve_ok:
+            failed.append(t)
+            profits.append(0.0)
+            continue
+        value, feas = _realized_loop(scn_t, sizes)
+        if not feas:
+            violating.append(t)
+        profits.append(value)
+    return longterm.HorizonResult(
+        profits=tuple(profits), update_count=len(updates), update_epochs=tuple(updates),
+        failed_epochs=tuple(failed), violation_epochs=tuple(violating),
+    )
+
+
+def optimize_period_loop(scenario, trace, candidates, cost):
+    """longterm.optimize_period over simulate_horizon_loop: (best period,
+    table, the HorizonResult of each period)."""
+    periods = sorted(set(int(p) for p in candidates))
+    solved, table, sims = {}, [], []
+    best = None
+    for p in periods:
+        sim = simulate_horizon_loop(scenario, trace, p, solved)
+        realized = float(sum(sim.profits))
+        net = realized - sim.update_count * cost.cost_per_update
+        table.append({"period": p, "realized_total": realized,
+                      "update_count": sim.update_count, "net_total": net})
+        sims.append(sim)
+        if best is None or net > best[1]:
+            best = (p, net)
+    return best[0], table, sims

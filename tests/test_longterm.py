@@ -1,7 +1,13 @@
 """Horizon simulation: parameter traces, held configs, update periods."""
 
+import dataclasses
+import json
+import pathlib
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceprofit import (
     ConfigurationError,
@@ -16,8 +22,12 @@ from sliceprofit import (
 )
 
 from sliceprofit import longterm, model
+from sliceprofit.cli import main
 
 from conftest import make_scenario
+from reference_impl import optimize_period_loop
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def flat_trace(horizon=3):
@@ -95,9 +105,11 @@ class TestSimulateHorizon:
     def test_held_epoch_derives_its_limits_once(self, s2_trace, monkeypatch):
         trace = s2_trace.trace
         sizes = solve_objective_sum(epoch_scenario(s2_trace, trace, 0)).sizes
+        scn_1 = epoch_scenario(s2_trace, trace, 1)
         limits, calls = model._limits, []
         monkeypatch.setattr(model, "_limits", lambda *a: calls.append(a) or limits(*a))
-        longterm._realized(epoch_scenario(s2_trace, trace, 1), sizes)
+        # the epoch's model derives them, and the evaluation on it no more
+        longterm._realized(model.SchemeModel(scn_1.specs, scn_1.scheme, scn_1.pool), sizes)
         assert len(calls) == 1
 
     def test_constant_trace_makes_period_irrelevant(self, s2):
@@ -286,3 +298,159 @@ class TestOptimizePeriodSolvesEachEpochOnce:
         # A's reservation is unreachable at t=1, where period 1 updates
         trace = DemandTrace(2, {}, {}, {"A": (1.0, 0.0)})
         self._check(monkeypatch, scenario, trace, [1, 2], ReconfigCostModel(0.0), 2)
+
+
+def reserved_scenario():
+    """make_scenario with slice A reserving 2 units of bandwidth, so a KPI
+    scale of 0 on A makes its epoch's re-solve infeasible."""
+    doc = scenario_to_dict(make_scenario())
+    doc["slices"][0]["min_resources"] = [2, 0]
+    return make_scenario(doc)
+
+
+def sweep(scenario, trace, periods, fee):
+    """optimize_period's (best, table) and the HorizonResult of each
+    period, as simulate_horizon returned them."""
+    sims = []
+    simulate = longterm.simulate_horizon
+
+    def recording(*args, **kwargs):
+        sims.append(simulate(*args, **kwargs))
+        return sims[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(longterm, "simulate_horizon", recording)
+        best, table = optimize_period(scenario, trace, periods, fee)
+    return best, table, sims
+
+
+def bits(best, table, sims) -> str:
+    """Everything a sweep returns, with every float in its exact repr."""
+    return repr((best, table, [dataclasses.astuple(sim) for sim in sims]))
+
+
+@st.composite
+def drawn_traces(draw):
+    """A horizon of 1-6 epochs with per-epoch customer bases, prices and
+    KPI scales; scales of 0 make a reserving slice's re-solve infeasible
+    and scales above 1 push held sizes over capacity."""
+    horizon = draw(st.integers(1, 6))
+
+    def series(values):
+        return st.lists(st.sampled_from(values), min_size=horizon, max_size=horizon)
+
+    sizes = draw(st.dictionaries(st.sampled_from("AB"), series((1.0, 2.5, 4.0, 6.0, 9.0))))
+    prices = draw(st.dictionaries(st.sampled_from("AB"), series((0.5, 2.0, 3.0, 4.5))))
+    scales = draw(st.dictionaries(st.sampled_from("AB"), series((0.0, 0.5, 1.0, 1.5, 2.5))))
+    return DemandTrace(horizon, sizes, prices, scales)
+
+
+class TestSweepMatchesPerPeriodLoop:
+    """optimize_period builds each epoch once per sweep and evaluates each
+    (update epoch, epoch) pair once; reference_impl.optimize_period_loop
+    rebuilds every epoch for every period. Both give the same bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=drawn_traces(), reserve=st.booleans(),
+           periods=st.sets(st.integers(1, 6), min_size=1), fee=st.sampled_from((0.0, 0.75)))
+    def test_drawn_traces_match_bit_for_bit(self, trace, reserve, periods, fee):
+        scenario = reserved_scenario() if reserve else make_scenario()
+        periods = sorted(p for p in periods if p <= trace.horizon) or [trace.horizon]
+        cost = ReconfigCostModel(fee)
+        assert bits(*sweep(scenario, trace, periods, cost)) == bits(
+            *optimize_period_loop(scenario, trace, periods, cost))
+
+    def test_infeasible_and_violating_epochs_match(self):
+        # A's KPIs: 0 at t=2 (its reservation unreachable), 2.5 at t=1 and
+        # t=4 (held sizes over capacity)
+        trace = DemandTrace(5, {"B": (6.0, 6.0, 2.5, 9.0, 4.0)}, {"A": (3.0, 3.0, 4.5, 0.5, 2.0)},
+                            {"A": (1.0, 2.5, 0.0, 1.0, 2.5)})
+        periods, cost = [1, 2, 3, 4, 5], ReconfigCostModel(0.25)
+        got = sweep(reserved_scenario(), trace, periods, cost)
+        sims = got[2]
+        assert any(sim.failed_epochs for sim in sims)
+        assert any(sim.violation_epochs for sim in sims)
+        assert bits(*got) == bits(*optimize_period_loop(reserved_scenario(), trace, periods, cost))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_adapt_trace_csvs_match(self, seed, tmp_path, monkeypatch):
+        if str(ROOT) not in sys.path:
+            sys.path.insert(0, str(ROOT))
+        from perfbench import workloads
+
+        docs = {name: doc for name, doc in workloads.build("adapt", seed).docs.items()
+                if "trace" in doc}
+        assert len(docs) == 6
+        outputs = {}
+        for label in ("sweep", "loop"):
+            if label == "loop":
+                monkeypatch.setattr(longterm, "optimize_period",
+                                    lambda *args: optimize_period_loop(*args)[:2])
+            for name, doc in docs.items():
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps(doc))
+                out = tmp_path / f"{name}.csv"  # one path: the manifest names it
+                assert main(["longterm", "--scenario", str(path), "--out", str(out),
+                             "--reconfig-cost", "1.0"]) == 0
+                outputs[label, name] = out.read_bytes()
+        for name in docs:
+            assert outputs["sweep", name] == outputs["loop", name], name
+
+
+class TestSweepBuildsEachEpochOnce:
+    """Per optimize_period call: H epoch scenarios, H epoch models plus one
+    per re-solve, and one realized value per (update epoch, epoch) pair
+    whose re-solve succeeded."""
+
+    @staticmethod
+    def counted(monkeypatch, scenario, trace, periods):
+        counts = dict.fromkeys(("epochs", "models", "realized", "solves"), 0)
+
+        def counting(name, key):
+            inner = getattr(longterm, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(longterm, name, wrapper)
+
+        counting("epoch_scenario", "epochs")
+        counting("_realized", "realized")
+        counting("solve_objective_sum", "solves")
+        init = model.SchemeModel.__init__
+
+        def counting_init(self, *args):
+            counts["models"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(model.SchemeModel, "__init__", counting_init)
+        _, _, sims = sweep(scenario, trace, periods, ReconfigCostModel(0.0))
+        return counts, sims
+
+    @staticmethod
+    def held_pairs(sims):
+        """The distinct (update epoch, epoch) pairs the sweep evaluates."""
+        pairs = set()
+        for sim in sims:
+            failed = set(sim.failed_epochs)
+            for t in range(len(sim.profits)):
+                update = max(u for u in sim.update_epochs if u <= t)
+                if t not in failed:
+                    pairs.add((update, t))
+        return pairs
+
+    def test_every_period_of_the_shipped_trace(self, s2_trace, monkeypatch):
+        counts, sims = self.counted(monkeypatch, s2_trace, s2_trace.trace, [1, 2, 3, 4])
+        # the per-period loop built 16 epochs and 16 + 4 models, and
+        # evaluated 16 held epochs
+        assert counts == {"epochs": 4, "models": 4 + 4, "realized": 8, "solves": 4}
+        assert len(self.held_pairs(sims)) == 8
+
+    def test_failed_update_epochs_are_not_evaluated(self, monkeypatch):
+        trace = DemandTrace(4, {}, {}, {"A": (1.0, 0.0, 2.5, 1.0)})
+        counts, sims = self.counted(monkeypatch, reserved_scenario(), trace, [1, 3])
+        assert sims[0].failed_epochs == (1,) and sims[1].violation_epochs == (1, 2)
+        # periods 1 and 3 update at {0, 1, 2, 3} and {0, 3}; t=1 has no sizes
+        assert counts == {"epochs": 4, "models": 4 + 4, "realized": 5, "solves": 4}
+        assert len(self.held_pairs(sims)) == 5

@@ -630,23 +630,32 @@ def reference_linprog(c, A_ub, b_ub, bounds):
     return scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
 
+LP_VALUE = st.floats(-5.0, 5.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+def draw_vector(draw, n) -> np.ndarray:
+    return np.array(draw(st.lists(LP_VALUE, min_size=n, max_size=n)))
+
+
+def draw_bounds(draw, n) -> list:
+    """n column bounds (lo, hi) with 0 <= lo <= hi, some fixed (lo, lo)."""
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.floats(0.0, 3.0).map(lambda v: round(v, 2)))
+        fixed = draw(st.booleans())
+        bounds.append((lo, lo) if fixed else (lo, lo + draw(st.floats(0.0, 3.0))))
+    return bounds
+
+
 @st.composite
 def drawn_lps(draw):
     """(c, A_ub, b_ub, bounds) with 1-4 columns and 0-3 rows: zero-row LPs,
     fixed bounds (v, v) and infeasible row systems (negative right-hand
     sides under non-negative boxes) included."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    value = st.floats(-5.0, 5.0, allow_nan=False).map(lambda v: round(v, 3))
-    c = np.array(draw(st.lists(value, min_size=n, max_size=n)))
-    a = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
-                               min_size=m, max_size=m))).reshape(m, n)
-    b = np.array(draw(st.lists(value, min_size=m, max_size=m)))
-    bounds = []
-    for _ in range(n):
-        lo = draw(st.floats(0.0, 3.0).map(lambda v: round(v, 2)))
-        fixed = draw(st.booleans())
-        bounds.append((lo, lo) if fixed else (lo, lo + draw(st.floats(0.0, 3.0))))
-    return c, a, b, bounds
+    c = draw_vector(draw, n)
+    a = draw_vector(draw, m * n).reshape(m, n)
+    return c, a, draw_vector(draw, m), draw_bounds(draw, n)
 
 
 INFEASIBLE_LP = ([1.0], [[1.0]], [-1.0], [(0.0, 2.0)])
@@ -780,6 +789,121 @@ class TestReusedHighsInstance:
         mine = orthogonal._thread_highs()
         distinct = {id(h) for h in [mine, *instances.values()]}
         assert len(distinct) == n_threads + 1
+
+
+@st.composite
+def lps_on_one_matrix(draw):
+    """(A_ub, [(c, b_ub, bounds), ...]): 1-4 columns, 1-3 rows and 3-6
+    LPs on those rows, one of them infeasible (the columns fixed at v and
+    every right-hand side 1 below A v) and never the first."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    a = draw_vector(draw, m * n).reshape(m, n)
+    lps = [(draw_vector(draw, n), draw_vector(draw, m), draw_bounds(draw, n))
+           for _ in range(draw(st.integers(2, 5)))]
+    fixed = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    lps.insert(draw(st.integers(1, len(lps))),
+               (draw_vector(draw, n), a @ fixed - 1.0, [(v, v) for v in fixed]))
+    return a, lps
+
+
+@pytest.mark.skipif(orthogonal.linprog is scipy.optimize.linprog,
+                    reason="scipy's HiGHS bindings did not import")
+class TestRowsTemplate:
+    """A _Rows loads its matrix into one HighsLp on its first LP and later
+    LPs change only the cost, the column bounds and the row upper limits:
+    each gets what a fresh instance with a fresh model gives, and threads
+    that share the rows get the serial bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=lps_on_one_matrix())
+    def test_reused_rows_match_a_fresh_model(self, drawn):
+        a, lps = drawn
+        rows = orthogonal._Rows(a)
+        got = [orthogonal.linprog(c, A_ub=rows, b_ub=b, bounds=bounds, method="highs")
+               for c, b, bounds in lps]
+        want = [fresh_highs_linprog(c, a, b, bounds) for c, b, bounds in lps]
+        assert [same_lp_result(g, w) for g, w in zip(got, want)] == [True] * len(lps)
+        assert [g.message for g in got] == [w.message for w in want]
+        assert 2 in [g.status for g in got]
+
+    def test_rows_stay_locked_from_the_fills_through_pass_model(self, monkeypatch):
+        # a second thread's LP on the same rows starts while the first is in
+        # passModel; it must wait for the lock, or it would refill the
+        # first LP's cost, bounds and right-hand sides before they are read
+        a = np.array([[1.0, 2.0], [3.0, 1.0]])
+        rows = orthogonal._Rows(a)
+        lps = {"first": (np.array([-1.0, -1.0]), np.array([4.0, 5.0]), [(0.0, 3.0), (0.0, 3.0)]),
+               "second": (np.array([1.0, -2.0]), np.array([6.0, 2.0]), [(0.5, 1.0), (0.0, 2.0)])}
+        results, waited = {}, []
+
+        def run(key):
+            c, b, bounds = lps[key]
+            results[key] = orthogonal.linprog(c, A_ub=rows, b_ub=b, bounds=bounds, method="highs")
+
+        second = threading.Thread(target=run, args=("second",))
+
+        class Pausing:
+            """The first thread's instance: starts the second thread from
+            inside passModel and gives it time to run."""
+
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def passModel(self, lp):
+                second.start()
+                second.join(timeout=0.2)
+                waited.append(second.is_alive())
+                return self.highs.passModel(lp)
+
+        thread_highs, first = orthogonal._thread_highs, threading.current_thread()
+        monkeypatch.setattr(orthogonal, "_thread_highs", lambda: (
+            Pausing(thread_highs()) if threading.current_thread() is first else thread_highs()))
+        run("first")
+        second.join(timeout=30)
+        assert waited == [True] and not second.is_alive()
+        for key, (c, b, bounds) in lps.items():
+            assert same_lp_result(results[key], fresh_highs_linprog(c, a, b, bounds))
+        assert results["first"].x.tobytes() != results["second"].x.tobytes()
+
+    def test_threads_sharing_size_lps_get_the_serial_bytes(self):
+        scenario = load_scenario(TestLpToleranceOvershoot.FAULT)
+        model = SchemeModel(scenario.specs, scenario.scheme, scenario.pool)
+        lps = orthogonal._SizeLps(model, np.ones(len(scenario.specs)))
+        assert len(lps.branches) == 2
+        capacities = [scenario.pool.capacity * f for f in np.linspace(0.4, 1.6, 16)]
+
+        def solve_all(order):
+            return {k: lps.solve(capacities[k]) for k in order}
+
+        serial = solve_all(range(len(capacities)))
+        assert all(v is not None for v in serial.values())
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+        results = {}
+
+        def solve(k):
+            order = range(len(capacities))
+            start.wait(timeout=30)
+            results[k] = solve_all(order if k % 2 == 0 else reversed(order))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert [thread.is_alive() for thread in threads] == [False] * n_threads
+        assert sorted(results) == list(range(n_threads))
+        for got in results.values():
+            assert [(got[k][0].tobytes(), got[k][1]) for k in serial] == \
+                [(sizes.tobytes(), nit) for sizes, nit in serial.values()]
 
 
 class TestColdStart:
