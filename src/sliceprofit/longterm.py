@@ -106,18 +106,12 @@ def _realized(model: SchemeModel, sizes) -> tuple:
     slice violates by sitting on an over-capacity resource or missing its
     own reservation."""
     revs, exps, alloc = model.breakdown(sizes)
-    feasible, violations = model.verdict(alloc.resources)
-    if feasible:
+    rows = alloc.resources
+    _, over, under = model._breaches(rows, model.shared)
+    if not (over.any() or under.any()):
         return float(np.sum(revs - exps)), True
-    over = {v.resource for v in violations if v.kind == "pool"}
-    violators = {v.slice for v in violations if v.kind == "minimum"}
-    for i in range(len(model.specs)):
-        if any(alloc.resources[i, j] > _IN_USE_TOL for j in over):
-            violators.add(i)
-    revs = revs.copy()
-    for i in violators:
-        revs[i] = 0.0
-    return float(np.sum(revs - exps)), False
+    violators = under.any(axis=1) | (rows[:, over] > _IN_USE_TOL).any(axis=1)
+    return float(np.sum(np.where(violators, 0.0, revs) - exps)), False
 
 
 class _Epoch:
