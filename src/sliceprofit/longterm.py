@@ -23,7 +23,7 @@ from .model import (
     SchemeModel,
     as_count,
 )
-from .orthogonal import solve_objective_sum
+from .orthogonal import _solve_model
 
 # A slice whose row on an over-capacity resource exceeds this uses that
 # resource, and so shares in the breach; a row at or below it counts as zero.
@@ -115,13 +115,12 @@ def _realized(model: SchemeModel, sizes) -> tuple:
 
 
 class _Epoch:
-    """One epoch of a trace, as a sweep keeps it: its scenario and model,
-    the sizes a re-solve there returns (solved on first use) and the
-    realized (profit, feasible) of each held size vector, keyed by the
-    update epoch that solved it."""
+    """One epoch of a trace, as a sweep keeps it: the model of its
+    scenario, the sizes a re-solve there returns (solved on that model on
+    first use) and the realized (profit, feasible) of each held size
+    vector, keyed by the update epoch that solved it."""
 
     def __init__(self, scenario):
-        self.scenario = scenario
         self.model = SchemeModel(scenario.specs, scenario.scheme, scenario.pool)
         self.realized = {}
 
@@ -130,7 +129,7 @@ class _Epoch:
         """solve_objective_sum's sizes, or None when it raises
         InfeasibleScenarioError."""
         try:
-            return solve_objective_sum(self.scenario).sizes
+            return _solve_model(self.model).sizes
         except InfeasibleScenarioError:
             return None
 
@@ -141,12 +140,12 @@ def simulate_horizon(scenario, trace: DemandTrace, period: int, *,
     and hold in between.
 
     `solved` is a sweep's cache: it maps each epoch to what the sweep has
-    built for it, its scenario and model, the sizes a re-solve there
-    returned and the realized value of each held size vector. Epochs
-    missing from it are built and added, so a caller that simulates several
-    periods of one trace can pass the same dict to each and build every
-    epoch, solve every update epoch and evaluate every (update, epoch) pair
-    once; a realized value does not depend on the period.
+    built for it, its model, the sizes a re-solve on that model returned
+    and the realized value of each held size vector. Epochs missing from it
+    are built and added, so a caller that simulates several periods of one
+    trace can pass the same dict to each and build every epoch, solve every
+    update epoch and evaluate every (update, epoch) pair once; a realized
+    value does not depend on the period.
     """
     if as_count(period, "period") < 1 or period > trace.horizon:
         raise ConfigurationError("period must lie in [1, horizon]")

@@ -345,11 +345,12 @@ class SchemeModel:
     scheme and pool, with the per-slice rows, prices and widened bounds
     computed once. Each slice finds its demand and overhead row in the
     scheme by id, so the specs may come in any order; every result follows
-    spec order. shared is the scheme's (N,) mask of shared resources; the
-    rows are those of every scheme that differs from it only in sharing."""
+    spec order. scheme is the scheme it was built on and shared its (N,)
+    mask of shared resources; the rows are those of every scheme that
+    differs from it only in sharing."""
 
     def __init__(self, specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool):
-        self.specs, self.pool = tuple(specs), pool
+        self.specs, self.scheme, self.pool = tuple(specs), scheme, pool
         self.unit, self.overhead = _scheme_rows(self.specs, scheme)
         self.shared = scheme.shared_mask()
         self.price = np.array([spec.price for spec in self.specs])

@@ -28,7 +28,7 @@ from .model import (
     VnfScheme,
     as_count,
 )
-from .orthogonal import SolveResult, solve_sizes
+from .orthogonal import SolveResult, _solve_model, solve_sizes
 from .pareto import (
     FrontPoint,
     ParetoFront,
@@ -107,6 +107,10 @@ def _with_mask(scheme, mask) -> VnfScheme:
     return scheme.with_sharing([SHARED if s else DEDICATED for s in mask])
 
 
+def _candidate_model(scenario, mask) -> SchemeModel:
+    return SchemeModel(scenario.specs, _with_mask(scenario.scheme, mask), scenario.pool)
+
+
 def enumerate_candidates(scenario) -> tuple:
     """Every candidate scheme, in the order of _sharing_masks: the first
     keeps every eligible resource dedicated. Over MAX_SCHEMES is refused."""
@@ -165,9 +169,7 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     if not 0 <= as_count(max_rounds, "max_rounds") <= MAX_BCD_ROUNDS:
         raise ConfigurationError(f"max_rounds must be between 0 and {MAX_BCD_ROUNDS}")
     masks = _sharing_masks(scenario)
-    scheme_idx, scheme = 0, _with_mask(scenario.scheme, masks[0])
-    model = SchemeModel(scenario.specs, scheme, scenario.pool)
-
+    scheme_idx, model = 0, _candidate_model(scenario, masks[0])
     sizes, _ = model.size_bounds()
     trace = []
     converged = False
@@ -175,7 +177,7 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
     nit = 0
     for _ in range(max_rounds):
         rounds += 1
-        res = solve_sizes(scenario.specs, scheme, scenario.pool)
+        res = _solve_model(model)
         sizes = np.array(res.sizes)
         nit += res.meta["iterations"]
         trace.append(res.total_profit)
@@ -185,12 +187,11 @@ def solve_bcd(scenario, max_rounds: int = 20) -> SolveResult:
         if new_idx == scheme_idx:
             converged = True
             break
-        scheme_idx, scheme = new_idx, _with_mask(scenario.scheme, masks[new_idx])
+        scheme_idx, model = new_idx, _candidate_model(scenario, masks[new_idx])
     # a converged loop ends on the last solve's own scheme and sizes
-    outcome = (res.outcome if converged
-               else SchemeModel(scenario.specs, scheme, scenario.pool).outcome(sizes))
+    outcome = res.outcome if converged else model.outcome(sizes)
     return SolveResult(
-        tuple(float(s) for s in sizes), outcome, scheme,
+        tuple(float(s) for s in sizes), outcome, model.scheme,
         {"solver": "bcd", "iterations": nit, "rounds": rounds,
          "converged": converged, "scheme_index": scheme_idx, "trace": trace},
     )
@@ -462,7 +463,7 @@ def solve_ga(scenario, params: Optional[GaParams] = None) -> ParetoFront:
         )
     # candidate 0's model: every candidate has its rows, prices and bounds
     masks = _sharing_masks(scenario)
-    model = SchemeModel(scenario.specs, _with_mask(scenario.scheme, masks[0]), scenario.pool)
+    model = _candidate_model(scenario, masks[0])
     lo, hi = model.size_bounds()
     base = model.outcome(lo)
     if not base.feasible:

@@ -11,9 +11,11 @@ what does not depend on the capacity once: the size box, the objective and
 each branch from ``_branches``, the one enumerator of the branches, with
 the branch's rows and polish rows as ``_Rows``. Its ``solve`` then runs
 every branch at one capacity vector, which sets only the right-hand sides
-and which branches the overhead skip drops. ``solve_sizes`` is that solve
-at a pool's capacity; a market lease table solves its whole lease grid on
-one ``_SizeLps`` per operator. brute_force_oracle is an independent
+and which branches the overhead skip drops. ``_solve_model`` is that
+solve at the capacity of a model's pool, on a model its caller holds (a
+longterm epoch, a scheme BCD visits); ``solve_sizes`` builds the model
+first. A market lease table solves its whole lease grid on one
+``_SizeLps`` per operator. brute_force_oracle is an independent
 dense-grid enumerator kept free of any LP machinery; tests cross-check the
 two routes.
 
@@ -466,6 +468,29 @@ class _SizeLps:
         return found[best], nit
 
 
+def _weights(weights, m: int) -> np.ndarray:
+    """Ones, or the validated weights, over their max: scaled weight vectors
+    give bit-identical inputs, so the argmax is exactly scale-invariant."""
+    w = np.ones(m) if weights is None else validate_weights(weights, m)
+    return w / w.max()
+
+
+def _solve_model(model: SchemeModel, weights=None) -> SolveResult:
+    """solve_sizes on a model the caller already holds."""
+    lps = _SizeLps(model, _weights(weights, len(model.specs)))
+    solved = lps.solve(model.pool.capacity)
+    if solved is None:
+        raise InfeasibleScenarioError(
+            "minimum reservations exceed the pool capacity", model.outcome(lps.lo).violations
+        )
+    sizes, nit = solved
+    return SolveResult(
+        tuple(float(s) for s in sizes), model.outcome(sizes), model.scheme,
+        {"solver": "objective-sum" if weights is None else "weighted-sum",
+         "iterations": nit},
+    )
+
+
 def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePool,
                 weights=None) -> SolveResult:
     """Exact size vector maximising the (weighted) profit sum for a fixed
@@ -476,30 +501,7 @@ def solve_sizes(specs: Sequence[SliceSpec], scheme: VnfScheme, pool: ResourcePoo
     weights are given) and the LP iterations. Raises
     InfeasibleScenarioError when reservations cannot be met inside the
     pool, and SolverError when an LP fails or HiGHS would reject one."""
-    m = len(specs)
-    if m == 0:
-        raise ConfigurationError("scenario must contain at least one slice")
-    if weights is None:
-        w = np.ones(m)
-    else:
-        w = validate_weights(weights, m)
-    # Normalising by the max makes scaled weight vectors bit-identical inputs,
-    # so the argmax is exactly invariant under positive scaling.
-    w = w / w.max()
-
-    model = SchemeModel(specs, scheme, pool)
-    lps = _SizeLps(model, w)
-    solved = lps.solve(pool.capacity)
-    if solved is None:
-        raise InfeasibleScenarioError(
-            "minimum reservations exceed the pool capacity", model.outcome(lps.lo).violations
-        )
-    sizes, nit = solved
-    return SolveResult(
-        tuple(float(s) for s in sizes), model.outcome(sizes), scheme,
-        {"solver": "objective-sum" if weights is None else "weighted-sum",
-         "iterations": nit},
-    )
+    return _solve_model(SchemeModel(specs, scheme, pool), weights)
 
 
 def solve_objective_sum(scenario) -> SolveResult:
@@ -534,11 +536,7 @@ def brute_force_oracle(scenario, grid_step: float, weights=None,
         raise ConfigurationError("grid_step must be positive")
     specs, scheme, pool = scenario.specs, scenario.scheme, scenario.pool
     m = len(specs)
-    if weights is None:
-        w = np.ones(m)
-    else:
-        w = validate_weights(weights, m)
-    w = w / w.max()
+    w = _weights(weights, m)
 
     model = SchemeModel(specs, scheme, pool)
     unit, overhead = model.unit, model.overhead

@@ -984,7 +984,7 @@ def simulate_horizon_loop(scenario, trace, period, solved):
             updates.append(t)
             if t not in solved:
                 try:
-                    solved[t] = longterm.solve_objective_sum(scn_t).sizes
+                    solved[t] = orthogonal.solve_objective_sum(scn_t).sizes
                 except InfeasibleScenarioError:
                     solved[t] = None
             sizes = solved[t]

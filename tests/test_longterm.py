@@ -171,12 +171,13 @@ class TestSimulateHorizon:
 
     def test_custom_inner_solver_called_per_update(self, s2_trace, monkeypatch):
         calls = []
+        solve = longterm._solve_model
 
-        def counting(scn):
-            calls.append(scn)
-            return solve_objective_sum(scn)
+        def counting(epoch_model):
+            calls.append(epoch_model)
+            return solve(epoch_model)
 
-        monkeypatch.setattr(longterm, "solve_objective_sum", counting)
+        monkeypatch.setattr(longterm, "_solve_model", counting)
         simulate_horizon(s2_trace, s2_trace.trace, period=2)
         assert len(calls) == 2
 
@@ -264,12 +265,13 @@ class TestOptimizePeriod:
 class TestOptimizePeriodSolvesEachEpochOnce:
     def _check(self, monkeypatch, scenario, trace, periods, fee, expected_calls):
         calls = []
+        solve = longterm._solve_model
 
-        def counting(scn):
-            calls.append(scn)
-            return solve_objective_sum(scn)
+        def counting(epoch_model):
+            calls.append(epoch_model)
+            return solve(epoch_model)
 
-        monkeypatch.setattr(longterm, "solve_objective_sum", counting)
+        monkeypatch.setattr(longterm, "_solve_model", counting)
         _, table = optimize_period(scenario, trace, periods, fee)
         assert len(calls) == expected_calls
         for row in table:
@@ -398,9 +400,9 @@ class TestSweepMatchesPerPeriodLoop:
 
 
 class TestSweepBuildsEachEpochOnce:
-    """Per optimize_period call: H epoch scenarios, H epoch models plus one
-    per re-solve, and one realized value per (update epoch, epoch) pair
-    whose re-solve succeeded."""
+    """Per optimize_period call: H epoch scenarios, H epoch models, each
+    re-solve on its epoch's model, and one realized value per (update
+    epoch, epoch) pair whose re-solve succeeded."""
 
     @staticmethod
     def counted(monkeypatch, scenario, trace, periods):
@@ -417,7 +419,7 @@ class TestSweepBuildsEachEpochOnce:
 
         counting("epoch_scenario", "epochs")
         counting("_realized", "realized")
-        counting("solve_objective_sum", "solves")
+        counting("_solve_model", "solves")
         init = model.SchemeModel.__init__
 
         def counting_init(self, *args):
@@ -444,7 +446,7 @@ class TestSweepBuildsEachEpochOnce:
         counts, sims = self.counted(monkeypatch, s2_trace, s2_trace.trace, [1, 2, 3, 4])
         # the per-period loop built 16 epochs and 16 + 4 models, and
         # evaluated 16 held epochs
-        assert counts == {"epochs": 4, "models": 4 + 4, "realized": 8, "solves": 4}
+        assert counts == {"epochs": 4, "models": 4, "realized": 8, "solves": 4}
         assert len(self.held_pairs(sims)) == 8
 
     def test_failed_update_epochs_are_not_evaluated(self, monkeypatch):
@@ -452,5 +454,5 @@ class TestSweepBuildsEachEpochOnce:
         counts, sims = self.counted(monkeypatch, reserved_scenario(), trace, [1, 3])
         assert sims[0].failed_epochs == (1,) and sims[1].violation_epochs == (1, 2)
         # periods 1 and 3 update at {0, 1, 2, 3} and {0, 3}; t=1 has no sizes
-        assert counts == {"epochs": 4, "models": 4 + 4, "realized": 5, "solves": 4}
+        assert counts == {"epochs": 4, "models": 4, "realized": 5, "solves": 4}
         assert len(self.held_pairs(sims)) == 5

@@ -527,8 +527,9 @@ class TestCapacityMonotonicity:
 
 
 class TestOneModelPerSolve:
-    """Each size solve builds one SchemeModel and returns its outcome; no
-    caller evaluates the same sizes on a second model."""
+    """Each size solve runs on one SchemeModel and returns its outcome; no
+    caller builds a second model of the same scheme or evaluates the same
+    sizes on one."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -571,13 +572,13 @@ class TestOneModelPerSolve:
         assert schemes == [("dedicated",) * 12]
 
     def test_bcd_builds_do_not_grow_with_the_candidates(self, s2m, built):
-        # candidate 0's model for the scheme steps and one per size solve;
-        # the converged loop returns the last solve's outcome
+        # one model per scheme visited, for its size solve and its scheme
+        # step; the converged loop returns the last solve's outcome
         for scenario in (s2m, scenario_from_dict(eligible_doc(12))):
             built.clear()
             res = solve_bcd(scenario)
             assert res.meta["rounds"] == 2 and res.meta["converged"]
-            assert len(built) == 3
+            assert len(built) == 2
 
     def test_cli_ga_builds_only_the_winning_scheme(self, tmp_path, schemes):
         path = tmp_path / "wide.json"
