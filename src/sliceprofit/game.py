@@ -191,7 +191,8 @@ class _LeaseTable:
     first lease solved; each lease is then one solve at its capacity.
     Tables come from _lease_tables and live for one run_market, verify_nash
     or best_response call (and on the TradeOutcome it produced); a table
-    made from a prior one starts with its solved leases and its size LPs.
+    made from a prior one starts with its solved leases and its size LPs,
+    and with its list of feasible points when both have the same axes.
     """
 
     def __init__(self, operator: Operator, market: MarketConfig, prior=None):
@@ -207,6 +208,10 @@ class _LeaseTable:
             base = self.internal(np.zeros(len(self.traded)))
             grids = _idle_grid(self.model, self.traded, base)
         self.axes = [grids[j] for j in self.traded]
+        # the feasible points, once a pass of feasible() has listed them all;
+        # a prior's list serves only the same axes, bit for bit
+        same = prior and [a.tobytes() for a in prior.axes] == [a.tobytes() for a in self.axes]
+        self.points = prior.points if same else None
 
     def internal(self, d) -> Optional[tuple]:
         """(total, sizes) of the internal optimum at net lease `d`, or None."""
@@ -238,13 +243,23 @@ class _LeaseTable:
         return float(np.sum(revs - exps)), tuple(float(s) for s in sizes)
 
     def feasible(self):
-        """(d, total, sizes) for each grid point the operator can serve, in
-        itertools.product order over the axes."""
+        """(d, total, sizes, lease) for each grid point the operator can
+        serve, in itertools.product order over the axes: the net lease as a
+        read-only array d and as the tuple of its grid values. The first
+        pass solves the points in that order as it reaches them and keeps
+        them; later passes read the kept list."""
+        if self.points is not None:
+            yield from self.points
+            return
+        points = []
         for combo in itertools.product(*self.axes):
             d = np.array(combo)
             solved = self.internal(d)
             if solved is not None:
-                yield (d, *solved)
+                d.flags.writeable = False
+                points.append((d, *solved, combo))
+                yield points[-1]
+        self.points = points
 
 
 def _lease_tables(ops, market: MarketConfig, prior=None) -> dict:
@@ -282,9 +297,9 @@ def best_response(operator: Operator, prices, market: MarketConfig, *,
     if table is None:
         table = _lease_tables([operator], market)[operator.id]
     best = None
-    for d, total, sizes in table.feasible():
+    for d, total, sizes, lease in table.feasible():
         objective = total - float(np.dot(prices, d))
-        key = (-objective, float(np.dot(d, d)), tuple(d))
+        key = (-objective, float(np.dot(d, d)), lease)
         if best is None or key < best[0]:
             best = (key, d, total, objective, sizes)
     if best is None:
@@ -388,7 +403,7 @@ def verify_nash(operators: Sequence[Operator], outcome: TradeOutcome,
     best_dev = None
     for o in ops:
         current = outcome.profits[o.id]
-        for d, total, _ in tables[o.id].feasible():
+        for d, total, *_ in tables[o.id].feasible():
             payoff = total - float(np.dot(outcome.prices, d))
             gain = payoff - current
             if gain > NASH_GAIN_TOL and (best_dev is None or gain > best_dev[2]):

@@ -24,10 +24,10 @@ scipy's private HiGHS bindings import, it is a direct driver that gives
 the same results as ``scipy.optimize.linprog(method="highs")`` without
 scipy's per-call input parsing, sparse conversion and option checks, on
 one HiGHS instance per thread instead of a new one per LP, and from one
-HiGHS model per ``_Rows`` whose matrix is loaded once. It takes the rows
-as ``_Rows``, already in HiGHS's column-wise form, or dense and turns
-them into one. Otherwise it is scipy's ``linprog`` itself, which
-reads a ``_Rows`` as its dense matrix.
+HiGHS model per ``_Rows`` whose matrix is loaded once, in HiGHS's
+column-wise form. It takes the rows as ``_Rows``, or dense and turns them
+into one. Otherwise it is scipy's ``linprog`` itself, which reads a
+``_Rows`` as its dense matrix.
 
 The bindings are scipy's extension file ``optimize/_highspy/_core<suffix>``,
 with the suffix from ``importlib.machinery.EXTENSION_SUFFIXES``. They are
@@ -127,8 +127,7 @@ def _load_highs():
     return module
 
 
-@dataclass(frozen=True, eq=False)
-class LpResult:
+class LpResult(NamedTuple):
     """One LP's answer: the fields of scipy's OptimizeResult that the size
     solver reads."""
 
@@ -162,31 +161,27 @@ def _thread_highs():
 
 
 class _Rows:
-    """An LP's constraint rows, held dense and in HiGHS's column-wise form
-    (start, index and value in the order np.nonzero of the transpose gives:
-    by column, rows ascending), built and checked finite once and read-only.
-    np.asarray gives the dense matrix, so scipy's linprog and any recorder
-    of LP inputs read the same numbers HiGHS gets.
+    """An LP's constraint rows, held dense, checked finite once and
+    read-only. np.asarray gives the dense matrix, so scipy's linprog and any
+    recorder of LP inputs read the same numbers HiGHS gets.
 
     The direct driver loads the rows into one HighsLp on their first LP:
-    the matrix and a row lower limit of -inf on every row. Each LP then
-    sets only the cost, the column bounds and the row upper limits, and
-    passModel copies the whole model into the solver. Threads share the
-    rows, so the lock is held from the first of those sets through
-    passModel."""
+    the matrix in HiGHS's column-wise form (start, index and value of the
+    nonzero entries by column, rows ascending, the order np.nonzero of the
+    transpose gives), built there from the dense rows as Python lists, and
+    a row lower limit of -inf on every row. Each LP then sets only the
+    cost, the column bounds and the row upper limits, and passModel copies
+    the whole model into the solver. Threads share the rows, so the lock is
+    held from the first of those sets through passModel."""
 
-    __slots__ = ("dense", "start", "index", "value", "lock", "_lp")
+    __slots__ = ("dense", "lock", "_lp")
 
     def __init__(self, dense):
         dense = np.array(dense, dtype=float)
         if not np.isfinite(dense).all():
             raise ValueError("LP data must be finite")
         dense.flags.writeable = False
-        cols, rows = np.nonzero(dense.T)
         self.dense = dense
-        self.start = np.searchsorted(cols, np.arange(dense.shape[1] + 1)).astype(np.int32)
-        self.index = rows.astype(np.int32)
-        self.value = dense.T[cols, rows]
         self.lock = threading.Lock()
         self._lp = None
 
@@ -202,16 +197,46 @@ class _Rows:
         the lock before filling it."""
         if self._lp is None:
             n_row, n_col = self.dense.shape
+            start, index, value = [0], [], []
+            for column in self.dense.T.tolist():
+                for row, v in enumerate(column):
+                    if v != 0.0:
+                        index.append(row)
+                        value.append(v)
+                start.append(len(index))
             lp = _highs.HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-            lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-            lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-            lp.a_matrix_.start_ = self.start
-            lp.a_matrix_.index_ = self.index
-            lp.a_matrix_.value_ = self.value
-            lp.row_lower_ = np.full(n_row, -np.inf)
+            matrix = lp.a_matrix_
+            lp.num_col_ = matrix.num_col_ = n_col
+            lp.num_row_ = matrix.num_row_ = n_row
+            matrix.format_ = _highs.MatrixFormat.kColwise
+            matrix.start_ = start
+            matrix.index_ = index
+            matrix.value_ = value
+            lp.row_lower_ = [-math.inf] * n_row
             self._lp = lp
         return self._lp
+
+
+def _lp_vectors(c, b_ub, bounds) -> tuple:
+    """(cost, right-hand sides, lower bounds, upper bounds) as lists of
+    floats; ValueError when one holds a NaN or an infinity."""
+    cost = np.asarray(c, dtype=float).tolist()
+    b = np.asarray(b_ub, dtype=float).tolist()
+    lb, ub = np.asarray(bounds, dtype=float).T.tolist()
+    if not all(map(math.isfinite, cost + b + lb + ub)):
+        raise ValueError("LP data must be finite")
+    return cost, b, lb, ub
+
+
+def _solution_valid(x, row_value, lb, ub, b, objective) -> bool:
+    """linprog's post-solve check on the floats HiGHS hands back: every x
+    within its bounds and every row value within its upper limit, by
+    _LINPROG_CHECK_TOL, and an objective that is a number. A NaN fails a
+    comparison, as in linprog."""
+    tol = _LINPROG_CHECK_TOL
+    return (all([lo - tol <= v <= hi + tol for v, lo, hi in zip(x, lb, ub)])
+            and all([limit - r >= -tol for limit, r in zip(b, row_value)])
+            and not math.isnan(objective))
 
 
 def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
@@ -224,20 +249,19 @@ def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
     the options, so every LP starts cold, as on a fresh instance, with no
     warm start. Model, options, iteration count and the post-solve check
     are linprog's, so x comes back bit-identical, and so are the status
-    codes a bounded LP run without limits can get. Only the fields the size
-    solver reads are returned; method is taken for linprog's call shape."""
+    codes a bounded LP run without limits can get. The cost, bounds and
+    right-hand sides go to HiGHS as lists of floats, and both checks, the
+    finite input and linprog's post-solve check, read those lists and the
+    ones HiGHS hands back, with no array built but x. Only the fields the
+    size solver reads are returned; method is taken for linprog's call
+    shape."""
     rows = A_ub if isinstance(A_ub, _Rows) else _Rows(A_ub)
-    c = np.asarray(c, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
-    box = np.array(bounds, dtype=float)
-    lb, ub = box.T
-    if not np.isfinite(np.concatenate((c, b, box.ravel()))).all():
-        raise ValueError("LP data must be finite")
+    cost, b, lb, ub = _lp_vectors(c, b_ub, bounds)
     highs = _thread_highs()
     highs.clearModel()
     with rows.lock:
         lp = rows.highs_lp()
-        lp.col_cost_ = c
+        lp.col_cost_ = cost
         lp.col_lower_ = lb
         lp.col_upper_ = ub
         lp.row_upper_ = b
@@ -259,15 +283,12 @@ def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
         return LpResult(x=None, status=2 if status in failed else 4,
                         success=False, nit=nit, message=_status_message(highs, status))
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    slack = b - np.array(solution.row_value)
-    tol = _LINPROG_CHECK_TOL
-    # a NaN in x, the slack or the objective fails a comparison, as in linprog
-    valid = bool(((x >= lb - tol) & (x <= ub + tol)).all() and (slack >= -tol).all()
-                 and not math.isnan(highs.getObjectiveValue()))
-    if not valid:
+    col_value = solution.col_value
+    x = np.array(col_value)
+    if not _solution_valid(col_value, solution.row_value, lb, ub, b, highs.getObjectiveValue()):
         return LpResult(x=x, status=4, success=False, nit=nit,
-                        message=f"the solution breaks a bound or row by more than {tol:.2E}")
+                        message=f"the solution breaks a bound or row by more than "
+                                f"{_LINPROG_CHECK_TOL:.2E}")
     return LpResult(x=x, status=0, success=True, nit=nit, message=_optimal_message())
 
 
@@ -347,7 +368,21 @@ def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray, obj: np.ndarra
             "too many overhead activation branches", 2 ** len(free), _MAX_ACTIVATION_BRANCHES
         )
     box = np.stack([lo, hi], axis=1)
-    first = np.arange(m) == 0
+    # every row a branch may hold, in the order np.nonzero gives row (j, k):
+    # slice k's row on shared resource j, and in k = 0 the summed row of
+    # dedicated resource j. A branch keeps the rows that one of its active
+    # slices supports (its own on a shared resource, any with a positive
+    # unit demand on a dedicated one) and zeroes its inactive slices' columns.
+    positive = (unit > 0).T
+    col = np.arange(m)
+    js, ks = np.nonzero(np.where(shared[:, None], positive,
+                                 (col == 0) & positive.any(axis=1)[:, None]))
+    per_slice = shared[js]
+    own = col == ks[:, None]
+    support = np.where(per_slice[:, None], own, positive[js])
+    rows = np.where(per_slice[:, None] & ~own, 0.0, unit.T[js])
+    own_overhead = overhead[ks, js]
+    objective_row = -obj[None]
     branches = []
     for pattern in itertools.product((True, False), repeat=len(free)):
         active = np.ones(m, dtype=bool)
@@ -356,18 +391,13 @@ def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray, obj: np.ndarra
         # each resource's overhead summed as one contiguous 1-D run: numpy's
         # pairwise order, which a sum over axis 0 would not keep past 7 rows
         used = np.ascontiguousarray(over.T).sum(axis=1)
-        # row (j, k): slice k's row on shared resource j; k = 0 holds the
-        # summed row of dedicated resource j
-        positive = (active[:, None] & (unit > 0)).T
-        keep = np.where(shared[:, None], positive, first & positive.any(axis=1)[:, None])
-        js, ks = np.nonzero(keep)
-        a_ub = np.zeros((len(js), m))
-        per_slice = shared[js]
-        a_ub[per_slice, ks[per_slice]] = unit[ks[per_slice], js[per_slice]]
-        a_ub[~per_slice] = np.where(active, unit.T[js[~per_slice]], 0.0)
+        keep = (support & active).any(axis=1)
+        a_ub = np.where(active, rows[keep], 0.0)
+        kept_js = js[keep]
         branches.append(_Branch(
-            _Rows(a_ub), _Rows(np.vstack([a_ub, -obj])), np.where(active[:, None], box, 0.0),
-            js, np.where(shared[:, None], overhead.T, used[:, None])[js, ks],
+            _Rows(a_ub), _Rows(np.concatenate((a_ub, objective_row))),
+            np.where(active[:, None], box, 0.0),
+            kept_js, np.where(per_slice[keep], own_overhead[keep], used[kept_js]),
             np.where(shared, over.max(axis=0, initial=0.0), used),
         ))
     return branches
@@ -402,8 +432,8 @@ def _pull_inside(a_ub, b_ub, floor, x):
 class _SizeLps:
     """The size LPs of one model and weight vector w (max-normalised), at
     any capacity vector. Everything that does not depend on the capacity
-    is built once: the size box, the objective w · margin and each
-    activation branch (see _branches). Raises SolverError for a unit demand
+    is built once: the size box, the objective w · margin, its negation
+    (the main LPs' cost) and each activation branch (see _branches). Raises SolverError for a unit demand
     HiGHS would reject, InfeasibleScenarioError for a reservation no size
     meets and BudgetExceededError for too many branches."""
 
@@ -417,6 +447,7 @@ class _SizeLps:
         margins = np.array([spec.price - float(np.dot(unit[i], model.pool.unit_cost))
                             for i, spec in enumerate(model.specs)])
         self.obj = w * margins
+        self.cost = -self.obj
         self.branches = _branches(model, self.lo, hi, self.obj)
         # polish LP i minimises size i: its cost is the unit vector e_i
         units = np.eye(len(margins))
@@ -436,7 +467,8 @@ class _SizeLps:
         obj = self.obj
         found, nit = [], 0
         for branch, b_ub in _at_capacity(self.branches, capacity):
-            res = linprog(-obj, A_ub=branch.rows, b_ub=b_ub, bounds=branch.bounds, method="highs")
+            res = linprog(self.cost, A_ub=branch.rows, b_ub=b_ub, bounds=branch.bounds,
+                          method="highs")
             if res.status == 2:
                 continue
             if not res.success:
@@ -444,7 +476,7 @@ class _SizeLps:
             nit += int(res.nit)
             x = res.x
             best_val = float(obj @ x)
-            b_opt = np.append(b_ub, -(best_val - _POLISH_SLACK * max(1.0, abs(best_val))))
+            b_opt = np.concatenate((b_ub, (-(best_val - _POLISH_SLACK * max(1.0, abs(best_val))),)))
             fixed = branch.bounds.copy()
             for i, c in enumerate(self.units):
                 res = linprog(c, A_ub=branch.polish, b_ub=b_opt, bounds=fixed, method="highs")
@@ -453,8 +485,11 @@ class _SizeLps:
                 nit += int(res.nit)
                 x = res.x
                 fixed[i] = x[i]
-            x = np.clip(x, branch.bounds[:, 0], branch.bounds[:, 1])
-            x[np.abs(x) < _ZERO_CLIP] = 0.0
+            # clipped into the bounds and zero-tested on floats: the values of
+            # np.clip, which differs only in the sign of a zero the test makes +0
+            lo, hi = branch.bounds.T.tolist()
+            x = np.array([0.0 if abs(v) < _ZERO_CLIP else v
+                          for v in map(min, map(max, x.tolist(), lo), hi)])
             found.append(_pull_inside(branch.rows.dense, b_ub, branch.bounds[:, 0], x))
         if not found:
             return None

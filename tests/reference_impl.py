@@ -41,7 +41,9 @@ vector and call (``game._LeaseTable``), on one model and one ``_SizeLps``
 per operator. ``best_response_resolve``, ``run_market_resolve`` and
 ``verify_nash_resolve`` are the forms that re-solve every grid point in
 every round, at settlement and in the Nash check, each with its own pool
-and ``solve_sizes_loop``.
+and ``solve_sizes_loop``. A table lists its feasible grid points once, on
+the first pass of ``feasible``; ``lease_points_loop`` is the pass it replaced,
+which builds every point's lease array and looks it up again each time.
 
 The library reads dominance from ``pareto._covers``, one way and not the
 other, and has no function for the pair test itself. ``dominates_reduce``
@@ -87,7 +89,10 @@ reading each slice's demand map from the scheme itself.
 instance, cleared before each model, from the one ``HighsLp`` its rows
 hold. ``fresh_highs_linprog`` is the driver it replaced, which builds and
 drops a fresh instance and a fresh ``HighsLp`` per call and reads the
-whole info.
+whole info. The driver checks its input and HiGHS's answer on lists of
+Python floats (``orthogonal._lp_vectors`` and ``_solution_valid``);
+``lp_vectors_numpy`` and ``solution_valid_numpy`` are the array forms it
+used before, which ``fresh_highs_linprog`` uses too.
 
 ``longterm.optimize_period`` shares one sweep cache over its candidate
 periods: each epoch's scenario and model are built once, and each (update
@@ -444,6 +449,19 @@ def internal_resolve(operator, extra):
         return None
     r, e, _ = slice_breakdown_loop(operator.specs, operator.scheme, pool, sizes)
     return float(np.sum(r - e)), tuple(float(s) for s in sizes)
+
+
+def lease_points_loop(table) -> list:
+    """(d, total, sizes, lease) of each grid point a game._LeaseTable's
+    operator can serve, in itertools.product order over its axes, each
+    lease array built and looked up afresh."""
+    points = []
+    for combo in itertools.product(*table.axes):
+        d = np.array(combo)
+        solved = table.internal(d)
+        if solved is not None:
+            points.append((d, *solved, combo))
+    return points
 
 
 def _default_grid_resolve(operator, market, points=11):
@@ -923,14 +941,38 @@ def fresh_highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
                                    success=False, nit=nit, message=message)
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    slack = b - np.array(solution.row_value)
-    tol = orthogonal._LINPROG_CHECK_TOL
-    valid = bool(((x >= lb - tol) & (x <= ub + tol)).all() and (slack >= -tol).all()
-                 and not math.isnan(info.objective_function_value))
+    valid = solution_valid_numpy(solution.col_value, solution.row_value, lb, ub, b,
+                                 info.objective_function_value)
     if not valid:
-        message = f"the solution breaks a bound or row by more than {tol:.2E}"
+        message = ("the solution breaks a bound or row by more than "
+                   f"{orthogonal._LINPROG_CHECK_TOL:.2E}")
     return orthogonal.LpResult(x=x, status=0 if valid else 4, success=valid, nit=nit,
                                message=message)
+
+
+def lp_vectors_numpy(c, b_ub, bounds) -> tuple:
+    """(cost, right-hand sides, lower bounds, upper bounds) as arrays, with
+    one isfinite over the concatenated cost, right-hand sides and bounds;
+    ValueError when one is NaN or infinite."""
+    c = np.asarray(c, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    box = np.array(bounds, dtype=float)
+    if not np.isfinite(np.concatenate((c, b, box.ravel()))).all():
+        raise ValueError("LP data must be finite")
+    lb, ub = box.T
+    return c, b, lb, ub
+
+
+def solution_valid_numpy(col_value, row_value, lb, ub, b, objective) -> bool:
+    """linprog's post-solve check as array operations: x within its bounds
+    and the slack b - row value at least -tol, by _LINPROG_CHECK_TOL, and
+    an objective that is a number; a NaN fails a comparison."""
+    x = np.array(col_value)
+    slack = np.asarray(b, dtype=float) - np.array(row_value)
+    tol = orthogonal._LINPROG_CHECK_TOL
+    lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+    return bool(((x >= lb - tol) & (x <= ub + tol)).all() and (slack >= -tol).all()
+                and not math.isnan(objective))
 
 
 def _format_cell_rows(value) -> str:

@@ -33,6 +33,7 @@ from reference_impl import (
     best_response_resolve,
     dominates_reduce,
     internal_resolve,
+    lease_points_loop,
     run_market_resolve,
     solve_sizes_loop,
     verify_nash_resolve,
@@ -720,6 +721,39 @@ class TestLeaseSolvesMatchTheLoop:
             result, lps = got["short"]
             statuses = [status for *_, (status, _), _ in lps]
             assert result == _bits(None) and statuses and set(statuses) == {2}
+
+    @pytest.mark.parametrize("case", ["g1", "nash_gap", "default-grid", "saturated",
+                                      "two-resources"])
+    def test_feasible_points_are_listed_once(self, case, g1, nash_gap, monkeypatch):
+        # the first pass raises the LPs of a loop over the grid, in its
+        # order, and keeps the points it yields; later passes and the Nash
+        # check on the market's outcome read them without a lookup
+        if case == "two-resources":
+            ops = build_operators(g1)
+            market = MarketConfig(
+                traded=(0, 1), eta=0.05, price0=np.zeros(2), max_rounds=20,
+                grids={o.id: {0: g1.market.grids[o.id][0], 1: np.array([-1.0, 0.0, 2.0])}
+                       for o in ops})
+        else:
+            ops, market = _market_case(case, g1, nash_gap)
+        for op in ops:
+            table, loop = (game._lease_tables([op], market)[op.id] for _ in range(2))
+            first = recorded_solves(lambda _: list(table.feasible()), [None])
+            assert first == recorded_solves(lambda _: lease_points_loop(loop), [None])
+            kept = list(table.feasible())
+            monkeypatch.setattr(table, "internal", None)
+            again = list(table.feasible())
+            assert len(again) == len(kept) and all(a is k for a, k in zip(again, kept))
+            assert all(not d.flags.writeable for d, *_ in kept)
+        out = run_market(ops, market)
+        looked_up = []
+        internal = game._LeaseTable.internal
+        monkeypatch.setattr(game._LeaseTable, "internal",
+                            lambda t, d: looked_up.append(d) or internal(t, d))
+        verdict = verify_nash(ops, out, market)
+        # a table without a declared grid looks up its no-trade point to derive one
+        assert len(looked_up) == (len(ops) if market.grids.get(ops[0].id) is None else 0)
+        assert _result_bits(verdict) == _result_bits(verify_nash_resolve(ops, out, market))
 
     @settings(max_examples=40, deadline=None)
     @given(drawn=lease_operators(), seed=st.integers(0, 2 ** 32 - 1),

@@ -48,7 +48,13 @@ from sliceprofit.longterm import ReconfigCostModel, optimize_period
 from sliceprofit.model import SchemeModel
 
 from conftest import eligible_doc, make_scenario, random_scenario
-from reference_impl import branches_loop, fresh_highs_linprog, oracle_gap_bound_loop
+from reference_impl import (
+    branches_loop,
+    fresh_highs_linprog,
+    lp_vectors_numpy,
+    oracle_gap_bound_loop,
+    solution_valid_numpy,
+)
 
 
 # directory holding the imported package, so subprocesses import the same code
@@ -733,6 +739,105 @@ class TestHighsDriver:
         got = orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
         assert got.status == status
         assert same_lp_result(got, reference_linprog(c, a, b, bounds))
+
+    @pytest.mark.parametrize("field", ["c", "b_ub", "lower", "upper"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_linprog_refuses_each_non_finite_input(self, field, bad):
+        c, a, b, bounds = [-1.0, 2.0], [[1.0, 1.0]], [3.0], [[0.0, 2.0], [0.0, 2.0]]
+        if field == "c":
+            c = [bad, 2.0]
+        elif field == "b_ub":
+            b = [bad]
+        else:
+            bounds[1][field == "upper"] = bad
+        with pytest.raises(ValueError, match="LP data must be finite"):
+            orthogonal.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+
+
+SPECIAL_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308)
+
+
+@st.composite
+def checked_inputs(draw):
+    """(c, b_ub, bounds) of 1-4 columns and 0-3 rows, bounds as an (n, 2)
+    array or a list of pairs. Some draws take their entries from NaN, ±inf,
+    ±0.0 and ±1e308 (whose sum overflows) as well as from LP_VALUE."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    special = draw(st.booleans())
+    value = st.one_of(LP_VALUE, st.sampled_from(SPECIAL_VALUES)) if special else LP_VALUE
+
+    def vector(k):
+        return np.array(draw(st.lists(value, min_size=k, max_size=k)), dtype=float)
+
+    c, b, bounds = vector(n), vector(m), vector(2 * n).reshape(n, 2)
+    return c, b, bounds if draw(st.booleans()) else [tuple(pair) for pair in bounds.tolist()]
+
+
+@st.composite
+def checked_answers(draw):
+    """(col_value, row_value, lb, ub, b, objective) as lists and floats the
+    way HiGHS hands them back: each x at, or one float step beyond,
+    _LINPROG_CHECK_TOL past a bound, at a bound, inside, ±0.0, NaN or ±inf;
+    each row value likewise around its limit b + tol; the objective a
+    number, NaN or ±inf."""
+    tol = orthogonal._LINPROG_CHECK_TOL
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    edge = st.one_of(LP_VALUE, st.just(-0.0))
+    lb = [draw(edge) for _ in range(n)]
+    ub = [lo + draw(st.sampled_from([0.0, 1.0, 2.5])) for lo in lb]
+    b = [draw(edge) for _ in range(m)]
+    specials = [-0.0, 0.0, math.nan, math.inf, -math.inf]
+
+    def around(low, high):
+        return draw(st.sampled_from([
+            low - tol, math.nextafter(low - tol, -math.inf), math.nextafter(low - tol, math.inf),
+            high + tol, math.nextafter(high + tol, math.inf), math.nextafter(high + tol, -math.inf),
+            low, high, (low + high) / 2, *specials]))
+
+    x = [around(lo, hi) for lo, hi in zip(lb, ub)]
+    rows = [around(limit - 1.0, limit) for limit in b]
+    objective = draw(st.sampled_from([1.5, *specials]))
+    return x, rows, lb, ub, b, objective
+
+
+class TestDriverChecks:
+    """The driver's input check and post-solve check run on lists of Python
+    floats; they refuse and pass exactly what the array forms they replaced
+    (reference_impl.lp_vectors_numpy and solution_valid_numpy) do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=checked_inputs())
+    def test_input_check_matches_the_array_form(self, drawn):
+        c, b, bounds = drawn
+        try:
+            want = lp_vectors_numpy(c, b, bounds)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                orthogonal._lp_vectors(c, b, bounds)
+            return
+        got = orthogonal._lp_vectors(c, b, bounds)
+        assert [np.array(v, dtype=float).tobytes() for v in got] == [w.tobytes() for w in want]
+        assert all(type(v) is list for v in got)
+
+    @settings(max_examples=500, deadline=None)
+    @given(drawn=checked_answers())
+    def test_solution_check_matches_the_array_form(self, drawn):
+        x, rows, lb, ub, b, objective = drawn
+        assert orthogonal._solution_valid(x, rows, lb, ub, b, objective) \
+            == solution_valid_numpy(x, rows, lb, ub, b, objective)
+
+    def test_a_bound_passes_at_the_tolerance_and_fails_one_step_past(self):
+        tol = orthogonal._LINPROG_CHECK_TOL
+        lb, ub, b, rows = [1.0, -0.0], [2.0, 0.0], [3.0], [2.0]
+        cases = {(1.0 - tol, 0.0 - tol): True, (2.0 + tol, 0.0 + tol): True,
+                 (math.nextafter(1.0 - tol, -math.inf), 0.0): False,
+                 (1.5, math.nextafter(0.0 + tol, math.inf)): False,
+                 (1.5, math.nan): False, (math.inf, 0.0): False}
+        for x, valid in cases.items():
+            for check in (orthogonal._solution_valid, solution_valid_numpy):
+                assert check(list(x), rows, lb, ub, b, 0.0) is valid
+        for objective, valid in ((1.0, True), (math.inf, True), (math.nan, False)):
+            assert orthogonal._solution_valid([1.5, 0.0], rows, lb, ub, b, objective) is valid
 
 
 @pytest.mark.skipif(orthogonal.linprog is scipy.optimize.linprog,

@@ -1,6 +1,6 @@
 """The interleaved A/B timer, ``tools/ab_walltime.py``: an A/A run end to
-end, its fingerprint rule on made-up answers, and the end of a child that
-does not exit."""
+end, its fingerprint rule on made-up answers (LPs, size solves and GA
+fronts), and the end of a child that does not exit."""
 
 import importlib.util
 import json
@@ -24,6 +24,7 @@ ab_walltime = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_walltime)
 
 LP = "orthogonal.linprog"
+SOLVE = "orthogonal._solve_model"
 GA = "multiplex.solve_ga"
 
 
@@ -43,6 +44,10 @@ def test_aa_run_on_adapt():
     assert counts[0] == counts[1]
     for key in ("calls", "nit"):
         assert len(set(counts[0][key])) == 1 and counts[0][key][0] > 0
+    # the longterm epochs solve their sizes on the models they hold
+    solves = report["layers"][SOLVE]["per_round"]
+    assert solves[0] == solves[1]
+    assert len(set(solves[0]["calls"])) == 1 and 0 < solves[0]["calls"][0] < counts[0]["calls"][0]
 
 
 def lp_answer(x, status=0, nit=3):
@@ -50,8 +55,14 @@ def lp_answer(x, status=0, nit=3):
                            status=status, nit=nit)
 
 
-def job_print(*answers, fronts=()):
+def size_answer(sizes, iterations=5):
+    return SimpleNamespace(sizes=tuple(sizes), meta={"solver": "objective-sum",
+                                                     "iterations": iterations})
+
+
+def job_print(*answers, fronts=(), solves=()):
     return ab_walltime.fingerprint({LP: [(1e-4, a) for a in answers],
+                                    SOLVE: [(1e-3, s) for s in solves],
                                     GA: [(1e-2, f) for f in fronts]})
 
 
@@ -91,6 +102,19 @@ class TestFingerprintRule:
         base = job_print(lp_answer([1.0]), fronts=["front"])
         assert job_print(lp_answer([1.0]), fronts=["front'"]) != base
         assert job_print(lp_answer([1.0]), ValueError("x"), fronts=["front"]) != base
+
+    def test_a_size_solve_prints_its_sizes_iterations_and_refusal(self):
+        base = job_print(lp_answer([1.0]), solves=[size_answer([1.0, 0.5])])
+        assert job_print(lp_answer([1.0]), solves=[size_answer([1.0, 0.5])]) == base
+        moved = [size_answer([1.0, 0.5 + 2**-53]), size_answer([1.0, 0.5], iterations=6),
+                 size_answer([1.0, 0.5, 0.0]), ValueError("infeasible")]
+        prints = {job_print(lp_answer([1.0]), solves=[s]) for s in moved}
+        assert len(prints) == len(moved) and base not in prints
+        # the answer's other fields and its repr play no part
+        other = size_answer([1.0, 0.5])
+        other.meta["solver"] = "weighted-sum"
+        other.outcome = object()
+        assert job_print(lp_answer([1.0]), solves=[other]) == base
 
 
 class TestTreeClose:

@@ -15,7 +15,10 @@ The child also times the layers in LAYERS. Each is wrapped in every
 ``perfbench/tracing.py`` rebinds its names, and the wrapper keeps each
 call's seconds and answer. Only after a job's clock has stopped are the
 answers folded into the job's fingerprint: status, simplex iterations and
-the bytes of x of every LP, and ``repr(front)`` of every GA run.
+the bytes of x of every LP, the bytes of the sizes and the LP iterations of
+every size solve on a model (``orthogonal._solve_model``, whose time holds
+its LPs' time, so the two layers show the size solver's Python outside the
+LPs), and ``repr(front)`` of every GA run.
 
 A round's time is the sum of its job times. Prints one JSON document: per
 round the ratio of SRC_B's round time to SRC_A's, with the median and
@@ -42,6 +45,7 @@ import importlib
 import json
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -56,10 +60,11 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "SLICEPROFIT_THREADS")
 
 # The timed layers, as module.attribute of their defining sliceprofit module.
-LAYERS = ("orthogonal.linprog", "multiplex.solve_ga")
 LP = "orthogonal.linprog"
+SOLVE = "orthogonal._solve_model"
+LAYERS = (LP, SOLVE, "multiplex.solve_ga")
 # The per-round counts reported for each layer.
-COUNTS = {LP: ("calls", "nit"), "multiplex.solve_ga": ("calls",)}
+COUNTS = {LP: ("calls", "nit"), SOLVE: ("calls",), "multiplex.solve_ga": ("calls",)}
 
 
 def _timed(fn, kept: list):
@@ -98,8 +103,9 @@ def wrap_layers() -> dict:
 
 def fingerprint(kept: dict) -> str:
     """sha1 over one job's answers, layer by layer in call order: status,
-    simplex iterations and the bytes of x of an LP, repr of a GA front,
-    and the type of an exception either raised."""
+    simplex iterations and the bytes of x of an LP, the bytes of the sizes
+    and meta["iterations"] of a size solve, repr of a GA front, and the
+    type of an exception any of them raised."""
     h = hashlib.sha1()
     for layer in LAYERS:
         for _, answer in kept[layer]:
@@ -108,6 +114,9 @@ def fingerprint(kept: dict) -> str:
             elif layer == LP:
                 x = b"" if answer.x is None else answer.x.tobytes()
                 h.update(repr((int(answer.status), int(answer.nit))).encode() + x)
+            elif layer == SOLVE:
+                h.update(repr(int(answer.meta["iterations"])).encode()
+                         + struct.pack(f"<{len(answer.sizes)}d", *answer.sizes))
             else:
                 h.update(repr(answer).encode())
     return h.hexdigest()
