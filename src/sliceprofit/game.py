@@ -230,12 +230,11 @@ class _LeaseTable:
         op = self.operator
         if self.model is None:
             self.model = SchemeModel(op.specs, op.scheme, op.pool)
+            self.lps = _SizeLps(self.model, np.ones(len(op.specs)))
         try:
-            if self.lps is None:
-                self.lps = _SizeLps(self.model, np.ones(len(op.specs)))
+            solved = self.lps.solve(np.maximum(capacity, _CAPACITY_FLOOR))
         except InfeasibleScenarioError:  # a reservation no size meets
             return None
-        solved = self.lps.solve(np.maximum(capacity, _CAPACITY_FLOOR))
         if solved is None:
             return None
         sizes = solved[0]

@@ -168,13 +168,19 @@ class _Rows:
     The direct driver loads the rows into one HighsLp on their first LP:
     the matrix in HiGHS's column-wise form (start, index and value of the
     nonzero entries by column, rows ascending, the order np.nonzero of the
-    transpose gives), built there from the dense rows as Python lists, and
-    a row lower limit of -inf on every row. Each LP then sets only the
-    cost, the column bounds and the row upper limits, and passModel copies
-    the whole model into the solver. Threads share the rows, so the lock is
-    held from the first of those sets through passModel."""
+    transpose gives), as Python lists, and a row lower limit of -inf on
+    every row. Rows made by extended() copy their base's column lists and
+    add the last row's entries; other rows scan the dense matrix for them.
+    Each LP then sets only the cost, the column bounds and the row upper
+    limits, and passModel copies the whole model into the solver. Threads
+    share the rows, so the lock is held from the first of those sets
+    through passModel.
 
-    __slots__ = ("dense", "lock", "_lp")
+    memory maps the bytes of a cost vector to the last LP the driver solved
+    on these rows with that cost: the bytes of its right-hand sides and
+    bounds, and its LpResult, whose x is read-only."""
+
+    __slots__ = ("dense", "lock", "memory", "_base", "_columns", "_lp")
 
     def __init__(self, dense):
         dense = np.array(dense, dtype=float)
@@ -183,7 +189,14 @@ class _Rows:
         dense.flags.writeable = False
         self.dense = dense
         self.lock = threading.Lock()
-        self._lp = None
+        self.memory = {}
+        self._base = self._columns = self._lp = None
+
+    def extended(self, row) -> "_Rows":
+        """These rows with `row` appended as the last one."""
+        rows = _Rows(np.concatenate((self.dense, row[None])))
+        rows._base = self
+        return rows
 
     @property
     def shape(self) -> tuple:
@@ -192,26 +205,42 @@ class _Rows:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.dense, dtype=dtype, copy=copy)
 
+    def columns(self) -> tuple:
+        """(start, index, value) of the column-wise matrix, as lists."""
+        if self._columns is None:
+            start, index, value = [0], [], []
+            if self._base is None:
+                for column in self.dense.T.tolist():
+                    for row, v in enumerate(column):
+                        if v != 0.0:
+                            index.append(row)
+                            value.append(v)
+                    start.append(len(index))
+            else:
+                base_start, base_index, base_value = self._base.columns()
+                row = len(self.dense) - 1
+                for col, v in enumerate(self.dense[row].tolist()):
+                    lo, hi = base_start[col], base_start[col + 1]
+                    index += base_index[lo:hi]
+                    value += base_value[lo:hi]
+                    if v != 0.0:
+                        index.append(row)
+                        value.append(v)
+                    start.append(len(index))
+            self._columns = start, index, value
+        return self._columns
+
     def highs_lp(self):
         """The HighsLp that holds these rows, built on the first call; take
         the lock before filling it."""
         if self._lp is None:
             n_row, n_col = self.dense.shape
-            start, index, value = [0], [], []
-            for column in self.dense.T.tolist():
-                for row, v in enumerate(column):
-                    if v != 0.0:
-                        index.append(row)
-                        value.append(v)
-                start.append(len(index))
             lp = _highs.HighsLp()
             matrix = lp.a_matrix_
             lp.num_col_ = matrix.num_col_ = n_col
             lp.num_row_ = matrix.num_row_ = n_row
             matrix.format_ = _highs.MatrixFormat.kColwise
-            matrix.start_ = start
-            matrix.index_ = index
-            matrix.value_ = value
+            matrix.start_, matrix.index_, matrix.value_ = self.columns()
             lp.row_lower_ = [-math.inf] * n_row
             self._lp = lp
         return self._lp
@@ -254,9 +283,31 @@ def _highs_linprog(c, A_ub, b_ub, bounds, method="highs"):
     finite input and linprog's post-solve check, read those lists and the
     ones HiGHS hands back, with no array built but x. Only the fields the
     size solver reads are returned; method is taken for linprog's call
-    shape."""
+    shape.
+
+    A cold start makes the answer a function of the LP's bits, so an LP
+    whose cost, right-hand sides and bounds equal, byte for byte, the last
+    one solved on the same rows with that cost gets that LP's answer from
+    the rows' memory, and HiGHS is not called."""
     rows = A_ub if isinstance(A_ub, _Rows) else _Rows(A_ub)
+    c = np.asarray(c, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
     cost, b, lb, ub = _lp_vectors(c, b_ub, bounds)
+    key = c.tobytes()
+    data = b_ub.tobytes() + bounds.tobytes()
+    kept = rows.memory.get(key)
+    if kept is not None and kept[0] == data:
+        return kept[1]
+    result = _solve_on_highs(rows, cost, b, lb, ub)
+    if result.x is not None:
+        result.x.setflags(write=False)
+    rows.memory[key] = data, result
+    return result
+
+
+def _solve_on_highs(rows: _Rows, cost: list, b: list, lb: list, ub: list) -> LpResult:
+    """One LP run on this thread's HiGHS instance; see _highs_linprog."""
     highs = _thread_highs()
     highs.clearModel()
     with rows.lock:
@@ -382,7 +433,7 @@ def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray, obj: np.ndarra
     support = np.where(per_slice[:, None], own, positive[js])
     rows = np.where(per_slice[:, None] & ~own, 0.0, unit.T[js])
     own_overhead = overhead[ks, js]
-    objective_row = -obj[None]
+    objective_row = -obj
     branches = []
     for pattern in itertools.product((True, False), repeat=len(free)):
         active = np.ones(m, dtype=bool)
@@ -394,8 +445,9 @@ def _branches(model: SchemeModel, lo: np.ndarray, hi: np.ndarray, obj: np.ndarra
         keep = (support & active).any(axis=1)
         a_ub = np.where(active, rows[keep], 0.0)
         kept_js = js[keep]
+        branch_rows = _Rows(a_ub)
         branches.append(_Branch(
-            _Rows(a_ub), _Rows(np.concatenate((a_ub, objective_row))),
+            branch_rows, branch_rows.extended(objective_row),
             np.where(active[:, None], box, 0.0),
             kept_js, np.where(per_slice[keep], own_overhead[keep], used[kept_js]),
             np.where(shared, over.max(axis=0, initial=0.0), used),
@@ -418,41 +470,58 @@ def _pull_inside(a_ub, b_ub, floor, x):
     lower bounds, which meet every row because a_ub >= 0, by the largest
     factor that meets each violated row. A row the lower bounds break too,
     by an overhead inside the capacity slack, gives a factor of -inf: x
-    falls back to its lower bounds."""
-    load = a_ub @ x
-    over = load > b_ub
-    if not over.any():
+    falls back to its lower bounds. The comparisons and the factors run on
+    Python floats and give numpy's values: a violated row whose load equals
+    its load at the lower bounds has a negative numerator over a zero,
+    which numpy divides to -inf, and a smallest factor of zero takes the
+    sign np.min gives it, which Python's min does not follow."""
+    load = (a_ub @ x).tolist()
+    limits = b_ub.tolist()
+    over = [k for k, (v, limit) in enumerate(zip(load, limits)) if v > limit]
+    if not over:
         return x
-    base = a_ub[over] @ floor
-    with np.errstate(divide="ignore"):
-        t = np.min((b_ub[over] - base) / (load[over] - base))
+    base = (a_ub[over] @ floor).tolist()
+    factors = [(limits[k] - v) / (load[k] - v) if load[k] != v else -math.inf
+               for k, v in zip(over, base)]
+    t = min(factors)
+    if t == 0.0:
+        t = np.min(factors)
     return floor + max(t, 0.0) * (x - floor)
 
 
 class _SizeLps:
     """The size LPs of one model and weight vector w (max-normalised), at
     any capacity vector. Everything that does not depend on the capacity
-    is built once: the size box, the objective w · margin, its negation
-    (the main LPs' cost) and each activation branch (see _branches). Raises SolverError for a unit demand
-    HiGHS would reject, InfeasibleScenarioError for a reservation no size
-    meets and BudgetExceededError for too many branches."""
+    is built once, on the first read of branches (a first solve): the
+    size box's lower end lo, the objective obj = w · margin, its negation
+    cost (the main LPs' cost) and each activation branch (see _branches).
+    That build raises SolverError for a unit demand HiGHS would reject,
+    InfeasibleScenarioError for a reservation no size meets and
+    BudgetExceededError for too many branches; one that raises is tried
+    again on the next read, so each solve on these LPs raises the error.
+    The branches' rows remember the last LP of each cost vector (see
+    _Rows), so a solve repeated at one capacity runs no HiGHS."""
 
     def __init__(self, model: SchemeModel, w: np.ndarray):
+        self.model, self.w = model, w
+
+    @functools.cached_property
+    def branches(self) -> list:
+        model = self.model
         unit = model.unit
         if (unit >= _MAX_UNIT_DEMAND).any():
             raise SolverError(f"size LP failed: a unit demand reaches {_MAX_UNIT_DEMAND:g}, "
                               "a matrix value HiGHS rejects")
-        self.model, self.w = model, w
         self.lo, hi = model.size_bounds()
         margins = np.array([spec.price - float(np.dot(unit[i], model.pool.unit_cost))
                             for i, spec in enumerate(model.specs)])
-        self.obj = w * margins
+        self.obj = self.w * margins
         self.cost = -self.obj
-        self.branches = _branches(model, self.lo, hi, self.obj)
         # polish LP i minimises size i: its cost is the unit vector e_i
         units = np.eye(len(margins))
         units.flags.writeable = False
         self.units = tuple(units)
+        return _branches(model, self.lo, hi, self.obj)
 
     def solve(self, capacity: np.ndarray) -> Optional[tuple]:
         """(sizes, LP iterations) of the best branch at `capacity`, or None
@@ -464,9 +533,10 @@ class _SizeLps:
         rank by the true (step-function) weighted profit, a later one
         winning only by more than _BRANCH_TIE. Raises SolverError when a
         main LP fails other than as infeasible."""
+        branches = self.branches
         obj = self.obj
         found, nit = [], 0
-        for branch, b_ub in _at_capacity(self.branches, capacity):
+        for branch, b_ub in _at_capacity(branches, capacity):
             res = linprog(self.cost, A_ub=branch.rows, b_ub=b_ub, bounds=branch.bounds,
                           method="highs")
             if res.status == 2:
@@ -510,9 +580,11 @@ def _weights(weights, m: int) -> np.ndarray:
     return w / w.max()
 
 
-def _solve_model(model: SchemeModel, weights=None) -> SolveResult:
-    """solve_sizes on a model the caller already holds."""
-    lps = _SizeLps(model, _weights(weights, len(model.specs)))
+def _solve_model(model: SchemeModel, weights=None, lps: Optional[_SizeLps] = None) -> SolveResult:
+    """solve_sizes on a model the caller already holds, and on its size LPs
+    for these weights when the caller holds those too."""
+    if lps is None:
+        lps = _SizeLps(model, _weights(weights, len(model.specs)))
     solved = lps.solve(model.pool.capacity)
     if solved is None:
         raise InfeasibleScenarioError(

@@ -92,7 +92,12 @@ drops a fresh instance and a fresh ``HighsLp`` per call and reads the
 whole info. The driver checks its input and HiGHS's answer on lists of
 Python floats (``orthogonal._lp_vectors`` and ``_solution_valid``);
 ``lp_vectors_numpy`` and ``solution_valid_numpy`` are the array forms it
-used before, which ``fresh_highs_linprog`` uses too.
+used before, which ``fresh_highs_linprog`` uses too. ``orthogonal._Rows``
+remembers the last LP of each cost vector and answers a repeat of it
+without HiGHS; ``fresh_highs_linprog`` solves every LP. After the polish,
+``orthogonal._pull_inside`` finds the violated rows and the pull factor
+on Python floats; ``pull_inside_numpy`` is the array form it replaced,
+which ``solve_sizes_loop`` calls.
 
 ``longterm.optimize_period`` shares one sweep cache over its candidate
 periods: each epoch's scenario and model are built once, and each (update
@@ -325,7 +330,7 @@ def solve_sizes_loop(specs, scheme, pool, weights=None):
         nit_total += nit
         x = np.clip(x, bounds[:, 0], bounds[:, 1])
         x[np.abs(x) < orthogonal._ZERO_CLIP] = 0.0
-        x = orthogonal._pull_inside(a_ub, b_ub, bounds[:, 0], x)
+        x = pull_inside_numpy(a_ub, b_ub, bounds[:, 0], x)
         revs, exps, _ = model.breakdown(x)
         true_val = float(np.dot(w, revs - exps))
         if best is None or true_val > best[0] + orthogonal._BRANCH_TIE:
@@ -973,6 +978,19 @@ def solution_valid_numpy(col_value, row_value, lb, ub, b, objective) -> bool:
     lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
     return bool(((x >= lb - tol) & (x <= ub + tol)).all() and (slack >= -tol).all()
                 and not math.isnan(objective))
+
+
+def pull_inside_numpy(a_ub, b_ub, floor, x):
+    """orthogonal._pull_inside as array operations: the violated rows as a
+    mask, and the factors and their minimum as numpy arrays."""
+    load = a_ub @ x
+    over = load > b_ub
+    if not over.any():
+        return x
+    base = a_ub[over] @ floor
+    with np.errstate(divide="ignore"):
+        t = np.min((b_ub[over] - base) / (load[over] - base))
+    return floor + max(t, 0.0) * (x - floor)
 
 
 def _format_cell_rows(value) -> str:

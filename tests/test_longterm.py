@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sliceprofit import (
     ConfigurationError,
     DemandTrace,
+    InfeasibleScenarioError,
     ReconfigCostModel,
     build_allocation,
     epoch_scenario,
@@ -21,7 +22,7 @@ from sliceprofit import (
     solve_objective_sum,
 )
 
-from sliceprofit import longterm, model
+from sliceprofit import longterm, model, orthogonal
 from sliceprofit.cli import main
 
 from conftest import make_scenario
@@ -173,13 +174,16 @@ class TestSimulateHorizon:
         calls = []
         solve = longterm._solve_model
 
-        def counting(epoch_model):
-            calls.append(epoch_model)
-            return solve(epoch_model)
+        def counting(epoch_model, **kwargs):
+            calls.append((epoch_model, kwargs["lps"]))
+            return solve(epoch_model, **kwargs)
 
         monkeypatch.setattr(longterm, "_solve_model", counting)
         simulate_horizon(s2_trace, s2_trace.trace, period=2)
+        # epochs 0 and 2 are twins (B's base is 6 in both): the update at 2
+        # re-solves on the model and size LPs built at 0
         assert len(calls) == 2
+        assert calls[1][0] is calls[0][0] and calls[1][1] is calls[0][1]
 
 
 class TestEvaluatePeriod:
@@ -263,17 +267,20 @@ class TestOptimizePeriod:
 
 
 class TestOptimizePeriodSolvesEachEpochOnce:
-    def _check(self, monkeypatch, scenario, trace, periods, fee, expected_calls):
+    def _check(self, monkeypatch, scenario, trace, periods, fee, expected_calls,
+               expected_models):
         calls = []
         solve = longterm._solve_model
 
-        def counting(epoch_model):
+        def counting(epoch_model, **kwargs):
             calls.append(epoch_model)
-            return solve(epoch_model)
+            return solve(epoch_model, **kwargs)
 
         monkeypatch.setattr(longterm, "_solve_model", counting)
         _, table = optimize_period(scenario, trace, periods, fee)
         assert len(calls) == expected_calls
+        # twin update epochs re-solve on one model
+        assert len({id(m) for m in calls}) == expected_models
         for row in table:
             sim = simulate_horizon(scenario, trace, row["period"])
             realized = float(sum(sim.profits))
@@ -285,13 +292,14 @@ class TestOptimizePeriodSolvesEachEpochOnce:
             }
 
     def test_one_solve_per_epoch_when_period_one_is_a_candidate(self, s2_trace, monkeypatch):
-        # one solve per period update would be 4 + 2 + 2 + 1 = 9
+        # one solve per period update would be 4 + 2 + 2 + 1 = 9; the
+        # epochs are twins in pairs, {0, 2} and {1, 3}
         self._check(monkeypatch, s2_trace, s2_trace.trace, [1, 2, 3, 4],
-                    ReconfigCostModel(0.5), 4)
+                    ReconfigCostModel(0.5), 4, 2)
 
     def test_one_solve_per_distinct_update_epoch(self, s2_trace, monkeypatch):
-        # periods 2 and 3 update at {0, 2} and {0, 3}
-        self._check(monkeypatch, s2_trace, s2_trace.trace, [2, 3], ReconfigCostModel(0.5), 3)
+        # periods 2 and 3 update at {0, 2} and {0, 3}; 0 and 2 are twins
+        self._check(monkeypatch, s2_trace, s2_trace.trace, [2, 3], ReconfigCostModel(0.5), 3, 2)
 
     def test_infeasible_epoch_is_solved_once(self, monkeypatch):
         doc = scenario_to_dict(make_scenario())
@@ -299,7 +307,7 @@ class TestOptimizePeriodSolvesEachEpochOnce:
         scenario = make_scenario(doc)
         # A's reservation is unreachable at t=1, where period 1 updates
         trace = DemandTrace(2, {}, {}, {"A": (1.0, 0.0)})
-        self._check(monkeypatch, scenario, trace, [1, 2], ReconfigCostModel(0.0), 2)
+        self._check(monkeypatch, scenario, trace, [1, 2], ReconfigCostModel(0.0), 2, 2)
 
 
 def reserved_scenario():
@@ -399,10 +407,117 @@ class TestSweepMatchesPerPeriodLoop:
             assert outputs["sweep", name] == outputs["loop", name], name
 
 
+def transcript(run) -> tuple:
+    """run()'s result and every orthogonal.linprog call it made, in order:
+    the bytes of the cost, rows, right-hand sides and bounds, and the
+    status, iterations and bytes of x of the answer."""
+    calls = []
+    driver = orthogonal.linprog
+
+    def record(c, A_ub, b_ub, bounds, method):
+        res = driver(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+        calls.append((np.asarray(c, dtype=float).tobytes(), np.asarray(A_ub).tobytes(),
+                      np.asarray(A_ub).shape, np.asarray(b_ub, dtype=float).tobytes(),
+                      np.asarray(bounds, dtype=float).tobytes(), res.status, res.nit,
+                      None if res.x is None else res.x.tobytes()))
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orthogonal, "linprog", record)
+        result = run()
+    return result, calls
+
+
+@pytest.mark.skipif(not hasattr(orthogonal, "_thread_highs"),
+                    reason="scipy's HiGHS bindings did not import")
+class TestTwinEpochs:
+    """Twin epochs (every slice with the same customer base, price and KPI
+    scale) share one model and one set of size LPs: the sweep raises the
+    LPs of reference_impl.optimize_period_loop, which builds every update
+    epoch afresh, in the same order with the same answers, and returns the
+    same bits; the rows' memory answers a twin's repeated LPs without
+    HiGHS."""
+
+    @staticmethod
+    def check(scenario, trace, models, repeats):
+        periods, cost = list(range(1, trace.horizon + 1)), ReconfigCostModel(0.5)
+        built, runs = [], []
+        init = model.SchemeModel.__init__
+        thread_highs = orthogonal._thread_highs
+
+        class Counting:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def run(self):
+                runs.append(None)
+                return self.highs.run()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model.SchemeModel, "__init__",
+                          lambda self, *args: built.append(None) or init(self, *args))
+            patch.setattr(orthogonal, "_thread_highs", lambda: Counting(thread_highs()))
+            got, calls = transcript(lambda: sweep(scenario, trace, periods, cost))
+        want, want_calls = transcript(
+            lambda: optimize_period_loop(scenario, trace, periods, cost))
+        assert bits(*got) == bits(*want)
+        assert calls == want_calls
+        assert len(built) == models
+        assert len(calls) - len(runs) == repeats
+        return calls
+
+    def test_a_flat_trace_builds_one_model(self, s2):
+        # four twins: the last three re-solve on the first one's LPs, a
+        # main LP and two polish LPs each
+        calls = self.check(s2, flat_trace(4), 1, 3 * 3)
+        assert len(calls) == 4 * 3
+
+    def test_the_shipped_trace_builds_two_models(self, s2_trace):
+        calls = self.check(s2_trace, s2_trace.trace, 2, 6)
+        assert len(calls) == 12
+
+    def test_kpi_scale_twins(self):
+        # A's KPIs at 1.5 in epochs 1 and 3, where B's price is also equal
+        trace = DemandTrace(4, {}, {"B": (3.0, 2.0, 3.0, 2.0)}, {"A": (1.0, 1.5, 1.0, 1.5)})
+        self.check(make_scenario(), trace, 2, 6)
+
+    def test_signed_zero_scales_are_not_twins(self):
+        # a KPI scale of -0.0 passes the trace's check and gives KPIs of
+        # -0.0; twins match bit for bit, so its epoch builds a model of its own
+        trace = DemandTrace(3, {}, {}, {"A": (0.0, -0.0, 0.0)})
+        self.check(make_scenario(), trace, 2, 3)
+
+    def test_twins_whose_reservation_cannot_be_met(self, monkeypatch):
+        # A's KPIs at 0 in epochs 1 and 3 leave its reservation unreachable:
+        # building the twins' LPs raises inside each re-solve, and both
+        # epochs fail
+        solves = []
+        solve = longterm._solve_model
+
+        def counting(epoch_model, **kwargs):
+            try:
+                return solve(epoch_model, **kwargs)
+            except InfeasibleScenarioError as exc:
+                solves.append(exc)
+                raise
+
+        monkeypatch.setattr(longterm, "_solve_model", counting)
+        trace = DemandTrace(4, {}, {}, {"A": (1.0, 0.0, 1.0, 0.0)})
+        _, _, sims = sweep(reserved_scenario(), trace, [1], ReconfigCostModel(0.0))
+        assert sims[0].failed_epochs == (1, 3)
+        assert len(solves) == 2
+        # epochs 0 and 2 are twins too, and solve
+        self.check(reserved_scenario(), trace, 2, 3)
+
+
 class TestSweepBuildsEachEpochOnce:
-    """Per optimize_period call: H epoch scenarios, H epoch models, each
-    re-solve on its epoch's model, and one realized value per (update
-    epoch, epoch) pair whose re-solve succeeded."""
+    """Per optimize_period call: one epoch scenario and one epoch model per
+    set of twin epochs (every slice with the same customer base, price and
+    KPI scale), each update epoch's re-solve on its twin's model, and one
+    realized value per (update epoch, twin) pair whose re-solve succeeded."""
 
     @staticmethod
     def counted(monkeypatch, scenario, trace, periods):
@@ -431,28 +546,31 @@ class TestSweepBuildsEachEpochOnce:
         return counts, sims
 
     @staticmethod
-    def held_pairs(sims):
-        """The distinct (update epoch, epoch) pairs the sweep evaluates."""
+    def held_pairs(sims, twin_of):
+        """The distinct (update epoch, twin) pairs the sweep evaluates;
+        twin_of maps an epoch to the first epoch of its twins."""
         pairs = set()
         for sim in sims:
             failed = set(sim.failed_epochs)
             for t in range(len(sim.profits)):
                 update = max(u for u in sim.update_epochs if u <= t)
                 if t not in failed:
-                    pairs.add((update, t))
+                    pairs.add((update, twin_of[t]))
         return pairs
 
     def test_every_period_of_the_shipped_trace(self, s2_trace, monkeypatch):
         counts, sims = self.counted(monkeypatch, s2_trace, s2_trace.trace, [1, 2, 3, 4])
-        # the per-period loop built 16 epochs and 16 + 4 models, and
-        # evaluated 16 held epochs
-        assert counts == {"epochs": 4, "models": 4, "realized": 8, "solves": 4}
-        assert len(self.held_pairs(sims)) == 8
+        # B's base alternates 6, 2, 6, 2: epochs {0, 2} and {1, 3} are twins.
+        # The per-period loop built 16 epochs and 16 + 4 models, and
+        # evaluated 16 held epochs; one model per epoch evaluated 8
+        assert counts == {"epochs": 2, "models": 2, "realized": 6, "solves": 4}
+        assert len(self.held_pairs(sims, {0: 0, 1: 1, 2: 0, 3: 1})) == 6
 
     def test_failed_update_epochs_are_not_evaluated(self, monkeypatch):
         trace = DemandTrace(4, {}, {}, {"A": (1.0, 0.0, 2.5, 1.0)})
         counts, sims = self.counted(monkeypatch, reserved_scenario(), trace, [1, 3])
         assert sims[0].failed_epochs == (1,) and sims[1].violation_epochs == (1, 2)
-        # periods 1 and 3 update at {0, 1, 2, 3} and {0, 3}; t=1 has no sizes
-        assert counts == {"epochs": 4, "models": 4, "realized": 5, "solves": 4}
-        assert len(self.held_pairs(sims)) == 5
+        # periods 1 and 3 update at {0, 1, 2, 3} and {0, 3}; t=1 has no
+        # sizes, and t=3 is t=0's twin
+        assert counts == {"epochs": 3, "models": 3, "realized": 5, "solves": 4}
+        assert len(self.held_pairs(sims, {0: 0, 1: 1, 2: 2, 3: 0})) == 5

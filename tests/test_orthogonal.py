@@ -53,6 +53,7 @@ from reference_impl import (
     fresh_highs_linprog,
     lp_vectors_numpy,
     oracle_gap_bound_loop,
+    pull_inside_numpy,
     solution_valid_numpy,
 )
 
@@ -1010,6 +1011,228 @@ class TestRowsTemplate:
         for got in results.values():
             assert [(got[k][0].tobytes(), got[k][1]) for k in serial] == \
                 [(sizes.tobytes(), nit) for sizes, nit in serial.values()]
+
+
+# values that make ties, signed zeros and zero denominators frequent
+PULL_VALUE = st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0)),
+                       st.floats(-4.0, 4.0).map(lambda v: round(v, 3)))
+
+
+@st.composite
+def pull_inputs(draw):
+    """(a_ub, b_ub, floor, x) with 0-4 rows and 1-4 columns."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+
+    def vector(k):
+        return np.array(draw(st.lists(PULL_VALUE, min_size=k, max_size=k)), dtype=float)
+
+    return vector(m * n).reshape(m, n), vector(m), vector(n), vector(n)
+
+
+class TestPullInside:
+    """_pull_inside finds the violated rows and the pull factor on Python
+    floats and gives the bytes of the array form it replaced
+    (reference_impl.pull_inside_numpy)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(drawn=pull_inputs())
+    def test_matches_the_array_form(self, drawn):
+        assert orthogonal._pull_inside(*drawn).tobytes() == pull_inside_numpy(*drawn).tobytes()
+
+    def test_a_zero_denominator_falls_back_to_the_floor(self):
+        # row 0's load equals its load at the floor: numpy's factor is -inf
+        a, b = np.array([[1.0, 0.0]]), np.array([0.5])
+        floor, x = np.array([1.0, 0.0]), np.array([1.0, 5.0])
+        got = orthogonal._pull_inside(a, b, floor, x)
+        assert got.tobytes() == pull_inside_numpy(a, b, floor, x).tobytes() == floor.tobytes()
+
+    @pytest.mark.parametrize("b", [[0.0, -0.0], [-0.0, 0.0]])
+    def test_a_zero_factor_keeps_the_sign_of_np_min(self, b):
+        # factors +0.0 and -0.0: Python's min keeps the first, np.min does
+        # not, and the floor's -0.0 in column 1 shows the sign taken
+        a, b = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array(b)
+        floor, x = np.array([0.0, -0.0]), np.array([1.0, -0.0])
+        want = pull_inside_numpy(a, b, floor, x)
+        assert orthogonal._pull_inside(a, b, floor, x).tobytes() == want.tobytes()
+
+
+@st.composite
+def rows_and_objective(draw):
+    """(rows, objective row): 0-4 rows and 1-4 columns, zeros of both signs
+    frequent."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from((0.0, -0.0)), LP_VALUE)
+    a = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n)), dtype=float)
+    row = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+    return a.reshape(m, n), row
+
+
+def dense_columns(dense) -> tuple:
+    """(start, index, value) of a dense matrix's nonzeros by column, rows
+    ascending, built as fresh_highs_linprog builds them."""
+    cols, rows = np.nonzero(dense.T)
+    start = np.searchsorted(cols, np.arange(dense.shape[1] + 1))
+    return start.tolist(), rows.tolist(), dense.T[cols, rows].tolist()
+
+
+class TestPolishColumns:
+    """A branch's polish rows take the rows' column lists and add the
+    objective row's entries; the lists equal a build from the dense polish
+    matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=rows_and_objective())
+    def test_extended_rows_match_a_dense_build(self, drawn):
+        a, row = drawn
+        polish = orthogonal._Rows(a).extended(row)
+        dense = np.concatenate((a, row[None]))
+        assert polish.dense.tobytes() == dense.tobytes()
+        want = dense_columns(dense)
+        assert repr(polish.columns()) == repr(orthogonal._Rows(dense).columns()) == repr(want)
+
+    def test_every_branch_of_the_shipped_and_random_scenarios(self, scenario_dir):
+        n_branches = 0
+        paths = [*sorted(scenario_dir.glob("*.json")), TestLpToleranceOvershoot.FAULT]
+        scenarios = [load_scenario(path) for path in paths]
+        scenarios += [random_scenario(np.random.default_rng(seed)) for seed in range(20)]
+        for scenario in scenarios:
+            for scheme in enumerate_candidates(scenario):
+                model = SchemeModel(scenario.specs, scheme, scenario.pool)
+                for branch in orthogonal._SizeLps(model, np.ones(len(scenario.specs))).branches:
+                    n_branches += 1
+                    assert branch.polish._base is branch.rows
+                    assert repr(branch.polish.columns()) == repr(dense_columns(branch.polish.dense))
+        assert n_branches > 20
+
+
+class HighsCalls:
+    """A HiGHS instance that records the name of each method called on it."""
+
+    def __init__(self, highs, calls):
+        self.highs, self.calls = highs, calls
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.highs, name)
+
+
+@st.composite
+def lp_sequences(draw):
+    """(A_ub, [(c, b_ub, bounds), ...]): 4-12 LPs on one set of rows, drawn
+    with repeats from a pool over 1-3 interleaved cost vectors that holds an
+    infeasible LP and an LP with one right-hand side or lower bound at 0.0
+    next to its variant at -0.0; the sequence ends on the infeasible LP,
+    the 0.0 LP and the -0.0 variant twice. The rows hold 1e15, a value
+    HiGHS rejects, in about one draw of four, so that every LP on them is a
+    model error."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = draw_vector(draw, m * n).reshape(m, n)
+    if draw(st.sampled_from((False, False, False, True))):
+        a[0, 0] = 1e15
+    costs = [draw_vector(draw, n) for _ in range(draw(st.integers(1, 3)))]
+
+    def cost():
+        return costs[draw(st.integers(0, len(costs) - 1))]
+
+    pool = [(cost(), draw_vector(draw, m), draw_bounds(draw, n))
+            for _ in range(draw(st.integers(1, 3)))]
+    fixed = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    pool.append((cost(), a @ fixed - 1.0, [(v, v) for v in fixed]))
+    c, b, bounds = pool[0]
+    b, bounds = b.copy(), list(bounds)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, m - 1))
+        b[k] = 0.0
+        signed = b.copy()
+        signed[k] = -0.0
+        pool += [(c, b, bounds), (c, signed, bounds)]
+    else:
+        k = draw(st.integers(0, n - 1))
+        bounds[k] = (0.0, bounds[k][1])
+        signed = list(bounds)
+        signed[k] = (-0.0, bounds[k][1])
+        pool += [(c, b, bounds), (c, b, signed)]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=4, max_size=12))
+    infeasible = len(pool) - 3
+    return a, [pool[i] for i in picks] + [pool[infeasible], pool[-2], pool[-1], pool[-1]]
+
+
+def lp_bytes(c, b, bounds) -> tuple:
+    """The bytes of an LP's cost, and of its right-hand sides and bounds."""
+    return (np.asarray(c, dtype=float).tobytes(),
+            np.asarray(b, dtype=float).tobytes() + np.asarray(bounds, dtype=float).tobytes())
+
+
+@pytest.mark.skipif(orthogonal.linprog is scipy.optimize.linprog,
+                    reason="scipy's HiGHS bindings did not import")
+class TestLpMemory:
+    """A _Rows remembers, per cost vector, the last LP solved on it, and the
+    driver answers an LP equal to it byte for byte without HiGHS."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=lp_sequences())
+    def test_repeats_are_answered_from_memory(self, drawn):
+        a, lps = drawn
+        rows = orthogonal._Rows(a)
+        rejected = bool((a >= 1e15).any())
+        calls, last, statuses = [], {}, []
+        thread_highs = orthogonal._thread_highs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orthogonal, "_thread_highs", lambda: HighsCalls(thread_highs(), calls))
+            for c, b, bounds in lps:
+                key, data = lp_bytes(c, b, bounds)
+                repeat = last.get(key) == data
+                last[key] = data
+                calls.clear()
+                got = orthogonal.linprog(c, A_ub=rows, b_ub=b, bounds=bounds, method="highs")
+                want = fresh_highs_linprog(c, a, b, bounds)
+                assert same_lp_result(got, want) and got.message == want.message
+                if repeat:
+                    assert calls == []
+                else:
+                    assert calls.count("passModel") == 1
+                    assert calls.count("run") == (0 if rejected else 1)
+                assert sorted(rows.memory) == sorted(last)
+                if got.x is not None:
+                    assert not got.x.flags.writeable
+                statuses.append(got.status)
+        assert 2 in statuses
+        for _, result in rows.memory.values():
+            assert result.x is None or not result.x.flags.writeable
+
+    def test_a_signed_zero_variant_is_a_miss(self):
+        a = np.array([[1.0, 1.0]])
+        c, bounds = np.array([-1.0, -2.0]), [(0.0, 2.0), (0.0, 2.0)]
+        rows = orthogonal._Rows(a)
+        runs = []
+        thread_highs = orthogonal._thread_highs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orthogonal, "_thread_highs", lambda: HighsCalls(thread_highs(), runs))
+            for b in ([0.0], [-0.0], [-0.0], [0.0]):
+                orthogonal.linprog(c, A_ub=rows, b_ub=b, bounds=bounds, method="highs")
+        assert runs.count("run") == 3
+        assert len(rows.memory) == 1
+
+    def test_a_remembered_x_is_read_only(self):
+        rows = orthogonal._Rows([[1.0, 1.0]])
+        res = orthogonal.linprog([-1.0, -2.0], A_ub=rows, b_ub=[3.0], bounds=[(0.0, 2.0)] * 2)
+        again = orthogonal.linprog([-1.0, -2.0], A_ub=rows, b_ub=[3.0], bounds=[(0.0, 2.0)] * 2)
+        assert again is res and res.x.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            res.x[0] = 0.0
+
+    def test_a_size_solve_repeated_at_one_capacity_runs_no_highs(self, s2):
+        model = SchemeModel(s2.specs, s2.scheme, s2.pool)
+        lps = orthogonal._SizeLps(model, np.ones(len(s2.specs)))
+        first = lps.solve(s2.pool.capacity)
+        calls = []
+        thread_highs = orthogonal._thread_highs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orthogonal, "_thread_highs", lambda: HighsCalls(thread_highs(), calls))
+            again = lps.solve(s2.pool.capacity)
+        assert calls == []
+        fresh = orthogonal._SizeLps(model, np.ones(len(s2.specs))).solve(s2.pool.capacity)
+        assert [(r[0].tobytes(), r[1]) for r in (first, again)] == [(fresh[0].tobytes(), fresh[1])] * 2
 
 
 class TestColdStart:

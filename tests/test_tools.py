@@ -1,6 +1,7 @@
 """The interleaved A/B timer, ``tools/ab_walltime.py``: an A/A run end to
 end, its fingerprint rule on made-up answers (LPs, size solves and GA
-fronts), and the end of a child that does not exit."""
+fronts), its count of HiGHS runs, and the end of a child that does not
+exit."""
 
 import importlib.util
 import json
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import sliceprofit
+from sliceprofit import orthogonal
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_walltime.py"
@@ -42,8 +44,10 @@ def test_aa_run_on_adapt():
     assert len(lp["round_ratio"]["samples"]) == 2
     counts = lp["per_round"]
     assert counts[0] == counts[1]
-    for key in ("calls", "nit"):
+    for key in ("calls", "nit", "runs"):
         assert len(set(counts[0][key])) == 1 and counts[0][key][0] > 0
+    # twin longterm epochs repeat LPs, which the rows' memory answers
+    assert counts[0]["runs"][0] < counts[0]["calls"][0]
     # the longterm epochs solve their sizes on the models they hold
     solves = report["layers"][SOLVE]["per_round"]
     assert solves[0] == solves[1]
@@ -115,6 +119,25 @@ class TestFingerprintRule:
         other.meta["solver"] = "weighted-sum"
         other.outcome = object()
         assert job_print(lp_answer([1.0]), solves=[other]) == base
+
+
+@pytest.mark.skipif(not hasattr(orthogonal, "_thread_highs"),
+                    reason="scipy's HiGHS bindings did not import")
+def test_runs_count_highs_runs_not_lp_calls(monkeypatch):
+    runs = []
+    monkeypatch.setattr(orthogonal, "_thread_highs",
+                        ab_walltime.count_runs(orthogonal._thread_highs, runs))
+    rows = orthogonal._Rows([[1.0, 1.0]])
+    lps = [([-1.0, -2.0], [3.0]), ([-1.0, -2.0], [3.0]), ([-2.0, -1.0], [3.0]),
+           ([-1.0, -2.0], [2.0])]
+    kept = {layer: [] for layer in ab_walltime.LAYERS}
+    kept[ab_walltime.RUNS] = runs
+    for c, b in lps:
+        res = orthogonal.linprog(c, A_ub=rows, b_ub=b, bounds=[(0.0, 2.0)] * 2)
+        kept[LP].append((1e-4, res))
+    # the second LP repeats the first on the same rows
+    counts = ab_walltime.layer_counts(kept)[LP]
+    assert (counts["calls"], counts["runs"]) == (4, 3)
 
 
 class TestTreeClose:

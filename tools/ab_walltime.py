@@ -25,10 +25,11 @@ round the ratio of SRC_B's round time to SRC_A's, with the median and
 quartiles of those ratios; per job each tree's median time and the median
 of its per-round ratio; per layer that ran, the same round ratio over the
 layer's summed time, each tree's mean µs per call and its per-round counts
-(calls, and simplex iterations of the LPs); per tree the jobs whose output
-checks failed, outside the workload's known fault jobs; and the jobs whose
-fingerprint differs between rounds or trees. Either of the last two makes
-the exit status 1.
+(calls, and for the LPs the simplex iterations and the HiGHS run() calls,
+fewer than the calls where the rows' memory answers a repeated LP); per
+tree the jobs whose output checks failed, outside the workload's known
+fault jobs; and the jobs whose fingerprint differs between rounds or
+trees. Either of the last two makes the exit status 1.
 
     python tools/ab_walltime.py --workload market --rounds 15 SRC_A SRC_B
 
@@ -63,8 +64,10 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 LP = "orthogonal.linprog"
 SOLVE = "orthogonal._solve_model"
 LAYERS = (LP, SOLVE, "multiplex.solve_ga")
-# The per-round counts reported for each layer.
-COUNTS = {LP: ("calls", "nit"), SOLVE: ("calls",), "multiplex.solve_ga": ("calls",)}
+# The per-round counts reported for each layer; an LP's "runs" are the
+# HiGHS run() calls, fewer than its calls when the rows' memory answers.
+COUNTS = {LP: ("calls", "nit", "runs"), SOLVE: ("calls",), "multiplex.solve_ga": ("calls",)}
+RUNS = "highs.run"
 
 
 def _timed(fn, kept: list):
@@ -85,12 +88,34 @@ def _timed(fn, kept: list):
     return wrapper
 
 
+class _RunCounter:
+    """A HiGHS instance whose run() calls append to `runs`."""
+
+    def __init__(self, highs, runs: list):
+        self.highs, self.runs = highs, runs
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def run(self):
+        self.runs.append(None)
+        return self.highs.run()
+
+
+def count_runs(thread_highs, runs: list):
+    """orthogonal._thread_highs, handing out its instance wrapped so that
+    each run() appends to `runs`."""
+    return lambda: _RunCounter(thread_highs(), runs)
+
+
 def wrap_layers() -> dict:
-    """Wrap every layer in every sliceprofit module that binds it; returns
-    {layer: list of (seconds, answer)} the wrappers fill."""
+    """Wrap every layer in every sliceprofit module that binds it, and
+    count HiGHS run() calls when the direct driver is in use; returns
+    {layer: list of (seconds, answer)} the wrappers fill, plus RUNS: one
+    entry per run()."""
     modules = [m for k, m in sorted(sys.modules.items())
                if m is not None and (k == "sliceprofit" or k.startswith("sliceprofit."))]
-    kept = {}
+    kept = {RUNS: []}
     for layer in LAYERS:
         mod_name, attr = layer.split(".")
         original = getattr(importlib.import_module(f"sliceprofit.{mod_name}"), attr)
@@ -98,6 +123,9 @@ def wrap_layers() -> dict:
         for mod in modules:
             if getattr(mod, attr, None) is original:
                 setattr(mod, attr, wrapper)
+    orthogonal = importlib.import_module("sliceprofit.orthogonal")
+    if hasattr(orthogonal, "_thread_highs"):
+        orthogonal._thread_highs = count_runs(orthogonal._thread_highs, kept[RUNS])
     return kept
 
 
@@ -124,14 +152,17 @@ def fingerprint(kept: dict) -> str:
 
 def layer_counts(kept: dict) -> dict:
     """{layer: {"s": seconds, "calls": n}} of the layers one job called,
-    with "nit", the summed simplex iterations, for the LPs."""
+    with "nit", the summed simplex iterations, and "runs", the HiGHS run()
+    calls, for the LPs."""
     out = {}
-    for layer, calls in kept.items():
+    for layer in LAYERS:
+        calls = kept[layer]
         if calls:
             out[layer] = {"s": sum(s for s, _ in calls), "calls": len(calls)}
             if layer == LP:
                 out[layer]["nit"] = sum(int(res.nit) for _, res in calls
                                         if not isinstance(res, Exception))
+                out[layer]["runs"] = len(kept[RUNS])
     return out
 
 
